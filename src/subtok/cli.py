@@ -8,6 +8,7 @@ assertion. Partial artifacts are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import shutil
 import statistics
@@ -129,6 +130,19 @@ def model_config_from_args(args) -> ModelConfig:
     )
 
 
+def train_config(args, group, seed: int, epochs=None, batch_size=None,
+                 min_count=None) -> TrainConfig:
+    """TrainConfig from the shared training flags. An epoch count of None
+    falls back to the data group's (0 epochs is honoured); a batch size or
+    min count of None or 0 falls back to the group's."""
+    return TrainConfig(
+        window=args.window, negatives=args.negatives, lr_start=args.lr,
+        epochs=group.epochs if epochs is None else epochs,
+        batch_size=batch_size or group.batch_size,
+        min_count=min_count or group.min_count,
+        subsample_t=args.subsample_t, threads=args.threads, seed=seed)
+
+
 def add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--seg", choices=("morf", "bpe", "charn", "word"),
                    default="charn")
@@ -225,25 +239,20 @@ def cmd_train(args, guard: ArtifactGuard) -> int:
     if args.we_tokens:
         corpus = sample_tokens(corpus, args.we_tokens)
     group = data_group_for(corpus.token_count)
-    min_count = args.min_count if args.min_count else group.min_count
-    epochs = args.epochs if args.epochs is not None else group.epochs
-    batch_size = args.batch_size if args.batch_size else group.batch_size
+    tcfg = train_config(args, group, args.seed, epochs=args.epochs,
+                        batch_size=args.batch_size, min_count=args.min_count)
 
-    vocab = build_vocab(corpus, min_count)
+    vocab = build_vocab(corpus, tcfg.min_count)
     config = model_config_from_args(args)
     model = SubwordModel.build(config, vocab)
-    tcfg = TrainConfig(window=args.window, negatives=args.negatives,
-                       lr_start=args.lr, epochs=epochs,
-                       batch_size=batch_size, min_count=min_count,
-                       subsample_t=args.subsample_t, threads=args.threads,
-                       seed=args.seed)
     result = train(corpus, model, tcfg)
     out = guard.register(default_out(args, "checkpoint"))
     save_checkpoint(model, out)
     result.save_trace(Path(out) / "trace.tsv")
     print(f"trained {config.label} on {corpus.token_count} tokens "
-          f"({group.label}: batch {batch_size}, {epochs} epochs, "
-          f"min_count {min_count}); {result.processed_pairs} updates -> {out}")
+          f"({group.label}: batch {tcfg.batch_size}, {tcfg.epochs} epochs, "
+          f"min_count {tcfg.min_count}); {result.processed_pairs} updates "
+          f"-> {out}")
     return 0
 
 
@@ -372,33 +381,24 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
 
 
 def _simulate_cell(args, corpus, we_n, task_n, label, seed):
-    base_cfg = parse_config_label(label)
+    cfg = dataclasses.replace(parse_config_label(label), dim=args.dim,
+                              seed=seed)
     group = data_group_for(we_n)
-    epochs = args.train_epochs if args.train_epochs is not None \
-        else group.epochs
-    cell = [str(we_n), str(task_n), base_cfg.label, str(seed), group.label,
-            str(group.batch_size), str(group.epochs), str(group.min_count)]
+    tcfg = train_config(args, group, seed, epochs=args.train_epochs)
+    cell = [str(we_n), str(task_n), cfg.label, str(seed), group.label,
+            str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
     try:
         sample = sample_tokens(corpus, we_n)
-        vocab = build_vocab(sample, group.min_count)
-        cfg = ModelConfig(
-            segmenter=base_cfg.segmenter, num_merges=base_cfg.num_merges,
-            word_token=base_cfg.word_token, position=base_cfg.position,
-            dim=args.dim, seed=seed)
+        vocab = build_vocab(sample, tcfg.min_count)
         model = SubwordModel.build(cfg, vocab)
-        tcfg = TrainConfig(window=args.window, negatives=args.negatives,
-                           lr_start=args.lr, epochs=epochs,
-                           batch_size=group.batch_size,
-                           min_count=group.min_count,
-                           subsample_t=args.subsample_t,
-                           threads=args.threads, seed=seed)
         train(sample, model, tcfg)
         task = "mentions" if args.mentions else "conll"
         data_path = args.mentions or args.conll
         rows = run_probe(model, task, data_path, task_instances=task_n,
                          epochs=args.probe_epochs, seed=seed)
     except SubtokError as exc:
-        return [cell + ["-", "-", "-", "0", f"failed:{exc}"]]
+        msg = str(exc).translate(str.maketrans("\t\r\n", "   "))
+        return [cell + ["-", "-", "-", "0", f"failed:{msg}"]]
     out = []
     for task_name, _, split, metric, value in rows:
         if split != "test":

@@ -85,6 +85,20 @@ class ParamTables:
                 and np.isfinite(self.position).all()
                 and np.isfinite(self.context).all())
 
+    def subtract_composed(self, grad, step, counts, sub_ids, pos_ids,
+                          wt_ids) -> None:
+        """SGD step through additive composition: word i's gradient row
+        grad[i] goes unchanged into each of its counts[i] rows of `sub_ids`,
+        into the aligned `pos_ids` rows unless pos_ids is None (p-), and
+        into its word-token row unless wt_ids[i] is -1."""
+        upd = step * grad
+        per_row = np.repeat(upd, counts, axis=0)
+        np.subtract.at(self.subword, sub_ids, per_row)
+        if pos_ids is not None:
+            np.subtract.at(self.position, pos_ids, per_row)
+        has_wt = wt_ids >= 0
+        np.subtract.at(self.subword, wt_ids[has_wt], upd[has_wt])
+
 
 def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
                 vocab: Vocab) -> ParamTables:
@@ -212,12 +226,10 @@ class SubwordModel:
                             lr: float) -> None:
         """SGD step distributing a gradient w.r.t. the composed vector
         unchanged to every constituent row (chain rule through addition)."""
-        if idx.sub_ids.size:
-            np.subtract.at(self.params.subword, idx.sub_ids, lr * grad)
-            if self.config.position:
-                np.subtract.at(self.params.position, idx.pos_ids, lr * grad)
-        if idx.word_token_id >= 0:
-            self.params.subword[idx.word_token_id] -= lr * grad
+        self.params.subtract_composed(
+            grad[None], lr, [idx.sub_ids.size], idx.sub_ids,
+            idx.pos_ids if self.config.position else None,
+            np.array([idx.word_token_id]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Skip-gram with negative sampling over subword-composed target vectors.
 
 The target word vector is composed from subword (and position / word-token)
-rows; the context side is the word-level context matrix. Two execution
+rows; the context side is the word-level context matrix. The SGNS gradient
+is written once, in the batched kernel `sgns_kernel`: the trainer runs it
+per minibatch, `sgns_step` runs it for one pair, and `grad_check` checks
+its updates against finite differences of `sgns_loss`. Two execution
 contracts: a deterministic single-threaded mode (used by all tests) and a
 lock-free multi-threaded mode where torn reads are tolerated.
 """
@@ -22,7 +25,7 @@ from subtok.corpus import (
     subsample_keep_probs,
 )
 from subtok.errors import SubtokError
-from subtok.model import SubwordModel
+from subtok.model import ParamTables, SubwordModel, WordIndices
 
 SCORE_CLAMP = 30.0
 TRACE_EVERY = 10_000
@@ -121,64 +124,102 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
+class _WordCSR:
+    """Flattened per-word subword/position row ids (CSR layout) and
+    word-token rows for batched gathering; `position` says whether the
+    position rows take part (p+)."""
+
+    def __init__(self, words, indices: list[WordIndices], position: bool):
+        self.words = words
+        self.position = position
+        empty = np.empty(0, dtype=np.int64)
+        self.flat_sub = np.concatenate([empty] + [i.sub_ids for i in indices])
+        self.flat_pos = np.concatenate([empty] + [i.pos_ids for i in indices])
+        self.lens = np.asarray([i.sub_ids.size for i in indices],
+                               dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
+        self.wt_ids = np.asarray([i.word_token_id for i in indices],
+                                 dtype=np.int64)
+
+    @classmethod
+    def of_model(cls, model: SubwordModel, words=None) -> "_WordCSR":
+        words = model.vocab.words if words is None else words
+        return cls(words, [model.word_indices(w) for w in words],
+                   model.config.position)
+
+
+def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
+                ctx_ids: np.ndarray, valid: np.ndarray, lr: float,
+                first_update: int = 0) -> np.ndarray:
+    """One SGD step of SGNS on a batch: center i (a row of `csr`) against
+    ctx_ids[i] = (positive id, negative ids...), where `valid` masks the
+    negatives that collided with the positive. Each center's vector is the
+    sum of its constituent rows; dot products are clamped to +-30 and a
+    clamped score passes no gradient. Raises SubtokError on a non-finite
+    score before any table changes; otherwise updates the context rows and
+    every constituent row, and returns the loss per center, computed in the
+    tables' float dtype."""
+    counts = csr.lens[centers]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    gather = (np.arange(offsets[-1])
+              - np.repeat(offsets[:-1], counts)
+              + np.repeat(csr.starts[centers], counts))
+    sel_sub = csr.flat_sub[gather]
+    rows = params.subword[sel_sub]
+    sel_pos = None
+    if csr.position:
+        sel_pos = csr.flat_pos[gather]
+        rows = rows + params.position[sel_pos]
+    v = np.add.reduceat(rows, offsets[:-1], axis=0)
+    wt = csr.wt_ids[centers]
+    has_wt = wt >= 0
+    v[has_wt] += params.subword[wt[has_wt]]
+
+    crows = params.context[ctx_ids]
+    scores = np.einsum("bd,bkd->bk", v, crows)
+    if not np.isfinite(scores).all():
+        bad = int(np.argwhere(~np.isfinite(scores))[0][0])
+        word = csr.words[int(centers[bad])]
+        raise SubtokError(f"non-finite score at update {first_update + bad} "
+                          f"(center word {word!r})")
+    live = np.abs(scores) < SCORE_CLAMP
+    scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
+    g = 1.0 / (1.0 + np.exp(-scores))
+    g[:, 0] -= 1.0
+    g[:, 1:] *= valid
+    g *= live
+    loss = (-_log_sigmoid(scores[:, 0])
+            - (_log_sigmoid(-scores[:, 1:]) * valid).sum(axis=1))
+
+    grad_v = np.einsum("bk,bkd->bd", g, crows)
+    grad_c = (g[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1])
+    step = params.context.dtype.type(lr)
+    np.subtract.at(params.context, ctx_ids.reshape(-1), step * grad_c)
+    params.subtract_composed(grad_v, step, counts, sel_sub, sel_pos, wt)
+    return loss
+
+
 def sgns_step(model: SubwordModel, center_word: str, context_word: str,
               lr: float, k: int, sampler: NegativeSampler,
               rng: np.random.Generator) -> float:
-    """One (center, context) SGD update: sample k negatives, push the
-    composed-vector gradient unchanged into every constituent row, and update
-    the touched context rows. Returns the pair loss."""
+    """One (center, context) SGD update: sample k negatives and run the
+    kernel on this single pair. Returns the pair loss."""
     vocab = model.vocab
-    center_id = vocab.word2id.get(center_word)
     ctx_id = vocab.word2id.get(context_word)
-    if center_id is None or ctx_id is None:
+    if center_word not in vocab.word2id or ctx_id is None:
         raise SubtokError(
             f"both words must be in vocab: {center_word!r}, {context_word!r}")
     negs = sampler.draw_avoiding(rng, k, ctx_id)
-
-    idx = model.word_indices(center_word)
-    v = model.compose(idx)
-    ctx_table = model.params.context
-    ctx_ids = np.concatenate(([ctx_id], negs))
-    crows = ctx_table[ctx_ids]
-    scores = crows @ v
-    live = np.abs(scores) < SCORE_CLAMP
-    scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
-    sig = 1.0 / (1.0 + np.exp(-scores))
-    loss = float(-_log_sigmoid(scores[0]) - _log_sigmoid(-scores[1:]).sum())
-
-    g = sig.copy()
-    g[0] -= 1.0
-    g *= live  # clamped scores contribute no gradient
-    grad_v = g @ crows
-    grad_c = np.outer(g, v)
-    np.subtract.at(ctx_table, ctx_ids, (lr * grad_c).astype(ctx_table.dtype))
-    model.apply_composed_grad(idx, grad_v.astype(np.float32), lr)
-    return loss
+    loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
+                       np.zeros(1, dtype=np.int64),
+                       np.concatenate(([ctx_id], negs))[None],
+                       np.ones((1, negs.size), dtype=bool), lr)
+    return float(loss[0])
 
 
 # ---------------------------------------------------------------------------
 # Full training loop
 # ---------------------------------------------------------------------------
-
-
-class _WordCSR:
-    """Flattened per-word subword/position row ids for batched gathering."""
-
-    def __init__(self, model: SubwordModel):
-        sub_chunks, pos_chunks, lens, wt = [], [], [], []
-        for w in model.vocab.words:
-            idx = model.word_indices(w)
-            sub_chunks.append(idx.sub_ids)
-            pos_chunks.append(idx.pos_ids)
-            lens.append(idx.sub_ids.size)
-            wt.append(idx.word_token_id)
-        self.flat_sub = np.concatenate(sub_chunks) if sub_chunks else \
-            np.empty(0, dtype=np.int64)
-        self.flat_pos = np.concatenate(pos_chunks) if pos_chunks else \
-            np.empty(0, dtype=np.int64)
-        self.lens = np.asarray(lens, dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
-        self.wt_ids = np.asarray(wt, dtype=np.int64)
 
 
 def _token_stream(corpus: Corpus, vocab: Vocab):
@@ -251,7 +292,7 @@ class Trainer:
         self.corpus = corpus
         self.model = model
         self.config = config
-        self.csr = _WordCSR(model)
+        self.csr = _WordCSR.of_model(model)
         self.sampler = NegativeSampler(model.vocab, config.power)
         self.keep_probs = subsample_keep_probs(model.vocab,
                                                config.subsample_t)
@@ -320,66 +361,14 @@ class Trainer:
 
     def _run_span(self, centers, ctxs, negs, valid, processed, total):
         cfg = self.config
-        params = self.model.params
-        csr = self.csr
-        d = self.model.config.dim
-        use_pos = self.model.config.position
-        use_wt = self.model.config.word_token
-        floor = cfg.lr_floor
         B = cfg.batch_size
         for b in range(0, centers.size, B):
-            lr = max(floor, cfg.lr_start * (1.0 - processed / total))
-            c = centers[b:b + B]
+            lr = max(cfg.lr_floor, cfg.lr_start * (1.0 - processed / total))
             ctx_idx = np.concatenate(
                 (ctxs[b:b + B, None], negs[b:b + B]), axis=1)
-            val = valid[b:b + B]
-
-            counts = csr.lens[c]
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            gather = (np.arange(offsets[-1])
-                      - np.repeat(offsets[:-1], counts)
-                      + np.repeat(csr.starts[c], counts))
-            sel_sub = csr.flat_sub[gather]
-            rows = params.subword[sel_sub]
-            if use_pos:
-                sel_pos = csr.flat_pos[gather]
-                rows = rows + params.position[sel_pos]
-            v = np.add.reduceat(rows, offsets[:-1], axis=0)
-            if use_wt:
-                wt = csr.wt_ids[c]
-                v = v + params.subword[wt]
-
-            crows = params.context[ctx_idx]
-            scores = np.einsum("bd,bkd->bk", v, crows)
-            if not np.isfinite(scores).all():
-                bad = int(np.argwhere(~np.isfinite(scores))[0][0])
-                word = self.model.vocab.words[int(c[bad])]
-                raise SubtokError(
-                    f"non-finite score at update {processed + b + bad} "
-                    f"(center word {word!r})")
-            live = np.abs(scores) < SCORE_CLAMP
-            scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
-            sig = 1.0 / (1.0 + np.exp(-scores))
-            g = sig.copy()
-            g[:, 0] -= 1.0
-            g[:, 1:] *= val
-            g *= live
-
-            loss = (-_log_sigmoid(scores[:, 0])
-                    - (_log_sigmoid(-scores[:, 1:]) * val).sum(axis=1))
-            grad_v = np.einsum("bk,bkd->bd", g, crows).astype(np.float32)
-            grad_c = (g[:, :, None] * v[:, None, :]).reshape(-1, d)
-
-            step = np.float32(lr)
-            np.subtract.at(params.context, ctx_idx.reshape(-1), step * grad_c)
-            gsub = np.repeat(grad_v, counts, axis=0)
-            np.subtract.at(params.subword, sel_sub, step * gsub)
-            if use_pos:
-                np.subtract.at(params.position, sel_pos, step * gsub)
-            if use_wt:
-                np.subtract.at(params.subword, wt, step * grad_v)
-
-            processed += c.shape[0]
+            loss = sgns_kernel(self.model.params, self.csr, centers[b:b + B],
+                               ctx_idx, valid[b:b + B], lr, processed)
+            processed += loss.shape[0]
             self._record(processed, lr, float(loss.mean()))
         return processed
 
@@ -419,9 +408,10 @@ class GradCheckReport:
 
 def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
                h: float = 1e-4) -> GradCheckReport:
-    """Analytic SGNS gradients vs central finite differences for every
-    parameter class (subword, position, word-token, context rows), covering
-    both position settings."""
+    """The update of one `sgns_kernel` step at lr 1 on float64 tables
+    (before - after, the gradient) vs central finite differences of
+    `sgns_loss`, for every row of every table (subword, word-token,
+    position, context), covering the p+/p- and w+/w- settings."""
     if dim > 16:
         raise ValueError("grad_check is meant for small dims (d <= 16)")
     rng = np.random.default_rng(seed)
@@ -438,37 +428,28 @@ def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
         wt = rng.normal(0, 0.5, size=dim)
         ctx = rng.normal(0, 0.5, size=(k + 1, dim))
         neg_ids = list(range(1, k + 1))
+        # one word: subword rows 0..n_sub-1, then its word-token row
+        params = ParamTables(subword=np.vstack([sub, wt]), position=pos,
+                             context=ctx)
+        rows = np.arange(n_sub)
+        idx = WordIndices(sub_ids=rows, pos_ids=rows,
+                          word_token_id=n_sub if use_wt else -1, unknown=0)
+        after = params.copy()
+        sgns_kernel(after, _WordCSR(["w"], [idx], use_pos),
+                    np.zeros(1, dtype=np.int64), np.arange(k + 1)[None],
+                    np.ones((1, k), dtype=bool), 1.0)
 
-        def compose(sub=sub, pos=pos, wt=wt):
-            v = sub.sum(axis=0)
+        def loss():
+            v = params.subword[:n_sub].sum(axis=0)
             if use_pos:
-                v = v + pos.sum(axis=0)
+                v = v + params.position.sum(axis=0)
             if use_wt:
-                v = v + wt
-            return v
+                v = v + params.subword[n_sub]
+            return sgns_loss(v, 0, neg_ids, params.context)
 
-        def loss(ctx=ctx, **kw):
-            return sgns_loss(compose(**kw), 0, neg_ids, ctx)
-
-        # analytic
-        v = compose()
-        scores = np.clip(ctx @ v, -SCORE_CLAMP, SCORE_CLAMP)
-        sig = 1.0 / (1.0 + np.exp(-scores))
-        g = sig.copy()
-        g[0] -= 1.0
-        grad_v = g @ ctx
-        grad_ctx = np.outer(g, v)
-
-        checks = [("subword", sub, np.tile(grad_v, (n_sub, 1)), "sub"),
-                  ("context", ctx, grad_ctx, "ctx")]
-        if use_pos:
-            checks.append(("position", pos, np.tile(grad_v, (n_sub, 1)),
-                           "pos"))
-        if use_wt:
-            checks.append(("word-token", wt.reshape(1, -1),
-                           grad_v.reshape(1, -1), "wt"))
-
-        for name, table, analytic, kind in checks:
+        for name in ("subword", "position", "context"):
+            table = getattr(params, name)
+            analytic = table - getattr(after, name)
             it = np.nditer(table, flags=["multi_index"])
             for _ in it:
                 mi = it.multi_index
@@ -479,12 +460,13 @@ def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
                 lm = loss()
                 table[mi] = orig
                 numeric = (lp - lm) / (2 * h)
-                a = analytic[mi] if analytic.ndim == 2 else analytic[mi[1]]
-                denom = max(abs(a), abs(numeric), 1.0)
-                rel = abs(a - numeric) / denom
+                a = analytic[mi]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
                 if rel > worst:
                     worst = rel
-                    worst_case = (f"trial {trial} {name} row {mi} "
+                    row = ("word-token" if name == "subword"
+                           and mi[0] == n_sub else name)
+                    worst_case = (f"trial {trial} {row} row {mi} "
                                   f"(p{'+' if use_pos else '-'}"
                                   f"w{'+' if use_wt else '-'})")
     return GradCheckReport(max_rel_error=worst, trials=trials,

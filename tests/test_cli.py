@@ -183,6 +183,36 @@ class TestSimulate:
         assert row["config"] == "word:w-:p-"
         assert row["status"] == "ok"
 
+    def test_rows_record_the_epochs_that_ran(self, corpus_file,
+                                             mentions_file, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir, "1") == 0
+        lines = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()
+        row = dict(zip(lines[0].split("\t"), lines[1].split("\t")))
+        assert (row["batch_size"], row["epochs"], row["min_count"]) == \
+            ("32", "1", "2")
+
+    def test_failed_message_stays_in_one_row(self, corpus_file,
+                                             mentions_file, tmp_path,
+                                             monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SubtokError("bad\tvalue\nline")
+
+        monkeypatch.setattr("subtok.cli.train", fail)
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir, "1") == 0
+        lines = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()
+        assert len(lines) == 2
+        fields = lines[1].split("\t")
+        assert len(fields) == 13
+        assert fields[-1] == "failed:bad value line"
+        summary = tmp_path / "summary.tsv"
+        assert main(["report", "--metrics", str(out_dir / "metrics.tsv"),
+                     "--out", str(summary)]) == 0
+        srows = summary.read_text("utf-8").splitlines()
+        row = dict(zip(srows[0].split("\t"), srows[1].split("\t")))
+        assert row["n_failed"] == "1"
+
     def test_resume_skips_done_cells(self, corpus_file, mentions_file,
                                      tmp_path, capsys):
         out_dir = tmp_path / "sim"

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from subtok.corpus import Corpus, build_vocab, tokenize_corpus
+from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.train import (
     NegativeSampler,
     TrainConfig,
+    _WordCSR,
     grad_check,
+    sgns_kernel,
     sgns_loss,
     sgns_step,
     train,
@@ -140,6 +143,56 @@ class TestSgnsStep:
         assert changed == expected
 
 
+class TestSgnsKernel:
+    def _batch_model(self):
+        corpus, m = make_model("aa bb cc dd ee\n" * 5)
+        m.params.context[:] = np.random.default_rng(0).normal(
+            0, 0.5, m.params.context.shape).astype(np.float32)
+        return m, m.vocab.word2id
+
+    def test_masked_negative_adds_nothing(self):
+        m, ids = self._batch_model()
+        centers = np.array([ids["aa"], ids["bb"]])
+        ctx_ids = np.array([[ids["bb"], ids["cc"], ids["dd"]],
+                            [ids["cc"], ids["ee"], ids["aa"]]])
+        valid = np.array([[True, False], [True, True]])
+        vecs = [m.word_vector(w).astype(np.float64) for w in ("aa", "bb")]
+        ctx = m.params.context.astype(np.float64)
+        before = m.params.copy()
+        loss = sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
+                           valid, 0.1)
+        # dd is only the masked negative of the first center
+        assert np.array_equal(m.params.context[ids["dd"]],
+                              before.context[ids["dd"]])
+        for w in ("aa", "bb", "cc", "ee"):
+            assert not np.array_equal(m.params.context[ids[w]],
+                                      before.context[ids[w]])
+        assert loss[0] == pytest.approx(
+            sgns_loss(vecs[0], ids["bb"], [ids["cc"]], ctx), rel=1e-5)
+        assert loss[1] == pytest.approx(
+            sgns_loss(vecs[1], ids["cc"], [ids["ee"], ids["aa"]], ctx),
+            rel=1e-5)
+
+    def test_clamped_score_gives_zero_update(self):
+        m, ids = self._batch_model()
+        va, vb = m.word_vector("aa"), m.word_vector("bb")
+        # positive score of aa at -40, negative score of bb against ee at +40
+        m.params.context[ids["bb"]] = -40.0 * va / (va @ va)
+        m.params.context[ids["ee"]] = 40.0 * vb / (vb @ vb)
+        centers = np.array([ids["aa"], ids["bb"]])
+        ctx_ids = np.array([[ids["bb"], ids["cc"]],
+                            [ids["dd"], ids["ee"]]])
+        before = m.params.copy()
+        sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
+                    np.ones((2, 1), dtype=bool), 0.1)
+        for w in ("bb", "ee"):
+            assert np.array_equal(m.params.context[ids[w]],
+                                  before.context[ids[w]])
+        for w in ("cc", "dd"):
+            assert not np.array_equal(m.params.context[ids[w]],
+                                      before.context[ids[w]])
+
+
 class TestTrain:
     def test_bit_reproducible(self):
         corpus, m1 = make_model("red blue green\n" * 100, segmenter="charn")
@@ -215,6 +268,20 @@ class TestTrain:
         m2 = SubwordModel.build(ModelConfig(segmenter="word", dim=4), vocab)
         sub = train(corpus, m2, TrainConfig(subsample_t=1e-4, **cfg_args))
         assert sub.processed_pairs < full.processed_pairs / 2
+
+    def test_non_finite_score_raises_before_any_update(self):
+        corpus, m = make_model("aa bb\n" * 3)
+        m.params.context[m.vocab.word2id["aa"]] = np.inf
+        before = m.params.copy()
+        # one batch holds every pair, and each pair scores against aa's row
+        cfg = TrainConfig(window=1, negatives=2, epochs=1, batch_size=64,
+                          subsample_t=0, seed=1)
+        with pytest.raises(SubtokError, match=r"non-finite score at update 0 "
+                                              r"\(center word '(aa|bb)'\)"):
+            train(corpus, m, cfg)
+        for name in ("subword", "position", "context"):
+            assert np.array_equal(getattr(m.params, name),
+                                  getattr(before, name))
 
     def test_threaded_mode_runs(self):
         corpus, m = make_model("p q r s t\n" * 200, segmenter="charn")
