@@ -350,6 +350,9 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
         raise SubtokError(
             f"corpus has {corpus.token_count} tokens; largest WE point is "
             f"{max(we_points)}")
+    # a label or flag out of range fails the command before a file is written
+    for label in configs:
+        _cell_configs(args, label, we_points[0], seeds[0])
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,11 +383,17 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def _simulate_cell(args, corpus, we_n, task_n, label, seed):
+def _cell_configs(args, label, we_n, seed):
+    """(ModelConfig, data group, TrainConfig) of one simulate cell."""
     cfg = dataclasses.replace(parse_config_label(label), dim=args.dim,
                               seed=seed)
     group = data_group_for(we_n)
-    tcfg = train_config(args, group, seed, epochs=args.train_epochs)
+    return cfg, group, train_config(args, group, seed,
+                                    epochs=args.train_epochs)
+
+
+def _simulate_cell(args, corpus, we_n, task_n, label, seed):
+    cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
     cell = [str(we_n), str(task_n), cfg.label, str(seed), group.label,
             str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
     try:

@@ -31,6 +31,10 @@ class InsufficientDataError(SubtokError):
         )
 
 
+class ConfigError(SubtokError, ValueError):
+    """Raised when a model or training setting is out of range."""
+
+
 class FormatError(SubtokError):
     """Raised on malformed input files; carries a line number when known."""
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from subtok.corpus import Vocab
-from subtok.errors import FormatError, SubtokError
+from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.segment import (
     NS_SUBWORD,
     NS_WORD_TOKEN,
@@ -48,9 +48,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.segmenter not in SEGMENTER_KINDS:
-            raise ValueError(f"unknown segmenter {self.segmenter!r}")
+            raise ConfigError(f"unknown segmenter {self.segmenter!r}")
         if self.dim < 1 or self.max_positions < 1:
-            raise ValueError("dim and max_positions must be >= 1")
+            raise ConfigError("dim and max_positions must be >= 1")
 
     @property
     def label(self) -> str:
@@ -93,11 +93,26 @@ class ParamTables:
         into its word-token row unless wt_ids[i] is -1."""
         upd = step * grad
         per_row = np.repeat(upd, counts, axis=0)
-        np.subtract.at(self.subword, sub_ids, per_row)
+        scatter_subtract(self.subword, sub_ids, per_row)
         if pos_ids is not None:
-            np.subtract.at(self.position, pos_ids, per_row)
+            scatter_subtract(self.position, pos_ids, per_row)
         has_wt = wt_ids >= 0
-        np.subtract.at(self.subword, wt_ids[has_wt], upd[has_wt])
+        scatter_subtract(self.subword, wt_ids[has_wt], upd[has_wt])
+
+
+def scatter_subtract(table: np.ndarray, rows: np.ndarray,
+                     vals: np.ndarray) -> None:
+    """table[rows[i]] -= vals[i] for each i in turn, repeated rows included.
+
+    The C-contiguous table is updated through its flat view with one index
+    per element, which keeps `np.subtract.at` on numpy's fast 1-D path; the
+    2-D form does the same subtractions in the same order several times
+    slower. `vals` should have the table's dtype: values of another dtype
+    take numpy's slower casting path."""
+    d = table.shape[1]
+    flat = (rows * d)[:, None] + np.arange(d)
+    np.subtract.at(table.reshape(-1, copy=False), flat.reshape(-1),
+                   vals.reshape(-1))
 
 
 def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
@@ -374,8 +389,12 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))
-    if params.subword.shape[0] != len(svocab):
-        raise FormatError("subword matrix row count does not match vocab")
-    if params.context.shape[0] != len(vocab):
-        raise FormatError("context matrix row count does not match vocab")
+    # rows: subword vocab, config max_positions, word vocab; columns: dim
+    for name, rows in (("subword", len(svocab)),
+                       ("position", config.max_positions),
+                       ("context", len(vocab))):
+        shape = getattr(params, name).shape
+        if shape != (rows, config.dim):
+            raise FormatError(f"{name} matrix is {shape[0]}x{shape[1]}; "
+                              f"config and vocab need {rows}x{config.dim}")
     return SubwordModel(config, vocab, svocab, segmenter, params)

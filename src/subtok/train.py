@@ -4,9 +4,10 @@ The target word vector is composed from subword (and position / word-token)
 rows; the context side is the word-level context matrix. The SGNS gradient
 is written once, in the batched kernel `sgns_kernel`: the trainer runs it
 per minibatch, `sgns_step` runs it for one pair, and `grad_check` checks
-its updates against finite differences of `sgns_loss`. Two execution
-contracts: a deterministic single-threaded mode (used by all tests) and a
-lock-free multi-threaded mode where torn reads are tolerated.
+its updates against finite differences of `sgns_loss`. Every table update
+goes through the one flat-row scatter, `subtok.model.scatter_subtract`.
+Two execution contracts: a deterministic single-threaded mode (used by all
+tests) and a lock-free multi-threaded mode where torn reads are tolerated.
 """
 
 from __future__ import annotations
@@ -24,8 +25,13 @@ from subtok.corpus import (
     negative_sampling_weights,
     subsample_keep_probs,
 )
-from subtok.errors import SubtokError
-from subtok.model import ParamTables, SubwordModel, WordIndices
+from subtok.errors import ConfigError, SubtokError
+from subtok.model import (
+    ParamTables,
+    SubwordModel,
+    WordIndices,
+    scatter_subtract,
+)
 
 SCORE_CLAMP = 30.0
 TRACE_EVERY = 10_000
@@ -47,9 +53,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.window < 1 or self.negatives < 1:
-            raise ValueError("window and negatives must be >= 1")
+            raise ConfigError("window and negatives must be >= 1")
         if self.lr_start <= 0:
-            raise ValueError("lr_start must be > 0")
+            raise ConfigError("lr_start must be > 0")
 
     @property
     def lr_floor(self) -> float:
@@ -194,7 +200,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     grad_v = np.einsum("bk,bkd->bd", g, crows)
     grad_c = (g[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1])
     step = params.context.dtype.type(lr)
-    np.subtract.at(params.context, ctx_ids.reshape(-1), step * grad_c)
+    scatter_subtract(params.context, ctx_ids.reshape(-1), step * grad_c)
     params.subtract_composed(grad_v, step, counts, sel_sub, sel_pos, wt)
     return loss
 
@@ -240,9 +246,10 @@ def _token_stream(corpus: Corpus, vocab: Vocab):
             np.asarray(sent_of, dtype=np.int64))
 
 
-def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
-    """Generate this epoch's (center, context) pairs: subsample tokens, draw
-    a radius per kept token, pair within the kept sequence and sentence."""
+def _epoch_tokens(stream_ids, sent_of, keep_probs, window, rng, subsampled):
+    """This epoch's kept tokens: subsample, then draw a radius per kept
+    token. Returns (ids, radii, position within sentence, distance to
+    sentence end), over the kept sequence."""
     n = stream_ids.size
     if subsampled:
         kept_mask = rng.random(n) < keep_probs[stream_ids]
@@ -251,21 +258,37 @@ def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
     ids = stream_ids[kept_mask]
     sents = sent_of[kept_mask]
     m = ids.size
-    radii = rng.integers(1, window + 1, size=m) if m else \
-        np.empty(0, dtype=np.int64)
     if m == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
+        return (np.empty(0, dtype=np.int64),) * 4
+    radii = rng.integers(1, window + 1, size=m)
 
-    # position within sentence, and distance to sentence end
     change = np.empty(m, dtype=bool)
     change[0] = True
     change[1:] = sents[1:] != sents[:-1]
     group_start = np.maximum.accumulate(np.where(change, np.arange(m), 0))
     pos = np.arange(m) - group_start
     sizes = np.diff(np.append(np.flatnonzero(change), m))
-    sent_len = np.repeat(sizes, sizes)
-    from_end = sent_len - 1 - pos
+    from_end = np.repeat(sizes, sizes) - 1 - pos
+    return ids, radii, pos, from_end
 
+
+def _epoch_pair_count(stream_ids, sent_of, keep_probs, window, rng,
+                      subsampled) -> int:
+    """How many pairs `_epoch_pairs` makes from the same generator state,
+    counted without building them."""
+    _, radii, pos, from_end = _epoch_tokens(stream_ids, sent_of, keep_probs,
+                                            window, rng, subsampled)
+    return int(np.minimum(radii, pos).sum()
+               + np.minimum(radii, from_end).sum())
+
+
+def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
+    """Generate this epoch's (center, context) pairs: every kept token is
+    paired with the kept tokens within its radius in its sentence, and the
+    pairs are shuffled."""
+    ids, radii, pos, from_end = _epoch_tokens(stream_ids, sent_of,
+                                              keep_probs, window, rng,
+                                              subsampled)
     centers, ctxs = [], []
     for off in range(1, window + 1):
         left = (radii >= off) & (pos >= off)
@@ -308,28 +331,22 @@ class Trainer:
     def _neg_rng(self, epoch: int) -> np.random.Generator:
         return np.random.default_rng([self.config.seed, 31, epoch])
 
-    def _expected_total_pairs(self) -> int:
-        total = 0
-        subsampled = self.config.subsample_t > 0
-        for epoch in range(self.config.epochs):
-            c, _ = _epoch_pairs(self.stream_ids, self.sent_of,
-                                self.keep_probs, self.config.window,
-                                self._pair_rng(epoch), subsampled)
-            total += c.size
-        return total
-
     def run(self) -> TrainResult:
         cfg = self.config
-        total = self._expected_total_pairs()
+        # the linear LR schedule runs over every epoch's pairs, counted
+        # from the same seeded draws that make them below
+        stream = (self.stream_ids, self.sent_of, self.keep_probs, cfg.window)
+        subsampled = cfg.subsample_t > 0
+        total = sum(_epoch_pair_count(*stream, self._pair_rng(epoch),
+                                      subsampled)
+                    for epoch in range(cfg.epochs))
         self.result.final_lr = cfg.lr_start
-        if total == 0 or cfg.epochs == 0:
+        if total == 0:
             return self.result
         processed = 0
-        subsampled = cfg.subsample_t > 0
         for epoch in range(cfg.epochs):
-            centers, ctxs = _epoch_pairs(
-                self.stream_ids, self.sent_of, self.keep_probs, cfg.window,
-                self._pair_rng(epoch), subsampled)
+            centers, ctxs = _epoch_pairs(*stream, self._pair_rng(epoch),
+                                         subsampled)
             if centers.size == 0:
                 continue
             negs, valid = self.sampler.draw_matrix(

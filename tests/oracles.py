@@ -105,3 +105,9 @@ def morf_exhaustive_minimum(freqs: dict[str, int], lam: float = 1.0):
         if c < best_cost:
             best_cost, best = c, analyses
     return best, best_cost
+
+
+def scatter_reference(table, rows, vals):
+    """table[r] -= v for each (r, v) in turn, one Python step at a time."""
+    for r, v in zip(rows, vals):
+        table[r] -= v

@@ -122,6 +122,18 @@ class TestTrainExportProbe:
                      "subword.mat", "context.mat", "trace.tsv"):
             assert (ckpt / name).exists()
 
+    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim"])
+    def test_out_of_range_flag_exit_1(self, corpus_file, tmp_path, capsys,
+                                      flag):
+        ckpt = tmp_path / "ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--epochs", "1",
+                   flag, "0", "--out", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err
+        assert "internal error" not in err
+        assert not ckpt.exists()
+
     def test_export(self, corpus_file, tmp_path, capsys):
         ckpt = self._train(corpus_file, tmp_path, capsys)
         vec = tmp_path / "vec.txt"
@@ -161,14 +173,14 @@ class TestTrainExportProbe:
 
 
 class TestSimulate:
-    def _run(self, corpus_file, mentions_file, out_dir, seeds):
+    def _run(self, corpus_file, mentions_file, out_dir, seeds, *extra):
         return main([
             "simulate", "--corpus", str(corpus_file),
             "--mentions", str(mentions_file),
             "--we-tokens", "2000", "--task-instances", "10",
             "--configs", "w2v", "--seeds", seeds,
             "--dim", "8", "--train-epochs", "1", "--probe-epochs", "3",
-            "--out", str(out_dir)])
+            "--out", str(out_dir), *extra])
 
     def test_grid_rows(self, corpus_file, mentions_file, tmp_path, capsys):
         out_dir = tmp_path / "sim"
@@ -212,6 +224,15 @@ class TestSimulate:
         srows = summary.read_text("utf-8").splitlines()
         row = dict(zip(srows[0].split("\t"), srows[1].split("\t")))
         assert row["n_failed"] == "1"
+
+    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim"])
+    def test_out_of_range_flag_exit_1_before_any_row(
+            self, corpus_file, mentions_file, tmp_path, capsys, flag):
+        out_dir = tmp_path / "sim"
+        rc = self._run(corpus_file, mentions_file, out_dir, "1", flag, "0")
+        assert rc == 1
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_resume_skips_done_cells(self, corpus_file, mentions_file,
                                      tmp_path, capsys):

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import scatter_reference
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
-from subtok.errors import SubtokError
+from subtok.errors import FormatError, SubtokError
 from subtok.model import (
     ModelConfig,
     SubwordModel,
     WordIndices,
+    _write_matrix,
     export_vectors,
     init_params,
     load_checkpoint,
     load_vectors,
     save_checkpoint,
+    scatter_subtract,
 )
 
 
@@ -131,6 +136,25 @@ class TestCompose:
         assert vec.any()
 
 
+class TestScatterSubtract:
+    # four table rows, so a long row list repeats rows many times
+    @given(rows=st.lists(st.integers(0, 3), max_size=40),
+           dim=st.integers(1, 6), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(rows=[], dim=3, seed=0, scale=1.0)
+    @example(rows=[2] * 40, dim=5, seed=1, scale=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_loop_bit_for_bit(self, rows, dim, seed, scale):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(4, dim)).astype(np.float32)
+        vals = (rng.normal(size=(len(rows), dim)) * scale).astype(np.float32)
+        rows = np.asarray(rows, dtype=np.int64)
+        expected = table.copy()
+        scatter_reference(expected, rows, vals)
+        scatter_subtract(table, rows, vals)
+        assert table.tobytes() == expected.tobytes()
+
+
 class TestExport:
     def test_format(self, tmp_path):
         m = small_model(dim=5)
@@ -176,6 +200,29 @@ class TestCheckpoint:
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(SubtokError):
             load_checkpoint(tmp_path / "nope")
+
+    @pytest.mark.parametrize("name", ["subword", "position", "context"])
+    def test_matrix_columns_must_equal_dim(self, tmp_path, name):
+        m = small_model()
+        save_checkpoint(m, tmp_path / "ckpt")
+        table = getattr(m.params, name)
+        _write_matrix(tmp_path / "ckpt" / f"{name}.mat",
+                      np.hstack([table, table[:, :1]]))
+        rows = table.shape[0]
+        with pytest.raises(FormatError, match=rf"{name} matrix is {rows}x9; "
+                                              rf"config and vocab need "
+                                              rf"{rows}x8"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_position_rows_must_equal_max_positions(self, tmp_path):
+        m = small_model()
+        save_checkpoint(m, tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        config.write_text(config.read_text().replace("max_positions=20",
+                                                     "max_positions=12"))
+        with pytest.raises(FormatError, match=r"position matrix is 20x8; "
+                                              r"config and vocab need 12x8"):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 class TestConfigLabel:

@@ -1,15 +1,27 @@
+import importlib
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subtok.corpus import Corpus, build_vocab, tokenize_corpus
+import subtok.model
+from subtok.corpus import (
+    Corpus,
+    build_vocab,
+    subsample_keep_probs,
+    tokenize_corpus,
+)
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.train import (
     NegativeSampler,
     TrainConfig,
+    _epoch_pair_count,
+    _epoch_pairs,
+    _token_stream,
     _WordCSR,
     grad_check,
     sgns_kernel,
@@ -17,6 +29,9 @@ from subtok.train import (
     sgns_step,
     train,
 )
+
+# the package re-exports the function `train` under the module's name
+train_module = importlib.import_module("subtok.train")
 
 
 def make_model(text, **cfg):
@@ -191,6 +206,92 @@ class TestSgnsKernel:
         for w in ("cc", "dd"):
             assert not np.array_equal(m.params.context[ids[w]],
                                       before.context[ids[w]])
+
+
+    def test_flat_scatter_matches_2d_subtract_at(self, monkeypatch):
+        corpus, m = make_model("cats hats cat hat\n" * 5, segmenter="charn",
+                               word_token=True, position=True)
+        m.params.context[:] = np.random.default_rng(0).normal(
+            0, 0.5, m.params.context.shape).astype(np.float32)
+        ids = m.vocab.word2id
+        # repeated centers share every row; the negatives repeat across rows
+        centers = np.array([ids["cats"], ids["hats"], ids["cats"],
+                            ids["cats"]])
+        ctx_ids = np.array([[ids["hat"], ids["cat"], ids["hats"]],
+                            [ids["cat"], ids["hat"], ids["hats"]],
+                            [ids["hats"], ids["cat"], ids["hat"]],
+                            [ids["hat"], ids["cat"], ids["hats"]]])
+        valid = np.ones((4, 2), dtype=bool)
+        csr = _WordCSR.of_model(m)
+        before = m.params.copy()
+        reference = m.params.copy()
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids, valid, 0.5)
+
+        def subtract_at_2d(table, rows, vals):
+            np.subtract.at(table, rows, vals)
+
+        monkeypatch.setattr(subtok.model, "scatter_subtract", subtract_at_2d)
+        monkeypatch.setattr(train_module, "scatter_subtract", subtract_at_2d)
+        ref_loss = sgns_kernel(reference, csr, centers, ctx_ids, valid, 0.5)
+        assert loss.tobytes() == ref_loss.tobytes()
+        for name in ("subword", "position", "context"):
+            table = getattr(m.params, name)
+            assert not np.array_equal(table, getattr(before, name))
+            assert table.tobytes() == getattr(reference, name).tobytes()
+
+
+class TestEpochPairs:
+    @given(seed=st.integers(0, 2**16), window=st.integers(1, 6),
+           subsample_t=st.sampled_from([0.0, 1e-3, 0.05]))
+    @settings(max_examples=60, deadline=None)
+    def test_count_equals_pairs_made(self, seed, window, subsample_t):
+        rng = np.random.default_rng(seed)
+        words = ["a", "b", "c", "d", "e", "f", "g"]
+        sents = [[words[i] for i in rng.integers(0, 7, size=n)]
+                 for n in rng.integers(1, 12, size=30)]
+        corpus = Corpus.from_sentences(sents)
+        vocab = build_vocab(corpus, 1)
+        ids, sent_of = _token_stream(corpus, vocab)
+        stream = (ids, sent_of, subsample_keep_probs(vocab, subsample_t),
+                  window)
+        subsampled = subsample_t > 0
+        centers, _ = _epoch_pairs(*stream, np.random.default_rng(seed),
+                                  subsampled)
+        assert _epoch_pair_count(*stream, np.random.default_rng(seed),
+                                 subsampled) == centers.size
+
+    def test_made_once_per_epoch_with_the_two_pass_schedule(self,
+                                                            monkeypatch):
+        corpus, m = make_model("u v w x y z\n" * 600)
+        init = m.params.copy()
+        cfg = TrainConfig(window=4, negatives=2, epochs=3, batch_size=16,
+                          subsample_t=0.05, seed=4)
+        calls = []
+        real_pairs = train_module._epoch_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return real_pairs(*args)
+
+        monkeypatch.setattr(train_module, "_epoch_pairs", counted)
+        res = train(corpus, m, cfg)
+        assert len(calls) == cfg.epochs
+        assert len(res.loss_trace) >= 2
+
+        # reference: the LR schedule's total counted by making every
+        # epoch's pairs in an extra pass, as the trainer once did
+        monkeypatch.setattr(train_module, "_epoch_pair_count",
+                            lambda *args: counted(*args)[0].size)
+        ref_model = SubwordModel(m.config, m.vocab, m.subword_vocab,
+                                 m.segmenter, init)
+        ref = train(corpus, ref_model, cfg)
+        assert len(calls) == 3 * cfg.epochs
+        assert res.final_lr == ref.final_lr
+        assert res.loss_trace == ref.loss_trace
+        assert res.processed_pairs == ref.processed_pairs
+        for name in ("subword", "position", "context"):
+            assert np.array_equal(getattr(m.params, name),
+                                  getattr(ref_model.params, name))
 
 
 class TestTrain:
