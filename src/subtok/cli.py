@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import shutil
 import statistics
@@ -25,6 +26,7 @@ from subtok.errors import FormatError, SubtokError
 from subtok.model import (
     ModelConfig,
     SubwordModel,
+    build_segmentation,
     build_segmenter,
     export_vectors,
     load_checkpoint,
@@ -176,10 +178,17 @@ def add_train_flags(p: argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _corpus_prefix(corpus, we_tokens):
+    """The first `we_tokens` tokens of the corpus, or all of it for None."""
+    if we_tokens is None:
+        return corpus
+    if we_tokens < 1:
+        raise SubtokError("--we-tokens must be >= 1")
+    return sample_tokens(corpus, we_tokens)
+
+
 def cmd_vocab(args, guard: ArtifactGuard) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.we_tokens:
-        corpus = sample_tokens(corpus, args.we_tokens)
+    corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     vocab = build_vocab(corpus, args.min_count)
     out = guard.register(default_out(args, "vocab.tsv"))
     vocab.save_tsv(out)
@@ -235,9 +244,7 @@ def cmd_segment_apply(args, guard: ArtifactGuard) -> int:
 
 
 def cmd_train(args, guard: ArtifactGuard) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.we_tokens:
-        corpus = sample_tokens(corpus, args.we_tokens)
+    corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     group = data_group_for(corpus.token_count)
     tcfg = train_config(args, group, args.seed, epochs=args.epochs,
                         batch_size=args.batch_size, min_count=args.min_count)
@@ -326,6 +333,10 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
 
 
 def _read_existing_cells(path: Path) -> set[tuple]:
+    """(we_tokens, task_instances, config, seed) of every row of an existing
+    metrics table. A line without its newline or with the wrong number of
+    fields, as a run cut off mid-write leaves, raises FormatError, so no row
+    is appended after it."""
     cells = set()
     if not path.exists():
         return cells
@@ -333,26 +344,43 @@ def _read_existing_cells(path: Path) -> set[tuple]:
         header = fh.readline().rstrip("\n").split("\t")
         if header != SIMULATE_COLUMNS:
             raise FormatError(f"unexpected metrics header in {path}")
-        for line in fh:
-            vals = dict(zip(SIMULATE_COLUMNS, line.rstrip("\n").split("\t")))
-            cells.add((vals["we_tokens"], vals["task_instances"],
-                       vals["config"], vals["seed"]))
+        for ln, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if not line.endswith("\n") or \
+                    len(fields) != len(SIMULATE_COLUMNS):
+                raise FormatError(f"half-written row in {path}", ln)
+            cells.add(tuple(fields[:4]))
     return cells
 
 
+def _int_list(text: str, flag: str, minimum: int) -> list[int]:
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SubtokError(f"{flag} needs a comma list of integers, "
+                          f"got {text!r}") from None
+    if min(values) < minimum:
+        raise SubtokError(f"{flag} values must be >= {minimum}")
+    return values
+
+
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
-    corpus = load_corpus(args.corpus)
-    we_points = [int(x) for x in args.we_tokens.split(",")]
-    task_points = [int(x) for x in args.task_instances.split(",")]
+    """Run the grid WE point by WE point. Each (WE point, config, seed) with
+    a task point still missing from the table is trained once and probed
+    once per missing task point; rows are written in grid order (task, then
+    config, then seed) and flushed once per WE point."""
+    we_points = _int_list(args.we_tokens, "--we-tokens", 1)
+    task_points = _int_list(args.task_instances, "--task-instances", 1)
     configs = args.configs.split(",")
-    seeds = [int(x) for x in args.seeds.split(",")]
+    seeds = _int_list(args.seeds, "--seeds", 0)
+    corpus = load_corpus(args.corpus)
     if corpus.token_count < max(we_points):
         raise SubtokError(
             f"corpus has {corpus.token_count} tokens; largest WE point is "
             f"{max(we_points)}")
     # a label or flag out of range fails the command before a file is written
-    for label in configs:
-        _cell_configs(args, label, we_points[0], seeds[0])
+    labels = [_cell_configs(args, label, we_points[0], seeds[0])[0].label
+              for label in configs]
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,19 +393,30 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
         if new_file:
             fh.write("\t".join(SIMULATE_COLUMNS) + "\n")
         for we_n in we_points:
-            for task_n in task_points:
-                for label in configs:
-                    for seed in seeds:
-                        key = (str(we_n), str(task_n),
-                               parse_config_label(label).label, str(seed))
-                        if key in done:
-                            n_skipped += 1
-                            continue
-                        for row in _simulate_cell(args, corpus, we_n, task_n,
-                                                  label, seed):
-                            fh.write("\t".join(str(x) for x in row) + "\n")
-                        fh.flush()
-                        n_run += 1
+            shared: dict = {}  # work the WE point's cells share
+            rows = {}  # (task, config, seed) index -> the cell's rows
+            for ci, label in enumerate(configs):
+                for si, seed in enumerate(seeds):
+                    todo = [ti for ti, task_n in enumerate(task_points)
+                            if (str(we_n), str(task_n), labels[ci],
+                                str(seed)) not in done]
+                    if not todo:
+                        continue
+                    cell_rows = _simulate_cell(
+                        args, corpus, shared, we_n,
+                        [task_points[ti] for ti in todo], label, seed)
+                    rows.update(((ti, ci, si), r)
+                                for ti, r in zip(todo, cell_rows))
+            for key in itertools.product(range(len(task_points)),
+                                         range(len(configs)),
+                                         range(len(seeds))):
+                if key not in rows:
+                    n_skipped += 1
+                    continue
+                for row in rows[key]:
+                    fh.write("\t".join(str(x) for x in row) + "\n")
+                n_run += 1
+            fh.flush()
     print(f"simulate: {n_run} cells computed, {n_skipped} skipped -> "
           f"{metrics_path}")
     return 0
@@ -392,27 +431,49 @@ def _cell_configs(args, label, we_n, seed):
                                     epochs=args.train_epochs)
 
 
-def _simulate_cell(args, corpus, we_n, task_n, label, seed):
+def _failed(exc: SubtokError) -> list[str]:
+    msg = str(exc).translate(str.maketrans("\t\r\n", "   "))
+    return ["-", "-", "-", "0", f"failed:{msg}"]
+
+
+def _simulate_cell(args, corpus, shared, we_n, task_points, label, seed):
+    """Train one (WE point, config, seed) and probe it once per task point;
+    returns one list of metric rows per task point. `shared` holds what the
+    WE point's cells have in common and is filled on first use: the corpus
+    prefix and its vocab, and a segmenter and subword vocab per segmenter
+    setting and w+/w-, which are the same for every seed."""
     cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
-    cell = [str(we_n), str(task_n), cfg.label, str(seed), group.label,
-            str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
+    cells = [[str(we_n), str(task_n), cfg.label, str(seed), group.label,
+              str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
+             for task_n in task_points]
     try:
-        sample = sample_tokens(corpus, we_n)
-        vocab = build_vocab(sample, tcfg.min_count)
-        model = SubwordModel.build(cfg, vocab)
+        # min_count comes from the WE point's data group
+        if "vocab" not in shared:
+            sample = sample_tokens(corpus, we_n)
+            shared["vocab"] = sample, build_vocab(sample, tcfg.min_count)
+        sample, vocab = shared["vocab"]
+        seg_key = (cfg.segmenter, cfg.num_merges, cfg.ngram_min,
+                   cfg.ngram_max, cfg.word_token)
+        if seg_key not in shared:
+            shared[seg_key] = build_segmentation(cfg, vocab)
+        segmenter, svocab = shared[seg_key]
+        model = SubwordModel(cfg, vocab, svocab, segmenter)
         train(sample, model, tcfg)
-        task = "mentions" if args.mentions else "conll"
-        data_path = args.mentions or args.conll
-        rows = run_probe(model, task, data_path, task_instances=task_n,
-                         epochs=args.probe_epochs, seed=seed)
     except SubtokError as exc:
-        msg = str(exc).translate(str.maketrans("\t\r\n", "   "))
-        return [cell + ["-", "-", "-", "0", f"failed:{msg}"]]
+        return [[cell + _failed(exc)] for cell in cells]
+    task = "mentions" if args.mentions else "conll"
+    data_path = args.mentions or args.conll
     out = []
-    for task_name, _, split, metric, value in rows:
-        if split != "test":
+    for task_n, cell in zip(task_points, cells):
+        try:
+            rows = run_probe(model, task, data_path, task_instances=task_n,
+                             epochs=args.probe_epochs, seed=seed)
+        except SubtokError as exc:
+            out.append([cell + _failed(exc)])
             continue
-        out.append(cell + [task_name, split, metric, f"{value:.6f}", "ok"])
+        out.append([cell + [task_name, split, metric, f"{value:.6f}", "ok"]
+                    for task_name, _, split, metric, value in rows
+                    if split == "test"])
     return out
 
 

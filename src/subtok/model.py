@@ -142,6 +142,16 @@ def build_segmenter(config: ModelConfig, vocab: Vocab, max_iters: int = 10):
     return WholeWordSegmenter()
 
 
+def build_segmentation(config: ModelConfig, vocab: Vocab,
+                       morf_max_iters: int = 10):
+    """(segmenter, subword vocab) of `config` over `vocab`. They depend only
+    on the segmenter fields and `word_token`, not on the seed or the
+    tables, so models that differ in nothing else can share them."""
+    segmenter = build_segmenter(config, vocab, max_iters=morf_max_iters)
+    return segmenter, build_subword_vocab(vocab, segmenter,
+                                          config.word_token)
+
+
 @dataclass(frozen=True)
 class WordIndices:
     """Resolved table rows for one word: subword row ids, aligned position
@@ -176,8 +186,7 @@ class SubwordModel:
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab,
               morf_max_iters: int = 10) -> "SubwordModel":
-        segmenter = build_segmenter(config, vocab, max_iters=morf_max_iters)
-        svocab = build_subword_vocab(vocab, segmenter, config.word_token)
+        segmenter, svocab = build_segmentation(config, vocab, morf_max_iters)
         return cls(config, vocab, svocab, segmenter)
 
     # -- segmentation / index resolution ------------------------------------
@@ -319,10 +328,13 @@ def _read_matrix(path: Path) -> np.ndarray:
     return data.reshape(rows, cols).copy()
 
 
+CONFIG_KEYS = ("segmenter", "num_merges", "ngram_min", "ngram_max",
+               "word_token", "position", "dim", "max_positions", "seed")
+
+
 def _config_to_text(config: ModelConfig) -> str:
     lines = []
-    for key in ("segmenter", "num_merges", "ngram_min", "ngram_max",
-                "word_token", "position", "dim", "max_positions", "seed"):
+    for key in CONFIG_KEYS:
         lines.append(f"{key}={getattr(config, key)}")
     return "\n".join(lines) + "\n"
 
@@ -337,6 +349,10 @@ def _config_from_text(text: str) -> ModelConfig:
             raise FormatError(f"bad config line {line!r}")
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
+    missing = [k for k in CONFIG_KEYS if k not in kv]
+    if missing:
+        raise FormatError("config.txt lacks "
+                          + ", ".join(f"{k}=" for k in missing))
     def as_bool(s):
         return s in ("True", "true", "1", "yes")
     return ModelConfig(

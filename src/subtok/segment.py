@@ -4,6 +4,7 @@ whole-word segmenter used by the skip-gram baseline."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -105,7 +106,12 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     """Greedy frequency-based merging over the vocab's word types, each a
     character sequence plus a terminal end-of-word marker. Ties on pair count
     go to the lexicographically smallest pair; learning stops early when no
-    pair occurs at least twice."""
+    pair occurs at least twice.
+
+    Each merge is picked from a heap of (-count, sort key, pair) entries
+    with lazy invalidation: an entry counts only while its count equals the
+    pair's current count, and every pair whose count a merge changes is
+    pushed again. The top valid entry is the pair a full scan would pick."""
     if num_merges < 1:
         raise ValueError("num_merges must be >= 1")
     if len(vocab) == 0:
@@ -121,34 +127,42 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
         for a, b in zip(syms, syms[1:]):
             stats[(a, b)] += f
             index[(a, b)].add(wi)
+    heap = [(-c, _pair_sort_key(p), p) for p, c in stats.items()]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
     symbol_vocab: set[str] = {s for syms in words for s in syms}
     for _ in range(num_merges):
-        if not stats:
+        while heap and stats.get(heap[0][2]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best = min(stats.items(),
-                   key=lambda kv: (-kv[1], _pair_sort_key(kv[0])))[0]
-        if stats[best] < 2:
-            break
+        best = heap[0][2]
         merges.append(best)
         merged_sym = best[0] + best[1]
         symbol_vocab.add(merged_sym)
 
+        before: dict[tuple[str, str], int] = {}  # touched pair -> old count
         for wi in list(index[best]):
             syms = words[wi]
             f = freqs[wi]
             new_syms = _merge_once(syms, best)
             # update pair stats for this word
             for a, b in zip(syms, syms[1:]):
+                before.setdefault((a, b), stats[(a, b)])
                 stats[(a, b)] -= f
                 if stats[(a, b)] <= 0:
                     del stats[(a, b)]
                 index[(a, b)].discard(wi)
             for a, b in zip(new_syms, new_syms[1:]):
+                before.setdefault((a, b), stats[(a, b)])
                 stats[(a, b)] += f
                 index[(a, b)].add(wi)
             words[wi] = new_syms
+        for pair, old in before.items():
+            count = stats[pair]
+            if count and count != old:
+                heapq.heappush(heap, (-count, _pair_sort_key(pair), pair))
 
     return BpeModel(merges=merges, num_merges=num_merges,
                     symbol_vocab=symbol_vocab)

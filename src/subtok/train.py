@@ -56,6 +56,10 @@ class TrainConfig:
             raise ConfigError("window and negatives must be >= 1")
         if self.lr_start <= 0:
             raise ConfigError("lr_start must be > 0")
+        if self.batch_size < 1 or self.min_count < 1:
+            raise ConfigError("batch_size and min_count must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
 
     @property
     def lr_floor(self) -> float:

@@ -2,8 +2,20 @@ import os
 
 import pytest
 
-from subtok.cli import ArtifactGuard, main, parse_config_label
+import subtok.cli
+import subtok.model
+from subtok.cli import (
+    ArtifactGuard,
+    _cell_configs,
+    build_parser,
+    main,
+    parse_config_label,
+    run_probe,
+)
+from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
+from subtok.model import SubwordModel
+from subtok.train import train
 
 
 @pytest.fixture
@@ -134,6 +146,35 @@ class TestTrainExportProbe:
         assert "internal error" not in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch-size", "-5", "batch_size and min_count must be >= 1"),
+        ("--epochs", "-2", "epochs must be >= 0"),
+        ("--min-count", "-1", "batch_size and min_count must be >= 1"),
+        ("--we-tokens", "-5", "--we-tokens must be >= 1")])
+    def test_negative_flag_exit_1(self, corpus_file, tmp_path, capsys, flag,
+                                  value, message):
+        ckpt = tmp_path / "ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--epochs", "1",
+                   flag, value, "--out", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not ckpt.exists()
+
+    def test_export_names_missing_config_key(self, corpus_file, tmp_path,
+                                             capsys):
+        ckpt = self._train(corpus_file, tmp_path, capsys)
+        config = ckpt / "config.txt"
+        config.write_text("".join(
+            line for line in config.read_text("utf-8").splitlines(True)
+            if not line.startswith("seed=")), encoding="utf-8")
+        rc = main(["export", "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "vec.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seed=" in err and "internal error" not in err
+        assert not (tmp_path / "vec.txt").exists()
+
     def test_export(self, corpus_file, tmp_path, capsys):
         ckpt = self._train(corpus_file, tmp_path, capsys)
         vec = tmp_path / "vec.txt"
@@ -243,6 +284,38 @@ class TestSimulate:
         msg = capsys.readouterr().out
         assert "1 cells computed, 1 skipped" in msg
 
+    @pytest.mark.parametrize("we,task", [("0", "10"), ("2000,-1", "10"),
+                                         ("2000", "0"), ("2000", "10,0")])
+    def test_grid_point_below_1_exit_1_before_any_file(
+            self, corpus_file, mentions_file, tmp_path, capsys, we, task):
+        out_dir = tmp_path / "sim"
+        rc = main(["simulate", "--corpus", str(corpus_file),
+                   "--mentions", str(mentions_file), "--we-tokens", we,
+                   "--task-instances", task, "--configs", "w2v",
+                   "--out", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err and "internal error" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cut", ["newline", "fields"])
+    def test_half_written_last_line_stops_resume(
+            self, corpus_file, mentions_file, tmp_path, capsys, cut):
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir, "1,2") == 0
+        metrics = out_dir / "metrics.tsv"
+        text = metrics.read_text("utf-8")
+        if cut == "newline":
+            text = text[:-1]
+        else:
+            text = text[:text.rindex("\t")] + "\n"
+        metrics.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert self._run(corpus_file, mentions_file, out_dir, "1,2,3") == 1
+        err = capsys.readouterr().err
+        assert f"line 3: half-written row in {metrics}" in err
+        assert metrics.read_text("utf-8") == text
+
     def test_oversized_we_point(self, corpus_file, mentions_file, tmp_path,
                                 capsys):
         rc = main([
@@ -258,6 +331,93 @@ class TestSimulate:
                    "--we-tokens", "2000", "--task-instances", "10",
                    "--configs", "w2v", "--out", str(tmp_path / "s")])
         assert rc == 1
+
+
+class TestSimulateReuse:
+    """A 2 WE x 2 task x 2 config x 2 seed grid with one bpe config."""
+
+    ARGV = ["--we-tokens", "1200,2400", "--task-instances", "5,10",
+            "--configs", "w2v,bpe1e1:w+:p-", "--seeds", "1,2", "--dim", "8",
+            "--train-epochs", "1", "--probe-epochs", "3"]
+
+    def _run(self, corpus_file, mentions_file, out_dir):
+        return main(["simulate", "--corpus", str(corpus_file),
+                     "--mentions", str(mentions_file), *self.ARGV,
+                     "--out", str(out_dir)])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"train": 0, "learn_bpe": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(subtok.cli, "train",
+                            counted("train", subtok.cli.train))
+        monkeypatch.setattr(subtok.model, "learn_bpe",
+                            counted("learn_bpe", subtok.model.learn_bpe))
+        return calls
+
+    def test_trains_each_triple_and_learns_bpe_once_per_we_point(
+            self, corpus_file, mentions_file, tmp_path, calls, capsys):
+        assert self._run(corpus_file, mentions_file, tmp_path / "sim") == 0
+        assert calls == {"train": 8, "learn_bpe": 2}
+        assert "16 cells computed, 0 skipped" in capsys.readouterr().out
+
+    def test_rows_equal_a_per_cell_rebuild(self, corpus_file, mentions_file,
+                                           tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        args = build_parser().parse_args(
+            ["simulate", "--corpus", str(corpus_file),
+             "--mentions", str(mentions_file), *self.ARGV])
+        corpus = load_corpus(corpus_file)
+        lines = ["\t".join(subtok.cli.SIMULATE_COLUMNS)]
+        for we in (1200, 2400):
+            for task_n in (5, 10):
+                for label in ("w2v", "bpe1e1:w+:p-"):
+                    for seed in (1, 2):
+                        cfg, group, tcfg = _cell_configs(args, label, we,
+                                                         seed)
+                        sample = sample_tokens(corpus, we)
+                        model = SubwordModel.build(
+                            cfg, build_vocab(sample, tcfg.min_count))
+                        train(sample, model, tcfg)
+                        for task, _, split, metric, value in run_probe(
+                                model, "mentions", mentions_file,
+                                task_instances=task_n, epochs=3, seed=seed):
+                            if split == "test":
+                                lines.append("\t".join(map(str, [
+                                    we, task_n, cfg.label, seed, group.label,
+                                    tcfg.batch_size, tcfg.epochs,
+                                    tcfg.min_count, task, split, metric,
+                                    f"{value:.6f}", "ok"])))
+        assert (out_dir / "metrics.tsv").read_text("utf-8") == \
+            "\n".join(lines) + "\n"
+
+    def test_resume_retrains_only_the_missing_triple(
+            self, corpus_file, mentions_file, tmp_path, calls, capsys):
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        metrics = out_dir / "metrics.tsv"
+        full = metrics.read_text("utf-8").splitlines(True)
+        # drop task point 10 of (WE 2400, bpe1e1:w+:p-, seed 2)
+        gone = [l for l in full
+                if l.startswith("2400\t10\tbpe1e1:w+:p-\t2\t")]
+        assert gone
+        metrics.write_text("".join(l for l in full if l not in gone),
+                           encoding="utf-8")
+        calls.update(train=0, learn_bpe=0)
+        capsys.readouterr()
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        assert calls == {"train": 1, "learn_bpe": 1}
+        assert "1 cells computed, 15 skipped" in capsys.readouterr().out
+        resumed = metrics.read_text("utf-8").splitlines(True)
+        assert resumed[-len(gone):] == gone
+        assert sorted(resumed) == sorted(full)
 
 
 class TestReport:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -63,6 +63,19 @@ class TestLearnBpe:
             expected = bpe_reference_learn(freqs, 200)
             got = learn_bpe(vocab_from_freqs(freqs), 200).merges
             assert got == expected
+
+    # Few symbols and counts of 1-3 make many pairs tie, the marker's
+    # characters test its sort key, and up to 80 merges on at most 10 short
+    # words runs past the point where no pair occurs twice.
+    @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=6),
+                                 st.integers(1, 3), min_size=1, max_size=10),
+           num_merges=st.integers(1, 80))
+    @example(freqs={"ab": 2, "ba": 2, "aa": 2, "bb": 2}, num_merges=80)
+    @example(freqs={"aaaa": 1, "abab": 1}, num_merges=1)
+    @settings(max_examples=200, deadline=None)
+    def test_heap_matches_full_scan_oracle(self, freqs, num_merges):
+        got = learn_bpe(vocab_from_freqs(freqs), num_merges).merges
+        assert got == bpe_reference_learn(freqs, num_merges)
 
     def test_save_load(self, tmp_path):
         v = vocab_from_freqs({"low": 5, "lowest": 3, "newest": 6})
