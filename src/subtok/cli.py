@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import shutil
 import statistics
@@ -97,9 +98,14 @@ def parse_config_label(label: str) -> ModelConfig:
     if seg.startswith("bpe"):
         kwargs["segmenter"] = "bpe"
         suffix = seg[3:]
-        if not suffix:
-            raise SubtokError(f"bpe config label needs a merge count: {label!r}")
-        kwargs["num_merges"] = int(float(suffix))
+        try:
+            merges = float(suffix)
+        except ValueError:
+            merges = math.nan
+        if not merges.is_integer():
+            raise SubtokError(
+                f"bpe config label needs a whole merge count: {label!r}")
+        kwargs["num_merges"] = int(merges)
     elif seg in ("morf", "charn", "word"):
         kwargs["segmenter"] = seg
     else:

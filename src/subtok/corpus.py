@@ -11,6 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from subtok.errors import (
+    ConfigError,
     CorpusDecodeError,
     EmptyVocabError,
     FormatError,
@@ -127,7 +128,7 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
     """Collect word types with frequency >= min_count; ids ordered by
     descending count, then lexicographically."""
     if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+        raise ConfigError("min_count must be >= 1")
     freq = Counter()
     for sent in corpus.sentences:
         freq.update(sent)

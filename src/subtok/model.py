@@ -51,6 +51,8 @@ class ModelConfig:
             raise ConfigError(f"unknown segmenter {self.segmenter!r}")
         if self.dim < 1 or self.max_positions < 1:
             raise ConfigError("dim and max_positions must be >= 1")
+        if self.num_merges < 1:
+            raise ConfigError("num_merges must be >= 1")
 
     @property
     def label(self) -> str:

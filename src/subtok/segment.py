@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from subtok.corpus import Vocab
-from subtok.errors import FormatError
+from subtok.errors import ConfigError, FormatError
 
 END_OF_WORD = "</w>"
 
@@ -111,9 +111,20 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     Each merge is picked from a heap of (-count, sort key, pair) entries
     with lazy invalidation: an entry counts only while its count equals the
     pair's current count, and every pair whose count a merge changes is
-    pushed again. The top valid entry is the pair a full scan would pick."""
+    pushed again. The top valid entry is the pair a full scan would pick.
+
+    A merge changes only the pairs that overlap a merged occurrence and the
+    pairs that touch a merged symbol, so only those are recounted. The
+    index of words per pair is a superset: a word stays listed under a pair
+    it lost, and merging skips it.
+
+    The model's cache is seeded with each training word's final symbols,
+    which equal `apply_bpe` unless some merge recreated a pair that had
+    already been merged (the same string built from other parts, such as a
+    '</w>' spelled out in the word). Then `apply_bpe` would merge that pair
+    again where training did not, so nothing is seeded."""
     if num_merges < 1:
-        raise ValueError("num_merges must be >= 1")
+        raise ConfigError("num_merges must be >= 1")
     if len(vocab) == 0:
         raise ValueError("vocab must be non-empty")
 
@@ -131,6 +142,8 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
+    merged_pairs: set[tuple[str, str]] = set()
+    recreated = False
     symbol_vocab: set[str] = {s for syms in words for s in syms}
     for _ in range(num_merges):
         while heap and stats.get(heap[0][2]) != -heap[0][0]:
@@ -139,33 +152,67 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
             break
         best = heap[0][2]
         merges.append(best)
-        merged_sym = best[0] + best[1]
+        merged_pairs.add(best)
+        a, b = best
+        merged_sym = a + b
         symbol_vocab.add(merged_sym)
 
-        before: dict[tuple[str, str], int] = {}  # touched pair -> old count
-        for wi in list(index[best]):
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+        # no word keeps `best` after this merge, and no merge recreates its
+        # own pair (merged_sym differs from a), so its index entry can go
+        for wi in index.pop(best):
             syms = words[wi]
+            n = len(syms)
+            out: list[str] = []
+            occ: list[int] = []  # positions in syms of merged occurrences
+            new_at: list[int] = []  # their positions in out
+            i = 0
+            while i < n:
+                if i + 1 < n and syms[i] == a and syms[i + 1] == b:
+                    occ.append(i)
+                    new_at.append(len(out))
+                    out.append(merged_sym)
+                    i += 2
+                else:
+                    out.append(syms[i])
+                    i += 1
+            if not occ:
+                continue
             f = freqs[wi]
-            new_syms = _merge_once(syms, best)
-            # update pair stats for this word
-            for a, b in zip(syms, syms[1:]):
-                before.setdefault((a, b), stats[(a, b)])
-                stats[(a, b)] -= f
-                if stats[(a, b)] <= 0:
-                    del stats[(a, b)]
-                index[(a, b)].discard(wi)
-            for a, b in zip(new_syms, new_syms[1:]):
-                before.setdefault((a, b), stats[(a, b)])
-                stats[(a, b)] += f
-                index[(a, b)].add(wi)
-            words[wi] = new_syms
-        for pair, old in before.items():
-            count = stats[pair]
-            if count and count != old:
+            # pair j is (syms[j], syms[j+1]); positions arrive in order, so
+            # `last` drops the ones shared by neighbouring occurrences
+            last = -1
+            for i in occ:
+                for j in (i - 1, i, i + 1):
+                    if last < j < n - 1:
+                        delta[(syms[j], syms[j + 1])] -= f
+                        last = j
+            last = -1
+            m = len(out)
+            for k in new_at:
+                for j in (k - 1, k):
+                    if last < j < m - 1:
+                        pair = (out[j], out[j + 1])
+                        delta[pair] += f
+                        index[pair].add(wi)
+                        recreated = recreated or pair in merged_pairs
+                        last = j
+            words[wi] = out
+        for pair, d in delta.items():
+            if not d:
+                continue
+            count = stats[pair] + d
+            if count > 0:
+                stats[pair] = count
                 heapq.heappush(heap, (-count, _pair_sort_key(pair), pair))
+            else:
+                del stats[pair]
 
-    return BpeModel(merges=merges, num_merges=num_merges,
-                    symbol_vocab=symbol_vocab)
+    model = BpeModel(merges=merges, num_merges=num_merges,
+                     symbol_vocab=symbol_vocab)
+    if not recreated:
+        model._cache.update(zip(vocab.words, map(tuple, words)))
+    return model
 
 
 def _merge_once(syms: list[str], pair: tuple[str, str]) -> list[str]:
@@ -267,11 +314,18 @@ class MorfModel:
     cost_history: list[float] = field(default_factory=list)
     lam: float = 1.0
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _denom: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the lexicon is fixed once learned or loaded
+        self._denom = (sum(self.morph_lexicon.values())
+                       + len(self.morph_lexicon) + 1)
 
     def segment(self, word: str) -> tuple[str, ...]:
         cached = self._cache.get(word)
         if cached is None:
-            cached = _viterbi_segment(word, self.morph_lexicon, self.lam)
+            cached = _viterbi_segment(word, self.morph_lexicon, self.lam,
+                                      self._denom)
             self._cache[word] = cached
         return cached
 
@@ -320,22 +374,29 @@ def _analyses_cost(analyses: dict[str, tuple[str, ...]],
     return _total_cost_from_counts(counts, lam)
 
 
-def _best_split(word: str, morph_cost, memo) -> tuple[float, tuple[str, ...]]:
+def _best_split(word: str, morph_cost) -> tuple[float, tuple[str, ...]]:
     """Cheapest segmentation of `word` under a per-morph cost function,
-    over all ordered partitions (recursive binary splits with memoization)."""
-    hit = memo.get(word)
-    if hit is not None:
-        return hit
-    best_cost = morph_cost(word)
-    best_seg = (word,)
-    for i in range(1, len(word)):
-        lc, lseg = _best_split(word[:i], morph_cost, memo)
-        rc, rseg = _best_split(word[i:], morph_cost, memo)
-        if lc + rc < best_cost:
-            best_cost = lc + rc
-            best_seg = lseg + rseg
-    memo[word] = (best_cost, best_seg)
-    return best_cost, best_seg
+    over all ordered partitions. Each substring, shortest first, keeps its
+    own cost unless some binary split into two cheapest halves costs
+    strictly less (split points left to right, first strict minimum wins);
+    both halves are shorter, so they are already in the memo."""
+    n = len(word)
+    memo: dict[str, tuple[float, tuple[str, ...]]] = {}
+    for length in range(1, n + 1):
+        for start in range(n - length + 1):
+            sub = word[start:start + length]
+            if sub in memo:
+                continue
+            best_cost = morph_cost(sub)
+            best_seg = (sub,)
+            for i in range(1, length):
+                lc, lseg = memo[sub[:i]]
+                rc, rseg = memo[sub[i:]]
+                if lc + rc < best_cost:
+                    best_cost = lc + rc
+                    best_seg = lseg + rseg
+            memo[sub] = (best_cost, best_seg)
+    return memo[word]
 
 
 def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
@@ -345,13 +406,14 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
     amortized lexicon penalty for novel morphs); a pass that fails to lower
     the total cost is reverted and training stops."""
     if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise ConfigError("max_iters must be >= 1")
     if len(vocab) == 0:
         raise ValueError("vocab must be non-empty")
 
     freqs = {w: int(c) for w, c in zip(vocab.words, vocab.counts)}
     analyses: dict[str, tuple[str, ...]] = {w: (w,) for w in vocab.words}
     counts: Counter = Counter({w: freqs[w] for w in vocab.words})
+    total = sum(counts.values())  # morph tokens, kept exact as counts change
 
     cost_history = [_analyses_cost(analyses, freqs, lam)]
 
@@ -360,25 +422,27 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
         for w in vocab.words:
             f = freqs[w]
             # remove this word's current contribution
-            for m in analyses[w]:
+            old = analyses[w]
+            for m in old:
                 counts[m] -= f
                 if counts[m] <= 0:
                     del counts[m]
-            total = sum(counts.values())
-            lex = len(counts)
-            denom = total + lex + 1  # +1: room for one novel morph
+            total -= f * len(old)
+            denom = total + len(counts) + 1  # +1: room for one novel morph
+            novel = f * -math.log(1 / denom)
 
-            def morph_cost(m, _f=f, _counts=counts, _denom=denom):
+            def morph_cost(m, _f=f, _counts=counts, _denom=denom,
+                           _novel=novel):
                 c = _counts.get(m, 0)
-                cost = _f * -math.log((c + 1) / _denom)
                 if c == 0:
-                    cost += lam * len(m)  # lexicon growth penalty
-                return cost
+                    return _novel + lam * len(m)  # lexicon growth penalty
+                return _f * -math.log((c + 1) / _denom)
 
-            _, seg = _best_split(w, morph_cost, {})
+            _, seg = _best_split(w, morph_cost)
             analyses[w] = seg
             for m in seg:
                 counts[m] += f
+            total += f * len(seg)
 
         cost = _analyses_cost(analyses, freqs, lam)
         if cost < cost_history[-1] - 1e-6:
@@ -401,16 +465,14 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
     return model
 
 
-def _viterbi_segment(word: str, lexicon: dict[str, int],
-                     lam: float) -> tuple[str, ...]:
-    """Segment an arbitrary word with the learned lexicon; substrings absent
-    from the lexicon fall back to a high per-character cost so known morphs
-    are preferred."""
+def _viterbi_segment(word: str, lexicon: dict[str, int], lam: float,
+                     denom: int) -> tuple[str, ...]:
+    """Segment an arbitrary word with the learned lexicon, whose add-one
+    denominator `denom` is its token total + its size + 1; substrings
+    absent from the lexicon fall back to a high per-character cost so known
+    morphs are preferred."""
     if not word:
         raise ValueError("word must be non-empty")
-    total = sum(lexicon.values())
-    lex = len(lexicon)
-    denom = total + lex + 1
     unk_char_cost = -math.log(1.0 / denom) + lam
 
     def morph_cost(m):

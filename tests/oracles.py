@@ -111,3 +111,100 @@ def scatter_reference(table, rows, vals):
     """table[r] -= v for each (r, v) in turn, one Python step at a time."""
     for r, v in zip(rows, vals):
         table[r] -= v
+
+
+def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,
+                         lam: float = 1.0):
+    """Morfessor-lite as first written: words in vocab order (descending
+    count, then lexicographic), the token total summed afresh for every
+    word, and a recursive memoised split search. Returns the morph lexicon,
+    the final analyses and the cost history."""
+    words = sorted(word_freqs, key=lambda w: (-word_freqs[w], w))
+    analyses = {w: (w,) for w in words}
+    counts = Counter(word_freqs)
+
+    def cost_of(assignment):
+        morph_counts = Counter()
+        for w, morphs in assignment.items():
+            for m in morphs:
+                morph_counts[m] += word_freqs[w]
+        denom = sum(morph_counts.values()) + len(morph_counts)
+        cost = 0.0
+        for c in morph_counts.values():
+            cost += c * -math.log((c + 1) / denom)
+        return cost + lam * sum(len(m) for m in morph_counts)
+
+    def best_split(s, morph_cost, memo):
+        if s in memo:
+            return memo[s]
+        best = (morph_cost(s), (s,))
+        for i in range(1, len(s)):
+            lc, lseg = best_split(s[:i], morph_cost, memo)
+            rc, rseg = best_split(s[i:], morph_cost, memo)
+            if lc + rc < best[0]:
+                best = (lc + rc, lseg + rseg)
+        memo[s] = best
+        return best
+
+    history = [cost_of(analyses)]
+    for _ in range(max_iters):
+        previous = dict(analyses)
+        for w in words:
+            f = word_freqs[w]
+            for m in analyses[w]:
+                counts[m] -= f
+                if counts[m] <= 0:
+                    del counts[m]
+            denom = sum(counts.values()) + len(counts) + 1
+
+            def morph_cost(m, f=f, denom=denom):
+                c = counts.get(m, 0)
+                cost = f * -math.log((c + 1) / denom)
+                if c == 0:
+                    cost += lam * len(m)
+                return cost
+
+            analyses[w] = best_split(w, morph_cost, {})[1]
+            for m in analyses[w]:
+                counts[m] += f
+        cost = cost_of(analyses)
+        if cost < history[-1] - 1e-6:
+            history.append(cost)
+            continue
+        if cost > history[-1]:
+            analyses = previous
+        else:
+            history.append(cost)
+        break
+
+    lexicon = Counter()
+    for w, morphs in analyses.items():
+        for m in morphs:
+            lexicon[m] += word_freqs[w]
+    return dict(lexicon), analyses, history
+
+
+def morf_reference_viterbi(word: str, lexicon: dict[str, int],
+                           lam: float = 1.0):
+    """Cheapest segmentation of an unseen word under the learned lexicon,
+    summing the lexicon afresh on every call; unknown substrings cost a
+    high per-character price. Split points up to 30 characters back, the
+    first strict minimum wins."""
+    denom = sum(lexicon.values()) + len(lexicon) + 1
+    unk_char = -math.log(1.0 / denom) + lam
+    n = len(word)
+    best = [0.0] + [math.inf] * n
+    back = [0] * (n + 1)
+    for j in range(1, n + 1):
+        for i in range(max(0, j - 30), j):
+            c = lexicon.get(word[i:j], 0)
+            piece = (-math.log((c + 1) / denom) if c > 0
+                     else (j - i) * unk_char)
+            if best[i] + piece < best[j]:
+                best[j] = best[i] + piece
+                back[j] = i
+    out = []
+    while n > 0:
+        out.append(word[back[n]:n])
+        n = back[n]
+    return tuple(reversed(out))

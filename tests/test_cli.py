@@ -61,6 +61,27 @@ class TestConfigLabels:
         with pytest.raises(SubtokError):
             parse_config_label("charn:x+")
 
+    @pytest.mark.parametrize("label", ["bpex", "bpe", "bpe1.5", "bpe1e999"])
+    def test_merge_count_not_a_whole_number(self, label):
+        with pytest.raises(SubtokError, match=label):
+            parse_config_label(label)
+
+    @pytest.mark.parametrize("label,message", [
+        ("bpe0", "num_merges must be >= 1"),
+        ("bpex", "bpe config label needs a whole merge count: 'bpex'")])
+    def test_bad_merge_count_exit_1_before_any_file(
+            self, corpus_file, mentions_file, tmp_path, capsys, label,
+            message):
+        out_dir = tmp_path / "sim"
+        rc = main(["simulate", "--corpus", str(corpus_file),
+                   "--mentions", str(mentions_file), "--we-tokens", "2000",
+                   "--task-instances", "10", "--configs", f"w2v,{label}",
+                   "--out", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not out_dir.exists()
+
 
 class TestVocabCommand:
     def test_writes_tsv(self, corpus_file, tmp_path, capsys):
@@ -77,6 +98,16 @@ class TestVocabCommand:
         assert rc == 1
         assert "subtok:" in capsys.readouterr().err
         assert not (tmp_path / "v.tsv").exists()
+
+    def test_min_count_0_exit_1(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "v.tsv"
+        rc = main(["vocab", "--corpus", str(corpus_file), "--min-count", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "min_count must be >= 1" in err
+        assert "internal error" not in err
+        assert not out.exists()
 
     def test_data_dir_default_out(self, corpus_file, tmp_path, monkeypatch):
         root = tmp_path / "artifacts"
@@ -111,6 +142,21 @@ class TestSegmentCommands:
 
     def test_apply_bpe_without_model(self, capsys):
         assert main(["segment-apply", "--seg", "bpe", "cats"]) == 1
+
+    @pytest.mark.parametrize("seg,flag,message", [
+        ("bpe", "--min-count", "min_count must be >= 1"),
+        ("morf", "--min-count", "min_count must be >= 1"),
+        ("bpe", "--merges", "num_merges must be >= 1"),
+        ("morf", "--max-iters", "max_iters must be >= 1")])
+    def test_learn_count_0_exit_1(self, corpus_file, tmp_path, capsys, seg,
+                                  flag, message):
+        out = tmp_path / "model.txt"
+        rc = main(["segment-learn", "--corpus", str(corpus_file),
+                   "--seg", seg, flag, "0", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not out.exists()
 
     def test_charn_learn_rejected(self, corpus_file, capsys):
         # argparse rejects the choice before dispatch

@@ -8,6 +8,8 @@ from oracles import (
     bpe_reference_learn,
     morf_cost,
     morf_exhaustive_minimum,
+    morf_reference_learn,
+    morf_reference_viterbi,
     ngram_enumeration,
 )
 from subtok.corpus import build_vocab, tokenize_corpus
@@ -76,6 +78,40 @@ class TestLearnBpe:
     def test_heap_matches_full_scan_oracle(self, freqs, num_merges):
         got = learn_bpe(vocab_from_freqs(freqs), num_merges).merges
         assert got == bpe_reference_learn(freqs, num_merges)
+
+    # Every training word's segmentation, which learn_bpe caches, must be
+    # what apply_bpe gives for the learned merges. The marker's characters
+    # let a word spell out '</w>', which recreates pairs merged before;
+    # overlapping occurrences test the pairs updated around a merge.
+    @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=8),
+                                 st.integers(1, 4), min_size=1, max_size=10),
+           num_merges=st.integers(1, 60))
+    @example(freqs={"aaaa": 2, "abab": 3, "aaa": 2}, num_merges=10)
+    @example(freqs={"aaaaaaa": 2, "ababa": 2, "baaab": 1}, num_merges=60)
+    @example(freqs={"/": 3, "/</w></w>": 1}, num_merges=30)
+    @settings(max_examples=300, deadline=None)
+    def test_training_segmentations_match_apply_bpe(self, freqs, num_merges):
+        v = vocab_from_freqs(freqs)
+        model = learn_bpe(v, num_merges)
+        fresh = BpeModel(merges=model.merges, num_merges=num_merges)
+        for w in v.words:
+            assert model.segment(w) == apply_bpe(fresh, w)
+
+    def test_cache_seeded_from_training(self):
+        freqs = {"aaaa": 2, "abab": 3, "aaa": 2}
+        model = learn_bpe(vocab_from_freqs(freqs), 10)
+        assert model._cache == {w: bpe_reference_apply(model.merges, w)
+                                for w in freqs}
+
+    def test_no_cache_when_a_merge_recreates_a_merged_pair(self):
+        # ('/', '</w>') is merged first; later merges spell '</w>' out of
+        # '<', '/', 'w', '>' after a '/', which recreates that pair. Training
+        # leaves it unmerged, apply_bpe merges it, so nothing is seeded.
+        freqs = {"/": 3, "/</w></w>": 1}
+        model = learn_bpe(vocab_from_freqs(freqs), 30)
+        assert model.merges[0] == ("/", "</w>")
+        assert model._cache == {}
+        assert model.segment("/</w></w>") == ("/</w>", "</w></w>")
 
     def test_save_load(self, tmp_path):
         v = vocab_from_freqs({"low": 5, "lowest": 3, "newest": 6})
@@ -191,6 +227,32 @@ class TestMorfessorLite:
             seg = model.segment(w)
             assert "".join(seg) == w
             assert all(m in model.morph_lexicon for m in seg)
+
+    # Few letters and small counts make split costs tie, so the order of
+    # split points and the strict comparison matter; every float must match.
+    @given(freqs=st.dictionaries(st.text("ab", min_size=1, max_size=7),
+                                 st.integers(1, 4), min_size=1, max_size=8),
+           max_iters=st.integers(1, 3),
+           unseen=st.lists(st.text("abc", min_size=1, max_size=9),
+                           max_size=4))
+    @example(freqs={"walk": 10, "walked": 5, "walking": 5}, max_iters=3,
+             unseen=["walks", "talked"])
+    @example(freqs={"abab": 2, "ab": 2, "ba": 2, "aab": 1}, max_iters=3,
+             unseen=["abba", "c"])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_learner(self, freqs, max_iters, unseen):
+        model = learn_morfessor_lite(vocab_from_freqs(freqs), max_iters)
+        lexicon, analyses, history = morf_reference_learn(freqs, max_iters)
+        assert model.morph_lexicon == lexicon
+        assert {w: model.segment(w) for w in freqs} == analyses
+        assert model.cost_history == history
+        rebuilt = MorfModel(morph_lexicon=dict(lexicon), corpus_cost=0.0)
+        for w in unseen:
+            if w in freqs:
+                continue
+            expected = morf_reference_viterbi(w, lexicon)
+            assert model.segment(w) == expected
+            assert rebuilt.segment(w) == expected
 
     def test_save_load(self, tmp_path):
         v = vocab_from_freqs({"walk": 10, "walked": 5, "walking": 5})
