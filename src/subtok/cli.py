@@ -338,14 +338,11 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def _read_existing_cells(path: Path) -> set[tuple]:
-    """(we_tokens, task_instances, config, seed) of every row of an existing
-    metrics table. A line without its newline or with the wrong number of
-    fields, as a run cut off mid-write leaves, raises FormatError, so no row
-    is appended after it."""
-    cells = set()
-    if not path.exists():
-        return cells
+def _metrics_rows(path: Path):
+    """(line number, column -> field) for every row of a simulate metrics
+    table. A wrong header, or a line without its newline or with the wrong
+    number of fields, as a run cut off mid-write leaves, raises
+    FormatError."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != SIMULATE_COLUMNS:
@@ -355,8 +352,17 @@ def _read_existing_cells(path: Path) -> set[tuple]:
             if not line.endswith("\n") or \
                     len(fields) != len(SIMULATE_COLUMNS):
                 raise FormatError(f"half-written row in {path}", ln)
-            cells.add(tuple(fields[:4]))
-    return cells
+            yield ln, dict(zip(SIMULATE_COLUMNS, fields))
+
+
+def _read_existing_cells(path: Path) -> set[tuple]:
+    """(we_tokens, task_instances, config, seed) of every row of an existing
+    metrics table; a malformed row raises FormatError, so no row is appended
+    after it."""
+    if not path.exists():
+        return set()
+    return {tuple(row[c] for c in SIMULATE_COLUMNS[:4])
+            for _, row in _metrics_rows(path)}
 
 
 def _int_list(text: str, flag: str, minimum: int) -> list[int]:
@@ -489,19 +495,19 @@ def cmd_report(args, guard: ArtifactGuard) -> int:
         raise SubtokError(f"no metrics table at {path}")
     groups: dict[tuple, list[float]] = {}
     failed: dict[tuple, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != SIMULATE_COLUMNS:
-            raise FormatError(f"unexpected metrics header in {path}")
-        for line in fh:
-            vals = dict(zip(SIMULATE_COLUMNS, line.rstrip("\n").split("\t")))
-            key = (vals["we_tokens"], vals["task_instances"], vals["config"],
-                   vals["task"], vals["split"], vals["metric"])
-            if vals["status"] == "ok":
-                groups.setdefault(key, []).append(float(vals["value"]))
-            else:
-                fkey = key[:3] + ("-", "-", "-")
-                failed[fkey] = failed.get(fkey, 0) + 1
+    for ln, vals in _metrics_rows(path):
+        key = (vals["we_tokens"], vals["task_instances"], vals["config"],
+               vals["task"], vals["split"], vals["metric"])
+        if vals["status"] == "ok":
+            try:
+                value = float(vals["value"])
+            except ValueError:
+                raise FormatError(f"value {vals['value']!r} in {path} is "
+                                  "not a number", ln) from None
+            groups.setdefault(key, []).append(value)
+        else:
+            fkey = key[:3] + ("-", "-", "-")
+            failed[fkey] = failed.get(fkey, 0) + 1
     if not groups and not failed:
         raise SubtokError(f"metrics table {path} is empty")
     out = guard.register(default_out(args, "summary.tsv"))

@@ -16,6 +16,7 @@ from subtok.errors import (
     EmptyVocabError,
     FormatError,
     InsufficientDataError,
+    nonnegative_int,
 )
 
 
@@ -112,10 +113,10 @@ class Vocab:
                 if len(parts) != 3:
                     raise FormatError("expected word<TAB>id<TAB>count", ln)
                 word, wid, count = parts
-                if int(wid) != len(words):
+                if nonnegative_int(wid, "word id", ln) != len(words):
                     raise FormatError(f"non-contiguous id {wid}", ln)
                 words.append(word)
-                counts.append(int(count))
+                counts.append(nonnegative_int(count, "word count", ln))
         if not words:
             raise EmptyVocabError(f"no vocabulary entries in {path}")
         counts_arr = np.asarray(counts, dtype=np.int64)

@@ -43,3 +43,16 @@ class FormatError(SubtokError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
+
+
+def nonnegative_int(text: str, what: str, line_number: int) -> int:
+    """`text` as a non-negative integer; FormatError naming `what` and the
+    line otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise FormatError(f"{what} must be a non-negative integer, "
+                          f"got {text!r}", line_number)
+    return value

@@ -53,6 +53,8 @@ class ModelConfig:
             raise ConfigError("dim and max_positions must be >= 1")
         if self.num_merges < 1:
             raise ConfigError("num_merges must be >= 1")
+        if not 1 <= self.ngram_min <= self.ngram_max:
+            raise ConfigError("need 1 <= ngram_min <= ngram_max")
 
     @property
     def label(self) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from subtok.errors import FormatError, SubtokError
+from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import SubwordModel
 
 SCHEME_BIO = "BIO"
@@ -61,16 +61,19 @@ def random_split(n: int, seed: int) -> dict[str, list[int]]:
     }
 
 
+def _read_lines(source) -> list[str]:
+    """Lines of a path, or of an iterable of lines."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return fh.readlines()
+    return list(source)
+
+
 def load_mentions(source, seed: int = 0) -> MentionDataset:
     """Parse `token token ...<TAB>label` lines into a MentionDataset with a
     deterministic seeded split. `source` is a path or an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
     examples = []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(_read_lines(source), start=1):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -124,14 +127,9 @@ def load_conll(source, seed: int = 0) -> TagDataset:
     """Parse `token<TAB>label` lines (blank line separates sentences). The
     scheme is BIO iff every label is O or B-/I- prefixed; invalid BIO
     sequences are repaired on load."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
     sentences = []
     toks, labs = [], []
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(_read_lines(source), start=1):
         line = line.rstrip("\n")
         if not line:
             if toks:
@@ -155,29 +153,51 @@ def load_conll(source, seed: int = 0) -> TagDataset:
 
 
 # ---------------------------------------------------------------------------
-# Features
+# Slot features: a probe example is a list of slots (token tuples). A mention
+# is one slot holding all its tokens; tagging token i is the 2*window+1 slots
+# at offsets -window..+window, empty past either end of the sentence.
 # ---------------------------------------------------------------------------
+
+
+def _window_slots(tokens, i: int, window: int) -> list[tuple]:
+    return [(tokens[j],) if 0 <= j < len(tokens) else ()
+            for j in range(i - window, i + window + 1)]
+
+
+def _features(model: SubwordModel, items) -> np.ndarray:
+    """(examples, slots * dim) float32 features of examples that all have
+    the same number of slots: each slot's is the mean of its tokens' composed
+    vectors, zeros when empty. Each distinct token is composed once, and the
+    slots that share a position and a length are averaged in one call."""
+    d = model.config.dim
+    rows: dict[str, int] = {}
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    for n, slots in enumerate(items):
+        for s, slot in enumerate(slots):
+            if slot:
+                ids, toks = groups.setdefault((s, len(slot)), ([], []))
+                ids.append(n)
+                toks.append([rows.setdefault(t, len(rows)) for t in slot])
+    vecs = np.zeros((len(rows), d), dtype=np.float32)
+    for t, r in rows.items():
+        vecs[r] = model.word_vector(t)
+    feats = np.zeros((len(items), len(items[0]) * d if items else 0),
+                     dtype=np.float32)
+    for (s, _), (ids, toks) in groups.items():
+        feats[ids, s * d:(s + 1) * d] = vecs[toks].mean(axis=1)
+    return feats
 
 
 def mention_features(model: SubwordModel, tokens) -> np.ndarray:
     """Mean of composed token vectors."""
-    vecs = [model.word_vector(t) for t in tokens]
-    return np.mean(vecs, axis=0)
+    return _features(model, [[tokens]])[0]
 
 
 def window_features(model: SubwordModel, tokens, i: int,
                     window: int) -> np.ndarray:
     """Concatenated composed vectors at offsets -window..+window; zero vector
     past sentence boundaries."""
-    d = model.config.dim
-    parts = []
-    for off in range(-window, window + 1):
-        j = i + off
-        if 0 <= j < len(tokens):
-            parts.append(model.word_vector(tokens[j]))
-        else:
-            parts.append(np.zeros(d, dtype=np.float32))
-    return np.concatenate(parts)
+    return _features(model, [_window_slots(tokens, i, window)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +207,10 @@ def window_features(model: SubwordModel, tokens, i: int,
 
 @dataclass
 class SoftmaxProbe:
-    weights: np.ndarray  # (n_labels, feature_dim)
+    weights: np.ndarray  # (n_labels, slots * dim)
     bias: np.ndarray  # (n_labels,)
     labels: list[str]
-    feature_spec: str  # "mention-average" | "token-window"
-    window: int = 0
+    window: int = 0  # tagging: slots at offsets -window..+window
 
     def predict_index(self, feat: np.ndarray) -> int:
         # np.argmax breaks ties by lowest index
@@ -207,39 +226,57 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _sgd_epoch(probe: SoftmaxProbe, feats, label_ids, lr, rng,
-               backprop=None):
-    order = rng.permutation(len(feats))
-    for i in order:
-        f = feats[i] if backprop is None else feats[i]()
-        z = probe.weights @ f + probe.bias
-        p = _softmax(z)
-        p[label_ids[i]] -= 1.0
-        grad_f = probe.weights.T @ p
-        probe.weights -= lr * np.outer(p, f)
-        probe.bias -= lr * p
-        if backprop is not None:
-            backprop(i, grad_f, lr)
+def _train_probe(model: SubwordModel, labels: list[str], train, dev,
+                 epochs: int, lr: float, fine_tune: bool, seed: int,
+                 patience: int, window: int = 0) -> SoftmaxProbe:
+    """Multinomial logistic regression over the slot features of `train`,
+    a list of (slots, label), by seeded SGD with early stopping on `dev`
+    accuracy. Frozen embeddings: features are built once and the best
+    dev-scoring parameters are kept. Fine-tuning: features are rebuilt from
+    the current tables at each use, every step sends each slot's feature
+    gradient, divided by the slot's length, to each of its tokens, and the
+    last parameters are kept."""
+    if not train:
+        raise SubtokError("empty training split")
+    lab2id = {l: i for i, l in enumerate(labels)}
+    (train_items, train_ids), (dev_items, dev_ids) = (
+        ([slots for slots, _ in split], [lab2id[l] for _, l in split])
+        for split in (train, dev))
+    d = model.config.dim
+    n_feats = len(train_items[0]) * d
+    probe = SoftmaxProbe(weights=np.zeros((len(labels), n_feats)),
+                         bias=np.zeros(len(labels)), labels=labels,
+                         window=window)
+    rng = np.random.default_rng(seed)
+    if not fine_tune:
+        train_feats = _features(model, train_items)
+        dev_feats = _features(model, dev_items)
 
-
-def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
-               dev_ids, epochs, lr, rng, patience=5, backprop=None):
-    """SGD with early stopping on dev accuracy (kept parameters are the best
-    dev-scoring ones seen). With a `backprop` hook, features are re-computed
-    per example (callables) and gradients flow into the embedding model."""
     def dev_acc():
-        if not dev_ids:
-            return 0.0
-        feats = [f() if callable(f) else f for f in dev_feats]
+        feats = _features(model, dev_items) if fine_tune else dev_feats
         hits = sum(probe.predict_index(f) == y
                    for f, y in zip(feats, dev_ids))
-        return hits / len(dev_ids)
+        return hits / len(dev_ids) if dev_ids else 0.0
 
     best_acc = dev_acc()
     best = (probe.weights.copy(), probe.bias.copy())
     bad = 0
     for _ in range(epochs):
-        _sgd_epoch(probe, train_feats, train_ids, lr, rng, backprop=backprop)
+        for i in rng.permutation(len(train_items)):
+            f = (_features(model, train_items[i:i + 1])[0] if fine_tune
+                 else train_feats[i])
+            z = probe.weights @ f + probe.bias
+            p = _softmax(z)
+            p[train_ids[i]] -= 1.0
+            grad_f = probe.weights.T @ p
+            probe.weights -= lr * np.outer(p, f)
+            probe.bias -= lr * p
+            if fine_tune:
+                for s, slot in enumerate(train_items[i]):
+                    for t in slot:
+                        g = grad_f[s * d:(s + 1) * d] / len(slot)
+                        model.apply_composed_grad(model.word_indices(t),
+                                                  g.astype(np.float32), lr)
         acc = dev_acc()
         if acc > best_acc + 1e-12:
             best_acc = acc
@@ -249,51 +286,25 @@ def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
             bad += 1
             if bad >= patience:
                 break
-    if backprop is None:
-        # frozen embeddings: restore the best dev-scoring probe
+    if not fine_tune:
         probe.weights, probe.bias = best
     return probe
+
+
+def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
+    """Label ids predicted for examples given as slot lists."""
+    return [probe.predict_index(f) for f in _features(model, items)]
 
 
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
                         epochs: int = 100, lr: float = 0.5,
                         fine_tune: bool = False, seed: int = 0,
                         patience: int = 5) -> SoftmaxProbe:
-    """Multinomial logistic regression over mention-mean features."""
-    train_ex = data.split_examples("train")
-    if not train_ex:
-        raise SubtokError("empty training split")
-    dev_ex = data.split_examples("dev")
-    labels = data.label_inventory
-    lab2id = {l: i for i, l in enumerate(labels)}
-    d = model.config.dim
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), d)),
-                         bias=np.zeros(len(labels)), labels=labels,
-                         feature_spec="mention-average")
-    rng = np.random.default_rng(seed)
-    train_ids = [lab2id[l] for _, l in train_ex]
-    dev_ids = [lab2id[l] for _, l in dev_ex]
-
-    if fine_tune:
-        train_feats = [
-            (lambda toks=toks: mention_features(model, toks))
-            for toks, _ in train_ex]
-        dev_feats = [
-            (lambda toks=toks: mention_features(model, toks))
-            for toks, _ in dev_ex]
-
-        def backprop(i, grad_f, plr):
-            toks = train_ex[i][0]
-            per_tok = (grad_f / len(toks)).astype(np.float32)
-            for t in toks:
-                model.apply_composed_grad(model.word_indices(t), per_tok, plr)
-    else:
-        train_feats = [mention_features(model, toks) for toks, _ in train_ex]
-        dev_feats = [mention_features(model, toks) for toks, _ in dev_ex]
-        backprop = None
-
-    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience, backprop=backprop)
+    """Softmax probe over mention-mean features."""
+    train, dev = ([([toks], label) for toks, label in
+                   data.split_examples(split)] for split in ("train", "dev"))
+    return _train_probe(model, data.label_inventory, train, dev, epochs, lr,
+                        fine_tune, seed, patience)
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
@@ -302,11 +313,9 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
     if not examples:
         return 0.0
     lab2id = {l: i for i, l in enumerate(probe.labels)}
-    hits = 0
-    for toks, label in examples:
-        pred = probe.predict_index(mention_features(model, toks))
-        if pred == lab2id.get(label, -1):
-            hits += 1
+    preds = _predict(probe, model, [[toks] for toks, _ in examples])
+    hits = sum(pred == lab2id.get(label, -1)
+               for pred, (_, label) in zip(preds, examples))
     return hits / len(examples)
 
 
@@ -314,69 +323,23 @@ def train_tagger_probe(model: SubwordModel, data: TagDataset,
                        window: int = 1, epochs: int = 100, lr: float = 0.5,
                        fine_tune: bool = False, seed: int = 0,
                        patience: int = 5) -> SoftmaxProbe:
-    """Per-token softmax over concatenated window features."""
+    """Per-token softmax probe over concatenated window features."""
     if window < 0:
-        raise ValueError("window must be >= 0")
-    train_sents = data.split_sentences("train")
-    if not train_sents:
-        raise SubtokError("empty training split")
-    dev_sents = data.split_sentences("dev")
-    labels = data.label_inventory
-    lab2id = {l: i for i, l in enumerate(labels)}
-    d = model.config.dim
-    feat_dim = d * (2 * window + 1)
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), feat_dim)),
-                         bias=np.zeros(len(labels)), labels=labels,
-                         feature_spec="token-window", window=window)
-    rng = np.random.default_rng(seed)
-
-    def flatten(sents):
-        items = []
-        for toks, labs in sents:
-            for i in range(len(toks)):
-                items.append((toks, i, lab2id[labs[i]]))
-        return items
-
-    train_items = flatten(train_sents)
-    dev_items = flatten(dev_sents)
-    train_ids = [y for _, _, y in train_items]
-    dev_ids = [y for _, _, y in dev_items]
-
-    if fine_tune:
-        train_feats = [
-            (lambda toks=toks, i=i: window_features(model, toks, i, window))
-            for toks, i, _ in train_items]
-        dev_feats = [
-            (lambda toks=toks, i=i: window_features(model, toks, i, window))
-            for toks, i, _ in dev_items]
-
-        def backprop(item_i, grad_f, plr):
-            toks, i, _ = train_items[item_i]
-            for s, off in enumerate(range(-window, window + 1)):
-                j = i + off
-                if 0 <= j < len(toks):
-                    g = grad_f[s * d:(s + 1) * d].astype(np.float32)
-                    model.apply_composed_grad(model.word_indices(toks[j]),
-                                              g, plr)
-    else:
-        train_feats = [window_features(model, toks, i, window)
-                       for toks, i, _ in train_items]
-        dev_feats = [window_features(model, toks, i, window)
-                     for toks, i, _ in dev_items]
-        backprop = None
-
-    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience, backprop=backprop)
+        raise ConfigError("window must be >= 0")
+    train, dev = ([(_window_slots(toks, i, window), labs[i])
+                   for toks, labs in data.split_sentences(split)
+                   for i in range(len(toks))] for split in ("train", "dev"))
+    return _train_probe(model, data.label_inventory, train, dev, epochs, lr,
+                        fine_tune, seed, patience, window=window)
 
 
 def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):
     """Predicted label sequences for (tokens, labels) pairs."""
-    out = []
-    for toks, _ in sentences:
-        out.append(tuple(
-            probe.predict(window_features(model, toks, i, probe.window))
-            for i in range(len(toks))))
-    return out
+    preds = iter(_predict(probe, model, [
+        _window_slots(toks, i, probe.window)
+        for toks, _ in sentences for i in range(len(toks))]))
+    return [tuple(probe.labels[next(preds)] for _ in toks)
+            for toks, _ in sentences]
 
 
 def eval_tag_accuracy(probe: SoftmaxProbe, model: SubwordModel,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from subtok.corpus import Vocab
-from subtok.errors import ConfigError, FormatError
+from subtok.errors import ConfigError, FormatError, nonnegative_int
 
 END_OF_WORD = "</w>"
 
@@ -77,7 +77,8 @@ class BpeModel:
             header = fh.readline().rstrip("\n")
             if not header.startswith("#bpe v1 "):
                 raise FormatError(f"bad BPE header {header!r} in {path}", 1)
-            num_merges = int(header.split()[2])
+            num_merges = nonnegative_int(header[len("#bpe v1 "):],
+                                         "merge count", 1)
             merges = []
             for ln, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
@@ -345,7 +346,8 @@ class MorfModel:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise FormatError("expected morph<TAB>count", ln)
-                lexicon[parts[0]] = int(parts[1])
+                lexicon[parts[0]] = nonnegative_int(parts[1], "morph count",
+                                                    ln)
         model = cls(morph_lexicon=lexicon, corpus_cost=0.0, lam=lam)
         model.corpus_cost = _total_cost_from_counts(lexicon, lam)
         return model
@@ -555,7 +557,7 @@ class SubwordVocab:
                 ns, s, i = parts
                 if ns not in (NS_SUBWORD, NS_WORD_TOKEN):
                     raise FormatError(f"unknown namespace {ns!r}", ln)
-                entries[(ns, s)] = int(i)
+                entries[(ns, s)] = nonnegative_int(i, "subword id", ln)
         return cls(entries=entries)
 
 

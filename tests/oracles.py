@@ -5,6 +5,12 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
+
+from subtok.errors import SubtokError
+from subtok.model import SubwordModel
+from subtok.probe import MentionDataset, SoftmaxProbe, TagDataset
+
 
 def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
     """O(n^2) reference BPE: full pair recount at every step, most frequent
@@ -208,3 +214,184 @@ def morf_reference_viterbi(word: str, lexicon: dict[str, int],
         out.append(word[back[n]:n])
         n = back[n]
     return tuple(reversed(out))
+
+
+# ---------------------------------------------------------------------------
+# Softmax probes as first written: one trainer per task, features built per
+# example (a mention's mean vector, a token's concatenated window), and
+# fine-tuning through per-example feature closures and a backprop hook.
+# ---------------------------------------------------------------------------
+
+
+def mention_features(model: SubwordModel, tokens) -> np.ndarray:
+    """Mean of composed token vectors."""
+    vecs = [model.word_vector(t) for t in tokens]
+    return np.mean(vecs, axis=0)
+
+
+def window_features(model: SubwordModel, tokens, i: int,
+                    window: int) -> np.ndarray:
+    """Concatenated composed vectors at offsets -window..+window; zero vector
+    past sentence boundaries."""
+    d = model.config.dim
+    parts = []
+    for off in range(-window, window + 1):
+        j = i + off
+        if 0 <= j < len(tokens):
+            parts.append(model.word_vector(tokens[j]))
+        else:
+            parts.append(np.zeros(d, dtype=np.float32))
+    return np.concatenate(parts)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def _sgd_epoch(probe: SoftmaxProbe, feats, label_ids, lr, rng,
+               backprop=None):
+    order = rng.permutation(len(feats))
+    for i in order:
+        f = feats[i] if backprop is None else feats[i]()
+        z = probe.weights @ f + probe.bias
+        p = _softmax(z)
+        p[label_ids[i]] -= 1.0
+        grad_f = probe.weights.T @ p
+        probe.weights -= lr * np.outer(p, f)
+        probe.bias -= lr * p
+        if backprop is not None:
+            backprop(i, grad_f, lr)
+
+
+def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
+               dev_ids, epochs, lr, rng, patience=5, backprop=None):
+    """SGD with early stopping on dev accuracy (kept parameters are the best
+    dev-scoring ones seen). With a `backprop` hook, features are re-computed
+    per example (callables) and gradients flow into the embedding model."""
+    def dev_acc():
+        if not dev_ids:
+            return 0.0
+        feats = [f() if callable(f) else f for f in dev_feats]
+        hits = sum(probe.predict_index(f) == y
+                   for f, y in zip(feats, dev_ids))
+        return hits / len(dev_ids)
+
+    best_acc = dev_acc()
+    best = (probe.weights.copy(), probe.bias.copy())
+    bad = 0
+    for _ in range(epochs):
+        _sgd_epoch(probe, train_feats, train_ids, lr, rng, backprop=backprop)
+        acc = dev_acc()
+        if acc > best_acc + 1e-12:
+            best_acc = acc
+            best = (probe.weights.copy(), probe.bias.copy())
+            bad = 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    if backprop is None:
+        # frozen embeddings: restore the best dev-scoring probe
+        probe.weights, probe.bias = best
+    return probe
+
+
+def train_mention_probe(model: SubwordModel, data: MentionDataset,
+                        epochs: int = 100, lr: float = 0.5,
+                        fine_tune: bool = False, seed: int = 0,
+                        patience: int = 5) -> SoftmaxProbe:
+    """Multinomial logistic regression over mention-mean features."""
+    train_ex = data.split_examples("train")
+    if not train_ex:
+        raise SubtokError("empty training split")
+    dev_ex = data.split_examples("dev")
+    labels = data.label_inventory
+    lab2id = {l: i for i, l in enumerate(labels)}
+    d = model.config.dim
+    probe = SoftmaxProbe(weights=np.zeros((len(labels), d)),
+                         bias=np.zeros(len(labels)), labels=labels)
+    rng = np.random.default_rng(seed)
+    train_ids = [lab2id[l] for _, l in train_ex]
+    dev_ids = [lab2id[l] for _, l in dev_ex]
+
+    if fine_tune:
+        train_feats = [
+            (lambda toks=toks: mention_features(model, toks))
+            for toks, _ in train_ex]
+        dev_feats = [
+            (lambda toks=toks: mention_features(model, toks))
+            for toks, _ in dev_ex]
+
+        def backprop(i, grad_f, plr):
+            toks = train_ex[i][0]
+            per_tok = (grad_f / len(toks)).astype(np.float32)
+            for t in toks:
+                model.apply_composed_grad(model.word_indices(t), per_tok, plr)
+    else:
+        train_feats = [mention_features(model, toks) for toks, _ in train_ex]
+        dev_feats = [mention_features(model, toks) for toks, _ in dev_ex]
+        backprop = None
+
+    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
+                      epochs, lr, rng, patience=patience, backprop=backprop)
+
+
+def train_tagger_probe(model: SubwordModel, data: TagDataset,
+                       window: int = 1, epochs: int = 100, lr: float = 0.5,
+                       fine_tune: bool = False, seed: int = 0,
+                       patience: int = 5) -> SoftmaxProbe:
+    """Per-token softmax over concatenated window features."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    train_sents = data.split_sentences("train")
+    if not train_sents:
+        raise SubtokError("empty training split")
+    dev_sents = data.split_sentences("dev")
+    labels = data.label_inventory
+    lab2id = {l: i for i, l in enumerate(labels)}
+    d = model.config.dim
+    feat_dim = d * (2 * window + 1)
+    probe = SoftmaxProbe(weights=np.zeros((len(labels), feat_dim)),
+                         bias=np.zeros(len(labels)), labels=labels,
+                         window=window)
+    rng = np.random.default_rng(seed)
+
+    def flatten(sents):
+        items = []
+        for toks, labs in sents:
+            for i in range(len(toks)):
+                items.append((toks, i, lab2id[labs[i]]))
+        return items
+
+    train_items = flatten(train_sents)
+    dev_items = flatten(dev_sents)
+    train_ids = [y for _, _, y in train_items]
+    dev_ids = [y for _, _, y in dev_items]
+
+    if fine_tune:
+        train_feats = [
+            (lambda toks=toks, i=i: window_features(model, toks, i, window))
+            for toks, i, _ in train_items]
+        dev_feats = [
+            (lambda toks=toks, i=i: window_features(model, toks, i, window))
+            for toks, i, _ in dev_items]
+
+        def backprop(item_i, grad_f, plr):
+            toks, i, _ = train_items[item_i]
+            for s, off in enumerate(range(-window, window + 1)):
+                j = i + off
+                if 0 <= j < len(toks):
+                    g = grad_f[s * d:(s + 1) * d].astype(np.float32)
+                    model.apply_composed_grad(model.word_indices(toks[j]),
+                                              g, plr)
+    else:
+        train_feats = [window_features(model, toks, i, window)
+                       for toks, i, _ in train_items]
+        dev_feats = [window_features(model, toks, i, window)
+                     for toks, i, _ in dev_items]
+        backprop = None
+
+    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
+                      epochs, lr, rng, patience=patience, backprop=backprop)

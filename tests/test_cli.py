@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 import subtok.cli
@@ -507,3 +508,160 @@ class TestArtifactGuard:
         guard = ArtifactGuard()
         guard.register(tmp_path / "never-created")
         guard.cleanup()
+
+
+def _train_checkpoint(corpus_file, ckpt):
+    assert main(["train", "--corpus", str(corpus_file), "--seg", "charn",
+                 "--word-token", "--position", "--dim", "8", "--epochs",
+                 "1", "--seed", "3", "--out", str(ckpt)]) == 0
+    return ckpt
+
+
+def _ner_file(tmp_path):
+    conll = tmp_path / "ner.tsv"
+    lines = []
+    for i in range(30):
+        lines += ["red\tB-PER", "blue\tI-PER", "green\tO", "pink\tB-LOC", ""]
+    conll.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return conll
+
+
+class TestProbeFineTune:
+    @pytest.mark.parametrize("task", ["mentions", "conll"])
+    def test_fine_tune_updates_tables(self, corpus_file, mentions_file,
+                                      tmp_path, capsys, monkeypatch, task):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        loaded = []
+
+        def load(path):
+            loaded.append(subtok.model.load_checkpoint(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(subtok.cli, "load_checkpoint", load)
+        data = mentions_file if task == "mentions" else _ner_file(tmp_path)
+        out = tmp_path / "metrics.tsv"
+        rc = main(["probe", "--checkpoint", str(ckpt), "--task", task,
+                   "--data", str(data), "--epochs", "3", "--lr", "0.1",
+                   "--fine-tune", "--out", str(out)])
+        assert rc == 0
+        rows = [l.split("\t") for l in out.read_text("utf-8").splitlines()]
+        assert {r[0] for r in rows} == \
+            ({"fget"} if task == "mentions" else {"ner"})
+        saved = subtok.model.load_checkpoint(ckpt)
+        assert loaded[0].params.all_finite()
+        assert not np.array_equal(loaded[0].params.subword,
+                                  saved.params.subword)
+        assert not np.array_equal(loaded[0].params.position,
+                                  saved.params.position)
+
+
+class TestBadNumbersExit1:
+    def test_negative_probe_window(self, corpus_file, tmp_path, capsys):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        out = tmp_path / "metrics.tsv"
+        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "conll",
+                   "--data", str(_ner_file(tmp_path)), "--probe-window",
+                   "-1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "window must be >= 0" in err and "internal error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--ngram-min", "0"],
+                                       ["--ngram-min", "5", "--ngram-max",
+                                        "3"]])
+    def test_train_ngram_range(self, corpus_file, tmp_path, capsys, flags):
+        ckpt = tmp_path / "ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--epochs", "1",
+                   *flags, "--out", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "need 1 <= ngram_min <= ngram_max" in err
+        assert "internal error" not in err
+        assert not ckpt.exists()
+
+    def test_segment_apply_ngram_range(self, capsys):
+        rc = main(["segment-apply", "--seg", "charn", "--ngram-min", "5",
+                   "--ngram-max", "3", "walking"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "need 1 <= ngram_min <= ngram_max" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("seg,text,message", [
+        ("bpe", "#bpe v1 x\na b\n", "line 1: merge count"),
+        ("morf", "walk\t3\nab\tx\n", "line 2: morph count"),
+        ("morf", "walk\t3\nab\t-5\n", "line 2: morph count")])
+    def test_segment_apply_bad_model_numbers(self, tmp_path, capsys, seg,
+                                             text, message):
+        model = tmp_path / "model.txt"
+        model.write_text(text, encoding="utf-8")
+        rc = main(["segment-apply", "--seg", seg, "--model", str(model),
+                   "walking"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
+    @pytest.mark.parametrize("table,column", [("vocab.tsv", 1),
+                                              ("vocab.tsv", 2),
+                                              ("subwords.tsv", 2)])
+    def test_export_bad_checkpoint_numbers(self, corpus_file, tmp_path,
+                                           capsys, table, column):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        lines = (ckpt / table).read_text("utf-8").splitlines(True)
+        fields = lines[1].rstrip("\n").split("\t")
+        fields[column] = "x"
+        lines[1] = "\t".join(fields) + "\n"
+        (ckpt / table).write_text("".join(lines), encoding="utf-8")
+        vec = tmp_path / "vec.txt"
+        rc = main(["export", "--checkpoint", str(ckpt), "--out", str(vec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 2: " in err and "internal error" not in err
+        assert not vec.exists()
+
+
+class TestReportChecksRows:
+    def _metrics(self, corpus_file, mentions_file, tmp_path):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--corpus", str(corpus_file),
+                     "--mentions", str(mentions_file),
+                     "--we-tokens", "2000", "--task-instances", "10",
+                     "--configs", "w2v", "--seeds", "1,2",
+                     "--dim", "8", "--train-epochs", "1",
+                     "--probe-epochs", "3", "--out", str(out_dir)]) == 0
+        return out_dir / "metrics.tsv"
+
+    @pytest.mark.parametrize("cut", ["newline", "fields"])
+    def test_half_written_last_line(self, corpus_file, mentions_file,
+                                    tmp_path, capsys, cut):
+        metrics = self._metrics(corpus_file, mentions_file, tmp_path)
+        text = metrics.read_text("utf-8")
+        text = text[:-1] if cut == "newline" else \
+            text[:text.rindex("\t")] + "\n"
+        metrics.write_text(text, encoding="utf-8")
+        summary = tmp_path / "summary.tsv"
+        rc = main(["report", "--metrics", str(metrics), "--out",
+                   str(summary)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"line 3: half-written row in {metrics}" in err
+        assert not summary.exists()
+
+    def test_ok_value_not_a_number(self, corpus_file, mentions_file,
+                                   tmp_path, capsys):
+        metrics = self._metrics(corpus_file, mentions_file, tmp_path)
+        lines = metrics.read_text("utf-8").splitlines(True)
+        fields = lines[1].split("\t")
+        assert fields[-1] == "ok\n"
+        fields[-2] = "high"
+        lines[1] = "\t".join(fields)
+        metrics.write_text("".join(lines), encoding="utf-8")
+        summary = tmp_path / "summary.tsv"
+        rc = main(["report", "--metrics", str(metrics), "--out",
+                   str(summary)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"line 2: value 'high' in {metrics} is not a number" in err
+        assert not summary.exists()

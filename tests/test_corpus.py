@@ -7,6 +7,7 @@ from subtok.corpus import (
     G1,
     G2,
     G3,
+    Vocab,
     build_vocab,
     data_group_for,
     negative_sampling_weights,
@@ -17,6 +18,7 @@ from subtok.corpus import (
 from subtok.errors import (
     CorpusDecodeError,
     EmptyVocabError,
+    FormatError,
     InsufficientDataError,
 )
 
@@ -177,3 +179,12 @@ class TestSubsampling:
         keep = subsample_keep_probs(v, 1e-5)
         assert keep[v.word2id["the"]] < 0.01
         assert keep[v.word2id["w0"]] == 1.0
+
+
+@pytest.mark.parametrize("line,what", [("b\tx\t2", "word id"),
+                                       ("b\t1\ttwo", "word count")])
+def test_vocab_load_checks_numbers(tmp_path, line, what):
+    path = tmp_path / "v.tsv"
+    path.write_text(f"a\t0\t3\n{line}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"line 2: {what}"):
+        Vocab.load_tsv(path)

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracles
+import subtok.probe as probe_mod
+from subtok.cli import parse_config_label
 from subtok.corpus import build_vocab, tokenize_corpus
-from subtok.errors import FormatError, SubtokError
+from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.probe import (
     MentionDataset,
@@ -15,6 +21,7 @@ from subtok.probe import (
     per_label_accuracy,
     repair_bio,
     span_f1,
+    tag_sentences,
     train_mention_probe,
     train_tagger_probe,
     window_features,
@@ -279,3 +286,116 @@ class TestMetricsOutput:
         write_metrics(tmp_path / "m.tsv", rows)
         line = (tmp_path / "m.tsv").read_text().strip()
         assert line == "fget\tcharn:w+:p-\ttest\taccuracy\t0.750000"
+
+
+# ---------------------------------------------------------------------------
+# The one slot-feature probe against the per-task probes it replaced
+# ---------------------------------------------------------------------------
+
+_STEMS = ["walk", "talk", "jump", "play", "cook", "kiss"]
+_SUFFIX_TAG = {"ed": "POS=V|Tense=Past", "ing": "POS=V|Aspect=Prog",
+               "s": "POS=N|Num=Plur", "": "POS=N|Num=Sing"}
+
+
+def _reference_setup(label):
+    """A randomly initialised model for `label` and three task datasets over
+    stem+suffix words; stems `hop` and `kick` never occur in the corpus."""
+    rng = np.random.default_rng(7)
+    suffixes = list(_SUFFIX_TAG)
+    words = [s + x for s in _STEMS for x in suffixes]
+    text = "".join(" ".join(rng.choice(words, 6)) + "\n" for _ in range(60))
+    cfg = dataclasses.replace(parse_config_label(label), dim=6, seed=3)
+    model = SubwordModel.build(cfg, build_vocab(tokenize_corpus(text), 1))
+    for table in (model.params.subword, model.params.position):
+        table[:] = rng.normal(0, 0.1, table.shape)
+
+    def word():
+        stem = _STEMS[rng.integers(len(_STEMS))] if rng.random() < 0.85 \
+            else ["hop", "kick"][rng.integers(2)]
+        return stem, suffixes[rng.integers(len(suffixes))]
+
+    mention_lines, bio_lines, tag_lines = [], [], []
+    for _ in range(90):
+        toks = [word() for _ in range(rng.integers(1, 4))]
+        if rng.random() < 0.2:
+            toks.append(toks[0])  # a token twice in one mention
+        mention_lines.append(" ".join(s + x for s, x in toks)
+                             + f"\t/{toks[-1][1] or 'bare'}\n")
+    for _ in range(40):
+        prev = None
+        for _ in range(rng.integers(1, 6)):
+            stem, suffix = word()
+            ent = {"ed": "PER", "s": "LOC"}.get(suffix)
+            bio = "O" if ent is None else \
+                ("I-" if prev == ent else "B-") + ent
+            prev = ent
+            bio_lines.append(f"{stem + suffix}\t{bio}\n")
+            tag_lines.append(f"{stem + suffix}\t{_SUFFIX_TAG[suffix]}\n")
+        bio_lines.append("\n")
+        tag_lines.append("\n")
+    return (model, load_mentions(mention_lines, seed=1),
+            load_conll(bio_lines, seed=2), load_conll(tag_lines, seed=3))
+
+
+_TASKS = ["mentions"] + [f"{scheme}-w{w}" for scheme in ("bio", "full")
+                         for w in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("task", _TASKS)
+@pytest.mark.parametrize("fine_tune", [False, True],
+                         ids=["frozen", "fine-tune"])
+@pytest.mark.parametrize("label", ["w2v", "charn:w+:p-", "charn:w+:p+"])
+def test_matches_reference_probes(label, fine_tune, task):
+    model, mentions, bio, full = _reference_setup(label)
+    ref_model = copy.deepcopy(model)
+    kw = dict(epochs=8, lr=0.1, fine_tune=fine_tune, seed=5)
+    if task == "mentions":
+        probe = train_mention_probe(model, mentions, **kw)
+        ref = oracles.train_mention_probe(ref_model, mentions, **kw)
+        test = mentions.split_examples("test")
+        preds = probe_mod._predict(probe, model, [[t] for t, _ in test])
+        ref_preds = [ref.predict_index(oracles.mention_features(ref_model, t))
+                     for t, _ in test]
+        assert eval_mention_accuracy(probe, model, mentions) == \
+            sum(p == ref.labels.index(l)
+                for p, (_, l) in zip(ref_preds, test)) / len(test)
+    else:
+        data = bio if task.startswith("bio") else full
+        window = int(task[-1])
+        probe = train_tagger_probe(model, data, window=window, **kw)
+        ref = oracles.train_tagger_probe(ref_model, data, window=window, **kw)
+        test = data.split_sentences("test")
+        preds = tag_sentences(probe, model, test)
+        ref_preds = [tuple(ref.predict(oracles.window_features(
+            ref_model, toks, i, window)) for i in range(len(toks)))
+            for toks, _ in test]
+    assert np.isfinite(probe.weights).all() and model.params.all_finite()
+    assert np.array_equal(probe.weights, ref.weights)
+    assert np.array_equal(probe.bias, ref.bias)
+    assert preds == ref_preds
+    for name in ("subword", "position", "context"):
+        assert np.array_equal(getattr(model.params, name),
+                              getattr(ref_model.params, name))
+    if fine_tune:
+        assert not np.array_equal(model.params.subword,
+                                  _reference_setup(label)[0].params.subword)
+
+
+def test_slot_features_match_reference_features():
+    model, mentions, bio, _ = _reference_setup("charn:w+:p+")
+    for toks, _ in mentions.examples:
+        got = mention_features(model, toks)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, oracles.mention_features(model, toks))
+    for toks, _ in bio.sentences:
+        for i in range(len(toks)):
+            for window in (0, 2):
+                assert np.array_equal(
+                    window_features(model, toks, i, window),
+                    oracles.window_features(model, toks, i, window))
+
+
+def test_negative_window_is_a_config_error():
+    model, _, bio, _ = _reference_setup("w2v")
+    with pytest.raises(ConfigError, match="window must be >= 0"):
+        train_tagger_probe(model, bio, window=-1)

@@ -13,12 +13,14 @@ from oracles import (
     ngram_enumeration,
 )
 from subtok.corpus import build_vocab, tokenize_corpus
+from subtok.errors import FormatError
 from subtok.segment import (
     NS_SUBWORD,
     NS_WORD_TOKEN,
     BpeModel,
     CharNgramSegmenter,
     MorfModel,
+    SubwordVocab,
     WholeWordSegmenter,
     apply_bpe,
     build_subword_vocab,
@@ -322,3 +324,27 @@ class TestBuildSubwordVocab:
         from subtok.segment import SubwordVocab
 
         assert SubwordVocab.load_tsv(tmp_path / "sv.tsv").entries == sv.entries
+
+
+class TestLoadersCheckNumbers:
+    def test_bpe_header_count(self, tmp_path):
+        path = tmp_path / "bpe.txt"
+        path.write_text("#bpe v1 x\na b\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 1: merge count") as exc:
+            BpeModel.load(path)
+        assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize("count", ["x", "-5"])
+    def test_morf_count(self, tmp_path, count):
+        path = tmp_path / "morf.tsv"
+        path.write_text(f"walk\t3\nab\t{count}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: morph count") as exc:
+            MorfModel.load(path)
+        assert exc.value.line_number == 2
+
+    def test_subword_vocab_id(self, tmp_path):
+        path = tmp_path / "sv.tsv"
+        path.write_text(f"{NS_SUBWORD}\t<ab\t0\n{NS_SUBWORD}\tab>\tone\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: subword id"):
+            SubwordVocab.load_tsv(path)
