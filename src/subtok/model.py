@@ -1,5 +1,7 @@
 """Parameter tables and the additive composition that turns a word's subword
-sequence into its vector, plus export and checkpoint formats."""
+sequence into its vector, plus export and checkpoint formats. The
+composition is written once, in `_WordCSR.compose`: training, `compose`,
+`word_vector`, `vectors`, export and the probes all call it."""
 
 from __future__ import annotations
 
@@ -172,6 +174,57 @@ class WordIndices:
         return self.sub_ids.size == 0 and self.word_token_id < 0
 
 
+class _WordCSR:
+    """Flattened per-word subword/position row ids (CSR layout) and
+    word-token rows for batched gathering; `position` says whether the
+    position rows take part (p+)."""
+
+    def __init__(self, words, indices: list[WordIndices], position: bool):
+        self.words = words
+        self.position = position
+        empty = np.empty(0, dtype=np.int64)
+        self.flat_sub = np.concatenate([empty] + [i.sub_ids for i in indices])
+        self.flat_pos = np.concatenate([empty] + [i.pos_ids for i in indices])
+        self.lens = np.asarray([i.sub_ids.size for i in indices],
+                               dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
+        self.wt_ids = np.asarray([i.word_token_id for i in indices],
+                                 dtype=np.int64)
+
+    @classmethod
+    def of_model(cls, model: "SubwordModel", words=None) -> "_WordCSR":
+        words = model.vocab.words if words is None else words
+        return cls(words, [model.word_indices(w) for w in words],
+                   model.config.position)
+
+    def compose(self, params: ParamTables, centers: np.ndarray):
+        """(vectors, rows) of the words `centers` (row numbers of this
+        layout): vector i is the sum of word i's subword rows, plus the sum
+        of its position rows under p+, plus its word-token row under w+; a
+        word with no rows composes to zero. `rows` is the gathered layout
+        (counts, sub_ids, pos_ids, wt_ids) that
+        `ParamTables.subtract_composed` takes, pos_ids None under p-."""
+        counts = self.lens[centers]
+        heads = np.cumsum(counts) - counts
+        gather = (np.arange(counts.sum())
+                  + np.repeat(self.starts[centers] - heads, counts))
+        sub_ids = self.flat_sub[gather]
+        pos_ids = self.flat_pos[gather] if self.position else None
+        # reduceat would give an empty word the next word's first row
+        filled = counts > 0
+        heads = heads[filled]
+        vecs = np.zeros((centers.size, params.subword.shape[1]),
+                        dtype=params.subword.dtype)
+        vecs[filled] = np.add.reduceat(params.subword[sub_ids], heads, axis=0)
+        if pos_ids is not None:
+            vecs[filled] += np.add.reduceat(params.position[pos_ids], heads,
+                                            axis=0)
+        wt_ids = self.wt_ids[centers]
+        has_wt = wt_ids >= 0
+        vecs[has_wt] += params.subword[wt_ids[has_wt]]
+        return vecs, (counts, sub_ids, pos_ids, wt_ids)
+
+
 class SubwordModel:
     """Bundle of config, vocabularies, segmenter, and parameter tables with
     the composition surface used by training and probing."""
@@ -230,25 +283,22 @@ class SubwordModel:
 
     # -- composition --------------------------------------------------------
 
+    def vectors(self, words) -> np.ndarray:
+        """Composed vectors of `words`, one row each, in one batched call."""
+        csr = _WordCSR.of_model(self, words)
+        return csr.compose(self.params, np.arange(len(words)))[0]
+
     def compose(self, idx: WordIndices) -> np.ndarray:
-        """Sum of subword rows (plus clamped position rows under p+) plus the
-        word-token row under w+. All-unknown words compose to zero."""
-        vec = np.zeros(self.config.dim, dtype=np.float32)
-        if idx.sub_ids.size:
-            vec += self.params.subword[idx.sub_ids].sum(axis=0)
-            if self.config.position:
-                vec += self.params.position[idx.pos_ids].sum(axis=0)
-        if idx.word_token_id >= 0:
-            vec += self.params.subword[idx.word_token_id]
-        return vec
+        """The composed vector of one word's resolved rows."""
+        csr = _WordCSR([None], [idx], self.config.position)
+        return csr.compose(self.params, np.zeros(1, dtype=np.int64))[0][0]
 
     def word_vector(self, word: str) -> np.ndarray:
-        return self.compose(self.word_indices(word))
+        return self.vectors([word])[0]
 
     def word_vector_checked(self, word: str) -> tuple[np.ndarray, bool]:
         """(vector, all_unknown). All-unknown words yield the zero vector."""
-        idx = self.word_indices(word)
-        return self.compose(idx), idx.all_unknown
+        return self.word_vector(word), self.word_indices(word).all_unknown
 
     def apply_composed_grad(self, idx: WordIndices, grad: np.ndarray,
                             lr: float) -> None:
@@ -281,8 +331,7 @@ def export_vectors(model: SubwordModel, sink) -> None:
         close = True
     try:
         sink.write(f"{len(vocab)} {model.config.dim}\n")
-        for w in vocab.words:
-            vec = model.word_vector(w)
+        for w, vec in zip(vocab.words, model.vectors(vocab.words)):
             sink.write(w + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
     finally:
         if close:
@@ -402,10 +451,8 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
         segmenter = BpeModel.load(ckpt / "bpe.txt")
     elif config.segmenter == "morf":
         segmenter = MorfModel.load(ckpt / "morf.tsv")
-    elif config.segmenter == "charn":
-        segmenter = CharNgramSegmenter(config.ngram_min, config.ngram_max)
     else:
-        segmenter = WholeWordSegmenter()
+        segmenter = build_segmenter(config, vocab)
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))

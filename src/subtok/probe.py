@@ -167,8 +167,9 @@ def _window_slots(tokens, i: int, window: int) -> list[tuple]:
 def _features(model: SubwordModel, items) -> np.ndarray:
     """(examples, slots * dim) float32 features of examples that all have
     the same number of slots: each slot's is the mean of its tokens' composed
-    vectors, zeros when empty. Each distinct token is composed once, and the
-    slots that share a position and a length are averaged in one call."""
+    vectors, zeros when empty. The distinct tokens are composed in one call,
+    and the slots that share a position and a length are averaged in one
+    call."""
     d = model.config.dim
     rows: dict[str, int] = {}
     groups: dict[tuple[int, int], tuple[list, list]] = {}
@@ -178,9 +179,7 @@ def _features(model: SubwordModel, items) -> np.ndarray:
                 ids, toks = groups.setdefault((s, len(slot)), ([], []))
                 ids.append(n)
                 toks.append([rows.setdefault(t, len(rows)) for t in slot])
-    vecs = np.zeros((len(rows), d), dtype=np.float32)
-    for t, r in rows.items():
-        vecs[r] = model.word_vector(t)
+    vecs = model.vectors(list(rows))
     feats = np.zeros((len(items), len(items[0]) * d if items else 0),
                      dtype=np.float32)
     for (s, _), (ids, toks) in groups.items():
@@ -288,6 +287,9 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
                 break
     if not fine_tune:
         probe.weights, probe.bias = best
+    if not (np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
+            and (not fine_tune or model.params.all_finite())):
+        raise SubtokError("non-finite parameter after probe training")
     return probe
 
 

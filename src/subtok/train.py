@@ -1,11 +1,14 @@
 """Skip-gram with negative sampling over subword-composed target vectors.
 
-The target word vector is composed from subword (and position / word-token)
-rows; the context side is the word-level context matrix. The SGNS gradient
-is written once, in the batched kernel `sgns_kernel`: the trainer runs it
-per minibatch, `sgns_step` runs it for one pair, and `grad_check` checks
-its updates against finite differences of `sgns_loss`. Every table update
-goes through the one flat-row scatter, `subtok.model.scatter_subtract`.
+The target word vector is the sum of its subword (and position / word-token)
+rows, composed by `subtok.model._WordCSR.compose`, the one composition that
+export and the probes also use; this module does not compose, and the
+kernel sends its gradient back through the rows that compose gathered. The
+context side is the word-level context matrix. The SGNS gradient is written
+once, in the batched kernel `sgns_kernel`: the trainer runs it per
+minibatch, `sgns_step` runs it for one pair, and `grad_check` checks its
+updates against finite differences of `sgns_loss`. Every table update goes
+through the one flat-row scatter, `subtok.model.scatter_subtract`.
 Two execution contracts: a deterministic single-threaded mode (used by all
 tests) and a lock-free multi-threaded mode where torn reads are tolerated.
 """
@@ -30,6 +33,7 @@ from subtok.model import (
     ParamTables,
     SubwordModel,
     WordIndices,
+    _WordCSR,
     scatter_subtract,
 )
 
@@ -134,57 +138,18 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
-class _WordCSR:
-    """Flattened per-word subword/position row ids (CSR layout) and
-    word-token rows for batched gathering; `position` says whether the
-    position rows take part (p+)."""
-
-    def __init__(self, words, indices: list[WordIndices], position: bool):
-        self.words = words
-        self.position = position
-        empty = np.empty(0, dtype=np.int64)
-        self.flat_sub = np.concatenate([empty] + [i.sub_ids for i in indices])
-        self.flat_pos = np.concatenate([empty] + [i.pos_ids for i in indices])
-        self.lens = np.asarray([i.sub_ids.size for i in indices],
-                               dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
-        self.wt_ids = np.asarray([i.word_token_id for i in indices],
-                                 dtype=np.int64)
-
-    @classmethod
-    def of_model(cls, model: SubwordModel, words=None) -> "_WordCSR":
-        words = model.vocab.words if words is None else words
-        return cls(words, [model.word_indices(w) for w in words],
-                   model.config.position)
-
-
 def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
                 ctx_ids: np.ndarray, valid: np.ndarray, lr: float,
                 first_update: int = 0) -> np.ndarray:
     """One SGD step of SGNS on a batch: center i (a row of `csr`) against
     ctx_ids[i] = (positive id, negative ids...), where `valid` masks the
-    negatives that collided with the positive. Each center's vector is the
-    sum of its constituent rows; dot products are clamped to +-30 and a
+    negatives that collided with the positive. Each center's vector comes
+    from `csr.compose`; dot products are clamped to +-30 and a
     clamped score passes no gradient. Raises SubtokError on a non-finite
     score before any table changes; otherwise updates the context rows and
     every constituent row, and returns the loss per center, computed in the
     tables' float dtype."""
-    counts = csr.lens[centers]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    gather = (np.arange(offsets[-1])
-              - np.repeat(offsets[:-1], counts)
-              + np.repeat(csr.starts[centers], counts))
-    sel_sub = csr.flat_sub[gather]
-    rows = params.subword[sel_sub]
-    sel_pos = None
-    if csr.position:
-        sel_pos = csr.flat_pos[gather]
-        rows = rows + params.position[sel_pos]
-    v = np.add.reduceat(rows, offsets[:-1], axis=0)
-    wt = csr.wt_ids[centers]
-    has_wt = wt >= 0
-    v[has_wt] += params.subword[wt[has_wt]]
-
+    v, rows = csr.compose(params, centers)
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
     if not np.isfinite(scores).all():
@@ -205,7 +170,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     grad_c = (g[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1])
     step = params.context.dtype.type(lr)
     scatter_subtract(params.context, ctx_ids.reshape(-1), step * grad_c)
-    params.subtract_composed(grad_v, step, counts, sel_sub, sel_pos, wt)
+    params.subtract_composed(grad_v, step, *rows)
     return loss
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from subtok.errors import SubtokError
 from subtok.model import SubwordModel
+from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN
 from subtok.probe import MentionDataset, SoftmaxProbe, TagDataset
 
 
@@ -117,6 +118,28 @@ def scatter_reference(table, rows, vals):
     """table[r] -= v for each (r, v) in turn, one Python step at a time."""
     for r, v in zip(rows, vals):
         table[r] -= v
+
+
+def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
+    """float64 vector of `word`, added up one row at a time from its
+    segmentation: each known subword's row, under p+ the position row of its
+    index in the segmentation (unknown pieces count) clamped to
+    max_positions - 1, and under w+ the word-token row if the word has one.
+    Unknown pieces add nothing."""
+    cfg, params = model.config, model.params
+    seg = model.segmentation(word)
+    vec = np.zeros(cfg.dim)
+    for i, s in enumerate(seg.subwords):
+        row = model.subword_vocab.get((NS_SUBWORD, s))
+        if row is not None:
+            vec += params.subword[row]
+            if cfg.position:
+                vec += params.position[min(i, cfg.max_positions - 1)]
+    if seg.includes_word_token:
+        row = model.subword_vocab.get((NS_WORD_TOKEN, word))
+        if row is not None:
+            vec += params.subword[row]
+    return vec
 
 
 def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,

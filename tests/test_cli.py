@@ -555,6 +555,40 @@ class TestProbeFineTune:
                                   saved.params.position)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exit_1_without_metrics(self, corpus_file, tmp_path,
+                                               capsys):
+        # at the default lr 0.5 this fine-tune overflows the tables
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        out = tmp_path / "metrics.tsv"
+        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "conll",
+                   "--data", str(_ner_file(tmp_path)), "--epochs", "3",
+                   "--fine-tune", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "internal error" not in err
+        assert not out.exists()
+
+
+class TestNoRowWords:
+    @pytest.mark.parametrize("flag", ["--no-word-token", "--word-token"])
+    def test_train_word_shorter_than_ngram_min(self, tmp_path, capsys, flag):
+        # `<ab>` has no 5-grams, so `ab` has no subword rows
+        words = ["red", "blue", "green", "yellow", "pink", "ab"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(
+            " ".join(words[(i + j) % 6] for j in range(6)) + "\n"
+            for i in range(400)), encoding="utf-8")
+        ckpt = tmp_path / "ckpt"
+        rc = main(["train", "--corpus", str(corpus), "--seg", "charn",
+                   "--ngram-min", "5", flag, "--dim", "8", "--epochs", "1",
+                   "--subsample-t", "0", "--out", str(ckpt)])
+        assert rc == 0
+        model = subtok.model.load_checkpoint(ckpt)
+        assert model.word_indices("ab").sub_ids.size == 0
+        assert model.params.all_finite()
+
+
 class TestBadNumbersExit1:
     def test_negative_probe_window(self, corpus_file, tmp_path, capsys):
         ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")

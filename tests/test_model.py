@@ -1,15 +1,18 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scatter_reference
+from oracles import compose_reference, scatter_reference
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
 from subtok.errors import FormatError, SubtokError
 from subtok.model import (
     ModelConfig,
     SubwordModel,
     WordIndices,
+    _WordCSR,
     _write_matrix,
     export_vectors,
     init_params,
@@ -134,6 +137,80 @@ class TestCompose:
         vec, all_unknown = m.word_vector_checked("cat")
         assert not all_unknown
         assert vec.any()
+
+
+@lru_cache(maxsize=None)
+def oracle_model(word_token, position):
+    # max_positions 3 clamps the positions of every word longer than `<a>`
+    return small_model(word_token=word_token, position=position,
+                       max_positions=3)
+
+
+def randomize_tables(m, seed):
+    rng = np.random.default_rng(seed)
+    for table in (m.params.subword, m.params.position):
+        table[:] = rng.uniform(-1.0, 1.0, table.shape) / m.config.dim
+
+
+# `zzz` and `q` have no known n-gram (and no word-token row): they compose
+# to zero; `catalog` has positions past max_positions; `cat` is in vocab
+FIXED_WORDS = ["zzz", "q", "catalog", "cat"]
+
+
+class TestComposeOracle:
+    @given(word_token=st.booleans(), position=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           words=st.lists(st.text(alphabet="cathlogbz", min_size=1,
+                                  max_size=9), max_size=5),
+           picks=st.lists(st.integers(0, 99), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_word_reference(self, word_token, position, seed,
+                                        words, picks):
+        m = oracle_model(word_token, position)
+        randomize_tables(m, seed)
+        words = words + FIXED_WORDS
+        # every word once, then repeats in any order
+        centers = np.asarray(list(range(len(words)))
+                             + [p % len(words) for p in picks],
+                             dtype=np.int64)
+        vecs, (counts, sub_ids, pos_ids, wt_ids) = _WordCSR.of_model(
+            m, words).compose(m.params, centers)
+        expected = np.array([compose_reference(m, words[c]) for c in centers])
+        assert vecs.dtype == np.float32
+        np.testing.assert_allclose(vecs, expected, rtol=0, atol=1e-6)
+        # the gathered rows are each center's rows, in order
+        indices = [m.word_indices(words[c]) for c in centers]
+        assert counts.tolist() == [i.sub_ids.size for i in indices]
+        assert sub_ids.tolist() == [r for i in indices for r in i.sub_ids]
+        assert wt_ids.tolist() == [i.word_token_id for i in indices]
+        if position:
+            assert pos_ids.tolist() == [r for i in indices
+                                        for r in i.pos_ids]
+        else:
+            assert pos_ids is None
+
+    def test_fixed_words_cover_the_edge_cases(self):
+        m = oracle_model(True, True)
+        for w in ("zzz", "q"):
+            assert m.word_indices(w).all_unknown
+        assert m.word_indices("catalog").pos_ids.max() == 2
+        assert m.word_indices("catalog").sub_ids.size > 3
+
+    def test_no_centers(self):
+        m = oracle_model(True, True)
+        vecs, (counts, sub_ids, _, _) = _WordCSR.of_model(m).compose(
+            m.params, np.empty(0, dtype=np.int64))
+        assert vecs.shape == (0, 8) and counts.size == sub_ids.size == 0
+
+    @pytest.mark.parametrize("word_token", [False, True])
+    @pytest.mark.parametrize("position", [False, True])
+    def test_vectors_equal_word_vector_bit_for_bit(self, word_token,
+                                                   position):
+        m = oracle_model(word_token, position)
+        randomize_tables(m, 7)
+        ws = FIXED_WORDS + m.vocab.words + ["hat", "mats", "cat"]
+        stacked = np.stack([m.word_vector(w) for w in ws])
+        assert m.vectors(ws).tobytes() == stacked.tobytes()
 
 
 class TestScatterSubtract:

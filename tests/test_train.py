@@ -240,6 +240,51 @@ class TestSgnsKernel:
             assert table.tobytes() == getattr(reference, name).tobytes()
 
 
+class TestNoRowCenter:
+    """`ab` has no subword rows: `<ab>` is shorter than the 5-grams."""
+
+    @pytest.mark.parametrize("word_token", [False, True])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_composes_to_its_word_token_row_or_zero(self, word_token, first):
+        corpus, m = make_model("ab cats hats\n" * 5, segmenter="charn",
+                               ngram_min=5, ngram_max=6,
+                               word_token=word_token, position=True)
+        m.params.context[:] = np.random.default_rng(0).normal(
+            0, 0.5, m.params.context.shape).astype(np.float32)
+        ids = m.vocab.word2id
+        ab, cats = m.word_indices("ab"), m.word_indices("cats")
+        assert ab.sub_ids.size == 0 and cats.sub_ids.size > 0
+        order = ["ab", "cats"] if first else ["cats", "ab"]
+        i = order.index("ab")
+        centers = np.array([ids[w] for w in order])
+        ctx_ids = np.array([[ids["hats"], ids["cats"]],
+                            [ids["hats"], ids["ab"]]])
+        csr = _WordCSR.of_model(m)
+        vecs, _ = csr.compose(m.params, centers)
+        expected = (m.params.subword[ab.word_token_id].copy() if word_token
+                    else np.zeros(8, dtype=np.float32))
+        assert vecs[i].tobytes() == expected.tobytes()
+
+        before = m.params.copy()
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids,
+                           np.ones((2, 1), dtype=bool), 0.1)
+        assert loss[i] == pytest.approx(sgns_loss(
+            expected.astype(np.float64), ctx_ids[i, 0], ctx_ids[i, 1:],
+            before.context.astype(np.float64)), rel=1e-5)
+        # only the rows of `cats` (and the word-token row of `ab`) move
+        moved = set(cats.sub_ids) | {cats.word_token_id, ab.word_token_id}
+        for r in range(len(m.subword_vocab)):
+            if r not in moved:
+                assert np.array_equal(m.params.subword[r], before.subword[r])
+        for r in range(m.config.max_positions):
+            if r not in cats.pos_ids:
+                assert np.array_equal(m.params.position[r],
+                                      before.position[r])
+        if word_token:
+            assert not np.array_equal(m.params.subword[ab.word_token_id],
+                                      before.subword[ab.word_token_id])
+
+
 class TestEpochPairs:
     @given(seed=st.integers(0, 2**16), window=st.integers(1, 6),
            subsample_t=st.sampled_from([0.0, 1e-3, 0.05]))
