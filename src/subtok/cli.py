@@ -278,33 +278,43 @@ def cmd_export(args, guard: ArtifactGuard) -> int:
 
 
 def _truncate_train_split(data, n: int | None):
+    """`data` with its train split cut to the first `n` examples. The cut
+    is made on a copy, so a dataset shared by several task points keeps
+    its full split."""
     if n is None:
         return data
     if n < 1:
         raise SubtokError("--task-instances must be >= 1")
-    data.splits["train"] = data.splits["train"][:n]
-    return data
+    return dataclasses.replace(
+        data, splits={**data.splits, "train": data.splits["train"][:n]})
 
 
-def run_probe(model, task: str, data_path, task_instances=None,
+def load_task_data(task: str, data_path, seed: int):
+    """The mentions or CoNLL dataset in `data_path`, split by `seed`."""
+    if task == "mentions":
+        return load_mentions(data_path, seed=seed)
+    if task == "conll":
+        return load_conll(data_path, seed=seed)
+    raise SubtokError(f"unknown task {task!r}")
+
+
+def run_probe(model, task: str, data, task_instances=None,
               window: int = 1, epochs: int = 100, lr: float = 0.5,
               fine_tune: bool = False, seed: int = 0):
-    """Train and evaluate one probe; returns metric rows."""
+    """Train and evaluate one probe; returns metric rows. `data` is the task
+    file, or the dataset that load_task_data read from it with `seed`."""
+    if isinstance(data, (str, Path)):
+        data = load_task_data(task, data, seed)
+    data = _truncate_train_split(data, task_instances)
     label = model.config.label
     rows = []
     if task == "mentions":
-        data = _truncate_train_split(load_mentions(data_path, seed=seed),
-                                     task_instances)
         probe = train_mention_probe(model, data, epochs=epochs, lr=lr,
                                     fine_tune=fine_tune, seed=seed)
         for split in ("dev", "test"):
             acc = eval_mention_accuracy(probe, model, data, split)
             rows.append(("fget", label, split, "accuracy", acc))
         return rows
-    if task != "conll":
-        raise SubtokError(f"unknown task {task!r}")
-    data = _truncate_train_split(load_conll(data_path, seed=seed),
-                                 task_instances)
     probe = train_tagger_probe(model, data, window=window, epochs=epochs,
                                lr=lr, fine_tune=fine_tune, seed=seed)
     task_name = "ner" if data.scheme == "BIO" else "mtag"
@@ -400,6 +410,7 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     done = _read_existing_cells(metrics_path)
     new_file = not metrics_path.exists()
 
+    task_data: dict = {}  # seed -> task dataset
     n_run = n_skipped = 0
     with open(metrics_path, "a", encoding="utf-8") as fh:
         if new_file:
@@ -415,7 +426,7 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
                     if not todo:
                         continue
                     cell_rows = _simulate_cell(
-                        args, corpus, shared, we_n,
+                        args, corpus, shared, task_data, we_n,
                         [task_points[ti] for ti in todo], label, seed)
                     rows.update(((ti, ci, si), r)
                                 for ti, r in zip(todo, cell_rows))
@@ -448,12 +459,14 @@ def _failed(exc: SubtokError) -> list[str]:
     return ["-", "-", "-", "0", f"failed:{msg}"]
 
 
-def _simulate_cell(args, corpus, shared, we_n, task_points, label, seed):
+def _simulate_cell(args, corpus, shared, task_data, we_n, task_points,
+                   label, seed):
     """Train one (WE point, config, seed) and probe it once per task point;
     returns one list of metric rows per task point. `shared` holds what the
     WE point's cells have in common and is filled on first use: the corpus
     prefix and its vocab, and a segmenter and subword vocab per segmenter
-    setting and w+/w-, which are the same for every seed."""
+    setting and w+/w-, which are the same for every seed. `task_data` maps
+    a seed to the task dataset split by it, parsed once per run."""
     cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
     cells = [[str(we_n), str(task_n), cfg.label, str(seed), group.label,
               str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
@@ -474,11 +487,17 @@ def _simulate_cell(args, corpus, shared, we_n, task_points, label, seed):
     except SubtokError as exc:
         return [[cell + _failed(exc)] for cell in cells]
     task = "mentions" if args.mentions else "conll"
-    data_path = args.mentions or args.conll
+    try:
+        if seed not in task_data:
+            task_data[seed] = load_task_data(
+                task, args.mentions or args.conll, seed)
+    except SubtokError as exc:
+        return [[cell + _failed(exc)] for cell in cells]
     out = []
     for task_n, cell in zip(task_points, cells):
         try:
-            rows = run_probe(model, task, data_path, task_instances=task_n,
+            rows = run_probe(model, task, task_data[seed],
+                             task_instances=task_n,
                              epochs=args.probe_epochs, seed=seed)
         except SubtokError as exc:
             out.append([cell + _failed(exc)])

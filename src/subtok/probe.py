@@ -218,11 +218,15 @@ class SoftmaxProbe:
     def predict(self, feat: np.ndarray) -> str:
         return self.labels[self.predict_index(feat)]
 
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    def scores(self, feats: np.ndarray) -> np.ndarray:
+        """(examples, labels) scores; row i has the bits of
+        `weights @ feats[i] + bias`. The stacked matmul runs one gemv per
+        row; `feats @ weights.T` is one gemm, which can round differently
+        and flip an argmax."""
+        if not len(feats):
+            return np.zeros((0, len(self.bias)))
+        f = feats.astype(np.float64)[:, :, None]
+        return (self.weights[None] @ f)[:, :, 0] + self.bias
 
 
 def _train_probe(model: SubwordModel, labels: list[str], train, dev,
@@ -237,49 +241,64 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
     last parameters are kept."""
     if not train:
         raise SubtokError("empty training split")
+    if not dev:
+        raise SubtokError("empty dev split: early stopping needs dev "
+                          "examples")
     lab2id = {l: i for i, l in enumerate(labels)}
     (train_items, train_ids), (dev_items, dev_ids) = (
         ([slots for slots, _ in split], [lab2id[l] for _, l in split])
         for split in (train, dev))
+    dev_ids = np.array(dev_ids)
     d = model.config.dim
     n_feats = len(train_items[0]) * d
     probe = SoftmaxProbe(weights=np.zeros((len(labels), n_feats)),
                          bias=np.zeros(len(labels)), labels=labels,
                          window=window)
+    w, b = probe.weights, probe.bias  # updated in place
+    step = np.empty_like(w)
     rng = np.random.default_rng(seed)
     if not fine_tune:
-        train_feats = _features(model, train_items)
+        # w @ f upcasts float32 features exactly, so casting once is free
+        train_feats = _features(model, train_items).astype(np.float64)
         dev_feats = _features(model, dev_items)
 
     def dev_acc():
         feats = _features(model, dev_items) if fine_tune else dev_feats
-        hits = sum(probe.predict_index(f) == y
-                   for f, y in zip(feats, dev_ids))
-        return hits / len(dev_ids) if dev_ids else 0.0
+        hits = np.count_nonzero(probe.scores(feats).argmax(axis=1) == dev_ids)
+        return hits / len(dev_ids)
 
     best_acc = dev_acc()
-    best = (probe.weights.copy(), probe.bias.copy())
+    best = (w.copy(), b.copy())
     bad = 0
     for _ in range(epochs):
         for i in rng.permutation(len(train_items)):
             f = (_features(model, train_items[i:i + 1])[0] if fine_tune
                  else train_feats[i])
-            z = probe.weights @ f + probe.bias
-            p = _softmax(z)
+            # softmax gradient p - onehot(y), in place with the bits of the
+            # out-of-place formula; lr scales the outer product after it is
+            # formed, since (lr * p) * f != lr * (p * f) in general
+            p = w @ f
+            p += b
+            p -= p.max()
+            np.exp(p, out=p)
+            p /= p.sum()
             p[train_ids[i]] -= 1.0
-            grad_f = probe.weights.T @ p
-            probe.weights -= lr * np.outer(p, f)
-            probe.bias -= lr * p
             if fine_tune:
+                grad_f = w.T @ p
                 for s, slot in enumerate(train_items[i]):
                     for t in slot:
                         g = grad_f[s * d:(s + 1) * d] / len(slot)
                         model.apply_composed_grad(model.word_indices(t),
                                                   g.astype(np.float32), lr)
+            np.multiply.outer(p, f, out=step)
+            step *= lr
+            w -= step
+            p *= lr
+            b -= p
         acc = dev_acc()
         if acc > best_acc + 1e-12:
             best_acc = acc
-            best = (probe.weights.copy(), probe.bias.copy())
+            best = (w.copy(), b.copy())
             bad = 0
         else:
             bad += 1
@@ -295,7 +314,7 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
 
 def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
     """Label ids predicted for examples given as slot lists."""
-    return [probe.predict_index(f) for f in _features(model, items)]
+    return probe.scores(_features(model, items)).argmax(axis=1).tolist()
 
 
 def train_mention_probe(model: SubwordModel, data: MentionDataset,

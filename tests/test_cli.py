@@ -260,6 +260,27 @@ class TestTrainExportProbe:
         assert all(r[0] == "ner" for r in rows)
 
 
+class TestProbeNeedsDev:
+    def test_empty_dev_split_exit_1_without_metrics(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("cats dogs walked talked\n" * 30, encoding="utf-8")
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus), "--dim", "8",
+                     "--epochs", "1", "--out", str(ckpt)]) == 0
+        # 4 mentions split 2/0/2
+        data = tmp_path / "mentions.tsv"
+        data.write_text("cats\tA\ndogs\tB\nwalked\tA\ntalked\tB\n",
+                        encoding="utf-8")
+        out = tmp_path / "metrics.tsv"
+        capsys.readouterr()
+        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "empty dev split" in err and "internal error" not in err
+        assert not out.exists()
+
+
 class TestSimulate:
     def _run(self, corpus_file, mentions_file, out_dir, seeds, *extra):
         return main([
@@ -465,6 +486,30 @@ class TestSimulateReuse:
         resumed = metrics.read_text("utf-8").splitlines(True)
         assert resumed[-len(gone):] == gone
         assert sorted(resumed) == sorted(full)
+
+    def test_task_file_parsed_once_per_seed(self, corpus_file, mentions_file,
+                                            tmp_path, monkeypatch, capsys):
+        loads = []
+        real_load, real_probe = subtok.cli.load_mentions, subtok.cli.run_probe
+
+        def load(*args, **kwargs):
+            loads.append(kwargs["seed"])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(subtok.cli, "load_mentions", load)
+        assert self._run(corpus_file, mentions_file, tmp_path / "once") == 0
+        assert sorted(loads) == [1, 2]
+
+        def probe_from_file(model, task, data, **kwargs):
+            # each task point parses the file itself
+            return real_probe(model, task, mentions_file, **kwargs)
+
+        monkeypatch.setattr(subtok.cli, "run_probe", probe_from_file)
+        loads.clear()
+        assert self._run(corpus_file, mentions_file, tmp_path / "each") == 0
+        assert len(loads) == 2 + 16  # once per seed, then per task point
+        assert (tmp_path / "once" / "metrics.tsv").read_bytes() == \
+            (tmp_path / "each" / "metrics.tsv").read_bytes()
 
 
 class TestReport:

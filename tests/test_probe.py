@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import subtok.probe as probe_mod
@@ -12,6 +14,7 @@ from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.probe import (
     MentionDataset,
+    SoftmaxProbe,
     decode_spans,
     eval_mention_accuracy,
     eval_tag_accuracy,
@@ -214,6 +217,14 @@ class TestMentionProbe:
         with pytest.raises(SubtokError):
             train_mention_probe(model, data)
 
+    def test_empty_dev_split_error(self):
+        model, _ = self._separable_setup()
+        data = MentionDataset.from_examples(
+            [(("redaa",), "/red"), (("bluaa",), "/blu")],
+            splits={"train": [0, 1], "dev": [], "test": [0]})
+        with pytest.raises(SubtokError, match="empty dev split"):
+            train_mention_probe(model, data)
+
     def test_tie_break_lowest_label_index(self):
         model, data = self._separable_setup()
         probe = train_mention_probe(model, data, epochs=0)
@@ -399,3 +410,48 @@ def test_negative_window_is_a_config_error():
     model, _, bio, _ = _reference_setup("w2v")
     with pytest.raises(ConfigError, match="window must be >= 0"):
         train_tagger_probe(model, bio, window=-1)
+
+
+class TestScores:
+    """SoftmaxProbe.scores gives every row the bits of predict_index's
+    `weights @ f + bias`, so batched scoring picks the same labels."""
+
+    @staticmethod
+    def _probe(k, d, seed):
+        rng = np.random.default_rng(seed)
+        return SoftmaxProbe(weights=rng.normal(size=(k, d)),
+                            bias=rng.normal(size=k),
+                            labels=[str(i) for i in range(k)])
+
+    @given(k=st.integers(1, 8), d=st.integers(1, 160),
+           n=st.integers(0, 40), zero_rows=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=3, d=5, n=0, zero_rows=0, seed=0)
+    @example(k=1, d=7, n=6, zero_rows=0, seed=1)
+    @example(k=4, d=9, n=5, zero_rows=5, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_per_example_scores(self, k, d, n, zero_rows, seed):
+        probe = self._probe(k, d, seed)
+        feats = np.random.default_rng(seed + 1).normal(
+            size=(n, d)).astype(np.float32)
+        feats[:zero_rows] = 0.0
+        got = probe.scores(feats)
+        assert got.shape == (n, k) and got.dtype == np.float64
+        for f, row in zip(feats, got):
+            assert np.array_equal(row, probe.weights @ f + probe.bias)
+        assert got.argmax(axis=1).tolist() == \
+            [probe.predict_index(f) for f in feats]
+
+    def test_empty_features_from_no_examples(self):
+        probe = self._probe(3, 4, 0)
+        model = charn_model("aa bb\n" * 3)
+        assert probe.scores(probe_mod._features(model, [])).shape == (0, 3)
+        assert probe_mod._predict(probe, model, []) == []
+
+    def test_zero_rows_score_the_bias_and_tie_to_lowest_index(self):
+        probe = self._probe(4, 6, 3)
+        assert np.array_equal(probe.scores(np.zeros((2, 6), np.float32)),
+                              np.stack([probe.bias] * 2))
+        probe.bias[:] = 0.0
+        assert probe.scores(np.zeros((3, 6), np.float32)).argmax(
+            axis=1).tolist() == [0, 0, 0]
