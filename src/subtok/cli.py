@@ -11,10 +11,12 @@ import argparse
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 import shutil
 import statistics
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from subtok.corpus import (
@@ -291,11 +293,13 @@ def _truncate_train_split(data, n: int | None):
 
 def load_task_data(task: str, data_path, seed: int):
     """The mentions or CoNLL dataset in `data_path`, split by `seed`."""
-    if task == "mentions":
-        return load_mentions(data_path, seed=seed)
-    if task == "conll":
-        return load_conll(data_path, seed=seed)
-    raise SubtokError(f"unknown task {task!r}")
+    loaders = {"mentions": load_mentions, "conll": load_conll}
+    if task not in loaders:
+        raise SubtokError(f"unknown task {task!r}")
+    try:
+        return loaders[task](data_path, seed=seed)
+    except FormatError as exc:
+        raise FormatError(f"{exc} in {data_path}") from None
 
 
 def run_probe(model, task: str, data, task_instances=None,
@@ -388,9 +392,9 @@ def _int_list(text: str, flag: str, minimum: int) -> list[int]:
 
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
     """Run the grid WE point by WE point. Each (WE point, config, seed) with
-    a task point still missing from the table is trained once and probed
-    once per missing task point; rows are written in grid order (task, then
-    config, then seed) and flushed once per WE point."""
+    a task point still missing from the table is a job: it is trained once
+    and probed once per missing task point. Rows are written in grid order
+    (task, then config, then seed) and flushed once per WE point."""
     we_points = _int_list(args.we_tokens, "--we-tokens", 1)
     task_points = _int_list(args.task_instances, "--task-instances", 1)
     configs = args.configs.split(",")
@@ -405,31 +409,41 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
               for label in configs]
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.tsv"
     done = _read_existing_cells(metrics_path)
-    new_file = not metrics_path.exists()
+    # WE point -> its jobs: (config index, seed index, indices of the task
+    # points missing from the table)
+    jobs = {we_n: [] for we_n in we_points}
+    for we_n, ci, si in itertools.product(we_points, range(len(configs)),
+                                          range(len(seeds))):
+        todo = [ti for ti, task_n in enumerate(task_points)
+                if (str(we_n), str(task_n), labels[ci], str(seeds[si]))
+                not in done]
+        if todo:
+            jobs[we_n].append((ci, si, todo))
+    # a bad task file fails the command before anything is trained or
+    # written
+    task = "mentions" if args.mentions else "conll"
+    task_seeds = dict.fromkeys(seeds[si] for we_jobs in jobs.values()
+                               for _, si, _ in we_jobs)
+    task_data = {seed: load_task_data(task, args.mentions or args.conll, seed)
+                 for seed in task_seeds}
 
-    task_data: dict = {}  # seed -> task dataset
+    out_dir.mkdir(parents=True, exist_ok=True)
+    new_file = not metrics_path.exists()
     n_run = n_skipped = 0
     with open(metrics_path, "a", encoding="utf-8") as fh:
         if new_file:
             fh.write("\t".join(SIMULATE_COLUMNS) + "\n")
         for we_n in we_points:
-            shared: dict = {}  # work the WE point's cells share
+            cell_rows = _simulate_we_point(
+                args, corpus, task_data, we_n,
+                [([task_points[ti] for ti in todo], configs[ci], seeds[si])
+                 for ci, si, todo in jobs[we_n]])
             rows = {}  # (task, config, seed) index -> the cell's rows
-            for ci, label in enumerate(configs):
-                for si, seed in enumerate(seeds):
-                    todo = [ti for ti, task_n in enumerate(task_points)
-                            if (str(we_n), str(task_n), labels[ci],
-                                str(seed)) not in done]
-                    if not todo:
-                        continue
-                    cell_rows = _simulate_cell(
-                        args, corpus, shared, task_data, we_n,
-                        [task_points[ti] for ti in todo], label, seed)
-                    rows.update(((ti, ci, si), r)
-                                for ti, r in zip(todo, cell_rows))
+            for (ci, si, todo), job_rows in zip(jobs[we_n], cell_rows):
+                rows.update(((ti, ci, si), r)
+                            for ti, r in zip(todo, job_rows))
             for key in itertools.product(range(len(task_points)),
                                          range(len(configs)),
                                          range(len(seeds))):
@@ -454,45 +468,103 @@ def _cell_configs(args, label, we_n, seed):
                                     epochs=args.train_epochs)
 
 
+def _seg_key(cfg: ModelConfig) -> tuple:
+    """The fields that build_segmentation reads."""
+    return (cfg.segmenter, cfg.num_merges, cfg.ngram_min, cfg.ngram_max,
+            cfg.word_token)
+
+
+def _shared_work(args, corpus, we_n, jobs) -> dict:
+    """What the jobs of one WE point have in common, built once: the corpus
+    prefix and its vocab under "vocab", and a segmenter and subword vocab
+    per segmenter setting and w+/w-, which are the same for every seed. A
+    part that fails is kept as its SubtokError, which every cell that needs
+    it reports as its failed row."""
+    shared: dict = {}
+    for _, label, seed in jobs:
+        # min_count comes from the WE point's data group
+        cfg, _, tcfg = _cell_configs(args, label, we_n, seed)
+        try:
+            if "vocab" not in shared:
+                sample = sample_tokens(corpus, we_n)
+                shared["vocab"] = sample, build_vocab(sample, tcfg.min_count)
+            if _seg_key(cfg) not in shared:
+                vocab = _shared(shared, "vocab")[1]
+                shared[_seg_key(cfg)] = build_segmentation(cfg, vocab)
+        except SubtokError as exc:
+            shared.setdefault("vocab", exc)
+            shared.setdefault(_seg_key(cfg), exc)
+    return shared
+
+
+def _shared(shared: dict, key):
+    """shared[key], or its SubtokError raised."""
+    value = shared[key]
+    if isinstance(value, SubtokError):
+        raise value
+    return value
+
+
+def _simulate_we_point(args, corpus, task_data, we_n, jobs) -> list:
+    """The rows of each job (task points, config label, seed) of one WE
+    point, in job order. The shared work is built here first; then one
+    worker per CPU this process may run on, and no more than there are
+    jobs, trains and probes the jobs. Workers are forked, so they inherit
+    the shared work and the task data, and only jobs and rows are pickled.
+    With one worker the jobs run in this process."""
+    state = (args, _shared_work(args, corpus, we_n, jobs), task_data, we_n)
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        return [_simulate_cell(*state, *job) for job in jobs]
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_state, initargs=(state,))
+    try:
+        # a worker that dies raises BrokenProcessPool here instead of
+        # leaving the command waiting
+        return list(pool.map(_run_job, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# A worker's copy of _simulate_we_point's state, set by the pool's
+# initializer in the worker only: with fork, initargs reach the worker
+# without being pickled.
+_worker_state: tuple = ()
+
+
+def _set_worker_state(state: tuple) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _run_job(job: tuple) -> list:
+    return _simulate_cell(*_worker_state, *job)
+
+
 def _failed(exc: SubtokError) -> list[str]:
     msg = str(exc).translate(str.maketrans("\t\r\n", "   "))
     return ["-", "-", "-", "0", f"failed:{msg}"]
 
 
-def _simulate_cell(args, corpus, shared, task_data, we_n, task_points,
-                   label, seed):
+def _simulate_cell(args, shared, task_data, we_n, task_points, label,
+                   seed):
     """Train one (WE point, config, seed) and probe it once per task point;
-    returns one list of metric rows per task point. `shared` holds what the
-    WE point's cells have in common and is filled on first use: the corpus
-    prefix and its vocab, and a segmenter and subword vocab per segmenter
-    setting and w+/w-, which are the same for every seed. `task_data` maps
-    a seed to the task dataset split by it, parsed once per run."""
+    returns one list of metric rows per task point. `shared` is the WE
+    point's _shared_work, and `task_data` maps a seed to the task dataset
+    split by it."""
     cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
     cells = [[str(we_n), str(task_n), cfg.label, str(seed), group.label,
               str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
              for task_n in task_points]
     try:
-        # min_count comes from the WE point's data group
-        if "vocab" not in shared:
-            sample = sample_tokens(corpus, we_n)
-            shared["vocab"] = sample, build_vocab(sample, tcfg.min_count)
-        sample, vocab = shared["vocab"]
-        seg_key = (cfg.segmenter, cfg.num_merges, cfg.ngram_min,
-                   cfg.ngram_max, cfg.word_token)
-        if seg_key not in shared:
-            shared[seg_key] = build_segmentation(cfg, vocab)
-        segmenter, svocab = shared[seg_key]
+        sample, vocab = _shared(shared, "vocab")
+        segmenter, svocab = _shared(shared, _seg_key(cfg))
         model = SubwordModel(cfg, vocab, svocab, segmenter)
         train(sample, model, tcfg)
     except SubtokError as exc:
         return [[cell + _failed(exc)] for cell in cells]
     task = "mentions" if args.mentions else "conll"
-    try:
-        if seed not in task_data:
-            task_data[seed] = load_task_data(
-                task, args.mentions or args.conll, seed)
-    except SubtokError as exc:
-        return [[cell + _failed(exc)] for cell in cells]
     out = []
     for task_n, cell in zip(task_points, cells):
         try:

@@ -330,9 +330,12 @@ def export_vectors(model: SubwordModel, sink) -> None:
             raise SubtokError(f"cannot write vectors to {path}: {exc}") from exc
         close = True
     try:
-        sink.write(f"{len(vocab)} {model.config.dim}\n")
+        d = model.config.dim
+        sink.write(f"{len(vocab)} {d}\n")
+        # one %-format per row over Python floats, each exactly its float32
+        row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
         for w, vec in zip(vocab.words, model.vectors(vocab.words)):
-            sink.write(w + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
+            sink.write(row_format % (w, *vec.tolist()))
     finally:
         if close:
             sink.close()

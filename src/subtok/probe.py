@@ -64,8 +64,12 @@ def random_split(n: int, seed: int) -> dict[str, list[int]]:
 def _read_lines(source) -> list[str]:
     """Lines of a path, or of an iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return fh.readlines()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                return fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SubtokError(f"cannot read task file {source}: {exc}") \
+                from exc
     return list(source)
 
 
@@ -271,17 +275,18 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
     best = (w.copy(), b.copy())
     bad = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(train_items)):
+        for i in rng.permutation(len(train_items)).tolist():
             f = (_features(model, train_items[i:i + 1])[0] if fine_tune
                  else train_feats[i])
             # softmax gradient p - onehot(y), in place with the bits of the
             # out-of-place formula; lr scales the outer product after it is
-            # formed, since (lr * p) * f != lr * (p * f) in general
+            # formed, since (lr * p) * f != lr * (p * f) in general; the
+            # ufunc reductions skip the ndarray.max/sum wrappers
             p = w @ f
             p += b
-            p -= p.max()
+            p -= np.maximum.reduce(p)
             np.exp(p, out=p)
-            p /= p.sum()
+            p /= np.add.reduce(p)
             p[train_ids[i]] -= 1.0
             if fine_tune:
                 grad_f = w.T @ p

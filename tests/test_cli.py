@@ -1,4 +1,8 @@
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,50 @@ def mentions_file(tmp_path):
     path = tmp_path / "mentions.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+SRC = Path(subtok.cli.__file__).resolve().parents[1]
+
+
+class FileLog:
+    """A list kept as JSON lines in a file, so that what forked simulate
+    workers append shows up in the test process too."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def append(self, item):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(item) + "\n")
+
+    def clear(self):
+        self.path.write_text("", encoding="utf-8")
+
+    def _items(self):
+        return [json.loads(line) for line in
+                self.path.read_text("utf-8").splitlines()]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self):
+        return len(self._items())
+
+
+class CallCounts(FileLog):
+    """A FileLog of [name, pid] per call of train and learn_bpe; equal to
+    the {name: count} dict of those calls."""
+
+    def counts(self):
+        names = [name for name, _ in self]
+        return {n: names.count(n) for n in ("train", "learn_bpe")}
+
+    def __eq__(self, other):
+        return self.counts() == other
+
+    def __repr__(self):
+        return repr(self.counts())
 
 
 class TestConfigLabels:
@@ -394,6 +442,19 @@ class TestSimulate:
             "--out", str(tmp_path / "sim")])
         assert rc == 1
 
+    @pytest.mark.parametrize("content", [None, b"red\t/warm\n\xff\t/x\n"])
+    def test_unreadable_task_file_exit_1_before_any_file(
+            self, corpus_file, tmp_path, capsys, content):
+        task_file = tmp_path / "mentions.tsv"
+        if content is not None:
+            task_file.write_bytes(content)
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, task_file, out_dir, "1") == 1
+        err = capsys.readouterr().err
+        assert f"cannot read task file {task_file}" in err
+        assert "internal error" not in err
+        assert not out_dir.exists()
+
     def test_needs_task_data(self, corpus_file, tmp_path, capsys):
         rc = main(["simulate", "--corpus", str(corpus_file),
                    "--we-tokens", "2000", "--task-instances", "10",
@@ -414,12 +475,12 @@ class TestSimulateReuse:
                      "--out", str(out_dir)])
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"train": 0, "learn_bpe": 0}
+    def calls(self, monkeypatch, tmp_path):
+        calls = CallCounts(tmp_path / "calls.jsonl")
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append([name, os.getpid()])
                 return func(*args, **kwargs)
             return wrapper
 
@@ -478,7 +539,7 @@ class TestSimulateReuse:
         assert gone
         metrics.write_text("".join(l for l in full if l not in gone),
                            encoding="utf-8")
-        calls.update(train=0, learn_bpe=0)
+        calls.clear()
         capsys.readouterr()
         assert self._run(corpus_file, mentions_file, out_dir) == 0
         assert calls == {"train": 1, "learn_bpe": 1}
@@ -489,7 +550,7 @@ class TestSimulateReuse:
 
     def test_task_file_parsed_once_per_seed(self, corpus_file, mentions_file,
                                             tmp_path, monkeypatch, capsys):
-        loads = []
+        loads = FileLog(tmp_path / "loads.jsonl")
         real_load, real_probe = subtok.cli.load_mentions, subtok.cli.run_probe
 
         def load(*args, **kwargs):
@@ -510,6 +571,92 @@ class TestSimulateReuse:
         assert len(loads) == 2 + 16  # once per seed, then per task point
         assert (tmp_path / "once" / "metrics.tsv").read_bytes() == \
             (tmp_path / "each" / "metrics.tsv").read_bytes()
+
+    def test_rows_equal_for_one_and_two_workers(
+            self, corpus_file, mentions_file, tmp_path, calls, monkeypatch,
+            capsys):
+        texts = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                                lambda pid, n=workers: set(range(n)))
+            out_dir = tmp_path / f"workers{workers}"
+            calls.clear()
+            assert self._run(corpus_file, mentions_file, out_dir) == 0
+            train_pids = {pid for name, pid in calls if name == "train"}
+            if workers == 1:
+                assert train_pids == {os.getpid()}
+            else:
+                # trained in forked workers; how the jobs spread over
+                # them is up to the scheduler
+                assert train_pids and os.getpid() not in train_pids
+            metrics = out_dir / "metrics.tsv"
+            texts[workers] = metrics.read_bytes()
+            # resume with task point 10 of seed 2 missing: 2 jobs per WE
+            # point
+            metrics.write_text("".join(
+                line for line in metrics.read_text("utf-8").splitlines(True)
+                if "\t10\t" not in line or "\t2\tG" not in line),
+                encoding="utf-8")
+            assert self._run(corpus_file, mentions_file, out_dir) == 0
+            assert "4 cells computed, 12 skipped" in capsys.readouterr().out
+            texts[workers, "resumed"] = metrics.read_bytes()
+        assert texts[1] == texts[2]
+        assert texts[1, "resumed"] == texts[2, "resumed"]
+
+    def test_failed_segmentation_fails_only_its_cells(
+            self, corpus_file, mentions_file, tmp_path, calls, monkeypatch,
+            capsys):
+        real_build = subtok.cli.build_segmentation
+
+        def build(cfg, vocab):
+            if cfg.segmenter == "bpe":
+                raise SubtokError("no merges")
+            return real_build(cfg, vocab)
+
+        monkeypatch.setattr(subtok.cli, "build_segmentation", build)
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        rows = [line.split("\t") for line in
+                (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]]
+        assert len(rows) == 16
+        assert {(r[2], r[-1]) for r in rows} == {
+            ("word:w-:p-", "ok"), ("bpe1e1:w+:p-", "failed:no merges")}
+        assert calls == {"train": 4, "learn_bpe": 0}
+
+    def test_worker_crash_exit_2(self, corpus_file, mentions_file,
+                                 tmp_path):
+        script = (
+            "import os, sys\n"
+            "import subtok.cli as cli\n"
+            "parent, real_train = os.getpid(), cli.train\n"
+            "def train(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return real_train(*args, **kwargs)\n"
+            "cli.train = train\n"
+            "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate",
+             "--corpus", str(corpus_file), "--mentions", str(mentions_file),
+             *self.ARGV, "--out", str(tmp_path / "sim")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "internal error: BrokenProcessPool" in proc.stderr
+
+    def test_bad_task_file_exit_1_before_training(
+            self, corpus_file, tmp_path, calls, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("red\t/warm\nblue /cool\ngreen\t/cool\n",
+                       encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, bad, out_dir) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: expected `token token ...<TAB>label` in {bad}" in err
+        assert calls == {"train": 0, "learn_bpe": 0}
+        assert not (out_dir / "metrics.tsv").exists()
 
 
 class TestReport:

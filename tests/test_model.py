@@ -250,6 +250,23 @@ class TestExport:
         for i, w in enumerate(words):
             assert np.abs(mat[i] - m.word_vector(w)).max() < 1e-5
 
+    def test_bytes_equal_per_element_format(self, tmp_path):
+        m = small_model(dim=4)
+        rng = np.random.default_rng(0)
+        table = rng.normal(scale=3e3, size=(len(m.vocab), 4)).astype(
+            np.float32)
+        table[0] = [-0.0, 0.0, -4e-7, 4e-7]  # -0.0 and round to +-0.000000
+        table[1] = [-5e-7, 9999.9999995, -10000.0000005, 12345.678]
+        table[2] = [-1e4, 1e4, 0.0000005, -0.0000015]
+        m.vectors = lambda words: table
+        out = tmp_path / "vec.txt"
+        export_vectors(m, out)
+        expected = f"{len(m.vocab)} 4\n" + "".join(
+            w + " " + " ".join(f"{x:.6f}" for x in row) + "\n"
+            for w, row in zip(m.vocab.words, table))
+        assert "-0.000000" in expected
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_empty_vocab_refused(self, tmp_path):
         m = small_model()
         m.vocab = Vocab(words=[], counts=np.empty(0, dtype=np.int64),
