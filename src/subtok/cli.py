@@ -1,8 +1,9 @@
 """Command-line orchestration: vocab building, segmenter training, embedding
 training, probing, and the data-scarcity simulation grid.
 
-Exit codes: 0 success, 1 bad input (single-line diagnostic), 2 internal
-assertion. Partial artifacts are removed when a command fails.
+Exit codes: 0 success, 1 bad input (single-line diagnostic), including a
+file that cannot be read or written, 2 internal error. Partial artifacts
+are removed when a command fails.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from subtok.corpus import (
     load_corpus,
     sample_tokens,
 )
-from subtok.errors import FormatError, SubtokError
+from subtok.errors import FormatError, SubtokError, read_lines
 from subtok.model import (
     ModelConfig,
     SubwordModel,
@@ -150,7 +151,7 @@ def train_config(args, group, seed: int, epochs=None, batch_size=None,
         epochs=group.epochs if epochs is None else epochs,
         batch_size=batch_size or group.batch_size,
         min_count=min_count or group.min_count,
-        subsample_t=args.subsample_t, threads=args.threads, seed=seed)
+        subsample_t=args.subsample_t, seed=seed)
 
 
 def add_model_flags(p: argparse.ArgumentParser):
@@ -174,7 +175,6 @@ def add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.025)
     p.add_argument("--subsample-t", type=float, default=1e-5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--epochs", type=int, default=None,
                    help="override the data-group epoch count")
     p.add_argument("--batch-size", type=int, default=None)
@@ -357,16 +357,14 @@ def _metrics_rows(path: Path):
     table. A wrong header, or a line without its newline or with the wrong
     number of fields, as a run cut off mid-write leaves, raises
     FormatError."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != SIMULATE_COLUMNS:
-            raise FormatError(f"unexpected metrics header in {path}")
-        for ln, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if not line.endswith("\n") or \
-                    len(fields) != len(SIMULATE_COLUMNS):
-                raise FormatError(f"half-written row in {path}", ln)
-            yield ln, dict(zip(SIMULATE_COLUMNS, fields))
+    lines = read_lines(path, "metrics table")
+    if next(lines, "").rstrip("\n").split("\t") != SIMULATE_COLUMNS:
+        raise FormatError(f"unexpected metrics header in {path}")
+    for ln, line in enumerate(lines, start=2):
+        fields = line.rstrip("\n").split("\t")
+        if not line.endswith("\n") or len(fields) != len(SIMULATE_COLUMNS):
+            raise FormatError(f"half-written row in {path}", ln)
+        yield ln, dict(zip(SIMULATE_COLUMNS, fields))
 
 
 def _read_existing_cells(path: Path) -> set[tuple]:
@@ -703,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.025)
     p.add_argument("--subsample-t", type=float, default=1e-5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--train-epochs", type=int, default=None,
                    help="desk-scale override of the group epoch count")
     p.add_argument("--probe-epochs", type=int, default=100)
@@ -727,12 +724,14 @@ def main(argv=None) -> int:
     guard = ArtifactGuard()
     try:
         return args.func(args, guard)
-    except SubtokError as exc:
+    except Exception as exc:
         guard.cleanup()
-        print(f"subtok: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # internal assertion
-        guard.cleanup()
+        # an OSError that names a file is a path that cannot be read or
+        # written; one without a file name (fork, memory) is internal
+        if isinstance(exc, SubtokError) or (
+                isinstance(exc, OSError) and exc.filename is not None):
+            print(f"subtok: {exc}", file=sys.stderr)
+            return 1
         print(f"subtok: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

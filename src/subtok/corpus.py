@@ -17,6 +17,7 @@ from subtok.errors import (
     FormatError,
     InsufficientDataError,
     nonnegative_int,
+    read_fields,
 )
 
 
@@ -104,19 +105,13 @@ class Vocab:
     def load_tsv(cls, path: str | Path, min_count: int = 1,
                  total_tokens: int | None = None) -> "Vocab":
         words, counts = [], []
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("expected word<TAB>id<TAB>count", ln)
-                word, wid, count = parts
-                if nonnegative_int(wid, "word id", ln) != len(words):
-                    raise FormatError(f"non-contiguous id {wid}", ln)
-                words.append(word)
-                counts.append(nonnegative_int(count, "word count", ln))
+        for ln, (word, wid, count) in read_fields(
+                path, "vocab file", "\t", 3,
+                "expected word<TAB>id<TAB>count"):
+            if nonnegative_int(wid, "word id", ln) != len(words):
+                raise FormatError(f"non-contiguous id {wid}", ln)
+            words.append(word)
+            counts.append(nonnegative_int(count, "word count", ln))
         if not words:
             raise EmptyVocabError(f"no vocabulary entries in {path}")
         counts_arr = np.asarray(counts, dtype=np.int64)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of text
+input files that raises them."""
+
+from os import PathLike
 
 
 class SubtokError(Exception):
@@ -56,3 +59,31 @@ def nonnegative_int(text: str, what: str, line_number: int) -> int:
         raise FormatError(f"{what} must be a non-negative integer, "
                           f"got {text!r}", line_number)
     return value
+
+
+def read_lines(source, what: str):
+    """The lines of `source`, newlines kept: a path, read as UTF-8, or an
+    iterable of lines. A file that cannot be opened or decoded raises
+    SubtokError `cannot read <what> <path>: <reason>`."""
+    if not isinstance(source, (str, PathLike)):
+        yield from source
+        return
+    try:
+        with open(source, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SubtokError(f"cannot read {what} {source}: {exc}") from exc
+
+
+def read_fields(source, what: str, sep: str, count: int, expected: str,
+                first_line: int = 1):
+    """(line number, fields) of each non-empty line of read_lines(source,
+    what), split on `sep` and numbered from `first_line`; a line without
+    `count` fields raises FormatError(expected, line number)."""
+    for ln, line in enumerate(read_lines(source, what), start=first_line):
+        line = line.rstrip("\n")
+        if line:
+            fields = line.split(sep)
+            if len(fields) != count:
+                raise FormatError(expected, ln)
+            yield ln, fields

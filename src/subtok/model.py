@@ -6,13 +6,20 @@ composition is written once, in `_WordCSR.compose`: training, `compose`,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from subtok.corpus import Vocab
-from subtok.errors import ConfigError, FormatError, SubtokError
+from subtok.errors import (
+    ConfigError,
+    FormatError,
+    SubtokError,
+    nonnegative_int,
+    read_fields,
+    read_lines,
+)
 from subtok.segment import (
     NS_SUBWORD,
     NS_WORD_TOKEN,
@@ -55,6 +62,8 @@ class ModelConfig:
             raise ConfigError("dim and max_positions must be >= 1")
         if self.num_merges < 1:
             raise ConfigError("num_merges must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ConfigError("need 1 <= ngram_min <= ngram_max")
 
@@ -148,12 +157,11 @@ def build_segmenter(config: ModelConfig, vocab: Vocab, max_iters: int = 10):
     return WholeWordSegmenter()
 
 
-def build_segmentation(config: ModelConfig, vocab: Vocab,
-                       morf_max_iters: int = 10):
+def build_segmentation(config: ModelConfig, vocab: Vocab):
     """(segmenter, subword vocab) of `config` over `vocab`. They depend only
     on the segmenter fields and `word_token`, not on the seed or the
     tables, so models that differ in nothing else can share them."""
-    segmenter = build_segmenter(config, vocab, max_iters=morf_max_iters)
+    segmenter = build_segmenter(config, vocab)
     return segmenter, build_subword_vocab(vocab, segmenter,
                                           config.word_token)
 
@@ -241,9 +249,8 @@ class SubwordModel:
         self._index_cache: dict[str, WordIndices] = {}
 
     @classmethod
-    def build(cls, config: ModelConfig, vocab: Vocab,
-              morf_max_iters: int = 10) -> "SubwordModel":
-        segmenter, svocab = build_segmentation(config, vocab, morf_max_iters)
+    def build(cls, config: ModelConfig, vocab: Vocab) -> "SubwordModel":
+        segmenter, svocab = build_segmentation(config, vocab)
         return cls(config, vocab, svocab, segmenter)
 
     # -- segmentation / index resolution ------------------------------------
@@ -315,45 +322,33 @@ class SubwordModel:
 # ---------------------------------------------------------------------------
 
 
-def export_vectors(model: SubwordModel, sink) -> None:
+def export_vectors(model: SubwordModel, path: str | Path) -> None:
     """word2vec-style text format: header `|V| d`, then one line per word in
     vocab-id order with 6-decimal fixed notation."""
     vocab = model.vocab
     if len(vocab) == 0:
         raise SubtokError("refusing to export an empty vocabulary")
-    close = False
-    if isinstance(sink, (str, Path)):
-        path = sink
-        try:
-            sink = open(sink, "w", encoding="utf-8")
-        except OSError as exc:
-            raise SubtokError(f"cannot write vectors to {path}: {exc}") from exc
-        close = True
-    try:
-        d = model.config.dim
-        sink.write(f"{len(vocab)} {d}\n")
-        # one %-format per row over Python floats, each exactly its float32
-        row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
+    d = model.config.dim
+    # one %-format per row over Python floats, each exactly its float32
+    row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(vocab)} {d}\n")
         for w, vec in zip(vocab.words, model.vectors(vocab.words)):
-            sink.write(row_format % (w, *vec.tolist()))
-    finally:
-        if close:
-            sink.close()
+            fh.write(row_format % (w, *vec.tolist()))
 
 
 def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError("expected `<count> <dim>` header", 1)
-        n, d = int(header[0]), int(header[1])
-        words, rows = [], []
-        for ln, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != d + 1:
-                raise FormatError(f"expected word + {d} values", ln)
-            words.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+    lines = read_lines(path, "vectors file")
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise FormatError("expected `<count> <dim>` header", 1)
+    n = nonnegative_int(header[0], "row count", 1)
+    d = nonnegative_int(header[1], "dimension", 1)
+    words, rows = [], []
+    for _, parts in read_fields(lines, "vectors file", " ", d + 1,
+                                f"expected word + {d} values", first_line=2):
+        words.append(parts[0])
+        rows.append([float(x) for x in parts[1:]])
     if len(words) != n:
         raise FormatError(f"header says {n} rows, file has {len(words)}")
     return words, np.asarray(rows, dtype=np.float32)
@@ -384,44 +379,37 @@ def _read_matrix(path: Path) -> np.ndarray:
     return data.reshape(rows, cols).copy()
 
 
-CONFIG_KEYS = ("segmenter", "num_merges", "ngram_min", "ngram_max",
-               "word_token", "position", "dim", "max_positions", "seed")
-
-
 def _config_to_text(config: ModelConfig) -> str:
-    lines = []
-    for key in CONFIG_KEYS:
-        lines.append(f"{key}={getattr(config, key)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={getattr(config, f.name)}\n"
+                   for f in fields(config))
 
 
-def _config_from_text(text: str) -> ModelConfig:
+def _read_config(path: Path) -> ModelConfig:
+    """The ModelConfig of a `key=value` config.txt: every field must be
+    given, ints as non-negative numbers; comment lines start with #."""
     kv = {}
-    for line in text.splitlines():
+    for ln, line in enumerate(read_lines(path, "checkpoint config"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"bad config line {line!r}")
+            raise FormatError(f"bad config line {line!r}", ln)
         k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
-    missing = [k for k in CONFIG_KEYS if k not in kv]
+        kv[k.strip()] = v.strip(), ln
+    keys = fields(ModelConfig)
+    missing = [f.name for f in keys if f.name not in kv]
     if missing:
         raise FormatError("config.txt lacks "
                           + ", ".join(f"{k}=" for k in missing))
-    def as_bool(s):
-        return s in ("True", "true", "1", "yes")
-    return ModelConfig(
-        segmenter=kv["segmenter"],
-        num_merges=int(kv["num_merges"]),
-        ngram_min=int(kv["ngram_min"]),
-        ngram_max=int(kv["ngram_max"]),
-        word_token=as_bool(kv["word_token"]),
-        position=as_bool(kv["position"]),
-        dim=int(kv["dim"]),
-        max_positions=int(kv["max_positions"]),
-        seed=int(kv["seed"]),
-    )
+    values = {}
+    for f in keys:
+        value, ln = kv[f.name]
+        if isinstance(f.default, bool):
+            value = value in ("True", "true", "1", "yes")
+        elif isinstance(f.default, int):
+            value = nonnegative_int(value, f"{f.name} in {path}", ln)
+        values[f.name] = value
+    return ModelConfig(**values)
 
 
 def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path) -> None:
@@ -447,7 +435,7 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     ckpt = Path(ckpt_dir)
     if not (ckpt / "config.txt").exists():
         raise FormatError(f"no checkpoint at {ckpt_dir} (missing config.txt)")
-    config = _config_from_text((ckpt / "config.txt").read_text("utf-8"))
+    config = _read_config(ckpt / "config.txt")
     vocab = Vocab.load_tsv(ckpt / "vocab.tsv")
     svocab = SubwordVocab.load_tsv(ckpt / "subwords.tsv")
     if config.segmenter == "bpe":

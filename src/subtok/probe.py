@@ -9,7 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from subtok.errors import ConfigError, FormatError, SubtokError
+from subtok.errors import (
+    ConfigError,
+    FormatError,
+    SubtokError,
+    read_fields,
+    read_lines,
+)
 from subtok.model import SubwordModel
 
 SCHEME_BIO = "BIO"
@@ -51,6 +57,8 @@ class MentionDataset:
 
 def random_split(n: int, seed: int) -> dict[str, list[int]]:
     """Seeded 60/20/20 split indices."""
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(n * 0.6)
     n_dev = int(n * 0.2)
@@ -61,30 +69,16 @@ def random_split(n: int, seed: int) -> dict[str, list[int]]:
     }
 
 
-def _read_lines(source) -> list[str]:
-    """Lines of a path, or of an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                return fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SubtokError(f"cannot read task file {source}: {exc}") \
-                from exc
-    return list(source)
-
-
 def load_mentions(source, seed: int = 0) -> MentionDataset:
     """Parse `token token ...<TAB>label` lines into a MentionDataset with a
     deterministic seeded split. `source` is a path or an iterable of lines."""
     examples = []
-    for ln, line in enumerate(_read_lines(source), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].split() or not parts[1]:
-            raise FormatError("expected `token token ...<TAB>label`", ln)
-        examples.append((tuple(parts[0].split()), parts[1]))
+    expected = "expected `token token ...<TAB>label`"
+    for ln, (tokens, label) in read_fields(source, "task file", "\t", 2,
+                                           expected):
+        if not tokens.split() or not label:
+            raise FormatError(expected, ln)
+        examples.append((tuple(tokens.split()), label))
     return MentionDataset.from_examples(examples, seed=seed)
 
 
@@ -133,7 +127,7 @@ def load_conll(source, seed: int = 0) -> TagDataset:
     sequences are repaired on load."""
     sentences = []
     toks, labs = [], []
-    for ln, line in enumerate(_read_lines(source), start=1):
+    for ln, line in enumerate(read_lines(source, "task file"), start=1):
         line = line.rstrip("\n")
         if not line:
             if toks:

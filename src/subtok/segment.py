@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from subtok.corpus import Vocab
-from subtok.errors import ConfigError, FormatError, nonnegative_int
+from subtok.errors import (
+    ConfigError,
+    FormatError,
+    nonnegative_int,
+    read_fields,
+    read_lines,
+)
 
 END_OF_WORD = "</w>"
 
@@ -50,7 +56,6 @@ class BpeModel:
 
     merges: list[tuple[str, str]]
     num_merges: int
-    symbol_vocab: set[str] = field(default_factory=set)
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
@@ -73,24 +78,16 @@ class BpeModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "BpeModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("#bpe v1 "):
-                raise FormatError(f"bad BPE header {header!r} in {path}", 1)
-            num_merges = nonnegative_int(header[len("#bpe v1 "):],
-                                         "merge count", 1)
-            merges = []
-            for ln, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != 2:
-                    raise FormatError("expected `left<SPACE>right`", ln)
-                merges.append((parts[0], parts[1]))
-        model = cls(merges=merges, num_merges=num_merges)
-        model.symbol_vocab = {a + b for a, b in merges}
-        return model
+        lines = read_lines(path, "BPE model")
+        header = next(lines, "").rstrip("\n")
+        if not header.startswith("#bpe v1 "):
+            raise FormatError(f"bad BPE header {header!r} in {path}", 1)
+        num_merges = nonnegative_int(header[len("#bpe v1 "):], "merge count",
+                                     1)
+        merges = [(left, right) for _, (left, right) in read_fields(
+            lines, "BPE model", " ", 2, "expected `left<SPACE>right`",
+            first_line=2)]
+        return cls(merges=merges, num_merges=num_merges)
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
@@ -145,7 +142,6 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     merges: list[tuple[str, str]] = []
     merged_pairs: set[tuple[str, str]] = set()
     recreated = False
-    symbol_vocab: set[str] = {s for syms in words for s in syms}
     for _ in range(num_merges):
         while heap and stats.get(heap[0][2]) != -heap[0][0]:
             heapq.heappop(heap)
@@ -156,7 +152,6 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
         merged_pairs.add(best)
         a, b = best
         merged_sym = a + b
-        symbol_vocab.add(merged_sym)
 
         delta: defaultdict[tuple[str, str], int] = defaultdict(int)
         # no word keeps `best` after this merge, and no merge recreates its
@@ -209,8 +204,7 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
             else:
                 del stats[pair]
 
-    model = BpeModel(merges=merges, num_merges=num_merges,
-                     symbol_vocab=symbol_vocab)
+    model = BpeModel(merges=merges, num_merges=num_merges)
     if not recreated:
         model._cache.update(zip(vocab.words, map(tuple, words)))
     return model
@@ -337,17 +331,10 @@ class MorfModel:
 
     @classmethod
     def load(cls, path: str | Path, lam: float = 1.0) -> "MorfModel":
-        lexicon: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError("expected morph<TAB>count", ln)
-                lexicon[parts[0]] = nonnegative_int(parts[1], "morph count",
-                                                    ln)
+        lexicon = {morph: nonnegative_int(count, "morph count", ln)
+                   for ln, (morph, count) in read_fields(
+                       path, "morph model", "\t", 2,
+                       "expected morph<TAB>count")}
         model = cls(morph_lexicon=lexicon, corpus_cost=0.0, lam=lam)
         model.corpus_cost = _total_cost_from_counts(lexicon, lam)
         return model
@@ -531,9 +518,6 @@ class SubwordVocab:
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self.entries
 
-    def id_of(self, key: tuple[str, str]) -> int:
-        return self.entries[key]
-
     def get(self, key: tuple[str, str], default=None):
         return self.entries.get(key, default)
 
@@ -546,18 +530,11 @@ class SubwordVocab:
     @classmethod
     def load_tsv(cls, path: str | Path) -> "SubwordVocab":
         entries: dict[tuple[str, str], int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("expected ns<TAB>key<TAB>id", ln)
-                ns, s, i = parts
-                if ns not in (NS_SUBWORD, NS_WORD_TOKEN):
-                    raise FormatError(f"unknown namespace {ns!r}", ln)
-                entries[(ns, s)] = nonnegative_int(i, "subword id", ln)
+        for ln, (ns, s, i) in read_fields(path, "subword vocab file", "\t", 3,
+                                          "expected ns<TAB>key<TAB>id"):
+            if ns not in (NS_SUBWORD, NS_WORD_TOKEN):
+                raise FormatError(f"unknown namespace {ns!r}", ln)
+            entries[(ns, s)] = nonnegative_int(i, "subword id", ln)
         return cls(entries=entries)
 
 

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError("batch_size and min_count must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def lr_floor(self) -> float:

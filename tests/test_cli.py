@@ -245,6 +245,7 @@ class TestTrainExportProbe:
         ("--batch-size", "-5", "batch_size and min_count must be >= 1"),
         ("--epochs", "-2", "epochs must be >= 0"),
         ("--min-count", "-1", "batch_size and min_count must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
         ("--we-tokens", "-5", "--we-tokens must be >= 1")])
     def test_negative_flag_exit_1(self, corpus_file, tmp_path, capsys, flag,
                                   value, message):
@@ -793,6 +794,18 @@ class TestBadNumbersExit1:
         assert "window must be >= 0" in err and "internal error" not in err
         assert not out.exists()
 
+    def test_negative_probe_seed(self, corpus_file, mentions_file, tmp_path,
+                                 capsys):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        out = tmp_path / "metrics.tsv"
+        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                   "--data", str(mentions_file), "--seed", "-1", "--out",
+                   str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "internal error" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--ngram-min", "0"],
                                        ["--ngram-min", "5", "--ngram-max",
                                         "3"]])
@@ -891,3 +904,90 @@ class TestReportChecksRows:
         err = capsys.readouterr().err
         assert f"line 2: value 'high' in {metrics} is not a number" in err
         assert not summary.exists()
+
+
+
+def _tree(root):
+    """Every path under `root`, with its bytes if it is a file."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestUnreadableFilesExit1:
+    """An input that cannot be opened, decoded or parsed, and an output that
+    cannot be written, exit 1 with one stderr line that names the file,
+    write nothing and change no input."""
+
+    def _export_without(self, corpus_file, tmp_path, name, *flags):
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--dim", "8",
+                     "--epochs", "1", *flags, "--out", str(ckpt)]) == 0
+        if name.startswith("dim="):
+            config = ckpt / "config.txt"
+            config.write_text(config.read_text("utf-8").replace(
+                "dim=8", name), encoding="utf-8")
+            name = "config.txt"
+        else:
+            (ckpt / name).unlink()
+        return (["export", "--checkpoint", str(ckpt), "--out",
+                 str(tmp_path / "vec.txt")], ckpt / name)
+
+    def _simulate(self, corpus_file, mentions_file, tmp_path, seeds):
+        return ["simulate", "--corpus", str(corpus_file), "--mentions",
+                str(mentions_file), "--we-tokens", "2000",
+                "--task-instances", "10", "--configs", "w2v", "--seeds",
+                seeds, "--dim", "8", "--train-epochs", "1",
+                "--probe-epochs", "3", "--out", str(tmp_path / "sim")]
+
+    def case(self, name, corpus_file, mentions_file, tmp_path):
+        """(argv, the file that the message must name)."""
+        if name in ("vocab.tsv", "subwords.tsv", "subword.mat", "dim=abc"):
+            return self._export_without(corpus_file, tmp_path, name)
+        if name == "bpe.txt":
+            return self._export_without(corpus_file, tmp_path, name,
+                                        "--seg", "bpe", "--merges", "10")
+        if name.startswith("apply-"):
+            seg = name.split("-")[1]
+            model = tmp_path / "model.txt"
+            if seg == "morf":  # not UTF-8
+                model.write_bytes(b"walk\t3\n\xffing\t2\n")
+            return (["segment-apply", "--seg", seg, "--model", str(model),
+                     "walking"], model)
+        if name.endswith("-metrics"):
+            assert main(self._simulate(corpus_file, mentions_file, tmp_path,
+                                       "1")) == 0
+            metrics = tmp_path / "sim" / "metrics.tsv"
+            lines = metrics.read_bytes().splitlines(True)
+            metrics.write_bytes(lines[0] + b"\xff" + lines[1])
+            if name == "report-metrics":
+                return (["report", "--metrics", str(metrics), "--out",
+                         str(tmp_path / "summary.tsv")], metrics)
+            return self._simulate(corpus_file, mentions_file, tmp_path,
+                                  "1,2"), metrics
+        if name == "out-parent-missing":
+            out = tmp_path / "missing" / "vocab.tsv"
+            return ["vocab", "--corpus", str(corpus_file), "--out",
+                    str(out)], out
+        assert name == "out-parent-is-a-file"
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "ckpt"
+        return (["train", "--corpus", str(corpus_file), "--dim", "8",
+                 "--epochs", "1", "--out", str(out)], out)
+
+    @pytest.mark.parametrize("name", [
+        "apply-bpe-missing", "apply-morf-non-utf8", "vocab.tsv",
+        "subwords.tsv", "bpe.txt", "dim=abc", "report-metrics",
+        "resume-metrics", "subword.mat", "out-parent-missing",
+        "out-parent-is-a-file"])
+    def test_exit_1_naming_the_file(self, corpus_file, mentions_file,
+                                    tmp_path, capsys, name):
+        argv, named = self.case(name, corpus_file, mentions_file, tmp_path)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert err.count("\n") == 1 and err.startswith("subtok: ")
+        assert str(named) in err
+        assert "internal error" not in err
+        assert stdout == ""
+        assert _tree(tmp_path) == before

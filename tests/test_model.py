@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import compose_reference, scatter_reference
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
-from subtok.errors import FormatError, SubtokError
+from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
     ModelConfig,
     SubwordModel,
@@ -308,6 +308,38 @@ class TestCheckpoint:
                                               rf"{rows}x8"):
             load_checkpoint(tmp_path / "ckpt")
 
+    def test_config_text(self, tmp_path):
+        save_checkpoint(small_model(segmenter="bpe", num_merges=10,
+                                    position=True), tmp_path / "ckpt")
+        assert (tmp_path / "ckpt" / "config.txt").read_text("utf-8") == (
+            "segmenter=bpe\nnum_merges=10\nngram_min=3\nngram_max=6\n"
+            "word_token=False\nposition=True\ndim=8\nmax_positions=20\n"
+            "seed=5\n")
+
+    @pytest.mark.parametrize("spelling", ["True", "true", "1", "yes"])
+    def test_config_comments_and_bool_spellings(self, tmp_path, spelling):
+        m = small_model(word_token=True)
+        save_checkpoint(m, tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        config.write_text("# edited\n\n" + config.read_text("utf-8").replace(
+            "word_token=True", f"word_token={spelling}"), encoding="utf-8")
+        assert load_checkpoint(tmp_path / "ckpt").config == m.config
+
+    @pytest.mark.parametrize("key,value", [("dim", "abc"), ("seed", "-1"),
+                                           ("num_merges", "1.5")])
+    def test_config_int_not_a_number(self, tmp_path, key, value):
+        save_checkpoint(small_model(), tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        lines = config.read_text("utf-8").splitlines(True)
+        ln = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith(f"{key}="))
+        lines[ln - 1] = f"{key}={value}\n"
+        config.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"line {ln}: {key} in ") \
+                as exc:
+            load_checkpoint(tmp_path / "ckpt")
+        assert exc.value.line_number == ln
+
     def test_position_rows_must_equal_max_positions(self, tmp_path):
         m = small_model()
         save_checkpoint(m, tmp_path / "ckpt")
@@ -333,3 +365,7 @@ class TestConfigLabel:
     def test_invalid_segmenter(self):
         with pytest.raises(ValueError):
             ModelConfig(segmenter="wordpiece")
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ModelConfig(seed=-1)

@@ -359,6 +359,10 @@ class TestTrain:
         assert np.array_equal(m.params.subword, init.subword)
         assert np.array_equal(m.params.context, init.context)
 
+    def test_negative_seed(self):
+        with pytest.raises(SubtokError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
     def test_topic_clusters_separate(self):
         rng = np.random.default_rng(0)
         wa = [f"app{i}" for i in range(8)]
