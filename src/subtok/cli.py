@@ -26,7 +26,7 @@ from subtok.corpus import (
     load_corpus,
     sample_tokens,
 )
-from subtok.errors import FormatError, SubtokError, read_lines
+from subtok.errors import FormatError, SubtokError, load_file, read_lines
 from subtok.model import (
     ModelConfig,
     SubwordModel,
@@ -226,14 +226,11 @@ def cmd_segment_learn(args, guard: ArtifactGuard) -> int:
 
 
 def _load_segmenter(args):
-    if args.seg == "bpe":
+    if args.seg in ("bpe", "morf"):
         if not args.model:
-            raise SubtokError("--model is required for --seg bpe")
-        return BpeModel.load(args.model)
-    if args.seg == "morf":
-        if not args.model:
-            raise SubtokError("--model is required for --seg morf")
-        return MorfModel.load(args.model)
+            raise SubtokError(f"--model is required for --seg {args.seg}")
+        load = BpeModel.load if args.seg == "bpe" else MorfModel.load
+        return load_file(load, args.model)
     cfg = ModelConfig(segmenter=args.seg, ngram_min=args.ngram_min,
                       ngram_max=args.ngram_max)
     return build_segmenter(cfg, vocab=None)
@@ -296,15 +293,12 @@ def load_task_data(task: str, data_path, seed: int):
     loaders = {"mentions": load_mentions, "conll": load_conll}
     if task not in loaders:
         raise SubtokError(f"unknown task {task!r}")
-    try:
-        return loaders[task](data_path, seed=seed)
-    except FormatError as exc:
-        raise FormatError(f"{exc} in {data_path}") from None
+    return load_file(loaders[task], data_path, seed=seed)
 
 
 def run_probe(model, task: str, data, task_instances=None,
               window: int = 1, epochs: int = 100, lr: float = 0.5,
-              fine_tune: bool = False, seed: int = 0):
+              seed: int = 0):
     """Train and evaluate one probe; returns metric rows. `data` is the task
     file, or the dataset that load_task_data read from it with `seed`."""
     if isinstance(data, (str, Path)):
@@ -314,13 +308,13 @@ def run_probe(model, task: str, data, task_instances=None,
     rows = []
     if task == "mentions":
         probe = train_mention_probe(model, data, epochs=epochs, lr=lr,
-                                    fine_tune=fine_tune, seed=seed)
+                                    seed=seed)
         for split in ("dev", "test"):
             acc = eval_mention_accuracy(probe, model, data, split)
             rows.append(("fget", label, split, "accuracy", acc))
         return rows
     probe = train_tagger_probe(model, data, window=window, epochs=epochs,
-                               lr=lr, fine_tune=fine_tune, seed=seed)
+                               lr=lr, seed=seed)
     task_name = "ner" if data.scheme == "BIO" else "mtag"
     for split in ("dev", "test"):
         sents = data.split_sentences(split)
@@ -341,7 +335,7 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
     rows = run_probe(model, args.task, args.data,
                      task_instances=args.task_instances,
                      window=args.probe_window, epochs=args.epochs,
-                     lr=args.lr, fine_tune=args.fine_tune, seed=args.seed)
+                     lr=args.lr, seed=args.seed)
     out = guard.register(default_out(args, "metrics.tsv"))
     write_metrics(out, rows)
     for row in rows:
@@ -405,6 +399,8 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     # a label or flag out of range fails the command before a file is written
     labels = [_cell_configs(args, label, we_points[0], seeds[0])[0].label
               for label in configs]
+    if args.probe_epochs < 0:
+        raise SubtokError("--probe-epochs must be >= 0")
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"
@@ -679,8 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-window", type=int, default=1)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--fine-tune", action=argparse.BooleanOptionalAction,
-                   default=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)

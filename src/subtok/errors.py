@@ -61,6 +61,16 @@ def nonnegative_int(text: str, what: str, line_number: int) -> int:
     return value
 
 
+def load_file(load, path, **kwargs):
+    """load(path, **kwargs), with ` in <path>` added to the message of a
+    FormatError that it raises."""
+    try:
+        return load(path, **kwargs)
+    except FormatError as exc:
+        exc.args = (f"{exc} in {path}",)
+        raise
+
+
 def read_lines(source, what: str):
     """The lines of `source`, newlines kept: a path, read as UTF-8, or an
     iterable of lines. A file that cannot be opened or decoded raises

@@ -16,6 +16,7 @@ from subtok.errors import (
     ConfigError,
     FormatError,
     SubtokError,
+    load_file,
     nonnegative_int,
     read_fields,
     read_lines,
@@ -291,9 +292,14 @@ class SubwordModel:
     # -- composition --------------------------------------------------------
 
     def vectors(self, words) -> np.ndarray:
-        """Composed vectors of `words`, one row each, in one batched call."""
+        """Composed vectors of `words`, one row each, in one batched call. A
+        vector that is not finite raises SubtokError naming its word."""
         csr = _WordCSR.of_model(self, words)
-        return csr.compose(self.params, np.arange(len(words)))[0]
+        vecs = csr.compose(self.params, np.arange(len(words)))[0]
+        bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+        if bad.size:
+            raise SubtokError(f"the vector of {words[bad[0]]!r} is not finite")
+        return vecs
 
     def compose(self, idx: WordIndices) -> np.ndarray:
         """The composed vector of one word's resolved rows."""
@@ -306,15 +312,6 @@ class SubwordModel:
     def word_vector_checked(self, word: str) -> tuple[np.ndarray, bool]:
         """(vector, all_unknown). All-unknown words yield the zero vector."""
         return self.word_vector(word), self.word_indices(word).all_unknown
-
-    def apply_composed_grad(self, idx: WordIndices, grad: np.ndarray,
-                            lr: float) -> None:
-        """SGD step distributing a gradient w.r.t. the composed vector
-        unchanged to every constituent row (chain rule through addition)."""
-        self.params.subtract_composed(
-            grad[None], lr, [idx.sub_ids.size], idx.sub_ids,
-            idx.pos_ids if self.config.position else None,
-            np.array([idx.word_token_id]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +342,13 @@ def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
     n = nonnegative_int(header[0], "row count", 1)
     d = nonnegative_int(header[1], "dimension", 1)
     words, rows = [], []
-    for _, parts in read_fields(lines, "vectors file", " ", d + 1,
-                                f"expected word + {d} values", first_line=2):
+    for ln, parts in read_fields(lines, "vectors file", " ", d + 1,
+                                 f"expected word + {d} values", first_line=2):
         words.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise FormatError(str(exc), ln) from None
     if len(words) != n:
         raise FormatError(f"header says {n} rows, file has {len(words)}")
     return words, np.asarray(rows, dtype=np.float32)
@@ -399,15 +399,14 @@ def _read_config(path: Path) -> ModelConfig:
     keys = fields(ModelConfig)
     missing = [f.name for f in keys if f.name not in kv]
     if missing:
-        raise FormatError("config.txt lacks "
-                          + ", ".join(f"{k}=" for k in missing))
+        raise FormatError("missing " + ", ".join(f"{k}=" for k in missing))
     values = {}
     for f in keys:
         value, ln = kv[f.name]
         if isinstance(f.default, bool):
             value = value in ("True", "true", "1", "yes")
         elif isinstance(f.default, int):
-            value = nonnegative_int(value, f"{f.name} in {path}", ln)
+            value = nonnegative_int(value, f.name, ln)
         values[f.name] = value
     return ModelConfig(**values)
 
@@ -435,13 +434,13 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     ckpt = Path(ckpt_dir)
     if not (ckpt / "config.txt").exists():
         raise FormatError(f"no checkpoint at {ckpt_dir} (missing config.txt)")
-    config = _read_config(ckpt / "config.txt")
-    vocab = Vocab.load_tsv(ckpt / "vocab.tsv")
-    svocab = SubwordVocab.load_tsv(ckpt / "subwords.tsv")
+    config = load_file(_read_config, ckpt / "config.txt")
+    vocab = load_file(Vocab.load_tsv, ckpt / "vocab.tsv")
+    svocab = load_file(SubwordVocab.load_tsv, ckpt / "subwords.tsv")
     if config.segmenter == "bpe":
-        segmenter = BpeModel.load(ckpt / "bpe.txt")
+        segmenter = load_file(BpeModel.load, ckpt / "bpe.txt")
     elif config.segmenter == "morf":
-        segmenter = MorfModel.load(ckpt / "morf.tsv")
+        segmenter = load_file(MorfModel.load, ckpt / "morf.tsv")
     else:
         segmenter = build_segmenter(config, vocab)
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),

@@ -21,6 +21,9 @@ from subtok.model import SubwordModel
 SCHEME_BIO = "BIO"
 SCHEME_FULL_TAG = "full-tag"
 
+# dev evaluations without a better accuracy before a probe stops training
+PATIENCE = 5
+
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -227,51 +230,43 @@ class SoftmaxProbe:
         return (self.weights[None] @ f)[:, :, 0] + self.bias
 
 
-def _train_probe(model: SubwordModel, labels: list[str], train, dev,
-                 epochs: int, lr: float, fine_tune: bool, seed: int,
-                 patience: int, window: int = 0) -> SoftmaxProbe:
-    """Multinomial logistic regression over the slot features of `train`,
-    a list of (slots, label), by seeded SGD with early stopping on `dev`
-    accuracy. Frozen embeddings: features are built once and the best
-    dev-scoring parameters are kept. Fine-tuning: features are rebuilt from
-    the current tables at each use, every step sends each slot's feature
-    gradient, divided by the slot's length, to each of its tokens, and the
-    last parameters are kept."""
-    if not train:
+def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
+                 dev_ids, labels: list[str], epochs: int, lr: float,
+                 seed: int, window: int = 0) -> SoftmaxProbe:
+    """Multinomial logistic regression over the rows of `train_feats`, as
+    `_features` builds them, with label ids `train_ids`, by seeded SGD with
+    early stopping on dev accuracy; the best dev-scoring parameters are
+    kept."""
+    if epochs < 0:
+        raise ConfigError("probe epochs must be >= 0")
+    if not 0 < lr < np.inf:  # false for nan too
+        raise ConfigError("probe lr must be a finite number > 0")
+    if not len(train_ids):
         raise SubtokError("empty training split")
-    if not dev:
+    if not len(dev_ids):
         raise SubtokError("empty dev split: early stopping needs dev "
                           "examples")
-    lab2id = {l: i for i, l in enumerate(labels)}
-    (train_items, train_ids), (dev_items, dev_ids) = (
-        ([slots for slots, _ in split], [lab2id[l] for _, l in split])
-        for split in (train, dev))
     dev_ids = np.array(dev_ids)
-    d = model.config.dim
-    n_feats = len(train_items[0]) * d
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), n_feats)),
+    probe = SoftmaxProbe(weights=np.zeros((len(labels), train_feats.shape[1])),
                          bias=np.zeros(len(labels)), labels=labels,
                          window=window)
     w, b = probe.weights, probe.bias  # updated in place
     step = np.empty_like(w)
     rng = np.random.default_rng(seed)
-    if not fine_tune:
-        # w @ f upcasts float32 features exactly, so casting once is free
-        train_feats = _features(model, train_items).astype(np.float64)
-        dev_feats = _features(model, dev_items)
+    # w @ f upcasts float32 features exactly, so casting once is free
+    train_feats = train_feats.astype(np.float64)
 
     def dev_acc():
-        feats = _features(model, dev_items) if fine_tune else dev_feats
-        hits = np.count_nonzero(probe.scores(feats).argmax(axis=1) == dev_ids)
+        hits = np.count_nonzero(
+            probe.scores(dev_feats).argmax(axis=1) == dev_ids)
         return hits / len(dev_ids)
 
     best_acc = dev_acc()
     best = (w.copy(), b.copy())
     bad = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(train_items)).tolist():
-            f = (_features(model, train_items[i:i + 1])[0] if fine_tune
-                 else train_feats[i])
+        for i in rng.permutation(len(train_ids)).tolist():
+            f = train_feats[i]
             # softmax gradient p - onehot(y), in place with the bits of the
             # out-of-place formula; lr scales the outer product after it is
             # formed, since (lr * p) * f != lr * (p * f) in general; the
@@ -282,13 +277,6 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
             np.exp(p, out=p)
             p /= np.add.reduce(p)
             p[train_ids[i]] -= 1.0
-            if fine_tune:
-                grad_f = w.T @ p
-                for s, slot in enumerate(train_items[i]):
-                    for t in slot:
-                        g = grad_f[s * d:(s + 1) * d] / len(slot)
-                        model.apply_composed_grad(model.word_indices(t),
-                                                  g.astype(np.float32), lr)
             np.multiply.outer(p, f, out=step)
             step *= lr
             w -= step
@@ -301,14 +289,20 @@ def _train_probe(model: SubwordModel, labels: list[str], train, dev,
             bad = 0
         else:
             bad += 1
-            if bad >= patience:
+            if bad >= PATIENCE:
                 break
-    if not fine_tune:
-        probe.weights, probe.bias = best
-    if not (np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
-            and (not fine_tune or model.params.all_finite())):
+    probe.weights, probe.bias = best
+    if not (np.isfinite(probe.weights).all()
+            and np.isfinite(probe.bias).all()):
         raise SubtokError("non-finite parameter after probe training")
     return probe
+
+
+def _labeled(model: SubwordModel, labels: list[str], examples):
+    """(slot features, label ids) of `examples`, a list of (slots, label)."""
+    lab2id = {l: i for i, l in enumerate(labels)}
+    return (_features(model, [slots for slots, _ in examples]),
+            [lab2id[l] for _, l in examples])
 
 
 def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
@@ -318,13 +312,13 @@ def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
 
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
                         epochs: int = 100, lr: float = 0.5,
-                        fine_tune: bool = False, seed: int = 0,
-                        patience: int = 5) -> SoftmaxProbe:
+                        seed: int = 0) -> SoftmaxProbe:
     """Softmax probe over mention-mean features."""
-    train, dev = ([([toks], label) for toks, label in
-                   data.split_examples(split)] for split in ("train", "dev"))
-    return _train_probe(model, data.label_inventory, train, dev, epochs, lr,
-                        fine_tune, seed, patience)
+    labels = data.label_inventory
+    train, dev = (_labeled(model, labels, [([toks], label) for toks, label
+                                           in data.split_examples(split)])
+                  for split in ("train", "dev"))
+    return _train_probe(*train, *dev, labels, epochs, lr, seed)
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
@@ -341,16 +335,16 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
 
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
                        window: int = 1, epochs: int = 100, lr: float = 0.5,
-                       fine_tune: bool = False, seed: int = 0,
-                       patience: int = 5) -> SoftmaxProbe:
+                       seed: int = 0) -> SoftmaxProbe:
     """Per-token softmax probe over concatenated window features."""
     if window < 0:
         raise ConfigError("window must be >= 0")
-    train, dev = ([(_window_slots(toks, i, window), labs[i])
-                   for toks, labs in data.split_sentences(split)
-                   for i in range(len(toks))] for split in ("train", "dev"))
-    return _train_probe(model, data.label_inventory, train, dev, epochs, lr,
-                        fine_tune, seed, patience, window=window)
+    labels = data.label_inventory
+    train, dev = (_labeled(model, labels, [
+        (_window_slots(toks, i, window), labs[i])
+        for toks, labs in data.split_sentences(split)
+        for i in range(len(toks))]) for split in ("train", "dev"))
+    return _train_probe(*train, *dev, labels, epochs, lr, seed, window)
 
 
 def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):

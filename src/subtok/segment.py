@@ -81,7 +81,7 @@ class BpeModel:
         lines = read_lines(path, "BPE model")
         header = next(lines, "").rstrip("\n")
         if not header.startswith("#bpe v1 "):
-            raise FormatError(f"bad BPE header {header!r} in {path}", 1)
+            raise FormatError(f"bad BPE header {header!r}", 1)
         num_merges = nonnegative_int(header[len("#bpe v1 "):], "merge count",
                                      1)
         merges = [(left, right) for _, (left, right) in read_fields(

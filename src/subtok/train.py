@@ -58,8 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.window < 1 or self.negatives < 1:
             raise ConfigError("window and negatives must be >= 1")
-        if self.lr_start <= 0:
-            raise ConfigError("lr_start must be > 0")
+        if not 0 < self.lr_start < np.inf:  # false for nan too
+            raise ConfigError("lr_start must be a finite number > 0")
         if self.batch_size < 1 or self.min_count < 1:
             raise ConfigError("batch_size and min_count must be >= 1")
         if self.epochs < 0:

@@ -240,9 +240,8 @@ def morf_reference_viterbi(word: str, lexicon: dict[str, int],
 
 
 # ---------------------------------------------------------------------------
-# Softmax probes as first written: one trainer per task, features built per
-# example (a mention's mean vector, a token's concatenated window), and
-# fine-tuning through per-example feature closures and a backprop hook.
+# Softmax probes as first written: one trainer per task, and features built
+# per example (a mention's mean vector, a token's concatenated window).
 # ---------------------------------------------------------------------------
 
 
@@ -273,39 +272,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _sgd_epoch(probe: SoftmaxProbe, feats, label_ids, lr, rng,
-               backprop=None):
+def _sgd_epoch(probe: SoftmaxProbe, feats, label_ids, lr, rng):
     order = rng.permutation(len(feats))
     for i in order:
-        f = feats[i] if backprop is None else feats[i]()
+        f = feats[i]
         z = probe.weights @ f + probe.bias
         p = _softmax(z)
         p[label_ids[i]] -= 1.0
-        grad_f = probe.weights.T @ p
         probe.weights -= lr * np.outer(p, f)
         probe.bias -= lr * p
-        if backprop is not None:
-            backprop(i, grad_f, lr)
 
 
 def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
-               dev_ids, epochs, lr, rng, patience=5, backprop=None):
+               dev_ids, epochs, lr, rng, patience=5):
     """SGD with early stopping on dev accuracy (kept parameters are the best
-    dev-scoring ones seen). With a `backprop` hook, features are re-computed
-    per example (callables) and gradients flow into the embedding model."""
+    dev-scoring ones seen)."""
     def dev_acc():
         if not dev_ids:
             return 0.0
-        feats = [f() if callable(f) else f for f in dev_feats]
         hits = sum(probe.predict_index(f) == y
-                   for f, y in zip(feats, dev_ids))
+                   for f, y in zip(dev_feats, dev_ids))
         return hits / len(dev_ids)
 
     best_acc = dev_acc()
     best = (probe.weights.copy(), probe.bias.copy())
     bad = 0
     for _ in range(epochs):
-        _sgd_epoch(probe, train_feats, train_ids, lr, rng, backprop=backprop)
+        _sgd_epoch(probe, train_feats, train_ids, lr, rng)
         acc = dev_acc()
         if acc > best_acc + 1e-12:
             best_acc = acc
@@ -315,15 +308,12 @@ def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
             bad += 1
             if bad >= patience:
                 break
-    if backprop is None:
-        # frozen embeddings: restore the best dev-scoring probe
-        probe.weights, probe.bias = best
+    probe.weights, probe.bias = best
     return probe
 
 
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
-                        epochs: int = 100, lr: float = 0.5,
-                        fine_tune: bool = False, seed: int = 0,
+                        epochs: int = 100, lr: float = 0.5, seed: int = 0,
                         patience: int = 5) -> SoftmaxProbe:
     """Multinomial logistic regression over mention-mean features."""
     train_ex = data.split_examples("train")
@@ -339,32 +329,15 @@ def train_mention_probe(model: SubwordModel, data: MentionDataset,
     train_ids = [lab2id[l] for _, l in train_ex]
     dev_ids = [lab2id[l] for _, l in dev_ex]
 
-    if fine_tune:
-        train_feats = [
-            (lambda toks=toks: mention_features(model, toks))
-            for toks, _ in train_ex]
-        dev_feats = [
-            (lambda toks=toks: mention_features(model, toks))
-            for toks, _ in dev_ex]
-
-        def backprop(i, grad_f, plr):
-            toks = train_ex[i][0]
-            per_tok = (grad_f / len(toks)).astype(np.float32)
-            for t in toks:
-                model.apply_composed_grad(model.word_indices(t), per_tok, plr)
-    else:
-        train_feats = [mention_features(model, toks) for toks, _ in train_ex]
-        dev_feats = [mention_features(model, toks) for toks, _ in dev_ex]
-        backprop = None
-
+    train_feats = [mention_features(model, toks) for toks, _ in train_ex]
+    dev_feats = [mention_features(model, toks) for toks, _ in dev_ex]
     return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience, backprop=backprop)
+                      epochs, lr, rng, patience=patience)
 
 
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
                        window: int = 1, epochs: int = 100, lr: float = 0.5,
-                       fine_tune: bool = False, seed: int = 0,
-                       patience: int = 5) -> SoftmaxProbe:
+                       seed: int = 0, patience: int = 5) -> SoftmaxProbe:
     """Per-token softmax over concatenated window features."""
     if window < 0:
         raise ValueError("window must be >= 0")
@@ -393,28 +366,9 @@ def train_tagger_probe(model: SubwordModel, data: TagDataset,
     train_ids = [y for _, _, y in train_items]
     dev_ids = [y for _, _, y in dev_items]
 
-    if fine_tune:
-        train_feats = [
-            (lambda toks=toks, i=i: window_features(model, toks, i, window))
-            for toks, i, _ in train_items]
-        dev_feats = [
-            (lambda toks=toks, i=i: window_features(model, toks, i, window))
-            for toks, i, _ in dev_items]
-
-        def backprop(item_i, grad_f, plr):
-            toks, i, _ = train_items[item_i]
-            for s, off in enumerate(range(-window, window + 1)):
-                j = i + off
-                if 0 <= j < len(toks):
-                    g = grad_f[s * d:(s + 1) * d].astype(np.float32)
-                    model.apply_composed_grad(model.word_indices(toks[j]),
-                                              g, plr)
-    else:
-        train_feats = [window_features(model, toks, i, window)
-                       for toks, i, _ in train_items]
-        dev_feats = [window_features(model, toks, i, window)
-                     for toks, i, _ in dev_items]
-        backprop = None
-
+    train_feats = [window_features(model, toks, i, window)
+                   for toks, i, _ in train_items]
+    dev_feats = [window_features(model, toks, i, window)
+                 for toks, i, _ in dev_items]
     return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience, backprop=backprop)
+                      epochs, lr, rng, patience=patience)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -719,50 +720,6 @@ def _ner_file(tmp_path):
     return conll
 
 
-class TestProbeFineTune:
-    @pytest.mark.parametrize("task", ["mentions", "conll"])
-    def test_fine_tune_updates_tables(self, corpus_file, mentions_file,
-                                      tmp_path, capsys, monkeypatch, task):
-        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-        loaded = []
-
-        def load(path):
-            loaded.append(subtok.model.load_checkpoint(path))
-            return loaded[-1]
-
-        monkeypatch.setattr(subtok.cli, "load_checkpoint", load)
-        data = mentions_file if task == "mentions" else _ner_file(tmp_path)
-        out = tmp_path / "metrics.tsv"
-        rc = main(["probe", "--checkpoint", str(ckpt), "--task", task,
-                   "--data", str(data), "--epochs", "3", "--lr", "0.1",
-                   "--fine-tune", "--out", str(out)])
-        assert rc == 0
-        rows = [l.split("\t") for l in out.read_text("utf-8").splitlines()]
-        assert {r[0] for r in rows} == \
-            ({"fget"} if task == "mentions" else {"ner"})
-        saved = subtok.model.load_checkpoint(ckpt)
-        assert loaded[0].params.all_finite()
-        assert not np.array_equal(loaded[0].params.subword,
-                                  saved.params.subword)
-        assert not np.array_equal(loaded[0].params.position,
-                                  saved.params.position)
-
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_1_without_metrics(self, corpus_file, tmp_path,
-                                               capsys):
-        # at the default lr 0.5 this fine-tune overflows the tables
-        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-        out = tmp_path / "metrics.tsv"
-        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "conll",
-                   "--data", str(_ner_file(tmp_path)), "--epochs", "3",
-                   "--fine-tune", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "non-finite" in err and "internal error" not in err
-        assert not out.exists()
-
-
 class TestNoRowWords:
     @pytest.mark.parametrize("flag", ["--no-word-token", "--word-token"])
     def test_train_word_shorter_than_ngram_min(self, tmp_path, capsys, flag):
@@ -858,6 +815,94 @@ class TestBadNumbersExit1:
         assert rc == 1
         err = capsys.readouterr().err
         assert "line 2: " in err and "internal error" not in err
+        assert not vec.exists()
+
+
+class TestBadSettingsExit1:
+    """Probe and training settings out of range exit 1 before anything is
+    trained or written."""
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("probe", "--epochs", "-1", "probe epochs must be >= 0"),
+        ("probe", "--lr", "0", "probe lr must be a finite number > 0"),
+        ("probe", "--lr", "-1", "probe lr must be a finite number > 0"),
+        ("probe", "--lr", "nan", "probe lr must be a finite number > 0"),
+        ("simulate", "--probe-epochs", "-1", "--probe-epochs must be >= 0"),
+        ("simulate", "--lr", "nan", "lr_start must be a finite number > 0"),
+        ("train", "--lr", "nan", "lr_start must be a finite number > 0"),
+        ("train", "--lr", "inf", "lr_start must be a finite number > 0")],
+        ids=["probe-epochs", "probe-lr0", "probe-lr-neg", "probe-lr-nan",
+             "simulate-probe-epochs", "simulate-lr-nan", "train-lr-nan",
+             "train-lr-inf"])
+    def test_exit_1_writing_nothing(self, corpus_file, mentions_file,
+                                    tmp_path, capsys, command, flag, value,
+                                    message):
+        if command == "probe":
+            ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+            argv = ["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                    "--data", str(mentions_file)]
+        elif command == "simulate":
+            argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
+                    str(mentions_file), "--we-tokens", "2000",
+                    "--task-instances", "10", "--configs", "w2v", "--seeds",
+                    "1", "--dim", "8", "--train-epochs", "1"]
+        else:
+            argv = ["train", "--corpus", str(corpus_file), "--dim", "8",
+                    "--epochs", "1"]
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv + [flag, value, "--out", str(tmp_path / "out")]) \
+            == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert _tree(tmp_path) == before
+
+
+class TestNonFiniteVectors:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["probe", "export"])
+    def test_exit_1_naming_the_word(self, corpus_file, mentions_file,
+                                    tmp_path, capsys, command):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        model = subtok.model.load_checkpoint(ckpt)
+        # a sum of two such rows overflows float32
+        model.params.subword[:] = np.where(model.params.subword < 0, -3e38,
+                                           3e38)
+        subtok.model.save_checkpoint(model, ckpt)
+        argv = (["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                 "--data", str(mentions_file)] if command == "probe"
+                else ["export", "--checkpoint", str(ckpt)])
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        word = re.search(r"the vector of '(\w+)' is not finite", err)
+        assert word and word[1] in model.vocab.words
+        assert "internal error" not in err
+        assert not out.exists()
+
+
+class TestCheckpointErrorsNameTheFile:
+    @pytest.mark.parametrize("name", ["config.txt", "vocab.tsv",
+                                      "subwords.tsv", "bpe.txt", "morf.tsv"])
+    def test_export_names_the_file_once(self, corpus_file, tmp_path, capsys,
+                                        name):
+        seg = {"bpe.txt": "bpe", "morf.tsv": "morf"}.get(name, "charn")
+        sep = {"config.txt": "=", "bpe.txt": " "}.get(name, "\t")
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--seg", seg,
+                     "--merges", "10", "--dim", "8", "--epochs", "1",
+                     "--out", str(ckpt)]) == 0
+        path = ckpt / name
+        lines = path.read_text("utf-8").splitlines(True)
+        lines[1] = lines[1].rstrip("\n") + sep + "x\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        vec = tmp_path / "vec.txt"
+        rc = main(["export", "--checkpoint", str(ckpt), "--out", str(vec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("subtok: line 2: ")
+        assert err.count(str(path)) == 1 and err.count(str(ckpt)) == 1
+        assert "internal error" not in err
         assert not vec.exists()
 
 

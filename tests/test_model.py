@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -267,6 +268,14 @@ class TestExport:
         assert "-0.000000" in expected
         assert out.read_bytes() == expected.encode("utf-8")
 
+    def test_load_bad_number_names_its_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("1 2\na 0.1 x\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: could not convert "
+                                              "string to float: 'x'") as exc:
+            load_vectors(path)
+        assert exc.value.line_number == 2
+
     def test_empty_vocab_refused(self, tmp_path):
         m = small_model()
         m.vocab = Vocab(words=[], counts=np.empty(0, dtype=np.int64),
@@ -335,8 +344,9 @@ class TestCheckpoint:
                   if line.startswith(f"{key}="))
         lines[ln - 1] = f"{key}={value}\n"
         config.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(FormatError, match=f"line {ln}: {key} in ") \
-                as exc:
+        with pytest.raises(FormatError, match=re.escape(
+                f"line {ln}: {key} must be a non-negative integer, got "
+                f"{value!r} in {config}")) as exc:
             load_checkpoint(tmp_path / "ckpt")
         assert exc.value.line_number == ln
 
