@@ -297,8 +297,7 @@ def load_task_data(task: str, data_path, seed: int):
 
 
 def run_probe(model, task: str, data, task_instances=None,
-              window: int = 1, epochs: int = 100, lr: float = 0.5,
-              seed: int = 0):
+              window: int = 1, seed: int = 0):
     """Train and evaluate one probe; returns metric rows. `data` is the task
     file, or the dataset that load_task_data read from it with `seed`."""
     if isinstance(data, (str, Path)):
@@ -307,14 +306,12 @@ def run_probe(model, task: str, data, task_instances=None,
     label = model.config.label
     rows = []
     if task == "mentions":
-        probe = train_mention_probe(model, data, epochs=epochs, lr=lr,
-                                    seed=seed)
+        probe = train_mention_probe(model, data, seed=seed)
         for split in ("dev", "test"):
             acc = eval_mention_accuracy(probe, model, data, split)
             rows.append(("fget", label, split, "accuracy", acc))
         return rows
-    probe = train_tagger_probe(model, data, window=window, epochs=epochs,
-                               lr=lr, seed=seed)
+    probe = train_tagger_probe(model, data, window=window)
     task_name = "ner" if data.scheme == "BIO" else "mtag"
     for split in ("dev", "test"):
         sents = data.split_sentences(split)
@@ -334,8 +331,7 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
     model = load_checkpoint(args.checkpoint)
     rows = run_probe(model, args.task, args.data,
                      task_instances=args.task_instances,
-                     window=args.probe_window, epochs=args.epochs,
-                     lr=args.lr, seed=args.seed)
+                     window=args.probe_window, seed=args.seed)
     out = guard.register(default_out(args, "metrics.tsv"))
     write_metrics(out, rows)
     for row in rows:
@@ -399,8 +395,6 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     # a label or flag out of range fails the command before a file is written
     labels = [_cell_configs(args, label, we_points[0], seeds[0])[0].label
               for label in configs]
-    if args.probe_epochs < 0:
-        raise SubtokError("--probe-epochs must be >= 0")
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"
@@ -563,8 +557,7 @@ def _simulate_cell(args, shared, task_data, we_n, task_points, label,
     for task_n, cell in zip(task_points, cells):
         try:
             rows = run_probe(model, task, task_data[seed],
-                             task_instances=task_n,
-                             epochs=args.probe_epochs, seed=seed)
+                             task_instances=task_n, seed=seed)
         except SubtokError as exc:
             out.append([cell + _failed(exc)])
             continue
@@ -673,8 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task-instances", type=int, default=None)
     p.add_argument("--probe-window", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)
@@ -697,7 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample-t", type=float, default=1e-5)
     p.add_argument("--train-epochs", type=int, default=None,
                    help="desk-scale override of the group epoch count")
-    p.add_argument("--probe-epochs", type=int, default=100)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -384,9 +384,15 @@ def _config_to_text(config: ModelConfig) -> str:
                    for f in fields(config))
 
 
+# config.txt spellings of a bool; _config_to_text writes True and False
+_BOOLS = {"True": True, "true": True, "1": True, "yes": True,
+          "False": False, "false": False, "0": False, "no": False}
+
+
 def _read_config(path: Path) -> ModelConfig:
     """The ModelConfig of a `key=value` config.txt: every field must be
-    given, ints as non-negative numbers; comment lines start with #."""
+    given, ints as non-negative numbers and bools spelled as in _BOOLS;
+    comment lines start with #. An out-of-range value is a FormatError."""
     kv = {}
     for ln, line in enumerate(read_lines(path, "checkpoint config"), start=1):
         line = line.strip()
@@ -404,11 +410,17 @@ def _read_config(path: Path) -> ModelConfig:
     for f in keys:
         value, ln = kv[f.name]
         if isinstance(f.default, bool):
-            value = value in ("True", "true", "1", "yes")
+            if value not in _BOOLS:
+                raise FormatError(f"{f.name} must be one of "
+                                  f"{'/'.join(_BOOLS)}, got {value!r}", ln)
+            value = _BOOLS[value]
         elif isinstance(f.default, int):
             value = nonnegative_int(value, f.name, ln)
         values[f.name] = value
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path) -> None:

@@ -21,8 +21,11 @@ from subtok.model import SubwordModel
 SCHEME_BIO = "BIO"
 SCHEME_FULL_TAG = "full-tag"
 
-# dev evaluations without a better accuracy before a probe stops training
-PATIENCE = 5
+# the probe's L2 penalties λ, strongest first; dev accuracy picks one
+L2_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+# a probe solve stops below this max-abs gradient or after this many steps
+GRAD_TOL = 1e-8
+NEWTON_ITERS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -230,72 +233,79 @@ class SoftmaxProbe:
         return (self.weights[None] @ f)[:, :, 0] + self.bias
 
 
+def _newton_cg(xa: np.ndarray, ids, lam: float,
+               theta: np.ndarray) -> np.ndarray:
+    """theta = [W | b] minimising mean cross-entropy + lam/2 * ||W||^2 over
+    the rows of xa = [features | 1], from `theta`: Newton steps are found by
+    conjugate gradients on Hessian-vector products, so H is never built, and
+    scaled by Armijo backtracking until no gradient entry exceeds GRAD_TOL,
+    NEWTON_ITERS steps are taken or no step lowers the loss."""
+    n, onehot = len(xa), np.eye(len(theta))[ids]
+    reg = np.full(theta.shape[1], lam)
+    reg[-1] = 0.0  # the bias is not regularised
+
+    def objective(theta):
+        z = xa @ theta.T
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log-softmax
+        return np.vdot(reg * theta, theta) / 2 - np.vdot(onehot, z) / n, z
+
+    loss, logp = objective(theta)
+    for _ in range(NEWTON_ITERS):
+        p = np.exp(logp)
+        g = (p - onehot).T @ xa / n + reg * theta
+        if np.abs(g).max() < GRAD_TOL:
+            break
+        # CG on H s = -g, to the truncated-Newton forcing tolerance
+        s, r, d = np.zeros_like(g), -g, -g
+        rr = np.vdot(r, r)
+        stop = min(0.5, rr ** 0.25) * rr ** 0.5
+        for _ in range(g.size):
+            hd = xa @ d.T
+            hd -= (p * hd).sum(axis=1, keepdims=True)
+            hd = (p * hd).T @ xa / n + reg * d
+            alpha = rr / np.vdot(d, hd)
+            s += alpha * d
+            r -= alpha * hd
+            rr, rr_old = np.vdot(r, r), rr
+            if rr ** 0.5 <= stop:
+                break
+            d = r + rr / rr_old * d
+        for t in 0.5 ** np.arange(34):
+            trial = objective(theta + t * s)
+            if trial[0] <= loss + 1e-4 * t * np.vdot(g, s):
+                break
+        else:
+            break  # no step lowers the loss: converged to rounding
+        theta = theta + t * s
+        loss, logp = trial
+    return theta
+
+
 def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
-                 dev_ids, labels: list[str], epochs: int, lr: float,
-                 seed: int, window: int = 0) -> SoftmaxProbe:
-    """Multinomial logistic regression over the rows of `train_feats`, as
-    `_features` builds them, with label ids `train_ids`, by seeded SGD with
-    early stopping on dev accuracy; the best dev-scoring parameters are
-    kept."""
-    if epochs < 0:
-        raise ConfigError("probe epochs must be >= 0")
-    if not 0 < lr < np.inf:  # false for nan too
-        raise ConfigError("probe lr must be a finite number > 0")
+                 dev_ids, labels: list[str], window: int = 0
+                 ) -> SoftmaxProbe:
+    """L2-regularised multinomial logistic regression over the rows of
+    `train_feats`, as `_features` builds them, with label ids `train_ids`,
+    solved for each λ of L2_GRID, each solve warm-started from the last. The
+    solution with the best dev accuracy is kept, a tie going to the stronger
+    λ."""
     if not len(train_ids):
         raise SubtokError("empty training split")
     if not len(dev_ids):
-        raise SubtokError("empty dev split: early stopping needs dev "
-                          "examples")
+        raise SubtokError("empty dev split: the L2 penalty is chosen on "
+                          "dev examples")
     dev_ids = np.array(dev_ids)
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), train_feats.shape[1])),
-                         bias=np.zeros(len(labels)), labels=labels,
-                         window=window)
-    w, b = probe.weights, probe.bias  # updated in place
-    step = np.empty_like(w)
-    rng = np.random.default_rng(seed)
-    # w @ f upcasts float32 features exactly, so casting once is free
-    train_feats = train_feats.astype(np.float64)
-
-    def dev_acc():
-        hits = np.count_nonzero(
-            probe.scores(dev_feats).argmax(axis=1) == dev_ids)
-        return hits / len(dev_ids)
-
-    best_acc = dev_acc()
-    best = (w.copy(), b.copy())
-    bad = 0
-    for _ in range(epochs):
-        for i in rng.permutation(len(train_ids)).tolist():
-            f = train_feats[i]
-            # softmax gradient p - onehot(y), in place with the bits of the
-            # out-of-place formula; lr scales the outer product after it is
-            # formed, since (lr * p) * f != lr * (p * f) in general; the
-            # ufunc reductions skip the ndarray.max/sum wrappers
-            p = w @ f
-            p += b
-            p -= np.maximum.reduce(p)
-            np.exp(p, out=p)
-            p /= np.add.reduce(p)
-            p[train_ids[i]] -= 1.0
-            np.multiply.outer(p, f, out=step)
-            step *= lr
-            w -= step
-            p *= lr
-            b -= p
-        acc = dev_acc()
-        if acc > best_acc + 1e-12:
-            best_acc = acc
-            best = (w.copy(), b.copy())
-            bad = 0
-        else:
-            bad += 1
-            if bad >= PATIENCE:
-                break
-    probe.weights, probe.bias = best
-    if not (np.isfinite(probe.weights).all()
-            and np.isfinite(probe.bias).all()):
-        raise SubtokError("non-finite parameter after probe training")
-    return probe
+    xa = np.hstack([train_feats, np.ones((len(train_feats), 1))])  # float64
+    theta = np.zeros((len(labels), xa.shape[1]))
+    best, best_hits = None, -1
+    for lam in L2_GRID:
+        theta = _newton_cg(xa, train_ids, lam, theta)
+        probe = SoftmaxProbe(theta[:, :-1], theta[:, -1], labels, window)
+        hits = (probe.scores(dev_feats).argmax(axis=1) == dev_ids).sum()
+        if hits > best_hits:
+            best, best_hits = probe, hits
+    return best
 
 
 def _labeled(model: SubwordModel, labels: list[str], examples):
@@ -311,14 +321,14 @@ def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
 
 
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
-                        epochs: int = 100, lr: float = 0.5,
                         seed: int = 0) -> SoftmaxProbe:
-    """Softmax probe over mention-mean features."""
+    """Softmax probe over mention-mean features. `seed` changes nothing:
+    the probe is deterministic, and `data` already holds its seeded split."""
     labels = data.label_inventory
     train, dev = (_labeled(model, labels, [([toks], label) for toks, label
                                            in data.split_examples(split)])
                   for split in ("train", "dev"))
-    return _train_probe(*train, *dev, labels, epochs, lr, seed)
+    return _train_probe(*train, *dev, labels)
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
@@ -334,8 +344,7 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
 
 
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
-                       window: int = 1, epochs: int = 100, lr: float = 0.5,
-                       seed: int = 0) -> SoftmaxProbe:
+                       window: int = 1) -> SoftmaxProbe:
     """Per-token softmax probe over concatenated window features."""
     if window < 0:
         raise ConfigError("window must be >= 0")
@@ -344,7 +353,7 @@ def train_tagger_probe(model: SubwordModel, data: TagDataset,
         (_window_slots(toks, i, window), labs[i])
         for toks, labs in data.split_sentences(split)
         for i in range(len(toks))]) for split in ("train", "dev"))
-    return _train_probe(*train, *dev, labels, epochs, lr, seed, window)
+    return _train_probe(*train, *dev, labels, window)
 
 
 def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):

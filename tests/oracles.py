@@ -7,10 +7,8 @@ from collections import Counter
 
 import numpy as np
 
-from subtok.errors import SubtokError
 from subtok.model import SubwordModel
 from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN
-from subtok.probe import MentionDataset, SoftmaxProbe, TagDataset
 
 
 def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
@@ -240,8 +238,8 @@ def morf_reference_viterbi(word: str, lexicon: dict[str, int],
 
 
 # ---------------------------------------------------------------------------
-# Softmax probes as first written: one trainer per task, and features built
-# per example (a mention's mean vector, a token's concatenated window).
+# Probe features built per example (a mention's mean vector, a token's
+# concatenated window), and the probe's objective.
 # ---------------------------------------------------------------------------
 
 
@@ -266,109 +264,45 @@ def window_features(model: SubwordModel, tokens, i: int,
     return np.concatenate(parts)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+def probe_gradient(feats, label_ids, weights, bias, lam: float):
+    """Gradient (d weights, d bias) of the probe objective, mean softmax
+    cross-entropy + lam/2 * ||weights||^2 with the bias unregularised, at
+    (weights, bias); summed one example and one label at a time in
+    float64."""
+    grad_w = lam * np.array(weights, dtype=np.float64)
+    grad_b = np.zeros(len(bias))
+    n = len(feats)
+    for f, y in zip(feats, label_ids):
+        f = np.asarray(f, dtype=np.float64)
+        z = [float(np.dot(w, f)) + b for w, b in zip(weights, bias)]
+        top = max(z)
+        e = [math.exp(v - top) for v in z]
+        total = sum(e)
+        for k in range(len(z)):
+            resid = e[k] / total - (k == y)
+            grad_w[k] += resid * f / n
+            grad_b[k] += resid / n
+    return grad_w, grad_b
 
 
-def _sgd_epoch(probe: SoftmaxProbe, feats, label_ids, lr, rng):
-    order = rng.permutation(len(feats))
-    for i in order:
-        f = feats[i]
-        z = probe.weights @ f + probe.bias
-        p = _softmax(z)
-        p[label_ids[i]] -= 1.0
-        probe.weights -= lr * np.outer(p, f)
-        probe.bias -= lr * p
-
-
-def _fit_probe(probe: SoftmaxProbe, train_feats, train_ids, dev_feats,
-               dev_ids, epochs, lr, rng, patience=5):
-    """SGD with early stopping on dev accuracy (kept parameters are the best
-    dev-scoring ones seen)."""
-    def dev_acc():
-        if not dev_ids:
-            return 0.0
-        hits = sum(probe.predict_index(f) == y
-                   for f, y in zip(dev_feats, dev_ids))
-        return hits / len(dev_ids)
-
-    best_acc = dev_acc()
-    best = (probe.weights.copy(), probe.bias.copy())
-    bad = 0
-    for _ in range(epochs):
-        _sgd_epoch(probe, train_feats, train_ids, lr, rng)
-        acc = dev_acc()
-        if acc > best_acc + 1e-12:
-            best_acc = acc
-            best = (probe.weights.copy(), probe.bias.copy())
-            bad = 0
-        else:
-            bad += 1
-            if bad >= patience:
-                break
-    probe.weights, probe.bias = best
-    return probe
-
-
-def train_mention_probe(model: SubwordModel, data: MentionDataset,
-                        epochs: int = 100, lr: float = 0.5, seed: int = 0,
-                        patience: int = 5) -> SoftmaxProbe:
-    """Multinomial logistic regression over mention-mean features."""
-    train_ex = data.split_examples("train")
-    if not train_ex:
-        raise SubtokError("empty training split")
-    dev_ex = data.split_examples("dev")
-    labels = data.label_inventory
-    lab2id = {l: i for i, l in enumerate(labels)}
-    d = model.config.dim
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), d)),
-                         bias=np.zeros(len(labels)), labels=labels)
-    rng = np.random.default_rng(seed)
-    train_ids = [lab2id[l] for _, l in train_ex]
-    dev_ids = [lab2id[l] for _, l in dev_ex]
-
-    train_feats = [mention_features(model, toks) for toks, _ in train_ex]
-    dev_feats = [mention_features(model, toks) for toks, _ in dev_ex]
-    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience)
-
-
-def train_tagger_probe(model: SubwordModel, data: TagDataset,
-                       window: int = 1, epochs: int = 100, lr: float = 0.5,
-                       seed: int = 0, patience: int = 5) -> SoftmaxProbe:
-    """Per-token softmax over concatenated window features."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    train_sents = data.split_sentences("train")
-    if not train_sents:
-        raise SubtokError("empty training split")
-    dev_sents = data.split_sentences("dev")
-    labels = data.label_inventory
-    lab2id = {l: i for i, l in enumerate(labels)}
-    d = model.config.dim
-    feat_dim = d * (2 * window + 1)
-    probe = SoftmaxProbe(weights=np.zeros((len(labels), feat_dim)),
-                         bias=np.zeros(len(labels)), labels=labels,
-                         window=window)
-    rng = np.random.default_rng(seed)
-
-    def flatten(sents):
-        items = []
-        for toks, labs in sents:
-            for i in range(len(toks)):
-                items.append((toks, i, lab2id[labs[i]]))
-        return items
-
-    train_items = flatten(train_sents)
-    dev_items = flatten(dev_sents)
-    train_ids = [y for _, _, y in train_items]
-    dev_ids = [y for _, _, y in dev_items]
-
-    train_feats = [window_features(model, toks, i, window)
-                   for toks, i, _ in train_items]
-    dev_feats = [window_features(model, toks, i, window)
-                 for toks, i, _ in dev_items]
-    return _fit_probe(probe, train_feats, train_ids, dev_feats, dev_ids,
-                      epochs, lr, rng, patience=patience)
+def gradient_descent_probe(feats, label_ids, n_labels: int, lam: float,
+                           tol: float = 1e-10, max_steps: int = 500_000):
+    """(weights, bias) minimising the probe objective by plain gradient
+    descent from zero, with step 1/L for L = lam + mean ||[f, 1]||^2 / 2,
+    a bound on the Hessian's largest eigenvalue, until no gradient entry
+    exceeds `tol`."""
+    x = np.hstack([np.asarray(feats, dtype=np.float64),
+                   np.ones((len(feats), 1))])
+    onehot = np.eye(n_labels)[label_ids]
+    reg = np.append(np.full(x.shape[1] - 1, lam), 0.0)
+    step = 1.0 / (lam + (x * x).sum(axis=1).mean() / 2)
+    theta = np.zeros((n_labels, x.shape[1]))
+    for _ in range(max_steps):
+        z = x @ theta.T
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p - onehot).T @ x / len(x) + reg * theta
+        if np.abs(grad).max() < tol:
+            return theta[:, :-1], theta[:, -1]
+        theta -= step * grad
+    raise AssertionError("gradient descent did not converge")

@@ -146,7 +146,7 @@ def test_criterion_4_group_fidelity(tmp_path):
         "--mentions", str(mentions_path),
         "--we-tokens", "10000", "--task-instances", "50",
         "--configs", "w2v", "--seeds", "1", "--dim", "8",
-        "--probe-epochs", "5", "--out", str(out_dir)])
+        "--out", str(out_dir)])
     if rc != 0:
         failures.append(f"simulate exit code {rc}")
     else:
@@ -173,8 +173,7 @@ def test_criterion_5_subword_advantage():
                                      word_token=False, segmenter="word")
         accs = {}
         for name, model in (("charn", charn), ("word", base)):
-            probe = train_mention_probe(model, bench.mentions, epochs=100,
-                                        lr=0.5, seed=seed)
+            probe = train_mention_probe(model, bench.mentions, seed=seed)
             accs[name] = eval_mention_accuracy(probe, model, bench.mentions,
                                                "test")
         gaps.append(accs["charn"] - accs["word"])
@@ -204,7 +203,7 @@ def test_criterion_6_scarcity_monotonicity():
             for task_n in task_sizes:
                 bench.mentions.splits["train"] = full_train[:task_n]
                 probe = train_mention_probe(model, bench.mentions,
-                                            epochs=100, lr=0.5, seed=seed)
+                                            seed=seed)
                 acc = eval_mention_accuracy(probe, model, bench.mentions,
                                             "test")
                 bench.mentions.splits["train"] = full_train

@@ -21,6 +21,7 @@ from subtok.cli import (
 from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
 from subtok.model import SubwordModel
+from subtok.synth import make_suffix_benchmark
 from subtok.train import train
 
 
@@ -285,8 +286,7 @@ class TestTrainExportProbe:
         ckpt = self._train(corpus_file, tmp_path, capsys)
         out = tmp_path / "metrics.tsv"
         rc = main(["probe", "--checkpoint", str(ckpt), "--task", "mentions",
-                   "--data", str(mentions_file), "--epochs", "5",
-                   "--out", str(out)])
+                   "--data", str(mentions_file), "--out", str(out)])
         assert rc == 0
         rows = [l.split("\t") for l in
                 out.read_text("utf-8").splitlines()]
@@ -302,8 +302,7 @@ class TestTrainExportProbe:
         conll.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "m.tsv"
         rc = main(["probe", "--checkpoint", str(ckpt), "--task", "conll",
-                   "--data", str(conll), "--epochs", "3",
-                   "--out", str(out)])
+                   "--data", str(conll), "--out", str(out)])
         assert rc == 0
         rows = [l.split("\t") for l in out.read_text("utf-8").splitlines()]
         assert {r[3] for r in rows} == {"precision", "recall", "f1"}
@@ -338,7 +337,7 @@ class TestSimulate:
             "--mentions", str(mentions_file),
             "--we-tokens", "2000", "--task-instances", "10",
             "--configs", "w2v", "--seeds", seeds,
-            "--dim", "8", "--train-epochs", "1", "--probe-epochs", "3",
+            "--dim", "8", "--train-epochs", "1",
             "--out", str(out_dir), *extra])
 
     def test_grid_rows(self, corpus_file, mentions_file, tmp_path, capsys):
@@ -464,12 +463,43 @@ class TestSimulate:
         assert rc == 1
 
 
+class TestProbeStability:
+    def test_rounding_the_tables_moves_no_row(self, tmp_path, monkeypatch,
+                                              capsys):
+        """Scaling each trained subword table by (1 + 1e-7) changes only
+        its low bits, and leaves every row of the grid as it was. A probe
+        trained by SGD at lr 0.5 moved two bpe1e3:w+:p+ rows of this grid
+        by 0.155 and 0.111."""
+        bench = make_suffix_benchmark(1, n_tokens=50_000)
+        corpus, mentions = tmp_path / "corpus.txt", tmp_path / "mentions.tsv"
+        corpus.write_text(bench.corpus_text(), encoding="utf-8")
+        mentions.write_text(bench.mentions_tsv(), encoding="utf-8")
+        argv = ["simulate", "--corpus", str(corpus), "--mentions",
+                str(mentions), "--we-tokens", "10000,50000",
+                "--task-instances", "200,1200", "--configs",
+                "ft,bpe1e3:w+:p+", "--seeds", "1,2", "--train-epochs", "1",
+                "--dim", "32", "--subsample-t", "1e-3"]
+        assert main(argv + ["--out", str(tmp_path / "exact")]) == 0
+
+        def rounded(sample, model, tcfg):
+            out = train(sample, model, tcfg)
+            model.params.subword *= 1 + 1e-7
+            return out
+
+        monkeypatch.setattr(subtok.cli, "train", rounded)
+        assert main(argv + ["--out", str(tmp_path / "rounded")]) == 0
+        exact, rounded = ((tmp_path / run / "metrics.tsv").read_text("utf-8")
+                          for run in ("exact", "rounded"))
+        assert exact.count("\tok\n") == 16
+        assert rounded == exact
+
+
 class TestSimulateReuse:
     """A 2 WE x 2 task x 2 config x 2 seed grid with one bpe config."""
 
     ARGV = ["--we-tokens", "1200,2400", "--task-instances", "5,10",
             "--configs", "w2v,bpe1e1:w+:p-", "--seeds", "1,2", "--dim", "8",
-            "--train-epochs", "1", "--probe-epochs", "3"]
+            "--train-epochs", "1"]
 
     def _run(self, corpus_file, mentions_file, out_dir):
         return main(["simulate", "--corpus", str(corpus_file),
@@ -519,7 +549,7 @@ class TestSimulateReuse:
                         train(sample, model, tcfg)
                         for task, _, split, metric, value in run_probe(
                                 model, "mentions", mentions_file,
-                                task_instances=task_n, epochs=3, seed=seed):
+                                task_instances=task_n, seed=seed):
                             if split == "test":
                                 lines.append("\t".join(map(str, [
                                     we, task_n, cfg.label, seed, group.label,
@@ -669,7 +699,7 @@ class TestReport:
               "--mentions", str(mentions_file),
               "--we-tokens", "2000", "--task-instances", "10",
               "--configs", "w2v", "--seeds", "1,2",
-              "--dim", "8", "--train-epochs", "1", "--probe-epochs", "3",
+              "--dim", "8", "--train-epochs", "1",
               "--out", str(out_dir)])
         summary = tmp_path / "summary.tsv"
         rc = main(["report", "--metrics", str(out_dir / "metrics.tsv"),
@@ -819,29 +849,18 @@ class TestBadNumbersExit1:
 
 
 class TestBadSettingsExit1:
-    """Probe and training settings out of range exit 1 before anything is
-    trained or written."""
+    """Training settings out of range exit 1 before anything is trained or
+    written."""
 
     @pytest.mark.parametrize("command,flag,value,message", [
-        ("probe", "--epochs", "-1", "probe epochs must be >= 0"),
-        ("probe", "--lr", "0", "probe lr must be a finite number > 0"),
-        ("probe", "--lr", "-1", "probe lr must be a finite number > 0"),
-        ("probe", "--lr", "nan", "probe lr must be a finite number > 0"),
-        ("simulate", "--probe-epochs", "-1", "--probe-epochs must be >= 0"),
         ("simulate", "--lr", "nan", "lr_start must be a finite number > 0"),
         ("train", "--lr", "nan", "lr_start must be a finite number > 0"),
         ("train", "--lr", "inf", "lr_start must be a finite number > 0")],
-        ids=["probe-epochs", "probe-lr0", "probe-lr-neg", "probe-lr-nan",
-             "simulate-probe-epochs", "simulate-lr-nan", "train-lr-nan",
-             "train-lr-inf"])
+        ids=["simulate-lr-nan", "train-lr-nan", "train-lr-inf"])
     def test_exit_1_writing_nothing(self, corpus_file, mentions_file,
                                     tmp_path, capsys, command, flag, value,
                                     message):
-        if command == "probe":
-            ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-            argv = ["probe", "--checkpoint", str(ckpt), "--task", "mentions",
-                    "--data", str(mentions_file)]
-        elif command == "simulate":
+        if command == "simulate":
             argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
                     str(mentions_file), "--we-tokens", "2000",
                     "--task-instances", "10", "--configs", "w2v", "--seeds",
@@ -883,24 +902,36 @@ class TestNonFiniteVectors:
 
 class TestCheckpointErrorsNameTheFile:
     @pytest.mark.parametrize("name", ["config.txt", "vocab.tsv",
-                                      "subwords.tsv", "bpe.txt", "morf.tsv"])
+                                      "subwords.tsv", "bpe.txt", "morf.tsv",
+                                      "word_token=ture", "dim=0",
+                                      "segmenter=xyz"])
     def test_export_names_the_file_once(self, corpus_file, tmp_path, capsys,
                                         name):
+        """`name` is a checkpoint file whose line 2 gets a bad field, or a
+        config.txt value that is not a bool or is out of range."""
         seg = {"bpe.txt": "bpe", "morf.tsv": "morf"}.get(name, "charn")
         sep = {"config.txt": "=", "bpe.txt": " "}.get(name, "\t")
         ckpt = tmp_path / "ckpt"
         assert main(["train", "--corpus", str(corpus_file), "--seg", seg,
                      "--merges", "10", "--dim", "8", "--epochs", "1",
                      "--out", str(ckpt)]) == 0
-        path = ckpt / name
-        lines = path.read_text("utf-8").splitlines(True)
-        lines[1] = lines[1].rstrip("\n") + sep + "x\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        if "=" in name:
+            path = ckpt / "config.txt"
+            key = name.split("=")[0]
+            path.write_text(re.sub(rf"(?m)^{key}=.*$", name,
+                                   path.read_text("utf-8")), encoding="utf-8")
+            prefix = "subtok: line 5: " if key == "word_token" else "subtok: "
+        else:
+            path = ckpt / name
+            lines = path.read_text("utf-8").splitlines(True)
+            lines[1] = lines[1].rstrip("\n") + sep + "x\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            prefix = "subtok: line 2: "
         vec = tmp_path / "vec.txt"
         rc = main(["export", "--checkpoint", str(ckpt), "--out", str(vec)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("subtok: line 2: ")
+        assert err.startswith(prefix) and err.endswith(f" in {path}\n")
         assert err.count(str(path)) == 1 and err.count(str(ckpt)) == 1
         assert "internal error" not in err
         assert not vec.exists()
@@ -914,7 +945,7 @@ class TestReportChecksRows:
                      "--we-tokens", "2000", "--task-instances", "10",
                      "--configs", "w2v", "--seeds", "1,2",
                      "--dim", "8", "--train-epochs", "1",
-                     "--probe-epochs", "3", "--out", str(out_dir)]) == 0
+                     "--out", str(out_dir)]) == 0
         return out_dir / "metrics.tsv"
 
     @pytest.mark.parametrize("cut", ["newline", "fields"])
@@ -982,7 +1013,7 @@ class TestUnreadableFilesExit1:
                 str(mentions_file), "--we-tokens", "2000",
                 "--task-instances", "10", "--configs", "w2v", "--seeds",
                 seeds, "--dim", "8", "--train-epochs", "1",
-                "--probe-epochs", "3", "--out", str(tmp_path / "sim")]
+                "--out", str(tmp_path / "sim")]
 
     def case(self, name, corpus_file, mentions_file, tmp_path):
         """(argv, the file that the message must name)."""

@@ -325,14 +325,30 @@ class TestCheckpoint:
             "word_token=False\nposition=True\ndim=8\nmax_positions=20\n"
             "seed=5\n")
 
-    @pytest.mark.parametrize("spelling", ["True", "true", "1", "yes"])
+    @pytest.mark.parametrize("spelling", ["True", "true", "1", "yes",
+                                          "False", "false", "0", "no"])
     def test_config_comments_and_bool_spellings(self, tmp_path, spelling):
-        m = small_model(word_token=True)
+        word_token = spelling in ("True", "true", "1", "yes")
+        m = small_model(word_token=word_token)
         save_checkpoint(m, tmp_path / "ckpt")
         config = tmp_path / "ckpt" / "config.txt"
         config.write_text("# edited\n\n" + config.read_text("utf-8").replace(
-            "word_token=True", f"word_token={spelling}"), encoding="utf-8")
+            f"word_token={word_token}", f"word_token={spelling}"),
+            encoding="utf-8")
         assert load_checkpoint(tmp_path / "ckpt").config == m.config
+
+    @pytest.mark.parametrize("spelling", ["ture", "TRUE", "2", ""])
+    def test_config_unknown_bool_is_a_format_error(self, tmp_path, spelling):
+        save_checkpoint(small_model(word_token=True), tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        config.write_text(config.read_text("utf-8").replace(
+            "word_token=True", f"word_token={spelling}"), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 5: word_token must be one of "
+                f"True/true/1/yes/False/false/0/no, got {spelling!r} in "
+                f"{config}")) as exc:
+            load_checkpoint(tmp_path / "ckpt")
+        assert exc.value.line_number == 5
 
     @pytest.mark.parametrize("key,value", [("dim", "abc"), ("seed", "-1"),
                                            ("num_merges", "1.5")])

@@ -184,22 +184,15 @@ class TestMentionProbe:
 
     def test_separable_train_accuracy(self):
         model, data = self._separable_setup()
-        probe = train_mention_probe(model, data, epochs=200, lr=0.5, seed=0)
+        probe = train_mention_probe(model, data, seed=0)
         acc = eval_mention_accuracy(probe, model, data, "train")
         assert acc >= 0.99
-
-    def test_zero_epochs_chance_level(self):
-        model, data = self._separable_setup()
-        probe = train_mention_probe(model, data, epochs=0, lr=0.5)
-        acc = eval_mention_accuracy(probe, model, data, "dev")
-        assert 0.0 <= acc <= 1.0
-        assert not probe.weights.any()
 
     def test_frozen_leaves_tables_unchanged(self):
         model, data = self._separable_setup()
         sub = model.params.subword.copy()
         ctx = model.params.context.copy()
-        train_mention_probe(model, data, epochs=20)
+        train_mention_probe(model, data)
         assert np.array_equal(model.params.subword, sub)
         assert np.array_equal(model.params.context, ctx)
 
@@ -211,6 +204,15 @@ class TestMentionProbe:
         with pytest.raises(SubtokError):
             train_mention_probe(model, data)
 
+    def test_dev_tie_goes_to_the_strongest_penalty(self):
+        model, data = self._separable_setup()
+        probe = train_mention_probe(model, data)
+        # every λ of the grid scores dev perfectly, so the first is kept
+        assert eval_mention_accuracy(probe, model, data, "dev") == 1.0
+        lam, _ = _stationary_penalty(probe, *_oracle_train_split(
+            model, data, probe.labels))
+        assert lam == probe_mod.L2_GRID[0]
+
     def test_empty_dev_split_error(self):
         model, _ = self._separable_setup()
         data = MentionDataset.from_examples(
@@ -218,12 +220,6 @@ class TestMentionProbe:
             splits={"train": [0, 1], "dev": [], "test": [0]})
         with pytest.raises(SubtokError, match="empty dev split"):
             train_mention_probe(model, data)
-
-    def test_tie_break_lowest_label_index(self):
-        model, data = self._separable_setup()
-        probe = train_mention_probe(model, data, epochs=0)
-        feat = mention_features(model, ("redaa",))
-        assert probe.predict(feat) == probe.labels[0]
 
 
 class TestTaggerProbe:
@@ -254,7 +250,7 @@ class TestTaggerProbe:
         model.params.subword[:] = rng.normal(
             0, 0.2, model.params.subword.shape).astype(np.float32)
         data = self._suffix_tag_data(model)
-        probe = train_tagger_probe(model, data, window=0, epochs=200, lr=0.5)
+        probe = train_tagger_probe(model, data, window=0)
         acc = eval_tag_accuracy(probe, model, data, "dev")
         assert acc >= 0.95
 
@@ -262,13 +258,13 @@ class TestTaggerProbe:
         model = charn_model("redaa bluaa\n" * 4)
         data = self._suffix_tag_data(model)
         sub = model.params.subword.copy()
-        train_tagger_probe(model, data, window=1, epochs=5)
+        train_tagger_probe(model, data, window=1)
         assert np.array_equal(model.params.subword, sub)
 
     def test_accuracy_needs_full_tag_scheme(self):
         model = charn_model("aa bb\n" * 3)
         data = load_conll(["aa\tB-PER\n", "\n", "bb\tO\n"] * 4, seed=0)
-        probe = train_tagger_probe(model, data, window=0, epochs=1)
+        probe = train_tagger_probe(model, data, window=0)
         with pytest.raises(SubtokError):
             eval_tag_accuracy(probe, model, data)
 
@@ -294,7 +290,9 @@ class TestMetricsOutput:
 
 
 # ---------------------------------------------------------------------------
-# The one slot-feature probe against the per-task probes it replaced
+# The probe against its objective: the gradient that oracles.py writes per
+# example vanishes at the returned probe, and plain gradient descent finds
+# the same minimum
 # ---------------------------------------------------------------------------
 
 _STEMS = ["walk", "talk", "jump", "play", "cook", "kiss"]
@@ -346,39 +344,102 @@ _TASKS = ["mentions"] + [f"{scheme}-w{w}" for scheme in ("bio", "full")
                          for w in (0, 1, 2)]
 
 
+def _oracle_train_split(model, data, labels, window=0):
+    """Oracle features and label ids of the train split of `data`."""
+    if isinstance(data, MentionDataset):
+        examples = data.split_examples("train")
+        return ([oracles.mention_features(model, toks)
+                 for toks, _ in examples],
+                [labels.index(label) for _, label in examples])
+    sents = data.split_sentences("train")
+    return ([oracles.window_features(model, toks, i, window)
+             for toks, _ in sents for i in range(len(toks))],
+            [labels.index(label) for _, labs in sents for label in labs])
+
+
+def _stationary_penalty(probe, feats, ids):
+    """(λ, max-abs gradient) for the λ of the grid at which the oracle
+    gradient of the objective at `probe` is smallest."""
+    grads = {}
+    for lam in probe_mod.L2_GRID:
+        grad_w, grad_b = oracles.probe_gradient(feats, ids, probe.weights,
+                                                probe.bias, lam)
+        grads[lam] = max(np.abs(grad_w).max(), np.abs(grad_b).max())
+    lam = min(grads, key=grads.get)
+    return lam, grads[lam]
+
+
 @pytest.mark.parametrize("task", _TASKS, ids=[f"frozen-{t}" for t in _TASKS])
 @pytest.mark.parametrize("label", ["w2v", "charn:w+:p-", "charn:w+:p+"])
 def test_matches_reference_probes(label, task):
+    """The probe is a stationary point of the objective for one λ of the
+    grid, and its batched predictions are the per-example predictions on
+    oracle features."""
     model, mentions, bio, full = _reference_setup(label)
     ref_model = copy.deepcopy(model)
-    kw = dict(epochs=8, lr=0.1, seed=5)
     if task == "mentions":
-        probe = train_mention_probe(model, mentions, **kw)
-        ref = oracles.train_mention_probe(ref_model, mentions, **kw)
+        data, window = mentions, 0
+        probe = train_mention_probe(model, mentions)
         test = mentions.split_examples("test")
         preds = probe_mod._predict(probe, model, [[t] for t, _ in test])
-        ref_preds = [ref.predict_index(oracles.mention_features(ref_model, t))
-                     for t, _ in test]
+        ref_preds = [probe.predict_index(
+            oracles.mention_features(ref_model, t)) for t, _ in test]
         assert eval_mention_accuracy(probe, model, mentions) == \
-            sum(p == ref.labels.index(l)
+            sum(p == probe.labels.index(l)
                 for p, (_, l) in zip(ref_preds, test)) / len(test)
     else:
         data = bio if task.startswith("bio") else full
         window = int(task[-1])
-        probe = train_tagger_probe(model, data, window=window, **kw)
-        ref = oracles.train_tagger_probe(ref_model, data, window=window, **kw)
+        probe = train_tagger_probe(model, data, window=window)
         test = data.split_sentences("test")
         preds = tag_sentences(probe, model, test)
-        ref_preds = [tuple(ref.predict(oracles.window_features(
+        ref_preds = [tuple(probe.predict(oracles.window_features(
             ref_model, toks, i, window)) for i in range(len(toks)))
             for toks, _ in test]
-    assert np.isfinite(probe.weights).all() and model.params.all_finite()
-    assert np.array_equal(probe.weights, ref.weights)
-    assert np.array_equal(probe.bias, ref.bias)
+    _, grad = _stationary_penalty(probe, *_oracle_train_split(
+        ref_model, data, probe.labels, window))
+    assert grad < probe_mod.GRAD_TOL
     assert preds == ref_preds
     for name in ("subword", "position", "context"):
         assert np.array_equal(getattr(model.params, name),
                               getattr(ref_model.params, name))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lam", probe_mod.L2_GRID)
+def test_solver_agrees_with_gradient_descent(lam, seed):
+    rng = np.random.default_rng(seed)
+    n, d, k = 40, 4, 3
+    ids = np.arange(n) % k
+    feats = (0.5 * rng.normal(size=(k, d))[ids]
+             + rng.normal(size=(n, d))).astype(np.float32)
+    theta = probe_mod._newton_cg(np.hstack([feats, np.ones((n, 1))]), ids,
+                                 lam, np.zeros((k, d + 1)))
+    weights, bias = oracles.gradient_descent_probe(feats, ids, k, lam)
+    assert np.abs(theta[:, :-1] - weights).max() < 1e-6
+    assert np.abs(theta[:, -1] - bias).max() < 1e-6
+
+
+@pytest.mark.parametrize("task", ["mentions", "conll"])
+def test_label_missing_from_train_split(task):
+    """A truncated train split can miss a label: its bias falls without
+    bound, and the solve still converges to finite weights."""
+    model, mentions, _, full = _reference_setup("charn:w+:p-")
+    if task == "mentions":
+        data, missing = mentions, "/s"
+        data.splits["train"] = [i for i in data.splits["train"]
+                                if data.examples[i][1] != missing]
+        probe = train_mention_probe(model, data)
+    else:
+        data, missing = full, _SUFFIX_TAG["s"]
+        data.splits["train"] = [i for i in data.splits["train"]
+                                if missing not in data.sentences[i][1]]
+        probe = train_tagger_probe(model, data, window=1)
+    assert missing in probe.labels
+    assert np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
+    _, grad = _stationary_penalty(probe, *_oracle_train_split(
+        model, data, probe.labels, probe.window))
+    assert grad < probe_mod.GRAD_TOL
 
 
 def test_slot_features_match_reference_features():
