@@ -375,7 +375,20 @@ def _int_list(text: str, flag: str, minimum: int) -> list[int]:
                           f"got {text!r}") from None
     if min(values) < minimum:
         raise SubtokError(f"{flag} values must be >= {minimum}")
+    _refuse_repeats(flag, values, values)
     return values
+
+
+def _refuse_repeats(flag: str, values: list, keys: list) -> None:
+    """Raise SubtokError naming `flag` and the first value whose key an
+    earlier value already has: a simulate list must not name a cell
+    twice."""
+    first: dict = {}
+    for value, key in zip(values, keys):
+        if key in first:
+            also = "" if first[key] == value else f" ({value} is the same)"
+            raise SubtokError(f"{flag} repeats {first[key]}{also}")
+        first[key] = value
 
 
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
@@ -395,6 +408,7 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     # a label or flag out of range fails the command before a file is written
     labels = [_cell_configs(args, label, we_points[0], seeds[0])[0].label
               for label in configs]
+    _refuse_repeats("--configs", configs, labels)
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"

@@ -116,6 +116,11 @@ class ParamTables:
         scatter_subtract(self.subword, wt_ids[has_wt], upd[has_wt])
 
 
+# float dtype -> the complex dtype that holds two of its values
+_PAIR_DTYPES = {np.dtype(np.float32): np.dtype(np.complex64),
+                np.dtype(np.float64): np.dtype(np.complex128)}
+
+
 def scatter_subtract(table: np.ndarray, rows: np.ndarray,
                      vals: np.ndarray) -> None:
     """table[rows[i]] -= vals[i] for each i in turn, repeated rows included.
@@ -123,12 +128,27 @@ def scatter_subtract(table: np.ndarray, rows: np.ndarray,
     The C-contiguous table is updated through its flat view with one index
     per element, which keeps `np.subtract.at` on numpy's fast 1-D path; the
     2-D form does the same subtractions in the same order several times
-    slower. `vals` should have the table's dtype: values of another dtype
-    take numpy's slower casting path."""
+    slower.
+
+    When the width is even and `vals` has the table's dtype (float32 or
+    float64), the flat table and `vals` are viewed as column pairs: complex
+    numbers of twice the item size. That halves both the index array and
+    the elements `np.subtract.at` visits. It is exact: complex subtraction
+    subtracts the real parts and the imaginary parts separately, and
+    `ufunc.at` keeps its element order, so every float gets the same
+    subtractions in the same order. An odd width or another dtype of `vals`
+    takes the float path; values of another dtype also take numpy's slower
+    casting path. `_WordCSR.compose` keeps float rows: its `np.add.reduceat`
+    over the pair view is not exact and changes the trained tables."""
     d = table.shape[1]
+    flat_table, flat_vals = table.reshape(-1, copy=False), vals.reshape(-1)
+    pair = _PAIR_DTYPES.get(table.dtype)
+    if d % 2 == 0 and pair is not None and vals.dtype == table.dtype:
+        d //= 2
+        flat_table = flat_table.view(pair)
+        flat_vals = np.ascontiguousarray(flat_vals).view(pair)
     flat = (rows * d)[:, None] + np.arange(d)
-    np.subtract.at(table.reshape(-1, copy=False), flat.reshape(-1),
-                   vals.reshape(-1))
+    np.subtract.at(flat_table, flat.reshape(-1), flat_vals)
 
 
 def init_params(config: ModelConfig, subword_vocab: SubwordVocab,

@@ -415,6 +415,29 @@ class TestSimulate:
         assert "must be >= 1" in err and "internal error" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seeds", "1,1", "--seeds repeats 1"),
+        ("--we-tokens", "2000,2000", "--we-tokens repeats 2000"),
+        ("--task-instances", "10,10", "--task-instances repeats 10"),
+        ("--configs", "ft,charn:w+:p-",
+         "--configs repeats ft (charn:w+:p- is the same)"),
+        ("--configs", "bpe1e3,bpe1000",
+         "--configs repeats bpe1e3 (bpe1000 is the same)")])
+    def test_repeated_value_exit_1_before_any_file(
+            self, corpus_file, mentions_file, tmp_path, capsys, flag, value,
+            message):
+        argv = {"--we-tokens": "2000", "--task-instances": "10",
+                "--configs": "w2v", "--seeds": "1", flag: value}
+        out_dir = tmp_path / "sim"
+        rc = main(["simulate", "--corpus", str(corpus_file),
+                   "--mentions", str(mentions_file), "--dim", "8",
+                   "--train-epochs", "1", "--out", str(out_dir),
+                   *[x for pair in argv.items() for x in pair]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"subtok: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("cut", ["newline", "fields"])
     def test_half_written_last_line_stops_resume(
             self, corpus_file, mentions_file, tmp_path, capsys, cut):

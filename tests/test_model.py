@@ -214,22 +214,54 @@ class TestComposeOracle:
         assert m.vectors(ws).tobytes() == stacked.tobytes()
 
 
+# signed zeros, infinities and subnormals of float32 and of float64
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-40, 5e-324, -2.5e-320)
+# (table, vals) dtypes: float32 and float64 pairs, and float32 with float64
+DTYPE_PAIRS = [(np.float32, np.float32), (np.float64, np.float64),
+               (np.float32, np.float64)]
+
+
 class TestScatterSubtract:
+    """Even widths take the column-pair (complex) view, odd widths and vals
+    of another dtype the float path; both must match the loop."""
+
     # four table rows, so a long row list repeats rows many times
     @given(rows=st.lists(st.integers(0, 3), max_size=40),
-           dim=st.integers(1, 6), seed=st.integers(0, 2**16),
-           scale=st.sampled_from([1e-3, 1.0, 1e3]))
-    @example(rows=[], dim=3, seed=0, scale=1.0)
-    @example(rows=[2] * 40, dim=5, seed=1, scale=1.0)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_python_loop_bit_for_bit(self, rows, dim, seed, scale):
+           dim=st.integers(1, 8), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           dtypes=st.sampled_from(DTYPE_PAIRS), strided=st.booleans(),
+           specials=st.lists(st.sampled_from(SPECIALS), max_size=8))
+    @example(rows=[], dim=3, seed=0, scale=1.0, dtypes=DTYPE_PAIRS[0],
+             strided=False, specials=[])
+    @example(rows=[2] * 40, dim=5, seed=1, scale=1.0, dtypes=DTYPE_PAIRS[0],
+             strided=False, specials=[])
+    @example(rows=[0, 1, 0, 3, 0, 1], dim=4, seed=2, scale=1.0,
+             dtypes=DTYPE_PAIRS[0], strided=False, specials=list(SPECIALS))
+    @example(rows=[1, 1, 0, 1], dim=8, seed=3, scale=1e-3,
+             dtypes=DTYPE_PAIRS[1], strided=True,
+             specials=list(SPECIALS[::-1]))
+    @example(rows=[0, 1, 0, 3, 0, 1], dim=4, seed=4, scale=1.0,
+             dtypes=DTYPE_PAIRS[2], strided=True, specials=list(SPECIALS))
+    @example(rows=[0, 1, 0, 3, 0, 1], dim=3, seed=5, scale=1.0,
+             dtypes=DTYPE_PAIRS[0], strided=True, specials=list(SPECIALS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_loop_bit_for_bit(self, rows, dim, seed, scale,
+                                             dtypes, strided, specials):
+        table_dtype, vals_dtype = dtypes
         rng = np.random.default_rng(seed)
-        table = rng.normal(size=(4, dim)).astype(np.float32)
-        vals = (rng.normal(size=(len(rows), dim)) * scale).astype(np.float32)
+        table = rng.normal(size=(4, dim)).astype(table_dtype)
+        wide = (rng.normal(size=(len(rows), 2 * dim)) * scale).astype(
+            vals_dtype)
+        vals = wide[:, ::2] if strided else np.ascontiguousarray(wide[:, ::2])
+        for i, x in enumerate(specials):
+            table.flat[i % table.size] = x
+            if vals.size:
+                vals.flat[(3 * i + 1) % vals.size] = x
         rows = np.asarray(rows, dtype=np.int64)
         expected = table.copy()
-        scatter_reference(expected, rows, vals)
-        scatter_subtract(table, rows, vals)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            scatter_reference(expected, rows, vals)
+            scatter_subtract(table, rows, vals)
         assert table.tobytes() == expected.tobytes()
 
 

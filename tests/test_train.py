@@ -208,9 +208,11 @@ class TestSgnsKernel:
                                       before.context[ids[w]])
 
 
-    def test_flat_scatter_matches_2d_subtract_at(self, monkeypatch):
+    # an odd width takes the float scatter, an even one the column pairs
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_flat_scatter_matches_2d_subtract_at(self, monkeypatch, dim):
         corpus, m = make_model("cats hats cat hat\n" * 5, segmenter="charn",
-                               word_token=True, position=True)
+                               dim=dim, word_token=True, position=True)
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
         ids = m.vocab.word2id
@@ -238,6 +240,37 @@ class TestSgnsKernel:
             table = getattr(m.params, name)
             assert not np.array_equal(table, getattr(before, name))
             assert table.tobytes() == getattr(reference, name).tobytes()
+
+
+@pytest.mark.parametrize("dim", [7, 8])
+def test_training_matches_2d_subtract_at(monkeypatch, dim):
+    """A whole training run, every table update scattered either way,
+    gives the same bytes."""
+    monkeypatch.setattr(train_module, "TRACE_EVERY", 50)
+    text = "cats hats cat hat mats bats rat\nhat cat rats mat\n" * 8
+
+    def run():
+        corpus, m = make_model(text, segmenter="charn", dim=dim,
+                               word_token=True, position=True)
+        before = m.params.copy()
+        res = train(corpus, m, TrainConfig(window=2, negatives=3, epochs=2,
+                                           batch_size=4, min_count=1,
+                                           subsample_t=0))
+        return before, m.params, np.asarray(res.loss_trace)
+
+    before, params, trace = run()
+
+    def subtract_at_2d(table, rows, vals):
+        np.subtract.at(table, rows, vals)
+
+    monkeypatch.setattr(subtok.model, "scatter_subtract", subtract_at_2d)
+    monkeypatch.setattr(train_module, "scatter_subtract", subtract_at_2d)
+    _, ref_params, ref_trace = run()
+    assert trace.size and trace.tobytes() == ref_trace.tobytes()
+    for name in ("subword", "position", "context"):
+        table = getattr(params, name)
+        assert not np.array_equal(table, getattr(before, name))
+        assert table.tobytes() == getattr(ref_params, name).tobytes()
 
 
 class TestNoRowCenter:
