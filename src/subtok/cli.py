@@ -9,6 +9,7 @@ are removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -26,7 +27,13 @@ from subtok.corpus import (
     load_corpus,
     sample_tokens,
 )
-from subtok.errors import FormatError, SubtokError, load_file, read_lines
+from subtok.errors import (
+    FormatError,
+    SubtokError,
+    load_file,
+    nonnegative_int,
+    read_lines,
+)
 from subtok.model import (
     ModelConfig,
     SubwordModel,
@@ -392,10 +399,12 @@ def _refuse_repeats(flag: str, values: list, keys: list) -> None:
 
 
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
-    """Run the grid WE point by WE point. Each (WE point, config, seed) with
-    a task point still missing from the table is a job: it is trained once
-    and probed once per missing task point. Rows are written in grid order
-    (task, then config, then seed) and flushed once per WE point."""
+    """Run the grid. Each (WE point, config, seed) with a task point still
+    missing from the table is a job: it is trained once and probed once per
+    missing task point. Jobs run largest WE point first, then by config,
+    then by seed. Rows are written WE point by WE point in that order, each
+    WE point's rows in grid order (task, then config, then seed), and
+    flushed once per WE point."""
     we_points = _int_list(args.we_tokens, "--we-tokens", 1)
     task_points = _int_list(args.task_instances, "--task-instances", 1)
     configs = args.configs.split(",")
@@ -413,10 +422,12 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"
     done = _read_existing_cells(metrics_path)
-    # WE point -> its jobs: (config index, seed index, indices of the task
-    # points missing from the table)
-    jobs = {we_n: [] for we_n in we_points}
-    for we_n, ci, si in itertools.product(we_points, range(len(configs)),
+    # WE point, largest first -> its jobs: (config index, seed index,
+    # indices of the task points missing from the table). The largest WE
+    # point's jobs take longest, so starting them first keeps the tail of
+    # the run, where workers wait for the last job, short.
+    jobs = {we_n: [] for we_n in sorted(we_points, reverse=True)}
+    for we_n, ci, si in itertools.product(jobs, range(len(configs)),
                                           range(len(seeds))):
         todo = [ti for ti, task_n in enumerate(task_points)
                 if (str(we_n), str(task_n), labels[ci], str(seeds[si]))
@@ -434,18 +445,18 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     new_file = not metrics_path.exists()
     n_run = n_skipped = 0
-    with open(metrics_path, "a", encoding="utf-8") as fh:
+    cell_jobs = [(we_n, [task_points[ti] for ti in todo], configs[ci],
+                  seeds[si])
+                 for we_n, we_jobs in jobs.items() for ci, si, todo in we_jobs]
+    with open(metrics_path, "a", encoding="utf-8") as fh, \
+            _job_rows(args, corpus, task_data, cell_jobs) as job_rows:
         if new_file:
             fh.write("\t".join(SIMULATE_COLUMNS) + "\n")
-        for we_n in we_points:
-            cell_rows = _simulate_we_point(
-                args, corpus, task_data, we_n,
-                [([task_points[ti] for ti in todo], configs[ci], seeds[si])
-                 for ci, si, todo in jobs[we_n]])
+        for we_jobs in jobs.values():
             rows = {}  # (task, config, seed) index -> the cell's rows
-            for (ci, si, todo), job_rows in zip(jobs[we_n], cell_rows):
+            for ci, si, todo in we_jobs:
                 rows.update(((ti, ci, si), r)
-                            for ti, r in zip(todo, job_rows))
+                            for ti, r in zip(todo, next(job_rows)))
             for key in itertools.product(range(len(task_points)),
                                          range(len(configs)),
                                          range(len(seeds))):
@@ -470,32 +481,34 @@ def _cell_configs(args, label, we_n, seed):
                                     epochs=args.train_epochs)
 
 
-def _seg_key(cfg: ModelConfig) -> tuple:
-    """The fields that build_segmentation reads."""
-    return (cfg.segmenter, cfg.num_merges, cfg.ngram_min, cfg.ngram_max,
-            cfg.word_token)
+def _seg_key(we_n: int, cfg: ModelConfig) -> tuple:
+    """The WE point and the fields that build_segmentation reads."""
+    return (we_n, cfg.segmenter, cfg.num_merges, cfg.ngram_min,
+            cfg.ngram_max, cfg.word_token)
 
 
-def _shared_work(args, corpus, we_n, jobs) -> dict:
-    """What the jobs of one WE point have in common, built once: the corpus
-    prefix and its vocab under "vocab", and a segmenter and subword vocab
-    per segmenter setting and w+/w-, which are the same for every seed. A
-    part that fails is kept as its SubtokError, which every cell that needs
-    it reports as its failed row."""
+def _shared_work(args, corpus, jobs) -> dict:
+    """What the jobs have in common, built once: per WE point, the corpus
+    prefix and its vocab under (WE point, "vocab"), and a segmenter and
+    subword vocab per segmenter setting and w+/w-, which are the same for
+    every seed. A part that fails is kept as its SubtokError, which every
+    cell that needs it reports as its failed row."""
     shared: dict = {}
-    for _, label, seed in jobs:
+    for we_n, _, label, seed in jobs:
         # min_count comes from the WE point's data group
         cfg, _, tcfg = _cell_configs(args, label, we_n, seed)
+        vocab_key, seg_key = (we_n, "vocab"), _seg_key(we_n, cfg)
         try:
-            if "vocab" not in shared:
+            if vocab_key not in shared:
                 sample = sample_tokens(corpus, we_n)
-                shared["vocab"] = sample, build_vocab(sample, tcfg.min_count)
-            if _seg_key(cfg) not in shared:
-                vocab = _shared(shared, "vocab")[1]
-                shared[_seg_key(cfg)] = build_segmentation(cfg, vocab)
+                shared[vocab_key] = sample, build_vocab(sample,
+                                                        tcfg.min_count)
+            if seg_key not in shared:
+                vocab = _shared(shared, vocab_key)[1]
+                shared[seg_key] = build_segmentation(cfg, vocab)
         except SubtokError as exc:
-            shared.setdefault("vocab", exc)
-            shared.setdefault(_seg_key(cfg), exc)
+            shared.setdefault(vocab_key, exc)
+            shared.setdefault(seg_key, exc)
     return shared
 
 
@@ -507,31 +520,35 @@ def _shared(shared: dict, key):
     return value
 
 
-def _simulate_we_point(args, corpus, task_data, we_n, jobs) -> list:
-    """The rows of each job (task points, config label, seed) of one WE
-    point, in job order. The shared work is built here first; then one
-    worker per CPU this process may run on, and no more than there are
-    jobs, trains and probes the jobs. Workers are forked, so they inherit
-    the shared work and the task data, and only jobs and rows are pickled.
-    With one worker the jobs run in this process."""
-    state = (args, _shared_work(args, corpus, we_n, jobs), task_data, we_n)
+@contextlib.contextmanager
+def _job_rows(args, corpus, task_data, jobs):
+    """Yields an iterator over the rows of each job (WE point, task points,
+    config label, seed), in job order. The shared work of every WE point is
+    built here first; then one pool of workers, one per CPU this process
+    may run on and no more than there are jobs, trains and probes the jobs
+    in the order given. Workers are forked, so they inherit the shared work
+    and the task data, and only jobs and rows are pickled. With one worker
+    the jobs run in this process, each when its rows are asked for."""
+    state = (args, _shared_work(args, corpus, jobs), task_data)
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers <= 1:
-        return [_simulate_cell(*state, *job) for job in jobs]
+        yield (_simulate_cell(*state, *job) for job in jobs)
+        return
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_set_worker_state, initargs=(state,))
     try:
-        # a worker that dies raises BrokenProcessPool here instead of
-        # leaving the command waiting
-        return list(pool.map(_run_job, jobs))
+        futures = [pool.submit(_run_job, job) for job in jobs]
+        # a worker that dies raises BrokenProcessPool from result() instead
+        # of leaving the command waiting
+        yield (future.result() for future in futures)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-# A worker's copy of _simulate_we_point's state, set by the pool's
-# initializer in the worker only: with fork, initargs reach the worker
-# without being pickled.
+# A worker's copy of _job_rows's state, set by the pool's initializer in
+# the worker only: with fork, initargs reach the worker without being
+# pickled.
 _worker_state: tuple = ()
 
 
@@ -552,16 +569,16 @@ def _failed(exc: SubtokError) -> list[str]:
 def _simulate_cell(args, shared, task_data, we_n, task_points, label,
                    seed):
     """Train one (WE point, config, seed) and probe it once per task point;
-    returns one list of metric rows per task point. `shared` is the WE
-    point's _shared_work, and `task_data` maps a seed to the task dataset
-    split by it."""
+    returns one list of metric rows per task point. `shared` is the
+    _shared_work of the grid, and `task_data` maps a seed to the task
+    dataset split by it."""
     cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
     cells = [[str(we_n), str(task_n), cfg.label, str(seed), group.label,
               str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
              for task_n in task_points]
     try:
-        sample, vocab = _shared(shared, "vocab")
-        segmenter, svocab = _shared(shared, _seg_key(cfg))
+        sample, vocab = _shared(shared, (we_n, "vocab"))
+        segmenter, svocab = _shared(shared, _seg_key(we_n, cfg))
         model = SubwordModel(cfg, vocab, svocab, segmenter)
         train(sample, model, tcfg)
     except SubtokError as exc:
@@ -588,6 +605,8 @@ def cmd_report(args, guard: ArtifactGuard) -> int:
     groups: dict[tuple, list[float]] = {}
     failed: dict[tuple, int] = {}
     for ln, vals in _metrics_rows(path):
+        for column in ("we_tokens", "task_instances"):
+            nonnegative_int(vals[column], f"{column} in {path}", ln)
         key = (vals["we_tokens"], vals["task_instances"], vals["config"],
                vals["task"], vals["split"], vals["metric"])
         if vals["status"] == "ok":
@@ -606,7 +625,9 @@ def cmd_report(args, guard: ArtifactGuard) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("we_tokens\ttask_instances\tconfig\ttask\tsplit\tmetric"
                  "\tmean\tstdev\tn\tn_failed\n")
-        all_keys = sorted(set(groups) | set(failed))
+        # WE and task points in numeric order, whatever the row order
+        all_keys = sorted(set(groups) | set(failed),
+                          key=lambda k: (int(k[0]), int(k[1]), *k[2:]))
         for key in all_keys:
             vals = groups.get(key, [])
             n_failed = failed.get(key[:3] + ("-", "-", "-"), 0)

@@ -223,8 +223,7 @@ class _WordCSR:
     @classmethod
     def of_model(cls, model: "SubwordModel", words=None) -> "_WordCSR":
         words = model.vocab.words if words is None else words
-        return cls(words, [model.word_indices(w) for w in words],
-                   model.config.position)
+        return cls(words, model.indices_of(words), model.config.position)
 
     def compose(self, params: ParamTables, centers: np.ndarray):
         """(vectors, rows) of the words `centers` (row numbers of this
@@ -280,34 +279,49 @@ class SubwordModel:
         return segment_word(self.segmenter, word, self.config.word_token)
 
     def word_indices(self, word: str) -> WordIndices:
-        hit = self._index_cache.get(word)
-        if hit is None:
-            hit = self._resolve(word)
-            self._index_cache[word] = hit
-        return hit
+        return self.indices_of([word])[0]
 
-    def _resolve(self, word: str) -> WordIndices:
-        seg = self.segmentation(word)
-        sub_ids, pos_ids = [], []
-        unknown = 0
-        maxpos = self.config.max_positions
-        for i, s in enumerate(seg.subwords):
-            sid = self.subword_vocab.get((NS_SUBWORD, s))
-            if sid is None:
-                unknown += 1
-            else:
-                sub_ids.append(sid)
-                pos_ids.append(min(i, maxpos - 1))
-        wt_id = -1
-        if seg.includes_word_token:
-            wt = self.subword_vocab.get((NS_WORD_TOKEN, word))
-            if wt is None:
-                unknown += 1
-            else:
-                wt_id = wt
-        return WordIndices(sub_ids=np.asarray(sub_ids, dtype=np.int64),
-                           pos_ids=np.asarray(pos_ids, dtype=np.int64),
-                           word_token_id=wt_id, unknown=unknown)
+    def indices_of(self, words) -> list[WordIndices]:
+        """The WordIndices of each of `words`, resolving in one pass every
+        word the cache lacks."""
+        cache = self._index_cache
+        new = [w for w in dict.fromkeys(words) if w not in cache]
+        if new:
+            self._resolve(new)
+        return [cache[w] for w in words]
+
+    def _resolve(self, words: list[str]) -> None:
+        """Cache the WordIndices of each of `words`, as views of arrays
+        shared by the batch. Each word is segmented once. A subword that the
+        vocab has gets its row and, as position, its index in the word's
+        full segmentation (unknown subwords count) clipped to
+        max_positions - 1; an unknown subword or word token counts in
+        `unknown`."""
+        if not all(words):
+            raise ValueError("word must be non-empty")
+        segs = [self.segmenter.segment(w) for w in words]
+        get = self.subword_vocab.entries.get
+        ids = np.array([get((NS_SUBWORD, s), -1) for seg in segs for s in seg],
+                       dtype=np.int64)
+        seg_lens = np.array([len(seg) for seg in segs], dtype=np.int64)
+        offsets = np.arange(ids.size) - np.repeat(np.cumsum(seg_lens)
+                                                  - seg_lens, seg_lens)
+        known = ids >= 0
+        sub_ids = ids[known]
+        pos_ids = np.minimum(offsets[known], self.config.max_positions - 1)
+        lens = np.bincount(np.repeat(np.arange(len(words)), seg_lens)[known],
+                           minlength=len(words))
+        unknown = seg_lens - lens
+        wt_ids = np.full(len(words), -1, dtype=np.int64)
+        if self.config.word_token:
+            wt_ids[:] = [get((NS_WORD_TOKEN, w), -1) for w in words]
+            unknown += wt_ids < 0
+        ends = np.cumsum(lens).tolist()
+        spans = [slice(start, end)
+                 for start, end in zip([0] + ends[:-1], ends)]
+        self._index_cache.update(zip(words, map(
+            WordIndices, [sub_ids[s] for s in spans],
+            [pos_ids[s] for s in spans], wt_ids.tolist(), unknown.tolist())))
 
     # -- composition --------------------------------------------------------
 

@@ -50,6 +50,18 @@ def _random_words(rng: np.random.Generator, n: int, lo: int, hi: int,
     return out
 
 
+def _zipf_cdf(k: int) -> np.ndarray:
+    """Cumulative Zipf weights over ranks 1..k, normalised to end at 1.
+    `cdf.searchsorted(rng.random(), side="right")` then draws a rank (from
+    0) exactly as `rng.choice(k, p=weights)` does, from the same one
+    uniform draw, without building the CDF again on every call."""
+    zipf = 1.0 / np.arange(1, k + 1)
+    zipf /= zipf.sum()
+    cdf = zipf.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def make_suffix_benchmark(seed: int = 0, n_tokens: int = 50_000,
                           n_classes: int = 4, suffixes_per_class: int = 12,
                           n_train_stems: int = 40, n_test_stems: int = 20,
@@ -69,15 +81,14 @@ def make_suffix_benchmark(seed: int = 0, n_tokens: int = 50_000,
     train_stems = _random_words(rng, n_train_stems, 4, 6, taken)
     test_stems = _random_words(rng, n_test_stems, 4, 6, taken)
 
-    # Zipf weights over suffix ranks within a class
-    zipf = 1.0 / np.arange(1, suffixes_per_class + 1)
-    zipf /= zipf.sum()
+    zipf_cdf = _zipf_cdf(suffixes_per_class)
 
     sentences = []
     total = 0
     while total < n_tokens:
         lab = labels[int(rng.integers(n_classes))]
-        suffix = suffixes[lab][int(rng.choice(suffixes_per_class, p=zipf))]
+        suffix = suffixes[lab][int(zipf_cdf.searchsorted(rng.random(),
+                                                         side="right"))]
         stem = train_stems[int(rng.integers(n_train_stems))]
         word = stem + suffix
         topic = topics[lab]

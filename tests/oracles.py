@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 
-from subtok.model import SubwordModel
+from subtok.model import SubwordModel, WordIndices
 from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN
 
 
@@ -116,6 +116,35 @@ def scatter_reference(table, rows, vals):
     """table[r] -= v for each (r, v) in turn, one Python step at a time."""
     for r, v in zip(rows, vals):
         table[r] -= v
+
+
+def resolve_reference(model: SubwordModel, word: str) -> WordIndices:
+    """`word`'s WordIndices, resolved one subword at a time: each known
+    subword's row, and as its position its index in the segmentation
+    (unknown pieces count) clamped to max_positions - 1; under w+ the
+    word-token row, or -1. `unknown` counts the pieces and the word token
+    that the subword vocab lacks."""
+    seg = model.segmentation(word)
+    sub_ids, pos_ids = [], []
+    unknown = 0
+    maxpos = model.config.max_positions
+    for i, s in enumerate(seg.subwords):
+        sid = model.subword_vocab.get((NS_SUBWORD, s))
+        if sid is None:
+            unknown += 1
+        else:
+            sub_ids.append(sid)
+            pos_ids.append(min(i, maxpos - 1))
+    wt_id = -1
+    if seg.includes_word_token:
+        wt = model.subword_vocab.get((NS_WORD_TOKEN, word))
+        if wt is None:
+            unknown += 1
+        else:
+            wt_id = wt
+    return WordIndices(sub_ids=np.asarray(sub_ids, dtype=np.int64),
+                       pos_ids=np.asarray(pos_ids, dtype=np.int64),
+                       word_token_id=wt_id, unknown=unknown)
 
 
 def compose_reference(model: SubwordModel, word: str) -> np.ndarray:

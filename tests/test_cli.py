@@ -560,7 +560,7 @@ class TestSimulateReuse:
              "--mentions", str(mentions_file), *self.ARGV])
         corpus = load_corpus(corpus_file)
         lines = ["\t".join(subtok.cli.SIMULATE_COLUMNS)]
-        for we in (1200, 2400):
+        for we in (2400, 1200):  # largest WE point first
             for task_n in (5, 10):
                 for label in ("w2v", "bpe1e1:w+:p-"):
                     for seed in (1, 2):
@@ -678,6 +678,55 @@ class TestSimulateReuse:
             ("word:w-:p-", "ok"), ("bpe1e1:w+:p-", "failed:no merges")}
         assert calls == {"train": 4, "learn_bpe": 0}
 
+    def test_one_pool_runs_the_largest_we_point_first(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        pools, submitted = [], []
+
+        class Pool(subtok.cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                we_n, _, label, seed = args[0]
+                submitted.append((we_n, label, seed))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(subtok.cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        assert len(pools) == 1
+        assert submitted == [(we, label, seed) for we in (2400, 1200)
+                             for label in ("w2v", "bpe1e1:w+:p-")
+                             for seed in (1, 2)]
+        rows = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]
+        assert [r.split("\t")[0] for r in rows] == ["2400"] * 8 + ["1200"] * 8
+
+    def test_failed_segmentation_at_one_we_point_fails_only_its_cells(
+            self, corpus_file, mentions_file, tmp_path, calls, monkeypatch,
+            capsys):
+        real_build = subtok.cli.build_segmentation
+
+        def build(cfg, vocab):
+            if cfg.segmenter == "bpe" and vocab.total_tokens == 1200:
+                raise SubtokError("no merges")
+            return real_build(cfg, vocab)
+
+        monkeypatch.setattr(subtok.cli, "build_segmentation", build)
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        rows = [line.split("\t") for line in
+                (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]]
+        assert len(rows) == 16
+        failed = {(r[0], r[2]) for r in rows if r[-1] != "ok"}
+        assert failed == {("1200", "bpe1e1:w+:p-")}
+        assert {r[-1] for r in rows if r[-1] != "ok"} == {"failed:no merges"}
+        assert calls == {"train": 6, "learn_bpe": 1}
+
     def test_worker_crash_exit_2(self, corpus_file, mentions_file,
                                  tmp_path):
         script = (
@@ -714,6 +763,65 @@ class TestSimulateReuse:
         assert not (out_dir / "metrics.tsv").exists()
 
 
+class TestSimulateConll:
+    """simulate on a CoNLL file: BIO labels give ner precision, recall and
+    F1 rows; full tags give mtag accuracy rows."""
+
+    ARGV = ["--we-tokens", "1200,2400", "--task-instances", "5,10",
+            "--configs", "w2v,ft", "--dim", "8", "--train-epochs", "1"]
+    SENTENCES = {
+        "BIO": [["red\tB-PER", "blue\tO", "green\tB-LOC"],
+                ["yellow\tB-LOC", "pink\tO", "black\tB-PER"]],
+        "tags": [["red\tADJ|Warm", "blue\tADJ|Cool", "green\tNOUN"],
+                 ["yellow\tADJ|Warm", "pink\tNOUN", "black\tADJ|Cool"]],
+    }
+    EXPECTED = {"BIO": ("ner", {"precision", "recall", "f1"}),
+                "tags": ("mtag", {"accuracy"})}
+
+    def _run(self, corpus_file, conll, out_dir, seeds):
+        return main(["simulate", "--corpus", str(corpus_file),
+                     "--conll", str(conll), *self.ARGV, "--seeds", seeds,
+                     "--out", str(out_dir)])
+
+    def _conll(self, tmp_path, scheme):
+        path = tmp_path / f"{scheme}.tsv"
+        lines = []
+        for i in range(30):
+            lines += self.SENTENCES[scheme][i % 2] + [""]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("scheme", ["BIO", "tags"])
+    def test_rows_for_one_and_two_workers_and_resume(
+            self, corpus_file, tmp_path, monkeypatch, capsys, scheme):
+        conll = self._conll(tmp_path, scheme)
+        task, metrics = self.EXPECTED[scheme]
+        texts = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                                lambda pid, n=workers: set(range(n)))
+            out_dir = tmp_path / f"workers{workers}"
+            assert self._run(corpus_file, conll, out_dir, "1,2") == 0
+            texts[workers] = (out_dir / "metrics.tsv").read_text("utf-8")
+        assert texts[1] == texts[2]
+        header, *lines = texts[1].splitlines()
+        rows = [dict(zip(header.split("\t"), line.split("\t")))
+                for line in lines]
+        assert len(rows) == 16 * len(metrics)
+        assert {(r["task"], r["split"], r["status"]) for r in rows} == \
+            {(task, "test", "ok")}
+        assert {r["metric"] for r in rows} == metrics
+        assert all(0.0 <= float(r["value"]) <= 1.0 for r in rows)
+
+        out_dir = tmp_path / "resumed"
+        assert self._run(corpus_file, conll, out_dir, "1") == 0
+        capsys.readouterr()
+        assert self._run(corpus_file, conll, out_dir, "1,2") == 0
+        assert "8 cells computed, 8 skipped" in capsys.readouterr().out
+        resumed = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()
+        assert sorted(resumed) == sorted(texts[1].splitlines())
+
+
 class TestReport:
     def test_aggregates_over_seeds(self, corpus_file, mentions_file,
                                    tmp_path, capsys):
@@ -735,6 +843,20 @@ class TestReport:
         assert row["n"] == "2"
         assert row["n_failed"] == "0"
         assert 0.0 <= float(row["mean"]) <= 1.0
+
+    def test_sorts_grid_points_as_numbers(self, corpus_file, mentions_file,
+                                          tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--corpus", str(corpus_file),
+                     "--mentions", str(mentions_file),
+                     *TestSimulateReuse.ARGV, "--out", str(out_dir)]) == 0
+        summary = tmp_path / "summary.tsv"
+        assert main(["report", "--metrics", str(out_dir / "metrics.tsv"),
+                     "--out", str(summary)]) == 0
+        points = [tuple(line.split("\t")[:2]) for line in
+                  summary.read_text("utf-8").splitlines()[1:]]
+        assert points == [(we, task) for we in ("1200", "2400")
+                          for task in ("5", "10") for _ in range(2)]
 
     def test_missing_metrics_exit_1(self, tmp_path, capsys):
         assert main(["report", "--metrics", str(tmp_path / "x.tsv")]) == 1
@@ -1002,6 +1124,27 @@ class TestReportChecksRows:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"line 2: value 'high' in {metrics} is not a number" in err
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_grid_point_not_a_number(self, corpus_file, mentions_file,
+                                     tmp_path, capsys, column):
+        """The summary sorts WE and task points as numbers, so a field
+        there that is not one exits 1 naming the line and the table."""
+        metrics = self._metrics(corpus_file, mentions_file, tmp_path)
+        lines = metrics.read_text("utf-8").splitlines(True)
+        fields = lines[2].split("\t")
+        fields[column] = "2k"
+        lines[2] = "\t".join(fields)
+        metrics.write_text("".join(lines), encoding="utf-8")
+        summary = tmp_path / "summary.tsv"
+        rc = main(["report", "--metrics", str(metrics), "--out",
+                   str(summary)])
+        assert rc == 1
+        name = ("we_tokens", "task_instances")[column]
+        assert capsys.readouterr().err == (
+            f"subtok: line 3: {name} in {metrics} must be a non-negative "
+            "integer, got '2k'\n")
         assert not summary.exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_reference, scatter_reference
+from oracles import compose_reference, resolve_reference, scatter_reference
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
 from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
@@ -20,8 +20,10 @@ from subtok.model import (
     load_checkpoint,
     load_vectors,
     save_checkpoint,
+    build_segmentation,
     scatter_subtract,
 )
+from subtok.segment import NS_WORD_TOKEN, SubwordVocab
 
 
 def small_model(**overrides):
@@ -156,6 +158,83 @@ def randomize_tables(m, seed):
 # `zzz` and `q` have no known n-gram (and no word-token row): they compose
 # to zero; `catalog` has positions past max_positions; `cat` is in vocab
 FIXED_WORDS = ["zzz", "q", "catalog", "cat"]
+
+
+# segmenter settings for the bulk resolution test; charn5's n-grams are
+# longer than `<q>`, so a one-letter word has no subword at all
+RESOLVE_SEGMENTERS = {
+    "charn": {"segmenter": "charn"},
+    "charn5": {"segmenter": "charn", "ngram_min": 5},
+    "bpe": {"segmenter": "bpe", "num_merges": 10},
+    "morf": {"segmenter": "morf"},
+    "word": {"segmenter": "word"},
+}
+
+
+@lru_cache(maxsize=None)
+def resolve_parts(kind, word_token):
+    """(config, vocab, segmenter, subword vocab) with max_positions 3. Under
+    w+ the word-token key of `cat`, a vocab word, is taken out of the
+    subword vocab."""
+    cfg = ModelConfig(**RESOLVE_SEGMENTERS[kind], word_token=word_token,
+                      max_positions=3, dim=4)
+    vocab = build_vocab(tokenize_corpus(
+        "cat hat bat mat\nrat cat hat\ncatalog\n"), 1)
+    segmenter, svocab = build_segmentation(cfg, vocab)
+    svocab = SubwordVocab({k: v for k, v in svocab.entries.items()
+                           if k != (NS_WORD_TOKEN, "cat")})
+    return cfg, vocab, segmenter, svocab
+
+
+class TestBulkResolve:
+    @given(kind=st.sampled_from(sorted(RESOLVE_SEGMENTERS)),
+           word_token=st.booleans(),
+           words=st.lists(st.text(alphabet="cathlogbzq", min_size=1,
+                                  max_size=9), max_size=8),
+           cached=st.integers(0, 12))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_word_reference(self, kind, word_token, words,
+                                        cached):
+        cfg, vocab, segmenter, svocab = resolve_parts(kind, word_token)
+        m = SubwordModel(cfg, vocab, svocab, segmenter)
+        # OOV words, then the fixed and vocab words, then repeats
+        words = words + FIXED_WORDS + vocab.words + words[::-1]
+        # some words are in the cache before the batch that holds them all
+        m.indices_of(words[:cached])
+        got = m.indices_of(words)
+        refs = [resolve_reference(m, w) for w in words]
+        for w, idx, ref in zip(words, got, refs):
+            assert idx is m.word_indices(w)
+            assert idx.sub_ids.dtype == idx.pos_ids.dtype == np.int64
+            assert idx.sub_ids.tolist() == ref.sub_ids.tolist(), w
+            assert idx.pos_ids.tolist() == ref.pos_ids.tolist(), w
+            assert (idx.word_token_id, idx.unknown) == \
+                (ref.word_token_id, ref.unknown), w
+        csr = _WordCSR.of_model(m, words)
+        ref_csr = _WordCSR(words, refs, cfg.position)
+        for name in ("flat_sub", "flat_pos", "lens", "starts", "wt_ids"):
+            assert getattr(csr, name).tolist() == \
+                getattr(ref_csr, name).tolist()
+
+    def test_edge_cases_occur(self):
+        """The cases the reference test must meet: clipped positions, an
+        unknown subword beside known ones, a word with no subword, and a
+        vocab word without its word-token row."""
+        cfg, vocab, segmenter, svocab = resolve_parts("charn", True)
+        m = SubwordModel(cfg, vocab, svocab, segmenter)
+        assert m.word_indices("catalog").pos_ids.tolist()[-1] == 2
+        assert m.word_indices("cats").unknown > 1
+        assert m.word_indices("cats").sub_ids.size > 0
+        assert m.word_indices("cat").word_token_id == -1
+        assert m.word_indices("hat").word_token_id >= 0
+        cfg, vocab, segmenter, svocab = resolve_parts("charn5", False)
+        m = SubwordModel(cfg, vocab, svocab, segmenter)
+        q = m.word_indices("q")
+        assert q.sub_ids.size == 0 and q.unknown == 0
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError):
+            small_model().word_indices("")
 
 
 class TestComposeOracle:

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from subtok.corpus import build_vocab, sample_tokens
-from subtok.synth import make_suffix_benchmark
+from subtok.synth import _zipf_cdf, make_suffix_benchmark
 
 
 class TestSuffixBenchmark:
@@ -62,3 +63,19 @@ class TestSuffixBenchmark:
         s = b.mentions.splits
         ids = s["train"] + s["dev"] + s["test"]
         assert sorted(ids) == list(range(len(b.mentions.examples)))
+
+
+class TestZipfDraw:
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    def test_cdf_draw_equals_choice(self, k):
+        """A draw from the precomputed CDF picks the rank that
+        `Generator.choice` picks with the Zipf weights, and consumes the
+        same random numbers."""
+        zipf = 1.0 / np.arange(1, k + 1)
+        zipf /= zipf.sum()
+        cdf = _zipf_cdf(k)
+        by_choice, by_cdf = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(10_000):
+            assert int(by_choice.choice(k, p=zipf)) == \
+                int(cdf.searchsorted(by_cdf.random(), side="right"))
+        assert by_choice.bit_generator.state == by_cdf.bit_generator.state

@@ -1,0 +1,184 @@
+"""Interleaved A/B timing of one perfbench workload: a git revision against
+the working tree.
+
+    python3 tools/ab.py REV WORKLOAD [--seed N] [--rounds N]
+
+The runner exports REV's `src/` and `perfbench/` with `git archive` into a
+temporary directory. It starts two long-lived child processes: one imports
+REV's `perfbench/workloads.py` with REV's `src/` first on `sys.path`, the
+other the working tree's. Both run with BLAS pinned to one thread, as
+`perfbench/run.py` runs its child. Each child sets the workload's inputs up
+once. The runner then asks the two sides for one repetition each per round,
+never both at once, and alternates which side goes first. One warm-up round
+is run and left out.
+
+It prints each round, then for both sides the median and quartiles of the
+repetition's time inside subtok calls (raw seconds, not rescaled to a
+reference CPU speed), the median of the per-round ratio tree/REV, how many
+rounds each side won, the peak RSS of the child and of its reaped worker
+processes (`RUSAGE_CHILDREN`), failed checks, and whether every
+repetition's `exact` record is equal across the two sides.
+
+Separate `perfbench/run.py` runs of one commit on a busy 2-vCPU VM gave
+simulate-grid raw times from 1.95 to 3.08 s (seeds 41-50); interleaving
+puts both sides under the same load within each round. Nothing is written in the repository: inputs, outputs
+and the exported revision live in a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def serve(root: str, workload: str, seed: str, work: str) -> None:
+    """Child side: set the workload up once under `work`, then run one
+    repetition per `run` line read from stdin and answer each with one JSON
+    line on stdout."""
+    sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "perfbench")]
+    import workloads
+
+    wl = workloads.WORKLOADS[workload]
+    work_dir = Path(work)
+    inputs = work_dir / "inputs"
+    inputs.mkdir()
+    answer = sys.stdout
+    with contextlib.redirect_stdout(io.StringIO()):
+        wl.setup(int(seed), inputs)
+    for n, line in enumerate(sys.stdin):
+        if line.strip() != "run":
+            break
+        rep_dir = work_dir / f"rep{n}"
+        rep_dir.mkdir()
+        checks = workloads.Checks()
+        # the program's own prints would break the one-line answers
+        with contextlib.redirect_stdout(io.StringIO()):
+            rep = wl.run(int(seed), inputs, rep_dir, workloads.Timer(),
+                         checks)
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        answer.write(json.dumps({
+            "wall_s": rep.wall_s, "exact": rep.exact,
+            "failures": checks.failures, "attempted": checks.attempted,
+            "rss_mb": own / 1024, "children_rss_mb": kids / 1024},
+            default=str) + "\n")
+        answer.flush()
+
+
+def export(rev: str, dest: Path) -> None:
+    """`src/` and `perfbench/` of `rev` unpacked under `dest`."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src",
+         "perfbench"], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+class Side:
+    """One long-lived child running the workload from `root`."""
+
+    def __init__(self, name: str, root: Path, workload: str, seed: int,
+                 work: Path):
+        self.name = name
+        work.mkdir()
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--serve", str(root), workload,
+             str(seed), str(work)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            cwd=work, env={**os.environ, **PINNED_ENV})
+        self.reps: list[dict] = []
+
+    def run(self) -> dict:
+        self.proc.stdin.write("run\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the {self.name} child exited "
+                               f"(code {self.proc.wait()})")
+        return json.loads(line)
+
+    def close(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.stdin.close()
+            try:
+                self.proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(
+        description="Interleaved A/B timing of one perfbench workload: a "
+                    "git revision against the working tree.")
+    p.add_argument("rev", help="git revision to compare against, e.g. HEAD")
+    p.add_argument("workload", help="a perfbench workload name")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=12)
+    args = p.parse_args(argv)
+    if args.rounds < 2:
+        p.error("--rounds must be >= 2")
+
+    with tempfile.TemporaryDirectory(prefix="subtok-ab-") as tmp:
+        tmp = Path(tmp)
+        export(args.rev, tmp / "rev")
+        sides = [Side(args.rev, tmp / "rev", args.workload, args.seed,
+                      tmp / "rev-work"),
+                 Side("tree", ROOT, args.workload, args.seed,
+                      tmp / "tree-work")]
+        try:
+            for side in sides:  # warm-up, left out
+                side.run()
+            for i in range(args.rounds):
+                order = sides if i % 2 == 0 else sides[::-1]
+                for side in order:
+                    side.reps.append(side.run())
+                a, b = (s.reps[-1]["wall_s"] for s in sides)
+                print(f"round {i + 1:2d} ({order[0].name} first): "
+                      f"{args.rev} {a:.3f} s  tree {b:.3f} s  "
+                      f"ratio {b / a:.3f}", flush=True)
+        finally:
+            for side in sides:
+                side.close()
+
+    rev, tree = sides
+    for side in sides:
+        walls = [r["wall_s"] for r in side.reps]
+        q1, q2, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+        failed = sum(len(r["failures"]) for r in side.reps)
+        attempted = sum(r["attempted"] for r in side.reps)
+        print(f"{side.name}: median {q2:.3f} s (quartiles {q1:.3f}-"
+              f"{q3:.3f}), n={len(walls)}, failed {failed}/{attempted}, "
+              f"peak RSS {max(r['rss_mb'] for r in side.reps):.0f} MB, "
+              f"workers {max(r['children_rss_mb'] for r in side.reps):.0f}"
+              " MB")
+    ratios = [t["wall_s"] / r["wall_s"] for r, t in zip(rev.reps, tree.reps)]
+    wins = sum(t["wall_s"] < r["wall_s"] for r, t in zip(rev.reps, tree.reps))
+    print(f"ratio tree/{args.rev}: median {statistics.median(ratios):.3f}; "
+          f"tree faster in {wins} of {len(ratios)} rounds")
+    differ = sorted({k for r, t in zip(rev.reps, tree.reps)
+                     for k in set(r["exact"]) | set(t["exact"])
+                     if r["exact"].get(k) != t["exact"].get(k)})
+    print("exact records: " + (f"differ in {differ}" if differ else "equal"))
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--serve"]:
+        serve(*sys.argv[2:])
+    else:
+        sys.exit(main())
