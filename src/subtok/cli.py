@@ -35,6 +35,7 @@ from subtok.errors import (
     read_lines,
 )
 from subtok.model import (
+    SEGMENTER_KINDS,
     ModelConfig,
     SubwordModel,
     build_segmentation,
@@ -162,26 +163,41 @@ def train_config(args, group, seed: int, epochs=None, batch_size=None,
 
 
 def add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seg", choices=("morf", "bpe", "charn", "word"),
-                   default="charn")
-    p.add_argument("--merges", type=int, default=10_000,
+    """The ModelConfig flags. Here and in the other flag helpers a default
+    is read from ModelConfig or TrainConfig, so it is written once."""
+    p.add_argument("--seg", choices=SEGMENTER_KINDS,
+                   default=ModelConfig.segmenter)
+    p.add_argument("--merges", type=int, default=ModelConfig.num_merges,
                    help="BPE merge operations (bpe only)")
-    p.add_argument("--ngram-min", type=int, default=3)
-    p.add_argument("--ngram-max", type=int, default=6)
+    add_ngram_flags(p)
     p.add_argument("--word-token", action=argparse.BooleanOptionalAction,
-                   default=False, help="append the word itself (w+/w-)")
+                   default=ModelConfig.word_token,
+                   help="append the word itself (w+/w-)")
     p.add_argument("--position", action=argparse.BooleanOptionalAction,
-                   default=False, help="additive position embeddings (p+/p-)")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--max-positions", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
+                   default=ModelConfig.position,
+                   help="additive position embeddings (p+/p-)")
+    p.add_argument("--dim", type=int, default=ModelConfig.dim)
+    p.add_argument("--max-positions", type=int,
+                   default=ModelConfig.max_positions)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
+
+
+def add_ngram_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ngram-min", type=int, default=ModelConfig.ngram_min)
+    p.add_argument("--ngram-max", type=int, default=ModelConfig.ngram_max)
+
+
+def add_sgns_flags(p: argparse.ArgumentParser):
+    """The SGNS settings that train and simulate share."""
+    p.add_argument("--window", type=int, default=TrainConfig.window)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr_start)
+    p.add_argument("--subsample-t", type=float,
+                   default=TrainConfig.subsample_t)
 
 
 def add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--subsample-t", type=float, default=1e-5)
+    add_sgns_flags(p)
     p.add_argument("--epochs", type=int, default=None,
                    help="override the data-group epoch count")
     p.add_argument("--batch-size", type=int, default=None)
@@ -246,6 +262,8 @@ def _load_segmenter(args):
 def cmd_segment_apply(args, guard: ArtifactGuard) -> int:
     segmenter = _load_segmenter(args)
     words = args.words or [w for line in sys.stdin for w in line.split()]
+    if not all(words):
+        raise SubtokError("cannot segment an empty word")
     for word in words:
         seg = segment_word(segmenter, word, args.word_token)
         parts = list(seg.subwords)
@@ -664,20 +682,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment-learn", help="train a BPE or morph model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--seg", choices=("bpe", "morf"), required=True)
-    p.add_argument("--merges", type=int, default=10_000)
+    p.add_argument("--merges", type=int, default=ModelConfig.num_merges)
     p.add_argument("--max-iters", type=int, default=10)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_segment_learn)
 
     p = sub.add_parser("segment-apply", help="segment words to stdout")
-    p.add_argument("--seg", choices=("morf", "bpe", "charn", "word"),
-                   required=True)
+    p.add_argument("--seg", choices=SEGMENTER_KINDS, required=True)
     p.add_argument("--model", help="segmenter model file (bpe/morf)")
-    p.add_argument("--ngram-min", type=int, default=3)
-    p.add_argument("--ngram-max", type=int, default=6)
+    add_ngram_flags(p)
     p.add_argument("--word-token", action=argparse.BooleanOptionalAction,
-                   default=False)
+                   default=ModelConfig.word_token)
     p.add_argument("words", nargs="*")
     p.set_defaults(func=cmd_segment_apply)
 
@@ -716,11 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", required=True,
                    help="comma list of config labels (e.g. charn:w+:p-,w2v)")
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--subsample-t", type=float, default=1e-5)
+    p.add_argument("--dim", type=int, default=ModelConfig.dim)
+    add_sgns_flags(p)
     p.add_argument("--train-epochs", type=int, default=None,
                    help="desk-scale override of the group epoch count")
     p.add_argument("--out")
@@ -737,8 +750,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not (args.mentions or args.conll):
-        print("subtok: simulate needs --mentions or --conll", file=sys.stderr)
+    if args.command == "simulate" and bool(args.mentions) == bool(args.conll):
+        print("subtok: simulate needs exactly one of --mentions and --conll",
+              file=sys.stderr)
         return 1
     guard = ArtifactGuard()
     try:

@@ -36,10 +36,6 @@ class Corpus:
                 raise ValueError("empty token in sentence")
         return cls(sentences=sents, token_count=sum(len(s) for s in sents))
 
-    def tokens(self):
-        for sent in self.sentences:
-            yield from sent
-
 
 def tokenize_corpus(text: str | bytes) -> Corpus:
     """Split a plain-text stream into a Corpus: one sentence per line, tokens
@@ -75,7 +71,6 @@ class Vocab:
 
     words: list[str]
     counts: np.ndarray  # int64, aligned with ids
-    min_count: int
     total_tokens: int  # corpus token count, including dropped rare words
     word2id: dict[str, int] = field(default_factory=dict)
 
@@ -85,12 +80,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.word2id
-
-    def count(self, word: str) -> int:
-        return int(self.counts[self.word2id[word]])
 
     def items(self):
         for i, w in enumerate(self.words):
@@ -102,8 +91,7 @@ class Vocab:
                 fh.write(f"{w}\t{i}\t{c}\n")
 
     @classmethod
-    def load_tsv(cls, path: str | Path, min_count: int = 1,
-                 total_tokens: int | None = None) -> "Vocab":
+    def load_tsv(cls, path: str | Path) -> "Vocab":
         words, counts = [], []
         for ln, (word, wid, count) in read_fields(
                 path, "vocab file", "\t", 3,
@@ -115,9 +103,8 @@ class Vocab:
         if not words:
             raise EmptyVocabError(f"no vocabulary entries in {path}")
         counts_arr = np.asarray(counts, dtype=np.int64)
-        total = int(counts_arr.sum()) if total_tokens is None else total_tokens
-        return cls(words=words, counts=counts_arr, min_count=min_count,
-                   total_tokens=total)
+        return cls(words=words, counts=counts_arr,
+                   total_tokens=int(counts_arr.sum()))
 
 
 def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
@@ -137,8 +124,7 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
     kept.sort(key=lambda wc: (-wc[1], wc[0]))
     words = [w for w, _ in kept]
     counts = np.asarray([c for _, c in kept], dtype=np.int64)
-    return Vocab(words=words, counts=counts, min_count=min_count,
-                 total_tokens=corpus.token_count)
+    return Vocab(words=words, counts=counts, total_tokens=corpus.token_count)
 
 
 def sample_tokens(corpus: Corpus, n: int) -> Corpus:

@@ -32,7 +32,6 @@ from subtok.segment import (
     build_subword_vocab,
     learn_bpe,
     learn_morfessor_lite,
-    segment_word,
 )
 
 SEGMENTER_KINDS = ("morf", "bpe", "charn", "word")
@@ -198,10 +197,6 @@ class WordIndices:
     word_token_id: int
     unknown: int
 
-    @property
-    def all_unknown(self) -> bool:
-        return self.sub_ids.size == 0 and self.word_token_id < 0
-
 
 class _WordCSR:
     """Flattened per-word subword/position row ids (CSR layout) and
@@ -273,10 +268,7 @@ class SubwordModel:
         segmenter, svocab = build_segmentation(config, vocab)
         return cls(config, vocab, svocab, segmenter)
 
-    # -- segmentation / index resolution ------------------------------------
-
-    def segmentation(self, word: str):
-        return segment_word(self.segmenter, word, self.config.word_token)
+    # -- index resolution ---------------------------------------------------
 
     def word_indices(self, word: str) -> WordIndices:
         return self.indices_of([word])[0]
@@ -342,10 +334,6 @@ class SubwordModel:
 
     def word_vector(self, word: str) -> np.ndarray:
         return self.vectors([word])[0]
-
-    def word_vector_checked(self, word: str) -> tuple[np.ndarray, bool]:
-        """(vector, all_unknown). All-unknown words yield the zero vector."""
-        return self.word_vector(word), self.word_indices(word).all_unknown
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class MentionDataset:
     examples: list[tuple[tuple[str, ...], str]]
     label_inventory: list[str]
     splits: dict[str, list[int]]
-    seed: int = 0
 
     def split_examples(self, split: str):
         return [self.examples[i] for i in self.splits[split]]
@@ -57,8 +56,7 @@ class MentionDataset:
         labels = sorted({label for _, label in examples})
         if splits is None:
             splits = random_split(len(examples), seed)
-        return cls(examples=examples, label_inventory=labels, splits=splits,
-                   seed=seed)
+        return cls(examples=examples, label_inventory=labels, splits=splits)
 
 
 def random_split(n: int, seed: int) -> dict[str, list[int]]:
@@ -196,13 +194,6 @@ def mention_features(model: SubwordModel, tokens) -> np.ndarray:
     return _features(model, [[tokens]])[0]
 
 
-def window_features(model: SubwordModel, tokens, i: int,
-                    window: int) -> np.ndarray:
-    """Concatenated composed vectors at offsets -window..+window; zero vector
-    past sentence boundaries."""
-    return _features(model, [_window_slots(tokens, i, window)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Softmax probe
 # ---------------------------------------------------------------------------
@@ -214,13 +205,6 @@ class SoftmaxProbe:
     bias: np.ndarray  # (n_labels,)
     labels: list[str]
     window: int = 0  # tagging: slots at offsets -window..+window
-
-    def predict_index(self, feat: np.ndarray) -> int:
-        # np.argmax breaks ties by lowest index
-        return int(np.argmax(self.weights @ feat + self.bias))
-
-    def predict(self, feat: np.ndarray) -> str:
-        return self.labels[self.predict_index(feat)]
 
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """(examples, labels) scores; row i has the bits of
@@ -316,7 +300,8 @@ def _labeled(model: SubwordModel, labels: list[str], examples):
 
 
 def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
-    """Label ids predicted for examples given as slot lists."""
+    """Label ids predicted for examples given as slot lists; a tie goes to
+    the lowest label id."""
     return probe.scores(_features(model, items)).argmax(axis=1).tolist()
 
 

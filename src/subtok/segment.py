@@ -307,7 +307,6 @@ class MorfModel:
     morph_lexicon: dict[str, int]
     corpus_cost: float
     cost_history: list[float] = field(default_factory=list)
-    lam: float = 1.0
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
     _denom: int = field(init=False, repr=False)
 
@@ -319,8 +318,7 @@ class MorfModel:
     def segment(self, word: str) -> tuple[str, ...]:
         cached = self._cache.get(word)
         if cached is None:
-            cached = _viterbi_segment(word, self.morph_lexicon, self.lam,
-                                      self._denom)
+            cached = _viterbi_segment(word, self.morph_lexicon, self._denom)
             self._cache[word] = cached
         return cached
 
@@ -330,37 +328,36 @@ class MorfModel:
                 fh.write(f"{morph}\t{self.morph_lexicon[morph]}\n")
 
     @classmethod
-    def load(cls, path: str | Path, lam: float = 1.0) -> "MorfModel":
+    def load(cls, path: str | Path) -> "MorfModel":
         lexicon = {morph: nonnegative_int(count, "morph count", ln)
                    for ln, (morph, count) in read_fields(
                        path, "morph model", "\t", 2,
                        "expected morph<TAB>count")}
-        model = cls(morph_lexicon=lexicon, corpus_cost=0.0, lam=lam)
-        model.corpus_cost = _total_cost_from_counts(lexicon, lam)
-        return model
+        return cls(morph_lexicon=lexicon,
+                   corpus_cost=_total_cost_from_counts(lexicon))
 
 
-def _total_cost_from_counts(counts: dict[str, int], lam: float) -> float:
+def _total_cost_from_counts(counts: dict[str, int]) -> float:
     """Two-part cost: sum over morph tokens of -log p(morph) with add-one
-    smoothing, plus lam * total characters in the lexicon."""
+    smoothing, plus 1 nat per character in the lexicon."""
     total = sum(counts.values())
     lex = len(counts)
     denom = total + lex
     cost = 0.0
     for m, c in counts.items():
         cost += c * -math.log((c + 1) / denom)
-    cost += lam * sum(len(m) for m in counts)
+    cost += sum(len(m) for m in counts)
     return cost
 
 
 def _analyses_cost(analyses: dict[str, tuple[str, ...]],
-                   freqs: dict[str, int], lam: float) -> float:
+                   freqs: dict[str, int]) -> float:
     counts: Counter = Counter()
     for w, morphs in analyses.items():
         f = freqs[w]
         for m in morphs:
             counts[m] += f
-    return _total_cost_from_counts(counts, lam)
+    return _total_cost_from_counts(counts)
 
 
 def _best_split(word: str, morph_cost) -> tuple[float, tuple[str, ...]]:
@@ -388,8 +385,7 @@ def _best_split(word: str, morph_cost) -> tuple[float, tuple[str, ...]]:
     return memo[word]
 
 
-def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
-                         lam: float = 1.0) -> MorfModel:
+def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10) -> MorfModel:
     """Iterative re-estimation of word analyses. Each pass re-segments every
     word type (optimal partition under the current morph statistics, with an
     amortized lexicon penalty for novel morphs); a pass that fails to lower
@@ -404,7 +400,7 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
     counts: Counter = Counter({w: freqs[w] for w in vocab.words})
     total = sum(counts.values())  # morph tokens, kept exact as counts change
 
-    cost_history = [_analyses_cost(analyses, freqs, lam)]
+    cost_history = [_analyses_cost(analyses, freqs)]
 
     for _ in range(max_iters):
         prev_analyses = dict(analyses)
@@ -424,7 +420,7 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
                            _novel=novel):
                 c = _counts.get(m, 0)
                 if c == 0:
-                    return _novel + lam * len(m)  # lexicon growth penalty
+                    return _novel + len(m)  # lexicon growth penalty
                 return _f * -math.log((c + 1) / _denom)
 
             _, seg = _best_split(w, morph_cost)
@@ -433,7 +429,7 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
                 counts[m] += f
             total += f * len(seg)
 
-        cost = _analyses_cost(analyses, freqs, lam)
+        cost = _analyses_cost(analyses, freqs)
         if cost < cost_history[-1] - 1e-6:
             cost_history.append(cost)
         else:
@@ -449,12 +445,12 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10,
             final_counts[m] += freqs[w]
     model = MorfModel(morph_lexicon=dict(final_counts),
                       corpus_cost=cost_history[-1],
-                      cost_history=cost_history, lam=lam)
+                      cost_history=cost_history)
     model._cache.update(analyses)
     return model
 
 
-def _viterbi_segment(word: str, lexicon: dict[str, int], lam: float,
+def _viterbi_segment(word: str, lexicon: dict[str, int],
                      denom: int) -> tuple[str, ...]:
     """Segment an arbitrary word with the learned lexicon, whose add-one
     denominator `denom` is its token total + its size + 1; substrings
@@ -462,7 +458,7 @@ def _viterbi_segment(word: str, lexicon: dict[str, int], lam: float,
     morphs are preferred."""
     if not word:
         raise ValueError("word must be non-empty")
-    unk_char_cost = -math.log(1.0 / denom) + lam
+    unk_char_cost = -math.log(1.0 / denom) + 1.0
 
     def morph_cost(m):
         c = lexicon.get(m, 0)
@@ -517,9 +513,6 @@ class SubwordVocab:
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self.entries
-
-    def get(self, key: tuple[str, str], default=None):
-        return self.entries.get(key, default)
 
     def save_tsv(self, path: str | Path) -> None:
         items = sorted(self.entries.items(), key=lambda kv: kv[1])

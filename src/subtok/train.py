@@ -51,7 +51,6 @@ class TrainConfig:
     batch_size: int = 32
     min_count: int = 2
     subsample_t: float = 1e-5
-    power: float = 0.75
     threads: int = 1
     seed: int = 1
 
@@ -60,6 +59,9 @@ class TrainConfig:
             raise ConfigError("window and negatives must be >= 1")
         if not 0 < self.lr_start < np.inf:  # false for nan too
             raise ConfigError("lr_start must be a finite number > 0")
+        if not 0 <= self.subsample_t < np.inf:
+            raise ConfigError("subsample_t must be a finite number >= 0 "
+                              "(0 turns subsampling off)")
         if self.batch_size < 1 or self.min_count < 1:
             raise ConfigError("batch_size and min_count must be >= 1")
         if self.epochs < 0:
@@ -106,7 +108,8 @@ def sgns_loss(target_vec: np.ndarray, context_id: int,
 
 class NegativeSampler:
     """Draws negatives from the unigram^power distribution; negatives that
-    collide with the positive id are resampled up to 10 times, then dropped."""
+    collide with the positive id are resampled up to 10 times, then masked
+    out."""
 
     def __init__(self, vocab: Vocab, power: float = 0.75):
         self.weights = negative_sampling_weights(vocab, power)
@@ -115,16 +118,6 @@ class NegativeSampler:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.searchsorted(self.cum, rng.random(n), side="right")
-
-    def draw_avoiding(self, rng: np.random.Generator, k: int,
-                      positive: int) -> np.ndarray:
-        negs = self.draw(rng, k)
-        for _ in range(10):
-            bad = negs == positive
-            if not bad.any():
-                break
-            negs[bad] = self.draw(rng, int(bad.sum()))
-        return negs[negs != positive]
 
     def draw_matrix(self, rng: np.random.Generator, positives: np.ndarray,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,18 +172,19 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
 def sgns_step(model: SubwordModel, center_word: str, context_word: str,
               lr: float, k: int, sampler: NegativeSampler,
               rng: np.random.Generator) -> float:
-    """One (center, context) SGD update: sample k negatives and run the
-    kernel on this single pair. Returns the pair loss."""
+    """One (center, context) SGD update: draw k negatives as the trainer
+    does, on a one-pair batch, and run the kernel on it. Returns the pair
+    loss."""
     vocab = model.vocab
     ctx_id = vocab.word2id.get(context_word)
     if center_word not in vocab.word2id or ctx_id is None:
         raise SubtokError(
             f"both words must be in vocab: {center_word!r}, {context_word!r}")
-    negs = sampler.draw_avoiding(rng, k, ctx_id)
+    ctx = np.array([ctx_id])
+    negs, valid = sampler.draw_matrix(rng, ctx, k)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
                        np.zeros(1, dtype=np.int64),
-                       np.concatenate(([ctx_id], negs))[None],
-                       np.ones((1, negs.size), dtype=bool), lr)
+                       np.concatenate((ctx[:, None], negs), axis=1), valid, lr)
     return float(loss[0])
 
 
@@ -287,7 +281,7 @@ class Trainer:
         self.model = model
         self.config = config
         self.csr = _WordCSR.of_model(model)
-        self.sampler = NegativeSampler(model.vocab, config.power)
+        self.sampler = NegativeSampler(model.vocab)
         self.keep_probs = subsample_keep_probs(model.vocab,
                                                config.subsample_t)
         self.stream_ids, self.sent_of = _token_stream(corpus, model.vocab)

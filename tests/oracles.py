@@ -7,8 +7,9 @@ from collections import Counter
 
 import numpy as np
 
-from subtok.model import SubwordModel, WordIndices
-from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN
+from subtok.model import SubwordModel, WordIndices, _WordCSR
+from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN, segment_word
+from subtok.train import NegativeSampler, sgns_kernel
 
 
 def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
@@ -83,10 +84,9 @@ def all_partitions(word: str):
         yield tuple(parts)
 
 
-def morf_cost(analyses: dict[str, tuple], freqs: dict[str, int],
-              lam: float = 1.0) -> float:
+def morf_cost(analyses: dict[str, tuple], freqs: dict[str, int]) -> float:
     """Two-part MDL cost of a joint segmentation assignment: add-one smoothed
-    token cost plus lam * lexicon characters."""
+    token cost plus 1 nat per lexicon character."""
     counts = Counter()
     for w, morphs in analyses.items():
         for m in morphs:
@@ -95,10 +95,10 @@ def morf_cost(analyses: dict[str, tuple], freqs: dict[str, int],
     lex = len(counts)
     cost = sum(c * -math.log((c + 1) / (total + lex))
                for c in counts.values())
-    return cost + lam * sum(len(m) for m in counts)
+    return cost + sum(len(m) for m in counts)
 
 
-def morf_exhaustive_minimum(freqs: dict[str, int], lam: float = 1.0):
+def morf_exhaustive_minimum(freqs: dict[str, int]):
     """Joint exhaustive search over all per-word partitions; returns the
     cheapest assignment and its cost. Exponential, tiny vocabs only."""
     words = list(freqs)
@@ -106,7 +106,7 @@ def morf_exhaustive_minimum(freqs: dict[str, int], lam: float = 1.0):
     best_cost, best = math.inf, None
     for combo in itertools.product(*choices):
         analyses = dict(zip(words, combo))
-        c = morf_cost(analyses, freqs, lam)
+        c = morf_cost(analyses, freqs)
         if c < best_cost:
             best_cost, best = c, analyses
     return best, best_cost
@@ -124,12 +124,12 @@ def resolve_reference(model: SubwordModel, word: str) -> WordIndices:
     (unknown pieces count) clamped to max_positions - 1; under w+ the
     word-token row, or -1. `unknown` counts the pieces and the word token
     that the subword vocab lacks."""
-    seg = model.segmentation(word)
+    seg = segment_word(model.segmenter, word, model.config.word_token)
     sub_ids, pos_ids = [], []
     unknown = 0
     maxpos = model.config.max_positions
     for i, s in enumerate(seg.subwords):
-        sid = model.subword_vocab.get((NS_SUBWORD, s))
+        sid = model.subword_vocab.entries.get((NS_SUBWORD, s))
         if sid is None:
             unknown += 1
         else:
@@ -137,7 +137,7 @@ def resolve_reference(model: SubwordModel, word: str) -> WordIndices:
             pos_ids.append(min(i, maxpos - 1))
     wt_id = -1
     if seg.includes_word_token:
-        wt = model.subword_vocab.get((NS_WORD_TOKEN, word))
+        wt = model.subword_vocab.entries.get((NS_WORD_TOKEN, word))
         if wt is None:
             unknown += 1
         else:
@@ -154,23 +154,57 @@ def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
     max_positions - 1, and under w+ the word-token row if the word has one.
     Unknown pieces add nothing."""
     cfg, params = model.config, model.params
-    seg = model.segmentation(word)
+    seg = segment_word(model.segmenter, word, cfg.word_token)
     vec = np.zeros(cfg.dim)
     for i, s in enumerate(seg.subwords):
-        row = model.subword_vocab.get((NS_SUBWORD, s))
+        row = model.subword_vocab.entries.get((NS_SUBWORD, s))
         if row is not None:
             vec += params.subword[row]
             if cfg.position:
                 vec += params.position[min(i, cfg.max_positions - 1)]
     if seg.includes_word_token:
-        row = model.subword_vocab.get((NS_WORD_TOKEN, word))
+        row = model.subword_vocab.entries.get((NS_WORD_TOKEN, word))
         if row is not None:
             vec += params.subword[row]
     return vec
 
 
-def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,
-                         lam: float = 1.0):
+def all_unknown(idx: WordIndices) -> bool:
+    """Whether a word's resolved rows hold neither a known subword nor a
+    word-token row, so that it composes to the zero vector."""
+    return idx.sub_ids.size == 0 and idx.word_token_id < 0
+
+
+def draw_avoiding(sampler: NegativeSampler, rng: np.random.Generator,
+                  k: int, positive: int) -> np.ndarray:
+    """k negatives for one positive id: draws that collide with it are
+    redrawn up to 10 times, and those still colliding are dropped."""
+    negs = sampler.draw(rng, k)
+    for _ in range(10):
+        bad = negs == positive
+        if not bad.any():
+            break
+        negs[bad] = sampler.draw(rng, int(bad.sum()))
+    return negs[negs != positive]
+
+
+def sgns_step_reference(model: SubwordModel, center_word: str,
+                        context_word: str, lr: float, k: int,
+                        sampler: NegativeSampler,
+                        rng: np.random.Generator) -> float:
+    """One (center, context) SGD update on the negatives that
+    `draw_avoiding` keeps, each of them valid, so a dropped collision takes
+    no place in the batch. Returns the pair loss."""
+    ctx_id = model.vocab.word2id[context_word]
+    negs = draw_avoiding(sampler, rng, k, ctx_id)
+    loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
+                       np.zeros(1, dtype=np.int64),
+                       np.concatenate(([ctx_id], negs))[None],
+                       np.ones((1, negs.size), dtype=bool), lr)
+    return float(loss[0])
+
+
+def morf_reference_learn(word_freqs: dict[str, int], max_iters: int):
     """Morfessor-lite as first written: words in vocab order (descending
     count, then lexicographic), the token total summed afresh for every
     word, and a recursive memoised split search. Returns the morph lexicon,
@@ -188,7 +222,7 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,
         cost = 0.0
         for c in morph_counts.values():
             cost += c * -math.log((c + 1) / denom)
-        return cost + lam * sum(len(m) for m in morph_counts)
+        return cost + sum(len(m) for m in morph_counts)
 
     def best_split(s, morph_cost, memo):
         if s in memo:
@@ -217,7 +251,7 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,
                 c = counts.get(m, 0)
                 cost = f * -math.log((c + 1) / denom)
                 if c == 0:
-                    cost += lam * len(m)
+                    cost += len(m)
                 return cost
 
             analyses[w] = best_split(w, morph_cost, {})[1]
@@ -240,14 +274,13 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int,
     return dict(lexicon), analyses, history
 
 
-def morf_reference_viterbi(word: str, lexicon: dict[str, int],
-                           lam: float = 1.0):
+def morf_reference_viterbi(word: str, lexicon: dict[str, int]):
     """Cheapest segmentation of an unseen word under the learned lexicon,
     summing the lexicon afresh on every call; unknown substrings cost a
     high per-character price. Split points up to 30 characters back, the
     first strict minimum wins."""
     denom = sum(lexicon.values()) + len(lexicon) + 1
-    unk_char = -math.log(1.0 / denom) + lam
+    unk_char = -math.log(1.0 / denom) + 1.0
     n = len(word)
     best = [0.0] + [math.inf] * n
     back = [0] * (n + 1)
@@ -291,6 +324,12 @@ def window_features(model: SubwordModel, tokens, i: int,
         else:
             parts.append(np.zeros(d, dtype=np.float32))
     return np.concatenate(parts)
+
+
+def predict_index(probe, feat: np.ndarray) -> int:
+    """The label id one example's feature scores highest, ties to the
+    lowest id."""
+    return int(np.argmax(probe.weights @ feat + probe.bias))
 
 
 def probe_gradient(feats, label_ids, weights, bias, lam: float):

@@ -20,9 +20,9 @@ from subtok.cli import (
 )
 from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
-from subtok.model import SubwordModel
+from subtok.model import ModelConfig, SubwordModel
 from subtok.synth import make_suffix_benchmark
-from subtok.train import train
+from subtok.train import TrainConfig, train
 
 
 @pytest.fixture
@@ -193,6 +193,12 @@ class TestSegmentCommands:
 
     def test_apply_bpe_without_model(self, capsys):
         assert main(["segment-apply", "--seg", "bpe", "cats"]) == 1
+
+    def test_apply_empty_word_exit_1(self, capsys):
+        assert main(["segment-apply", "--seg", "charn", "cats", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "subtok: cannot segment an empty word\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seg,flag,message", [
         ("bpe", "--min-count", "min_count must be >= 1"),
@@ -484,6 +490,18 @@ class TestSimulate:
                    "--we-tokens", "2000", "--task-instances", "10",
                    "--configs", "w2v", "--out", str(tmp_path / "s")])
         assert rc == 1
+
+    def test_refuses_both_task_files(self, corpus_file, mentions_file,
+                                     tmp_path, capsys):
+        conll = tmp_path / "tags.tsv"
+        conll.write_text("red\tADJ\n\nblue\tADJ\n", encoding="utf-8")
+        rc = main(["simulate", "--corpus", str(corpus_file), "--mentions",
+                   str(mentions_file), "--conll", str(conll),
+                   "--we-tokens", "2000", "--task-instances", "10",
+                   "--configs", "w2v", "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert "needs exactly one of" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestProbeStability:
@@ -993,6 +1011,9 @@ class TestBadNumbersExit1:
         assert not vec.exists()
 
 
+_SUBSAMPLE_T = "subsample_t must be a finite number >= 0"
+
+
 class TestBadSettingsExit1:
     """Training settings out of range exit 1 before anything is trained or
     written."""
@@ -1000,8 +1021,14 @@ class TestBadSettingsExit1:
     @pytest.mark.parametrize("command,flag,value,message", [
         ("simulate", "--lr", "nan", "lr_start must be a finite number > 0"),
         ("train", "--lr", "nan", "lr_start must be a finite number > 0"),
-        ("train", "--lr", "inf", "lr_start must be a finite number > 0")],
-        ids=["simulate-lr-nan", "train-lr-nan", "train-lr-inf"])
+        ("train", "--lr", "inf", "lr_start must be a finite number > 0"),
+        ("simulate", "--subsample-t", "nan", _SUBSAMPLE_T),
+        ("train", "--subsample-t", "nan", _SUBSAMPLE_T),
+        ("train", "--subsample-t", "inf", _SUBSAMPLE_T),
+        ("train", "--subsample-t", "-0.5", _SUBSAMPLE_T)],
+        ids=["simulate-lr-nan", "train-lr-nan", "train-lr-inf",
+             "simulate-subsample-t-nan", "train-subsample-t-nan",
+             "train-subsample-t-inf", "train-subsample-t-negative"])
     def test_exit_1_writing_nothing(self, corpus_file, mentions_file,
                                     tmp_path, capsys, command, flag, value,
                                     message):
@@ -1233,3 +1260,24 @@ class TestUnreadableFilesExit1:
         assert "internal error" not in err
         assert stdout == ""
         assert _tree(tmp_path) == before
+
+
+class TestParserDefaults:
+    """The flag defaults of train and simulate are the config dataclasses'
+    defaults."""
+
+    def test_train_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--corpus", "c.txt"])
+        assert subtok.cli.model_config_from_args(args) == ModelConfig()
+        assert (args.window, args.negatives, args.lr, args.subsample_t) == (
+            TrainConfig.window, TrainConfig.negatives, TrainConfig.lr_start,
+            TrainConfig.subsample_t)
+
+    def test_simulate_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(
+            ["simulate", "--corpus", "c.txt", "--we-tokens", "1",
+             "--task-instances", "1", "--configs", "w2v"])
+        assert (args.dim, args.window, args.negatives, args.lr,
+                args.subsample_t) == (
+            ModelConfig.dim, TrainConfig.window, TrainConfig.negatives,
+            TrainConfig.lr_start, TrainConfig.subsample_t)

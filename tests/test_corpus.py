@@ -83,7 +83,8 @@ class TestSampleTokens:
         c = tokenize_corpus("a b c\nd e f g\nh i j k l\n")
         s = sample_tokens(c, 10)
         assert s.token_count == 10
-        assert list(s.tokens()) == list(c.tokens())[:10]
+        assert [t for sent in s.sentences for t in sent] == \
+            [t for sent in c.sentences for t in sent][:10]
 
     def test_identity(self):
         c = tokenize_corpus("a b c\nd e\n")

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_reference, resolve_reference, scatter_reference
+from oracles import (
+    all_unknown,
+    compose_reference,
+    resolve_reference,
+    scatter_reference,
+)
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
 from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
@@ -130,15 +135,15 @@ class TestCompose:
 
     def test_all_unknown_zero_vector(self):
         m = small_model()
-        vec, all_unknown = m.word_vector_checked("zzzzzz")
-        assert all_unknown
+        vec = m.word_vector("zzzzzz")
+        assert all_unknown(m.word_indices("zzzzzz"))
         assert not vec.any()
 
     def test_unseen_word_shares_known_ngrams(self):
         m = small_model()
         # "cat" trained; same char n-grams as itself when recomposed as OOV
-        vec, all_unknown = m.word_vector_checked("cat")
-        assert not all_unknown
+        vec = m.word_vector("cat")
+        assert not all_unknown(m.word_indices("cat"))
         assert vec.any()
 
 
@@ -272,7 +277,7 @@ class TestComposeOracle:
     def test_fixed_words_cover_the_edge_cases(self):
         m = oracle_model(True, True)
         for w in ("zzz", "q"):
-            assert m.word_indices(w).all_unknown
+            assert all_unknown(m.word_indices(w))
         assert m.word_indices("catalog").pos_ids.max() == 2
         assert m.word_indices("catalog").sub_ids.size > 3
 
@@ -390,7 +395,7 @@ class TestExport:
     def test_empty_vocab_refused(self, tmp_path):
         m = small_model()
         m.vocab = Vocab(words=[], counts=np.empty(0, dtype=np.int64),
-                        min_count=1, total_tokens=0, word2id={"": -1})
+                        total_tokens=0, word2id={"": -1})
         with pytest.raises(SubtokError):
             export_vectors(m, tmp_path / "vec.txt")
         assert not (tmp_path / "vec.txt").exists()

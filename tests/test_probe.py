@@ -27,9 +27,14 @@ from subtok.probe import (
     tag_sentences,
     train_mention_probe,
     train_tagger_probe,
-    window_features,
     write_metrics,
 )
+
+
+def window_features(model, tokens, i, window):
+    """The probe's feature row of token i with `window` slots each side."""
+    return probe_mod._features(
+        model, [probe_mod._window_slots(tokens, i, window)])[0]
 
 
 def charn_model(text, **cfg):
@@ -275,8 +280,10 @@ class TestOovProperty:
         charn = charn_model(text)
         word = charn_model(text, segmenter="word")
         oov = "walker"
-        cv, c_unknown = charn.word_vector_checked(oov)
-        wv, w_unknown = word.word_vector_checked(oov)
+        cv, c_unknown = (charn.word_vector(oov),
+                         oracles.all_unknown(charn.word_indices(oov)))
+        wv, w_unknown = (word.word_vector(oov),
+                         oracles.all_unknown(word.word_indices(oov)))
         assert not c_unknown and cv.any()
         assert w_unknown and not wv.any()
 
@@ -382,8 +389,8 @@ def test_matches_reference_probes(label, task):
         probe = train_mention_probe(model, mentions)
         test = mentions.split_examples("test")
         preds = probe_mod._predict(probe, model, [[t] for t, _ in test])
-        ref_preds = [probe.predict_index(
-            oracles.mention_features(ref_model, t)) for t, _ in test]
+        ref_preds = [oracles.predict_index(
+            probe, oracles.mention_features(ref_model, t)) for t, _ in test]
         assert eval_mention_accuracy(probe, model, mentions) == \
             sum(p == probe.labels.index(l)
                 for p, (_, l) in zip(ref_preds, test)) / len(test)
@@ -393,9 +400,9 @@ def test_matches_reference_probes(label, task):
         probe = train_tagger_probe(model, data, window=window)
         test = data.split_sentences("test")
         preds = tag_sentences(probe, model, test)
-        ref_preds = [tuple(probe.predict(oracles.window_features(
-            ref_model, toks, i, window)) for i in range(len(toks)))
-            for toks, _ in test]
+        ref_preds = [tuple(probe.labels[oracles.predict_index(
+            probe, oracles.window_features(ref_model, toks, i, window))]
+            for i in range(len(toks))) for toks, _ in test]
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
         ref_model, data, probe.labels, window))
     assert grad < probe_mod.GRAD_TOL
@@ -463,7 +470,7 @@ def test_negative_window_is_a_config_error():
 
 
 class TestScores:
-    """SoftmaxProbe.scores gives every row the bits of predict_index's
+    """SoftmaxProbe.scores gives every row the bits of the per-example
     `weights @ f + bias`, so batched scoring picks the same labels."""
 
     @staticmethod
@@ -490,7 +497,7 @@ class TestScores:
         for f, row in zip(feats, got):
             assert np.array_equal(row, probe.weights @ f + probe.bias)
         assert got.argmax(axis=1).tolist() == \
-            [probe.predict_index(f) for f in feats]
+            [oracles.predict_index(probe, f) for f in feats]
 
     def test_empty_features_from_no_examples(self):
         probe = self._probe(3, 4, 0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import subtok.model
 from subtok.corpus import (
     Corpus,
@@ -131,8 +132,8 @@ class TestSgnsStep:
         sub_before = m.params.subword.copy()
         ctx_before = m.params.context.copy()
         rng = np.random.default_rng(3)
-        negs_preview = sampler.draw_avoiding(
-            np.random.default_rng(3), 2, m.vocab.word2id["bb"])
+        negs_preview = oracles.draw_avoiding(
+            sampler, np.random.default_rng(3), 2, m.vocab.word2id["bb"])
         sgns_step(m, "aa", "bb", 0.1, 2, sampler, rng)
         sub_changed = np.flatnonzero(
             np.abs(m.params.subword - sub_before).sum(axis=1))
@@ -156,6 +157,43 @@ class TestSgnsStep:
         idx = m.word_indices("cats")
         expected = set(idx.sub_ids.tolist()) | {idx.word_token_id}
         assert changed == expected
+
+    @pytest.mark.parametrize("text,cfg", [
+        ("a a a a a a b\n" * 3, {}),  # 2 words: most draws collide
+        ("cats dogs bird fish cats cats\n" * 5,
+         dict(segmenter="charn", word_token=True, position=True)),
+    ], ids=["word-2-types", "charn-w+-p+"])
+    def test_equals_draw_avoiding_reference(self, text, cfg):
+        """sgns_step masks a negative that still collides after its redraws
+        where the reference drops it. Both draw the same numbers, and the
+        tables come out bit for bit the same. So does the loss below 8
+        negatives, where numpy sums a row in order; from 8 terms on its
+        pairwise sum places the masked zero differently and may round the
+        last bit otherwise."""
+        _, m = make_model(text, **cfg)
+        _, ref = make_model(text, **cfg)
+        sampler = NegativeSampler(m.vocab)
+        words = m.vocab.words
+        dropped = 0
+        for step in range(300):
+            center = words[step % len(words)]
+            ctx = words[step // 7 % len(words)]
+            k = 1 + step % 12
+            dropped += oracles.draw_avoiding(
+                sampler, np.random.default_rng(step), k,
+                m.vocab.word2id[ctx]).size < k
+            loss = sgns_step(m, center, ctx, 0.05, k, sampler,
+                             np.random.default_rng(step))
+            ref_loss = oracles.sgns_step_reference(
+                ref, center, ctx, 0.05, k, sampler,
+                np.random.default_rng(step))
+            assert loss == (ref_loss if k < 8
+                            else pytest.approx(ref_loss, rel=1e-6))
+            for name in ("subword", "position", "context"):
+                assert np.array_equal(getattr(m.params, name),
+                                      getattr(ref.params, name))
+        if len(words) == 2:
+            assert dropped > 10
 
 
 class TestSgnsKernel:
@@ -491,7 +529,8 @@ class TestNegativeSampler:
         sampler = NegativeSampler(m.vocab)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            negs = sampler.draw_avoiding(rng, 5, 0)
+            negs, valid = sampler.draw_matrix(rng, np.zeros(1, np.int64), 5)
+            negs = negs[valid]
             assert (negs != 0).all()
 
     def test_matrix_valid_mask(self):
