@@ -45,6 +45,7 @@ from subtok.model import (
     save_checkpoint,
 )
 from subtok.probe import (
+    TAGGER_WINDOW,
     eval_mention_accuracy,
     eval_tag_accuracy,
     load_conll,
@@ -55,7 +56,12 @@ from subtok.probe import (
     train_tagger_probe,
     write_metrics,
 )
-from subtok.segment import BpeModel, MorfModel, segment_word
+from subtok.segment import (
+    MORF_MAX_ITERS,
+    BpeModel,
+    MorfModel,
+    segment_word,
+)
 from subtok.train import TrainConfig, train
 
 SIMULATE_COLUMNS = [
@@ -322,7 +328,7 @@ def load_task_data(task: str, data_path, seed: int):
 
 
 def run_probe(model, task: str, data, task_instances=None,
-              window: int = 1, seed: int = 0):
+              window: int = TAGGER_WINDOW, seed: int = 0):
     """Train and evaluate one probe; returns metric rows. `data` is the task
     file, or the dataset that load_task_data read from it with `seed`."""
     if isinstance(data, (str, Path)):
@@ -683,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--seg", choices=("bpe", "morf"), required=True)
     p.add_argument("--merges", type=int, default=ModelConfig.num_merges)
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--max-iters", type=int, default=MORF_MAX_ITERS)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_segment_learn)
@@ -716,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("mentions", "conll"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task-instances", type=int, default=None)
-    p.add_argument("--probe-window", type=int, default=1)
+    p.add_argument("--probe-window", type=int, default=TAGGER_WINDOW)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)

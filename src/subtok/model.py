@@ -22,6 +22,7 @@ from subtok.errors import (
     read_lines,
 )
 from subtok.segment import (
+    MORF_MAX_ITERS,
     NS_SUBWORD,
     NS_WORD_TOKEN,
     BpeModel,
@@ -167,7 +168,8 @@ def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
                        context=ctx.astype(np.float32))
 
 
-def build_segmenter(config: ModelConfig, vocab: Vocab, max_iters: int = 10):
+def build_segmenter(config: ModelConfig, vocab: Vocab,
+                    max_iters: int = MORF_MAX_ITERS):
     if config.segmenter == "bpe":
         return learn_bpe(vocab, config.num_merges)
     if config.segmenter == "morf":

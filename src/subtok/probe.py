@@ -26,6 +26,8 @@ L2_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 # a probe solve stops below this max-abs gradient or after this many steps
 GRAD_TOL = 1e-8
 NEWTON_ITERS = 100
+# a tagging probe reads the tokens this far either side of the tagged one
+TAGGER_WINDOW = 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,7 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
 
 
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
-                       window: int = 1) -> SoftmaxProbe:
+                       window: int = TAGGER_WINDOW) -> SoftmaxProbe:
     """Per-token softmax probe over concatenated window features."""
     if window < 0:
         raise ConfigError("window must be >= 0")

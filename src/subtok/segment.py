@@ -21,6 +21,9 @@ from subtok.errors import (
 
 END_OF_WORD = "</w>"
 
+# Morfessor-lite stops after this many passes if the cost still falls
+MORF_MAX_ITERS = 10
+
 # namespaces for SubwordVocab keys
 NS_SUBWORD = "sub"
 NS_WORD_TOKEN = "word"
@@ -84,9 +87,13 @@ class BpeModel:
             raise FormatError(f"bad BPE header {header!r}", 1)
         num_merges = nonnegative_int(header[len("#bpe v1 "):], "merge count",
                                      1)
-        merges = [(left, right) for _, (left, right) in read_fields(
-            lines, "BPE model", " ", 2, "expected `left<SPACE>right`",
-            first_line=2)]
+        merges = []
+        for ln, (left, right) in read_fields(
+                lines, "BPE model", " ", 2, "expected `left<SPACE>right`",
+                first_line=2):
+            if not (left and right):
+                raise FormatError("merge with an empty side", ln)
+            merges.append((left, right))
         return cls(merges=merges, num_merges=num_merges)
 
 
@@ -329,10 +336,14 @@ class MorfModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MorfModel":
-        lexicon = {morph: nonnegative_int(count, "morph count", ln)
-                   for ln, (morph, count) in read_fields(
-                       path, "morph model", "\t", 2,
-                       "expected morph<TAB>count")}
+        lexicon: dict[str, int] = {}
+        for ln, (morph, count) in read_fields(path, "morph model", "\t", 2,
+                                              "expected morph<TAB>count"):
+            if not morph:
+                raise FormatError("empty morph", ln)
+            if morph in lexicon:
+                raise FormatError(f"repeated morph {morph!r}", ln)
+            lexicon[morph] = nonnegative_int(count, "morph count", ln)
         return cls(morph_lexicon=lexicon,
                    corpus_cost=_total_cost_from_counts(lexicon))
 
@@ -360,32 +371,69 @@ def _analyses_cost(analyses: dict[str, tuple[str, ...]],
     return _total_cost_from_counts(counts)
 
 
-def _best_split(word: str, morph_cost) -> tuple[float, tuple[str, ...]]:
-    """Cheapest segmentation of `word` under a per-morph cost function,
-    over all ordered partitions. Each substring, shortest first, keeps its
-    own cost unless some binary split into two cheapest halves costs
-    strictly less (split points left to right, first strict minimum wins);
-    both halves are shorter, so they are already in the memo."""
+def _holds_known_morph(word: str, counts: dict[str, int]) -> bool:
+    """Whether some substring of `word` is a key of `counts`."""
     n = len(word)
-    memo: dict[str, tuple[float, tuple[str, ...]]] = {}
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            if word[i:j] in counts:
+                return True
+    return False
+
+
+def _best_split(word: str, counts: dict[str, int], f: int,
+                denom: int) -> tuple[float, tuple[str, ...]]:
+    """Cheapest segmentation of a word of frequency `f` over all ordered
+    partitions, where a morph with count c > 0 in `counts` costs
+    f * -log((c + 1) / denom) and any other morph costs
+    novel = f * -log(1 / denom) plus one per letter. Each substring,
+    shortest first, keeps its own cost unless some binary split into two
+    cheapest halves costs strictly less (split points left to right, first
+    strict minimum wins); both halves are shorter, so they are already in
+    the memo.
+
+    A substring is plain when none of its substrings has a count. Two plain
+    halves cost novel twice plus the substring's letters, with novel >= 0.
+    That is no less than the substring's own cost, novel + length without a
+    count and at most novel with one, so such a split never wins the
+    strict < (when denom is 1, novel is -0.0 and the split ties, which also
+    loses). Only split points with a half that is not plain are tried, and
+    a word with no known morph in it is returned whole at once. A substring
+    is plain when it has no count and its two substrings one letter shorter
+    are plain."""
+    novel = f * -math.log(1 / denom)
+    n = len(word)
+    if not _holds_known_morph(word, counts):
+        return novel + n, (word,)
+    # substring -> (cost, segmentation, plain)
+    memo: dict[str, tuple[float, tuple[str, ...], bool]] = {}
     for length in range(1, n + 1):
         for start in range(n - length + 1):
             sub = word[start:start + length]
             if sub in memo:
                 continue
-            best_cost = morph_cost(sub)
+            c = counts.get(sub, 0)
+            if c:
+                best_cost = f * -math.log((c + 1) / denom)
+                plain = False
+            else:
+                best_cost = novel + length  # lexicon growth penalty
+                plain = length == 1 or (memo[sub[:-1]][2]
+                                        and memo[sub[1:]][2])
             best_seg = (sub,)
-            for i in range(1, length):
-                lc, lseg = memo[sub[:i]]
-                rc, rseg = memo[sub[i:]]
-                if lc + rc < best_cost:
-                    best_cost = lc + rc
-                    best_seg = lseg + rseg
-            memo[sub] = (best_cost, best_seg)
-    return memo[word]
+            if not plain:
+                for i in range(1, length):
+                    lc, lseg, lplain = memo[sub[:i]]
+                    rc, rseg, rplain = memo[sub[i:]]
+                    if not (lplain and rplain) and lc + rc < best_cost:
+                        best_cost = lc + rc
+                        best_seg = lseg + rseg
+            memo[sub] = (best_cost, best_seg, plain)
+    return memo[word][:2]
 
 
-def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10) -> MorfModel:
+def learn_morfessor_lite(vocab: Vocab,
+                         max_iters: int = MORF_MAX_ITERS) -> MorfModel:
     """Iterative re-estimation of word analyses. Each pass re-segments every
     word type (optimal partition under the current morph statistics, with an
     amortized lexicon penalty for novel morphs); a pass that fails to lower
@@ -414,16 +462,7 @@ def learn_morfessor_lite(vocab: Vocab, max_iters: int = 10) -> MorfModel:
                     del counts[m]
             total -= f * len(old)
             denom = total + len(counts) + 1  # +1: room for one novel morph
-            novel = f * -math.log(1 / denom)
-
-            def morph_cost(m, _f=f, _counts=counts, _denom=denom,
-                           _novel=novel):
-                c = _counts.get(m, 0)
-                if c == 0:
-                    return _novel + len(m)  # lexicon growth penalty
-                return _f * -math.log((c + 1) / _denom)
-
-            _, seg = _best_split(w, morph_cost)
+            _, seg = _best_split(w, counts, f, denom)
             analyses[w] = seg
             for m in seg:
                 counts[m] += f

@@ -116,8 +116,7 @@ def make_suffix_benchmark(seed: int = 0, n_tokens: int = 50_000,
         "dev": list(range(len(train_ex), len(train_ex) + len(dev_ex))),
         "test": list(range(len(train_ex) + len(dev_ex), len(examples))),
     }
-    mentions = MentionDataset.from_examples(examples, seed=seed,
-                                            splits=splits)
+    mentions = MentionDataset.from_examples(examples, splits=splits)
     return SuffixBenchmark(corpus=corpus, mentions=mentions,
                            suffix_to_label=suffix_to_label,
                            train_stems=train_stems, test_stems=test_stems)

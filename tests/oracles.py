@@ -204,10 +204,41 @@ def sgns_step_reference(model: SubwordModel, center_word: str,
     return float(loss[0])
 
 
+def morf_reference_best_split(word: str, counts: dict[str, int], f: int,
+                              denom: int):
+    """(cost, morphs) of the cheapest segmentation of `word`, by a recursive
+    memoised search that tries every split point of every substring. A
+    morph with count c costs f * -log((c + 1) / denom), plus its length
+    when c is 0; a split replaces a substring's own cost only when it is
+    strictly cheaper, the first such split point from the left."""
+    def morph_cost(m):
+        c = counts.get(m, 0)
+        cost = f * -math.log((c + 1) / denom)
+        if c == 0:
+            cost += len(m)
+        return cost
+
+    memo = {}
+
+    def search(s):
+        if s in memo:
+            return memo[s]
+        best = (morph_cost(s), (s,))
+        for i in range(1, len(s)):
+            lc, lseg = search(s[:i])
+            rc, rseg = search(s[i:])
+            if lc + rc < best[0]:
+                best = (lc + rc, lseg + rseg)
+        memo[s] = best
+        return best
+
+    return search(word)
+
+
 def morf_reference_learn(word_freqs: dict[str, int], max_iters: int):
     """Morfessor-lite as first written: words in vocab order (descending
     count, then lexicographic), the token total summed afresh for every
-    word, and a recursive memoised split search. Returns the morph lexicon,
+    word, and `morf_reference_best_split`. Returns the morph lexicon,
     the final analyses and the cost history."""
     words = sorted(word_freqs, key=lambda w: (-word_freqs[w], w))
     analyses = {w: (w,) for w in words}
@@ -224,18 +255,6 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int):
             cost += c * -math.log((c + 1) / denom)
         return cost + sum(len(m) for m in morph_counts)
 
-    def best_split(s, morph_cost, memo):
-        if s in memo:
-            return memo[s]
-        best = (morph_cost(s), (s,))
-        for i in range(1, len(s)):
-            lc, lseg = best_split(s[:i], morph_cost, memo)
-            rc, rseg = best_split(s[i:], morph_cost, memo)
-            if lc + rc < best[0]:
-                best = (lc + rc, lseg + rseg)
-        memo[s] = best
-        return best
-
     history = [cost_of(analyses)]
     for _ in range(max_iters):
         previous = dict(analyses)
@@ -246,15 +265,7 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int):
                 if counts[m] <= 0:
                     del counts[m]
             denom = sum(counts.values()) + len(counts) + 1
-
-            def morph_cost(m, f=f, denom=denom):
-                c = counts.get(m, 0)
-                cost = f * -math.log((c + 1) / denom)
-                if c == 0:
-                    cost += len(m)
-                return cost
-
-            analyses[w] = best_split(w, morph_cost, {})[1]
+            analyses[w] = morf_reference_best_split(w, counts, f, denom)[1]
             for m in analyses[w]:
                 counts[m] += f
         cost = cost_of(analyses)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -20,7 +21,9 @@ from subtok.cli import (
 )
 from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
-from subtok.model import ModelConfig, SubwordModel
+from subtok.model import ModelConfig, SubwordModel, build_segmenter
+from subtok.probe import TAGGER_WINDOW, train_tagger_probe
+from subtok.segment import MORF_MAX_ITERS, learn_morfessor_lite
 from subtok.synth import make_suffix_benchmark
 from subtok.train import TrainConfig, train
 
@@ -214,6 +217,17 @@ class TestSegmentCommands:
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,rc,stdout", [
+        (["segment-apply", "--seg", "word", "cats"], 0, "cats\tcats\n"),
+        (["segment-apply", "--seg", "bpe", "cats"], 1, "")])
+    def test_python_dash_m(self, argv, rc, stdout):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "subtok", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (rc, stdout), proc.stderr
 
     def test_charn_learn_rejected(self, corpus_file, capsys):
         # argparse rejects the choice before dispatch
@@ -992,6 +1006,24 @@ class TestBadNumbersExit1:
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
 
+    # lines that `save` never writes
+    @pytest.mark.parametrize("seg,text,message", [
+        ("morf", "walk\t3\n\t400\n", "line 2: empty morph"),
+        ("morf", "walk\t3\ned\t2\nwalk\t4\n",
+         "line 3: repeated morph 'walk'"),
+        ("bpe", "#bpe v1 2\na b\n x\n", "line 3: merge with an empty side"),
+        ("bpe", "#bpe v1 2\nx \n", "line 2: merge with an empty side")])
+    def test_segment_apply_model_save_cannot_write(self, tmp_path, capsys,
+                                                   seg, text, message):
+        model = tmp_path / "model.txt"
+        model.write_text(text, encoding="utf-8")
+        rc = main(["segment-apply", "--seg", seg, "--model", str(model),
+                   "walked"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{message} in {model}" in err
+
     @pytest.mark.parametrize("table,column", [("vocab.tsv", 1),
                                               ("vocab.tsv", 2),
                                               ("subwords.tsv", 2)])
@@ -1272,6 +1304,22 @@ class TestParserDefaults:
         assert (args.window, args.negatives, args.lr, args.subsample_t) == (
             TrainConfig.window, TrainConfig.negatives, TrainConfig.lr_start,
             TrainConfig.subsample_t)
+
+    def test_morf_passes_and_probe_window_have_one_default(self):
+        parser = build_parser()
+        args = parser.parse_args(["segment-learn", "--corpus", "c.txt",
+                                  "--seg", "morf"])
+        assert args.max_iters == MORF_MAX_ITERS
+        args = parser.parse_args(["probe", "--checkpoint", "c",
+                                  "--task", "conll", "--data", "d"])
+        assert args.probe_window == TAGGER_WINDOW
+        for fn, name, value in (
+                (learn_morfessor_lite, "max_iters", MORF_MAX_ITERS),
+                (build_segmenter, "max_iters", MORF_MAX_ITERS),
+                (run_probe, "window", TAGGER_WINDOW),
+                (train_tagger_probe, "window", TAGGER_WINDOW)):
+            default = inspect.signature(fn).parameters[name].default
+            assert default == value, fn.__name__
 
     def test_simulate_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(

@@ -8,6 +8,7 @@ from oracles import (
     bpe_reference_learn,
     morf_cost,
     morf_exhaustive_minimum,
+    morf_reference_best_split,
     morf_reference_learn,
     morf_reference_viterbi,
     ngram_enumeration,
@@ -22,6 +23,7 @@ from subtok.segment import (
     MorfModel,
     SubwordVocab,
     WholeWordSegmenter,
+    _best_split,
     apply_bpe,
     build_subword_vocab,
     char_ngrams,
@@ -191,6 +193,43 @@ class TestCharNgrams:
         assert len(char_ngrams(word, n_min, n_max)) == expected
 
 
+@st.composite
+def split_cases(draw):
+    """(word, counts, f, denom) for one word's split search: counts of
+    morphs over 2-4 letters, a denominator of at least the learner's, and
+    a word that joins novel pieces and known morphs."""
+    letters = "abcd"[:draw(st.integers(2, 4))]
+    morphs = st.text(letters, min_size=1, max_size=4)
+    counts = draw(st.dictionaries(morphs, st.integers(1, 50), max_size=6))
+    pieces = st.one_of(morphs, st.sampled_from(sorted(counts))) if counts \
+        else morphs
+    word = "".join(draw(st.lists(pieces, min_size=1, max_size=4)))
+    denom = (sum(counts.values()) + len(counts) + 1
+             + draw(st.integers(0, 3)))
+    return word, counts, draw(st.integers(1, 1000)), denom
+
+
+class TestBestSplit:
+    """The split search that tries only split points with a known morph
+    in one half returns what the search over every split point returns:
+    the same cost float, the same morphs, the same tie-breaks."""
+
+    @given(case=split_cases())
+    @example(case=("abba", {}, 1, 1))
+    @example(case=("baab", {}, 7, 1))
+    @example(case=("aabb", {"ab": 3}, 1, 5))
+    @example(case=("babab", {"ab": 2, "b": 1}, 1000, 6))
+    @example(case=("abcd", {"x": 3, "yz": 1}, 2, 7))  # no known morph
+    # x + ab + y costs 2 (log 3 + 1) + log 1.5 = 4.60, below the whole
+    # word's log 3 + 4 = 5.10
+    @example(case=("xaby", {"ab": 1}, 1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        word, counts, f, denom = case
+        assert _best_split(word, counts, f, denom) == \
+            morf_reference_best_split(word, counts, f, denom)
+
+
 class TestMorfessorLite:
     def test_walk_family(self):
         v = vocab_from_freqs({"walk": 10, "walked": 5, "walking": 5})
@@ -241,6 +280,9 @@ class TestMorfessorLite:
              unseen=["walks", "talked"])
     @example(freqs={"abab": 2, "ab": 2, "ba": 2, "aab": 1}, max_iters=3,
              unseen=["abba", "c"])
+    @example(freqs={"abab": 3}, max_iters=2, unseen=["ab", "ba"])
+    # "babb" splits into b + ab + b: a known morph between novel letters
+    @example(freqs={"ab": 4, "babb": 1}, max_iters=3, unseen=["babba"])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_learner(self, freqs, max_iters, unseen):
         model = learn_morfessor_lite(vocab_from_freqs(freqs), max_iters)
