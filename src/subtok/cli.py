@@ -157,14 +157,14 @@ def model_config_from_args(args) -> ModelConfig:
 
 def train_config(args, group, seed: int, epochs=None, batch_size=None,
                  min_count=None) -> TrainConfig:
-    """TrainConfig from the shared training flags. An epoch count of None
-    falls back to the data group's (0 epochs is honoured); a batch size or
-    min count of None or 0 falls back to the group's."""
+    """TrainConfig from the shared training flags. An epoch count, batch
+    size or min count of None falls back to the data group's; any other
+    value, 0 included, is used as given and checked by TrainConfig."""
     return TrainConfig(
         window=args.window, negatives=args.negatives, lr_start=args.lr,
         epochs=group.epochs if epochs is None else epochs,
-        batch_size=batch_size or group.batch_size,
-        min_count=min_count or group.min_count,
+        batch_size=group.batch_size if batch_size is None else batch_size,
+        min_count=group.min_count if min_count is None else min_count,
         subsample_t=args.subsample_t, seed=seed)
 
 
@@ -328,16 +328,14 @@ def load_task_data(task: str, data_path, seed: int):
 
 
 def run_probe(model, task: str, data, task_instances=None,
-              window: int = TAGGER_WINDOW, seed: int = 0):
-    """Train and evaluate one probe; returns metric rows. `data` is the task
-    file, or the dataset that load_task_data read from it with `seed`."""
-    if isinstance(data, (str, Path)):
-        data = load_task_data(task, data, seed)
+              window: int = TAGGER_WINDOW):
+    """Train and evaluate one probe on the dataset that load_task_data
+    read; returns metric rows."""
     data = _truncate_train_split(data, task_instances)
     label = model.config.label
     rows = []
     if task == "mentions":
-        probe = train_mention_probe(model, data, seed=seed)
+        probe = train_mention_probe(model, data)
         for split in ("dev", "test"):
             acc = eval_mention_accuracy(probe, model, data, split)
             rows.append(("fget", label, split, "accuracy", acc))
@@ -360,9 +358,10 @@ def run_probe(model, task: str, data, task_instances=None,
 
 def cmd_probe(args, guard: ArtifactGuard) -> int:
     model = load_checkpoint(args.checkpoint)
-    rows = run_probe(model, args.task, args.data,
+    data = load_task_data(args.task, args.data, args.seed)
+    rows = run_probe(model, args.task, data,
                      task_instances=args.task_instances,
-                     window=args.probe_window, seed=args.seed)
+                     window=args.probe_window)
     out = guard.register(default_out(args, "metrics.tsv"))
     write_metrics(out, rows)
     for row in rows:
@@ -612,7 +611,7 @@ def _simulate_cell(args, shared, task_data, we_n, task_points, label,
     for task_n, cell in zip(task_points, cells):
         try:
             rows = run_probe(model, task, task_data[seed],
-                             task_instances=task_n, seed=seed)
+                             task_instances=task_n)
         except SubtokError as exc:
             out.append([cell + _failed(exc)])
             continue

@@ -14,12 +14,16 @@ from subtok.corpus import Vocab
 from subtok.errors import (
     ConfigError,
     FormatError,
+    SubtokError,
     nonnegative_int,
     read_fields,
     read_lines,
 )
 
-END_OF_WORD = "</w>"
+# BPE's end-of-word marker: the noncharacter U+10FFFF, which Unicode keeps
+# for internal use. No word may contain it, so no merge can spell it, and
+# as the largest code point it sorts after every other symbol.
+END_OF_WORD = "\U0010ffff"
 
 # Morfessor-lite stops after this many passes if the cost still falls
 MORF_MAX_ITERS = 10
@@ -75,7 +79,7 @@ class BpeModel:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#bpe v1 {self.num_merges}\n")
+            fh.write(f"#bpe v2 {self.num_merges}\n")
             for left, right in self.merges:
                 fh.write(f"{left} {right}\n")
 
@@ -83,9 +87,9 @@ class BpeModel:
     def load(cls, path: str | Path) -> "BpeModel":
         lines = read_lines(path, "BPE model")
         header = next(lines, "").rstrip("\n")
-        if not header.startswith("#bpe v1 "):
+        if not header.startswith("#bpe v2 "):
             raise FormatError(f"bad BPE header {header!r}", 1)
-        num_merges = nonnegative_int(header[len("#bpe v1 "):], "merge count",
+        num_merges = nonnegative_int(header[len("#bpe v2 "):], "merge count",
                                      1)
         merges = []
         for ln, (left, right) in read_fields(
@@ -98,13 +102,10 @@ class BpeModel:
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
+    if END_OF_WORD in word:
+        raise SubtokError(f"word {word!r} contains the BPE end-of-word "
+                          "marker U+10FFFF")
     return tuple(word) + (END_OF_WORD,)
-
-
-def _pair_sort_key(pair: tuple[str, str]):
-    """Lexicographic on the pair, except the end-of-word marker sorts after
-    every ordinary symbol (its '<' would otherwise outrank letters)."""
-    return tuple((s == END_OF_WORD, s) for s in pair)
 
 
 def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
@@ -113,10 +114,10 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     go to the lexicographically smallest pair; learning stops early when no
     pair occurs at least twice.
 
-    Each merge is picked from a heap of (-count, sort key, pair) entries
-    with lazy invalidation: an entry counts only while its count equals the
-    pair's current count, and every pair whose count a merge changes is
-    pushed again. The top valid entry is the pair a full scan would pick.
+    Each merge is picked from a heap of (-count, pair) entries with lazy
+    invalidation: an entry counts only while its count equals the pair's
+    current count, and every pair whose count a merge changes is pushed
+    again. The top valid entry is the pair a full scan would pick.
 
     A merge changes only the pairs that overlap a merged occurrence and the
     pairs that touch a merged symbol, so only those are recounted. The
@@ -124,10 +125,7 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     it lost, and merging skips it.
 
     The model's cache is seeded with each training word's final symbols,
-    which equal `apply_bpe` unless some merge recreated a pair that had
-    already been merged (the same string built from other parts, such as a
-    '</w>' spelled out in the word). Then `apply_bpe` would merge that pair
-    again where training did not, so nothing is seeded."""
+    which equal `apply_bpe`."""
     if num_merges < 1:
         raise ConfigError("num_merges must be >= 1")
     if len(vocab) == 0:
@@ -143,20 +141,17 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
         for a, b in zip(syms, syms[1:]):
             stats[(a, b)] += f
             index[(a, b)].add(wi)
-    heap = [(-c, _pair_sort_key(p), p) for p, c in stats.items()]
+    heap = [(-c, p) for p, c in stats.items()]
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    merged_pairs: set[tuple[str, str]] = set()
-    recreated = False
     for _ in range(num_merges):
-        while heap and stats.get(heap[0][2]) != -heap[0][0]:
+        while heap and stats.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
-        best = heap[0][2]
+        best = heap[0][1]
         merges.append(best)
-        merged_pairs.add(best)
         a, b = best
         merged_sym = a + b
 
@@ -198,7 +193,6 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
                         pair = (out[j], out[j + 1])
                         delta[pair] += f
                         index[pair].add(wi)
-                        recreated = recreated or pair in merged_pairs
                         last = j
             words[wi] = out
         for pair, d in delta.items():
@@ -207,13 +201,12 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
             count = stats[pair] + d
             if count > 0:
                 stats[pair] = count
-                heapq.heappush(heap, (-count, _pair_sort_key(pair), pair))
+                heapq.heappush(heap, (-count, pair))
             else:
                 del stats[pair]
 
     model = BpeModel(merges=merges, num_merges=num_merges)
-    if not recreated:
-        model._cache.update(zip(vocab.words, map(tuple, words)))
+    model._cache.update(zip(vocab.words, map(tuple, words)))
     return model
 
 
@@ -509,7 +502,7 @@ def _viterbi_segment(word: str, lexicon: dict[str, int],
     best = [0.0] + [math.inf] * n
     back = [0] * (n + 1)
     for j in range(1, n + 1):
-        for i in range(max(0, j - 30), j):
+        for i in range(j):
             c = best[i] + morph_cost(word[i:j])
             if c < best[j]:
                 best[j] = c

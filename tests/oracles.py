@@ -8,7 +8,12 @@ from collections import Counter
 import numpy as np
 
 from subtok.model import SubwordModel, WordIndices, _WordCSR
-from subtok.segment import NS_SUBWORD, NS_WORD_TOKEN, segment_word
+from subtok.segment import (
+    END_OF_WORD,
+    NS_SUBWORD,
+    NS_WORD_TOKEN,
+    segment_word,
+)
 from subtok.train import NegativeSampler, sgns_kernel
 
 
@@ -16,11 +21,7 @@ def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
     """O(n^2) reference BPE: full pair recount at every step, most frequent
     pair wins, ties to the lexicographically smallest pair, stop when no pair
     occurs at least twice."""
-    def pair_key(pair):
-        # end-of-word marker sorts after ordinary symbols
-        return tuple((s == "</w>", s) for s in pair)
-
-    words = {tuple(w) + ("</w>",): f for w, f in word_freqs.items()}
+    words = {tuple(w) + (END_OF_WORD,): f for w, f in word_freqs.items()}
     merges = []
     for _ in range(num_merges):
         stats = Counter()
@@ -29,7 +30,7 @@ def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
                 stats[pair] += f
         if not stats:
             break
-        best = min(stats.items(), key=lambda kv: (-kv[1], pair_key(kv[0])))
+        best = min(stats.items(), key=lambda kv: (-kv[1], kv[0]))
         if best[1] < 2:
             break
         pair = best[0]
@@ -55,7 +56,7 @@ def bpe_reference_merge(syms, pair):
 
 def bpe_reference_apply(merges, word: str):
     """Replay merges strictly in learned order."""
-    syms = list(word) + ["</w>"]
+    syms = list(word) + [END_OF_WORD]
     for pair in merges:
         syms = bpe_reference_merge(syms, pair)
     return tuple(syms)

@@ -15,6 +15,7 @@ from subtok.cli import (
     ArtifactGuard,
     _cell_configs,
     build_parser,
+    load_task_data,
     main,
     parse_config_label,
     run_probe,
@@ -23,7 +24,11 @@ from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel, build_segmenter
 from subtok.probe import TAGGER_WINDOW, train_tagger_probe
-from subtok.segment import MORF_MAX_ITERS, learn_morfessor_lite
+from subtok.segment import (
+    END_OF_WORD,
+    MORF_MAX_ITERS,
+    learn_morfessor_lite,
+)
 from subtok.synth import make_suffix_benchmark
 from subtok.train import TrainConfig, train
 
@@ -178,7 +183,7 @@ class TestSegmentCommands:
                    "--seg", "bpe", "--merges", "20",
                    "--out", str(model_path)])
         assert rc == 0
-        assert model_path.read_text("utf-8").startswith("#bpe v1 ")
+        assert model_path.read_text("utf-8").startswith("#bpe v2 ")
         capsys.readouterr()
         rc = main(["segment-apply", "--seg", "bpe",
                    "--model", str(model_path), "red", "blueish"])
@@ -218,6 +223,22 @@ class TestSegmentCommands:
         assert message in err and "internal error" not in err
         assert not out.exists()
 
+    def test_bpe_marker_in_a_word_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"red red b{END_OF_WORD} blue\n", encoding="utf-8")
+        out = tmp_path / "bpe.txt"
+        rc = main(["segment-learn", "--corpus", str(corpus), "--seg", "bpe",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "U+10FFFF" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("#bpe v2 1\nr e\n", encoding="utf-8")
+        rc = main(["segment-apply", "--seg", "bpe", "--model", str(out),
+                   "red", f"b{END_OF_WORD}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "U+10FFFF" in err and "internal error" not in err
+
     @pytest.mark.parametrize("argv,rc,stdout", [
         (["segment-apply", "--seg", "word", "cats"], 0, "cats\tcats\n"),
         (["segment-apply", "--seg", "bpe", "cats"], 1, "")])
@@ -251,7 +272,9 @@ class TestTrainExportProbe:
                      "subword.mat", "context.mat", "trace.tsv"):
             assert (ckpt / name).exists()
 
-    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim"])
+    # a batch size or min count of 0 is checked, not replaced by the group's
+    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim",
+                                      "--batch-size", "--min-count"])
     def test_out_of_range_flag_exit_1(self, corpus_file, tmp_path, capsys,
                                       flag):
         ckpt = tmp_path / "ckpt"
@@ -602,9 +625,11 @@ class TestSimulateReuse:
                         model = SubwordModel.build(
                             cfg, build_vocab(sample, tcfg.min_count))
                         train(sample, model, tcfg)
+                        data = load_task_data("mentions", mentions_file,
+                                              seed)
                         for task, _, split, metric, value in run_probe(
-                                model, "mentions", mentions_file,
-                                task_instances=task_n, seed=seed):
+                                model, "mentions", data,
+                                task_instances=task_n):
                             if split == "test":
                                 lines.append("\t".join(map(str, [
                                     we, task_n, cfg.label, seed, group.label,
@@ -639,18 +664,23 @@ class TestSimulateReuse:
                                             tmp_path, monkeypatch, capsys):
         loads = FileLog(tmp_path / "loads.jsonl")
         real_load, real_probe = subtok.cli.load_mentions, subtok.cli.run_probe
+        seed_of = {}  # id of a loaded dataset -> the seed that split it
 
         def load(*args, **kwargs):
             loads.append(kwargs["seed"])
-            return real_load(*args, **kwargs)
+            data = real_load(*args, **kwargs)
+            seed_of[id(data)] = kwargs["seed"]
+            return data
 
         monkeypatch.setattr(subtok.cli, "load_mentions", load)
         assert self._run(corpus_file, mentions_file, tmp_path / "once") == 0
         assert sorted(loads) == [1, 2]
 
         def probe_from_file(model, task, data, **kwargs):
-            # each task point parses the file itself
-            return real_probe(model, task, mentions_file, **kwargs)
+            # each task point parses the file itself; workers are forked
+            # after the once-per-seed loads, so they see seed_of filled
+            return real_probe(model, task, subtok.cli.load_task_data(
+                task, mentions_file, seed_of[id(data)]), **kwargs)
 
         monkeypatch.setattr(subtok.cli, "run_probe", probe_from_file)
         loads.clear()
@@ -993,7 +1023,7 @@ class TestBadNumbersExit1:
         assert "internal error" not in err
 
     @pytest.mark.parametrize("seg,text,message", [
-        ("bpe", "#bpe v1 x\na b\n", "line 1: merge count"),
+        ("bpe", "#bpe v2 x\na b\n", "line 1: merge count"),
         ("morf", "walk\t3\nab\tx\n", "line 2: morph count"),
         ("morf", "walk\t3\nab\t-5\n", "line 2: morph count")])
     def test_segment_apply_bad_model_numbers(self, tmp_path, capsys, seg,
@@ -1011,8 +1041,11 @@ class TestBadNumbersExit1:
         ("morf", "walk\t3\n\t400\n", "line 2: empty morph"),
         ("morf", "walk\t3\ned\t2\nwalk\t4\n",
          "line 3: repeated morph 'walk'"),
-        ("bpe", "#bpe v1 2\na b\n x\n", "line 3: merge with an empty side"),
-        ("bpe", "#bpe v1 2\nx \n", "line 2: merge with an empty side")])
+        ("bpe", "#bpe v2 2\na b\n x\n", "line 3: merge with an empty side"),
+        ("bpe", "#bpe v2 2\nx \n", "line 2: merge with an empty side"),
+        # files from before the marker was U+10FFFF spell it '</w>'
+        ("bpe", "#bpe v1 1\nd </w>\n",
+         "line 1: bad BPE header '#bpe v1 1'")])
     def test_segment_apply_model_save_cannot_write(self, tmp_path, capsys,
                                                    seg, text, message):
         model = tmp_path / "model.txt"

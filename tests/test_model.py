@@ -416,6 +416,21 @@ class TestCheckpoint:
         for w in m.vocab.words + ["unseenword"]:
             assert np.array_equal(loaded.word_vector(w), m.word_vector(w))
 
+    def test_morf_keeps_a_long_vocab_word_whole(self, tmp_path):
+        # training keeps the 32-letter word whole, so the reloaded lexicon
+        # has it as one morph, however long
+        long_word = "xyz" * 10 + "qq"
+        corpus = tokenize_corpus(f"cat hat bat {long_word}\n{long_word}\n")
+        m = SubwordModel.build(ModelConfig(segmenter="morf", dim=8, seed=5),
+                               build_vocab(corpus, 1))
+        save_checkpoint(m, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        words = m.vocab.words
+        assert m.segmenter.segment(long_word) == (long_word,)
+        assert [loaded.segmenter.segment(w) for w in words] == \
+            [m.segmenter.segment(w) for w in words]
+        assert np.array_equal(loaded.vectors(words), m.vectors(words))
+
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(SubtokError):
             load_checkpoint(tmp_path / "nope")

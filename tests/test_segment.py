@@ -14,8 +14,9 @@ from oracles import (
     ngram_enumeration,
 )
 from subtok.corpus import build_vocab, tokenize_corpus
-from subtok.errors import FormatError
+from subtok.errors import FormatError, SubtokError
 from subtok.segment import (
+    END_OF_WORD,
     NS_SUBWORD,
     NS_WORD_TOKEN,
     BpeModel,
@@ -70,9 +71,10 @@ class TestLearnBpe:
             got = learn_bpe(vocab_from_freqs(freqs), 200).merges
             assert got == expected
 
-    # Few symbols and counts of 1-3 make many pairs tie, the marker's
-    # characters test its sort key, and up to 80 merges on at most 10 short
-    # words runs past the point where no pair occurs twice.
+    # Few symbols and counts of 1-3 make many pairs tie, the characters of
+    # the old marker '</w>' sort before the letters and before the marker,
+    # and up to 80 merges on at most 10 short words runs past the point
+    # where no pair occurs twice.
     @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=6),
                                  st.integers(1, 3), min_size=1, max_size=10),
            num_merges=st.integers(1, 80))
@@ -84,8 +86,8 @@ class TestLearnBpe:
         assert got == bpe_reference_learn(freqs, num_merges)
 
     # Every training word's segmentation, which learn_bpe caches, must be
-    # what apply_bpe gives for the learned merges. The marker's characters
-    # let a word spell out '</w>', which recreates pairs merged before;
+    # what apply_bpe gives for the learned merges. The characters of the old
+    # marker let a word spell out '</w>', which now is an ordinary symbol;
     # overlapping occurrences test the pairs updated around a merge.
     @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=8),
                                  st.integers(1, 4), min_size=1, max_size=10),
@@ -107,15 +109,25 @@ class TestLearnBpe:
         assert model._cache == {w: bpe_reference_apply(model.merges, w)
                                 for w in freqs}
 
-    def test_no_cache_when_a_merge_recreates_a_merged_pair(self):
-        # ('/', '</w>') is merged first; later merges spell '</w>' out of
-        # '<', '/', 'w', '>' after a '/', which recreates that pair. Training
-        # leaves it unmerged, apply_bpe merges it, so nothing is seeded.
+    def test_cache_seeded_when_a_word_spells_the_old_marker(self):
+        # With '</w>' as the marker this vocab had merges rebuild the merged
+        # pair ('/', '</w>') out of a word's letters, and nothing was seeded
         freqs = {"/": 3, "/</w></w>": 1}
         model = learn_bpe(vocab_from_freqs(freqs), 30)
-        assert model.merges[0] == ("/", "</w>")
-        assert model._cache == {}
-        assert model.segment("/</w></w>") == ("/</w>", "</w></w>")
+        assert model.merges[0] == ("/", END_OF_WORD)
+        fresh = BpeModel(merges=model.merges, num_merges=30)
+        assert model._cache == {w: apply_bpe(fresh, w) for w in freqs}
+
+    def test_marker_sorts_last_inside_a_symbol(self):
+        # the third merge ties ('b', 'a' + marker) with ('b', 'aa' + marker)
+        model = learn_bpe(vocab_from_freqs({"ba": 2, "baa": 2}), 3)
+        assert model.merges == [("a", END_OF_WORD), ("a", "a" + END_OF_WORD),
+                                ("b", "aa" + END_OF_WORD)]
+
+    def test_refuses_a_word_with_the_marker(self):
+        v = vocab_from_freqs({"ab": 2, "a" + END_OF_WORD: 2})
+        with pytest.raises(SubtokError, match="U\\+10FFFF"):
+            learn_bpe(v, 5)
 
     def test_save_load(self, tmp_path):
         v = vocab_from_freqs({"low": 5, "lowest": 3, "newest": 6})
@@ -130,21 +142,26 @@ class TestLearnBpe:
 class TestApplyBpe:
     def test_replay_order(self):
         model = BpeModel(merges=[("e", "s"), ("es", "t")], num_merges=2)
-        assert apply_bpe(model, "test") == ("t", "est", "</w>")
+        assert apply_bpe(model, "test") == ("t", "est", END_OF_WORD)
 
     def test_no_merges(self):
         model = BpeModel(merges=[], num_merges=1)
-        assert apply_bpe(model, "ab") == ("a", "b", "</w>")
+        assert apply_bpe(model, "ab") == ("a", "b", END_OF_WORD)
 
     def test_inapplicable_merges(self):
         model = BpeModel(merges=[("a", "b")], num_merges=1)
-        assert apply_bpe(model, "cd") == ("c", "d", "</w>")
+        assert apply_bpe(model, "cd") == ("c", "d", END_OF_WORD)
 
     def test_unseen_characters_stay_singletons(self):
         v = vocab_from_freqs({"abab": 5})
         model = learn_bpe(v, 5)
         segs = apply_bpe(model, "axb")
         assert "x" in segs
+
+    def test_refuses_a_word_with_the_marker(self):
+        model = BpeModel(merges=[("a", "b")], num_merges=1)
+        with pytest.raises(SubtokError, match="U\\+10FFFF"):
+            apply_bpe(model, "ab" + END_OF_WORD)
 
     @given(st.text("abcd", min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -157,12 +174,14 @@ class TestApplyBpe:
     @given(st.text(st.characters(codec="utf-8",
                                  exclude_categories=("Z", "C")),
                    min_size=1, max_size=10))
+    @example(word="</w>")
+    @example(word="a</w>b")
     @settings(max_examples=100, deadline=None)
     def test_reconstructs_word(self, word):
         v = vocab_from_freqs({word: 3, word + word: 2})
         model = learn_bpe(v, 30)
-        joined = "".join(s for s in model.segment(word) if s != "</w>")
-        joined = joined.replace("</w>", "")
+        joined = "".join(s for s in model.segment(word) if s != END_OF_WORD)
+        joined = joined.replace(END_OF_WORD, "")
         assert joined == word
 
 
@@ -322,7 +341,7 @@ class TestSegmentWord:
     def test_bpe_no_merges_with_word_token(self):
         model = BpeModel(merges=[], num_merges=1)
         seg = segment_word(model, "ab", True)
-        assert seg.subwords == ("a", "b", "</w>")
+        assert seg.subwords == ("a", "b", END_OF_WORD)
         assert seg.keys()[-1] == (NS_WORD_TOKEN, "ab")
 
     def test_deterministic(self):
@@ -343,7 +362,7 @@ class TestBuildSubwordVocab:
     def test_bpe_no_merges_char_symbols(self):
         v = vocab_from_freqs({"a": 1, "b": 1, "c": 1})
         sv = build_subword_vocab(v, BpeModel(merges=[], num_merges=1), False)
-        assert len(sv) == 4  # a, b, c, </w>
+        assert len(sv) == 4  # a, b, c and the marker
 
     def test_word_token_namespace_disjoint(self):
         v = vocab_from_freqs({"ab": 3, "cd": 2, "ef": 2})
@@ -371,7 +390,7 @@ class TestBuildSubwordVocab:
 class TestLoadersCheckNumbers:
     def test_bpe_header_count(self, tmp_path):
         path = tmp_path / "bpe.txt"
-        path.write_text("#bpe v1 x\na b\n", encoding="utf-8")
+        path.write_text("#bpe v2 x\na b\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 1: merge count") as exc:
             BpeModel.load(path)
         assert exc.value.line_number == 1
