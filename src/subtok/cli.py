@@ -45,15 +45,13 @@ from subtok.model import (
     save_checkpoint,
 )
 from subtok.probe import (
+    SCHEME_BIO,
     TAGGER_WINDOW,
-    eval_mention_accuracy,
-    eval_tag_accuracy,
+    TaskFeatures,
+    eval_mention_accuracy,  # noqa: F401 -- perfbench/tracer.py wraps it here
     load_conll,
     load_mentions,
-    span_f1,
-    tag_sentences,
-    train_mention_probe,
-    train_tagger_probe,
+    train_mention_probe,  # noqa: F401 -- perfbench/tracer.py wraps it here
     write_metrics,
 )
 from subtok.segment import (
@@ -62,7 +60,7 @@ from subtok.segment import (
     MorfModel,
     segment_word,
 )
-from subtok.train import TrainConfig, train
+from subtok.train import TrainConfig, train, train_lockstep
 
 SIMULATE_COLUMNS = [
     "we_tokens", "task_instances", "config", "seed", "group", "batch_size",
@@ -307,16 +305,14 @@ def cmd_export(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def _truncate_train_split(data, n: int | None):
-    """`data` with its train split cut to the first `n` examples. The cut
-    is made on a copy, so a dataset shared by several task points keeps
-    its full split."""
+def _train_items(data, n: int | None) -> list[int]:
+    """The train split of `data` cut to its first `n` items; all of it for
+    None."""
     if n is None:
-        return data
+        return data.splits["train"]
     if n < 1:
         raise SubtokError("--task-instances must be >= 1")
-    return dataclasses.replace(
-        data, splits={**data.splits, "train": data.splits["train"][:n]})
+    return data.splits["train"][:n]
 
 
 def load_task_data(task: str, data_path, seed: int):
@@ -329,36 +325,41 @@ def load_task_data(task: str, data_path, seed: int):
 
 def run_probe(model, task: str, data, task_instances=None,
               window: int = TAGGER_WINDOW):
-    """Train and evaluate one probe on the dataset that load_task_data
-    read; returns metric rows."""
-    data = _truncate_train_split(data, task_instances)
+    """Train and evaluate a probe on the dataset that load_task_data read,
+    its train split cut to the first `task_instances` items (None: all);
+    returns metric rows. Given a list of such sizes, it probes once per
+    size, slicing features built once for every example, and returns one
+    list of rows per size."""
+    sizes = task_instances if isinstance(task_instances, list) \
+        else [task_instances]
+    feats = TaskFeatures.of(model, data, window)
     label = model.config.label
-    rows = []
-    if task == "mentions":
-        probe = train_mention_probe(model, data)
-        for split in ("dev", "test"):
-            acc = eval_mention_accuracy(probe, model, data, split)
-            rows.append(("fget", label, split, "accuracy", acc))
-        return rows
-    probe = train_tagger_probe(model, data, window=window)
-    task_name = "ner" if data.scheme == "BIO" else "mtag"
-    for split in ("dev", "test"):
-        sents = data.split_sentences(split)
-        if data.scheme == "BIO":
-            preds = tag_sentences(probe, model, sents)
-            p, r, f1 = span_f1([labs for _, labs in sents], preds)
-            rows.append((task_name, label, split, "precision", p))
-            rows.append((task_name, label, split, "recall", r))
-            rows.append((task_name, label, split, "f1", f1))
-        else:
-            acc = eval_tag_accuracy(probe, model, data, split)
-            rows.append((task_name, label, split, "accuracy", acc))
-    return rows
+    task_name = ("fget" if task == "mentions"
+                 else "ner" if data.scheme == SCHEME_BIO else "mtag")
+    out = []
+    for n in sizes:
+        probe = feats.probe(_train_items(data, n), data.splits["dev"])
+        out.append([(task_name, label, split, metric, value)
+                    for split in ("dev", "test")
+                    for metric, value in feats.metrics(probe, data, split)])
+    return out if isinstance(task_instances, list) else out[0]
+
+
+def _short_split(data, task_n) -> int | None:
+    """The size of the train split of `data` if task point `task_n` exceeds
+    it, so that its probe trains on fewer items than the point says."""
+    n_train = len(data.splits["train"])
+    return n_train if task_n is not None and task_n > n_train else None
 
 
 def cmd_probe(args, guard: ArtifactGuard) -> int:
     model = load_checkpoint(args.checkpoint)
     data = load_task_data(args.task, args.data, args.seed)
+    n_train = _short_split(data, args.task_instances)
+    if n_train is not None:
+        print(f"probe: --task-instances {args.task_instances} exceeds the "
+              f"train split of seed {args.seed} ({n_train} examples); the "
+              f"probe trains on all {n_train}", file=sys.stderr)
     rows = run_probe(model, args.task, data,
                      task_instances=args.task_instances,
                      window=args.probe_window)
@@ -422,12 +423,13 @@ def _refuse_repeats(flag: str, values: list, keys: list) -> None:
 
 
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
-    """Run the grid. Each (WE point, config, seed) with a task point still
-    missing from the table is a job: it is trained once and probed once per
-    missing task point. Jobs run largest WE point first, then by config,
-    then by seed. Rows are written WE point by WE point in that order, each
-    WE point's rows in grid order (task, then config, then seed), and
-    flushed once per WE point."""
+    """Run the grid. Each WE point's cells still missing from the table are
+    grouped into jobs, one per segmentation (`_seg_key`): a job builds it,
+    trains each of its configs' seeds in one lockstep call, and probes each
+    model once for all of its missing task points. Jobs run largest WE
+    point first, then by config. Rows are written WE point by WE point in
+    that order, each WE point's rows in grid order (task, then config, then
+    seed), and flushed once per WE point."""
     we_points = _int_list(args.we_tokens, "--we-tokens", 1)
     task_points = _int_list(args.task_instances, "--task-instances", 1)
     configs = args.configs.split(",")
@@ -438,61 +440,88 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
             f"corpus has {corpus.token_count} tokens; largest WE point is "
             f"{max(we_points)}")
     # a label or flag out of range fails the command before a file is written
-    labels = [_cell_configs(args, label, we_points[0], seeds[0])[0].label
-              for label in configs]
+    cfgs = [_cell_configs(args, label, we_points[0], seeds[0])[0]
+            for label in configs]
+    labels = [cfg.label for cfg in cfgs]
     _refuse_repeats("--configs", configs, labels)
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"
     done = _read_existing_cells(metrics_path)
-    # WE point, largest first -> its jobs: (config index, seed index,
-    # indices of the task points missing from the table). The largest WE
-    # point's jobs take longest, so starting them first keeps the tail of
-    # the run, where workers wait for the last job, short.
-    jobs = {we_n: [] for we_n in sorted(we_points, reverse=True)}
-    for we_n, ci, si in itertools.product(jobs, range(len(configs)),
-                                          range(len(seeds))):
-        todo = [ti for ti, task_n in enumerate(task_points)
-                if (str(we_n), str(task_n), labels[ci], str(seeds[si]))
-                not in done]
-        if todo:
-            jobs[we_n].append((ci, si, todo))
+    # a job is (WE point, [(config, seed, task points missing from the
+    # table)]), its configs sharing one segmentation. The largest WE point's
+    # jobs take longest, so starting them first keeps the tail of the run,
+    # where workers wait for the last job, short.
+    jobs = []
+    for we_n in sorted(we_points, reverse=True):
+        by_seg: dict[tuple, list] = {}
+        for ci, seed in itertools.product(range(len(configs)), seeds):
+            todo = [task_n for task_n in task_points
+                    if (str(we_n), str(task_n), labels[ci], str(seed))
+                    not in done]
+            if todo:
+                by_seg.setdefault(_seg_key(we_n, cfgs[ci]), []).append(
+                    (configs[ci], seed, todo))
+        jobs += [(we_n, cells) for cells in by_seg.values()]
+    cpus = len(os.sched_getaffinity(0))
+    jobs = _split_seeds(jobs, cpus)
     # a bad task file fails the command before anything is trained or
     # written
     task = "mentions" if args.mentions else "conll"
-    task_seeds = dict.fromkeys(seeds[si] for we_jobs in jobs.values()
-                               for _, si, _ in we_jobs)
+    wanted = {(task_n, seed) for _, cells in jobs
+              for _, seed, todo in cells for task_n in todo}
     task_data = {seed: load_task_data(task, args.mentions or args.conll, seed)
-                 for seed in task_seeds}
+                 for seed in dict.fromkeys(seed for _, seed in wanted)}
+    for task_n, seed in itertools.product(task_points, seeds):
+        n_train = (_short_split(task_data[seed], task_n)
+                   if (task_n, seed) in wanted else None)
+        if n_train is not None:
+            print(f"simulate: task point {task_n} exceeds the train split "
+                  f"of seed {seed} ({n_train} examples); its cells train on "
+                  f"all {n_train}", file=sys.stderr)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     new_file = not metrics_path.exists()
-    n_run = n_skipped = 0
-    cell_jobs = [(we_n, [task_points[ti] for ti in todo], configs[ci],
-                  seeds[si])
-                 for we_n, we_jobs in jobs.items() for ci, si, todo in we_jobs]
+    n_run = 0
+    state = (args, _shared_work(corpus, {we_n for we_n, _ in jobs}),
+             task_data)
     with open(metrics_path, "a", encoding="utf-8") as fh, \
-            _job_rows(args, corpus, task_data, cell_jobs) as job_rows:
+            _job_rows(state, jobs, min(cpus, len(jobs))) as job_rows:
         if new_file:
             fh.write("\t".join(SIMULATE_COLUMNS) + "\n")
-        for we_jobs in jobs.values():
-            rows = {}  # (task, config, seed) index -> the cell's rows
-            for ci, si, todo in we_jobs:
-                rows.update(((ti, ci, si), r)
-                            for ti, r in zip(todo, next(job_rows)))
-            for key in itertools.product(range(len(task_points)),
-                                         range(len(configs)),
-                                         range(len(seeds))):
-                if key not in rows:
-                    n_skipped += 1
-                    continue
-                for row in rows[key]:
-                    fh.write("\t".join(str(x) for x in row) + "\n")
-                n_run += 1
+        for _, we_jobs in itertools.groupby(zip(jobs, job_rows),
+                                            key=lambda pair: pair[0][0]):
+            rows = {}  # (task point, config, seed) -> the cell's rows
+            for _, job_out in we_jobs:
+                rows.update(job_out)
+            for key in itertools.product(task_points, configs, seeds):
+                if key in rows:
+                    for row in rows[key]:
+                        fh.write("\t".join(str(x) for x in row) + "\n")
+                    n_run += 1
             fh.flush()
-    print(f"simulate: {n_run} cells computed, {n_skipped} skipped -> "
+    n_cells = len(we_points) * len(task_points) * len(configs) * len(seeds)
+    print(f"simulate: {n_run} cells computed, {n_cells - n_run} skipped -> "
           f"{metrics_path}")
     return 0
+
+
+def _split_seeds(jobs: list, workers: int) -> list:
+    """While there are fewer jobs than workers, split the job with the most
+    seeds (the first such) in two by seed, its first half of seeds first; a
+    job of one seed is not split."""
+    jobs = list(jobs)
+    while 0 < len(jobs) < workers:
+        seeds = [list(dict.fromkeys(seed for _, seed, _ in cells))
+                 for _, cells in jobs]
+        i = max(range(len(jobs)), key=lambda j: len(seeds[j]))
+        if len(seeds[i]) < 2:
+            break
+        we_n, cells = jobs[i]
+        first = set(seeds[i][:(len(seeds[i]) + 1) // 2])
+        jobs[i:i + 1] = [(we_n, [c for c in cells if c[1] in first]),
+                         (we_n, [c for c in cells if c[1] not in first])]
+    return jobs
 
 
 def _cell_configs(args, label, we_n, seed):
@@ -510,52 +539,30 @@ def _seg_key(we_n: int, cfg: ModelConfig) -> tuple:
             cfg.ngram_max, cfg.word_token)
 
 
-def _shared_work(args, corpus, jobs) -> dict:
-    """What the jobs have in common, built once: per WE point, the corpus
-    prefix and its vocab under (WE point, "vocab"), and a segmenter and
-    subword vocab per segmenter setting and w+/w-, which are the same for
-    every seed. A part that fails is kept as its SubtokError, which every
-    cell that needs it reports as its failed row."""
+def _shared_work(corpus, we_points) -> dict:
+    """Per WE point, what all of its jobs read: the corpus prefix and its
+    vocab at the data group's min_count. A WE point whose vocab fails keeps
+    the SubtokError, which each of its cells reports as its failed row."""
     shared: dict = {}
-    for we_n, _, label, seed in jobs:
-        # min_count comes from the WE point's data group
-        cfg, _, tcfg = _cell_configs(args, label, we_n, seed)
-        vocab_key, seg_key = (we_n, "vocab"), _seg_key(we_n, cfg)
+    for we_n in we_points:
         try:
-            if vocab_key not in shared:
-                sample = sample_tokens(corpus, we_n)
-                shared[vocab_key] = sample, build_vocab(sample,
-                                                        tcfg.min_count)
-            if seg_key not in shared:
-                vocab = _shared(shared, vocab_key)[1]
-                shared[seg_key] = build_segmentation(cfg, vocab)
+            sample = sample_tokens(corpus, we_n)
+            shared[we_n] = sample, build_vocab(
+                sample, data_group_for(we_n).min_count)
         except SubtokError as exc:
-            shared.setdefault(vocab_key, exc)
-            shared.setdefault(seg_key, exc)
+            shared[we_n] = exc
     return shared
 
 
-def _shared(shared: dict, key):
-    """shared[key], or its SubtokError raised."""
-    value = shared[key]
-    if isinstance(value, SubtokError):
-        raise value
-    return value
-
-
 @contextlib.contextmanager
-def _job_rows(args, corpus, task_data, jobs):
-    """Yields an iterator over the rows of each job (WE point, task points,
-    config label, seed), in job order. The shared work of every WE point is
-    built here first; then one pool of workers, one per CPU this process
-    may run on and no more than there are jobs, trains and probes the jobs
-    in the order given. Workers are forked, so they inherit the shared work
-    and the task data, and only jobs and rows are pickled. With one worker
-    the jobs run in this process, each when its rows are asked for."""
-    state = (args, _shared_work(args, corpus, jobs), task_data)
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+def _job_rows(state: tuple, jobs: list, workers: int):
+    """Yields an iterator over the rows of each job, in job order. One pool
+    of `workers` workers runs the jobs in the order given. Workers are
+    forked, so they inherit `state` (the arguments, the shared work and the
+    task data), and only jobs and rows are pickled. With one worker the jobs
+    run in this process, each when its rows are asked for."""
     if workers <= 1:
-        yield (_simulate_cell(*state, *job) for job in jobs)
+        yield (_simulate_job(*state, *job) for job in jobs)
         return
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
@@ -580,8 +587,8 @@ def _set_worker_state(state: tuple) -> None:
     _worker_state = state
 
 
-def _run_job(job: tuple) -> list:
-    return _simulate_cell(*_worker_state, *job)
+def _run_job(job: tuple) -> dict:
+    return _simulate_job(*_worker_state, *job)
 
 
 def _failed(exc: SubtokError) -> list[str]:
@@ -589,36 +596,71 @@ def _failed(exc: SubtokError) -> list[str]:
     return ["-", "-", "-", "0", f"failed:{msg}"]
 
 
-def _simulate_cell(args, shared, task_data, we_n, task_points, label,
-                   seed):
-    """Train one (WE point, config, seed) and probe it once per task point;
-    returns one list of metric rows per task point. `shared` is the
-    _shared_work of the grid, and `task_data` maps a seed to the task
-    dataset split by it."""
-    cfg, group, tcfg = _cell_configs(args, label, we_n, seed)
-    cells = [[str(we_n), str(task_n), cfg.label, str(seed), group.label,
-              str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
-             for task_n in task_points]
+def _cell_row(we_n, task_n, setup) -> list[str]:
+    """The first columns of a row of the cell at task point `task_n` of the
+    (WE point, config, seed) whose `_cell_configs` are `setup`."""
+    cfg, group, tcfg = setup
+    return [str(we_n), str(task_n), cfg.label, str(cfg.seed), group.label,
+            str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
+
+
+def _simulate_job(args, shared, task_data, we_n, cells) -> dict:
+    """Rows of one job: the (config label, seed, task points) `cells` of WE
+    point `we_n`, whose configs share one segmentation. It is built here;
+    each config's seeds are siblings trained in one `train_lockstep` call.
+    Returns {(task point, config label, seed): rows}. A SubtokError fails
+    the cells it stops: all of them for the WE point's shared work or the
+    segmentation, one model's for its training or probes."""
     try:
-        sample, vocab = _shared(shared, (we_n, "vocab"))
-        segmenter, svocab = _shared(shared, _seg_key(we_n, cfg))
-        model = SubwordModel(cfg, vocab, svocab, segmenter)
-        train(sample, model, tcfg)
+        if isinstance(shared[we_n], SubtokError):
+            raise shared[we_n]
+        sample, vocab = shared[we_n]
+        cfg = _cell_configs(args, cells[0][0], we_n, cells[0][1])[0]
+        segmentation = build_segmentation(cfg, vocab)
+    except SubtokError as exc:
+        segmentation = exc
+    out = {}
+    for label, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        group = list(group)
+        setups = [_cell_configs(args, label, we_n, seed)
+                  for _, seed, _ in group]
+        models, trained = [None] * len(group), [segmentation] * len(group)
+        if not isinstance(segmentation, SubtokError):
+            segmenter, svocab = segmentation
+            first = SubwordModel(setups[0][0], vocab, svocab, segmenter)
+            models = [first] + [first.with_seed(cfg.seed)
+                                for cfg, _, _ in setups[1:]]
+            try:
+                trained = train_lockstep(sample, models,
+                                         [tcfg for _, _, tcfg in setups])
+            except SubtokError as exc:
+                trained = [exc] * len(models)
+        for (_, seed, todo), setup, model, result in zip(group, setups,
+                                                          models, trained):
+            rows = _simulate_cell(args, task_data[seed], we_n, todo, setup,
+                                  model, result)
+            out.update(((task_n, label, seed), r)
+                       for task_n, r in zip(todo, rows))
+    return out
+
+
+def _simulate_cell(args, data, we_n, task_points, setup, model, trained):
+    """The cells of one trained (WE point, config, seed), whose
+    `_cell_configs` are `setup`: one list of rows per task point, from one
+    `run_probe` call on `data`. `trained` is the model's TrainResult, or the
+    SubtokError that stopped its training and fails each of its cells."""
+    cells = [_cell_row(we_n, task_n, setup) for task_n in task_points]
+    try:
+        if isinstance(trained, SubtokError):
+            raise trained
+        task = "mentions" if args.mentions else "conll"
+        probes = run_probe(model, task, data, task_instances=task_points)
     except SubtokError as exc:
         return [[cell + _failed(exc)] for cell in cells]
-    task = "mentions" if args.mentions else "conll"
-    out = []
-    for task_n, cell in zip(task_points, cells):
-        try:
-            rows = run_probe(model, task, task_data[seed],
-                             task_instances=task_n)
-        except SubtokError as exc:
-            out.append([cell + _failed(exc)])
-            continue
-        out.append([cell + [task_name, split, metric, f"{value:.6f}", "ok"]
-                    for task_name, _, split, metric, value in rows
-                    if split == "test"])
-    return out
+    return [[cell + [task_name, split, metric, f"{value:.6f}", "ok"]
+             for task_name, _, split, metric, value in rows
+             if split == "test"]
+            for cell, rows in zip(cells, probes)]
 
 
 def cmd_report(args, guard: ArtifactGuard) -> int:

@@ -5,6 +5,8 @@ composition is written once, in `_WordCSR.compose`: training, `compose`,
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -96,6 +98,12 @@ class ParamTables:
         return ParamTables(self.subword.copy(), self.position.copy(),
                            self.context.copy())
 
+    @classmethod
+    def stack(cls, tables: list["ParamTables"]) -> "ParamTables":
+        """Each table of `tables`, stacked row-wise in list order."""
+        return cls(*(np.vstack([getattr(t, name) for t in tables])
+                     for name in ("subword", "position", "context")))
+
     def all_finite(self) -> bool:
         return (np.isfinite(self.subword).all()
                 and np.isfinite(self.position).all()
@@ -106,7 +114,8 @@ class ParamTables:
         """SGD step through additive composition: word i's gradient row
         grad[i] goes unchanged into each of its counts[i] rows of `sub_ids`,
         into the aligned `pos_ids` rows unless pos_ids is None (p-), and
-        into its word-token row unless wt_ids[i] is -1."""
+        into its word-token row unless wt_ids[i] is -1. `step` is one
+        learning rate or a column of one per word."""
         upd = step * grad
         per_row = np.repeat(upd, counts, axis=0)
         scatter_subtract(self.subword, sub_ids, per_row)
@@ -222,6 +231,23 @@ class _WordCSR:
         words = model.vocab.words if words is None else words
         return cls(words, model.indices_of(words), model.config.position)
 
+    def stacked(self, copies: int, sub_rows: int,
+                pos_rows: int) -> "_WordCSR":
+        """This layout `copies` times over, for tables stacked row-wise:
+        copy m's word i is row m * len(words) + i, and its subword,
+        word-token and position ids are shifted by m * sub_rows and
+        m * pos_rows."""
+        out = copy.copy(self)
+        shift = np.arange(copies)[:, None]
+        out.words = list(self.words) * copies
+        out.flat_sub = (self.flat_sub + shift * sub_rows).reshape(-1)
+        out.flat_pos = (self.flat_pos + shift * pos_rows).reshape(-1)
+        out.lens = np.tile(self.lens, copies)
+        out.starts = np.concatenate(([0], np.cumsum(out.lens)[:-1]))
+        out.wt_ids = np.where(self.wt_ids >= 0, self.wt_ids + shift * sub_rows,
+                              -1).reshape(-1)
+        return out
+
     def compose(self, params: ParamTables, centers: np.ndarray):
         """(vectors, rows) of the words `centers` (row numbers of this
         layout): vector i is the sum of word i's subword rows, plus the sum
@@ -269,6 +295,14 @@ class SubwordModel:
     def build(cls, config: ModelConfig, vocab: Vocab) -> "SubwordModel":
         segmenter, svocab = build_segmentation(config, vocab)
         return cls(config, vocab, svocab, segmenter)
+
+    def with_seed(self, seed: int) -> "SubwordModel":
+        """A sibling: this model's vocab, subword vocab, segmenter and
+        resolved word indices, and fresh tables from `seed`."""
+        sibling = SubwordModel(dataclasses.replace(self.config, seed=seed),
+                               self.vocab, self.subword_vocab, self.segmenter)
+        sibling._index_cache = self._index_cache
+        return sibling
 
     # -- index resolution ---------------------------------------------------
 

@@ -307,6 +307,84 @@ def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
     return probe.scores(_features(model, items)).argmax(axis=1).tolist()
 
 
+def _tagged(sentences, window: int) -> list[tuple[list, str]]:
+    """(window slots, label) of every token of (tokens, labels) pairs."""
+    if window < 0:
+        raise ConfigError("window must be >= 0")
+    return [(_window_slots(toks, i, window), labs[i])
+            for toks, labs in sentences for i in range(len(toks))]
+
+
+def _label_seqs(labels: list[str], preds, sentences):
+    """Predicted label ids, one per token of `sentences` in order, as one
+    label tuple per sentence."""
+    preds = iter(preds)
+    return [tuple(labels[next(preds)] for _ in toks) for toks, _ in sentences]
+
+
+@dataclass
+class TaskFeatures:
+    """The slot features and label ids of every example of a dataset, built
+    in one `_features` call, so that probes on any of its splits, cut to any
+    size, slice them. A mention is one example; a sentence is one example
+    per token, with the tokens `window` either side as slots. Item i of the
+    dataset (a mention or a sentence) is rows bounds[i]:bounds[i + 1]."""
+
+    feats: np.ndarray
+    label_ids: np.ndarray
+    bounds: np.ndarray
+    labels: list[str]
+    window: int
+
+    @classmethod
+    def of(cls, model: SubwordModel, data,
+           window: int = TAGGER_WINDOW) -> "TaskFeatures":
+        if isinstance(data, MentionDataset):
+            examples = [([toks], label) for toks, label in data.examples]
+            lens, window = [1] * len(examples), 0
+        else:
+            examples = _tagged(data.sentences, window)
+            lens = [len(toks) for toks, _ in data.sentences]
+        feats, ids = _labeled(model, data.label_inventory, examples)
+        return cls(feats, np.asarray(ids, dtype=np.int64),
+                   np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
+                   data.label_inventory, window)
+
+    def rows(self, items) -> np.ndarray:
+        """The feature rows of dataset items `items`, in order."""
+        items = np.asarray(items, dtype=np.int64)
+        starts = self.bounds[items]
+        counts = self.bounds[items + 1] - starts
+        heads = np.cumsum(counts) - counts
+        return np.arange(counts.sum()) + np.repeat(starts - heads, counts)
+
+    def probe(self, train_items, dev_items) -> SoftmaxProbe:
+        """`_train_probe` on the examples of `train_items`, its λ chosen on
+        those of `dev_items`."""
+        train, dev = self.rows(train_items), self.rows(dev_items)
+        return _train_probe(self.feats[train], self.label_ids[train],
+                            self.feats[dev], self.label_ids[dev],
+                            self.labels, self.window)
+
+    def metrics(self, probe: SoftmaxProbe, data, split: str):
+        """(metric, value) pairs of `probe` on the examples of `split`, as
+        predicted by `_predict`: span precision, recall and F1 on BIO data,
+        and otherwise accuracy, a tag counting only when it matches whole
+        (0 for an empty split)."""
+        rows = self.rows(data.splits[split])
+        preds = probe.scores(self.feats[rows]).argmax(axis=1)
+        if isinstance(data, MentionDataset):
+            hits = int((preds == self.label_ids[rows]).sum())
+            return [("accuracy", hits / rows.size if rows.size else 0.0)]
+        sents = data.split_sentences(split)
+        gold = [labs for _, labs in sents]
+        pred = _label_seqs(self.labels, preds, sents)
+        if data.scheme == SCHEME_BIO:
+            return list(zip(("precision", "recall", "f1"),
+                            span_f1(gold, pred)))
+        return [("accuracy", per_label_accuracy(gold, pred))]
+
+
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
                         seed: int = 0) -> SoftmaxProbe:
     """Softmax probe over mention-mean features. `seed` changes nothing:
@@ -333,23 +411,18 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
                        window: int = TAGGER_WINDOW) -> SoftmaxProbe:
     """Per-token softmax probe over concatenated window features."""
-    if window < 0:
-        raise ConfigError("window must be >= 0")
     labels = data.label_inventory
-    train, dev = (_labeled(model, labels, [
-        (_window_slots(toks, i, window), labs[i])
-        for toks, labs in data.split_sentences(split)
-        for i in range(len(toks))]) for split in ("train", "dev"))
+    train, dev = (_labeled(model, labels, _tagged(data.split_sentences(split),
+                                                  window))
+                  for split in ("train", "dev"))
     return _train_probe(*train, *dev, labels, window)
 
 
 def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):
     """Predicted label sequences for (tokens, labels) pairs."""
-    preds = iter(_predict(probe, model, [
-        _window_slots(toks, i, probe.window)
-        for toks, _ in sentences for i in range(len(toks))]))
-    return [tuple(probe.labels[next(preds)] for _ in toks)
-            for toks, _ in sentences]
+    preds = _predict(probe, model, [slots for slots, _ in
+                                    _tagged(sentences, probe.window)])
+    return _label_seqs(probe.labels, preds, sentences)
 
 
 def eval_tag_accuracy(probe: SoftmaxProbe, model: SubwordModel,

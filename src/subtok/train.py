@@ -9,15 +9,20 @@ once, in the batched kernel `sgns_kernel`: the trainer runs it per
 minibatch, `sgns_step` runs it for one pair, and `grad_check` checks its
 updates against finite differences of `sgns_loss`. Every table update goes
 through the one flat-row scatter, `subtok.model.scatter_subtract`.
-Two execution contracts: a deterministic single-threaded mode (used by all
-tests) and a lock-free multi-threaded mode where torn reads are tolerated.
+
+One loop, `Trainer`, trains one model or sibling models in lockstep
+(`train_lockstep`); `train` is its one-model call. Two execution
+contracts: deterministic and single-threaded, where each model trains bit
+for bit as it does alone; and, for one model with `TrainConfig.threads`
+above 1, lock-free across threads, where torn reads are tolerated and the
+result is not reproducible.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,25 +138,34 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
+class NonFiniteScore(SubtokError):
+    """A non-finite SGNS score, met at batch row `row` of a kernel call."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
-                ctx_ids: np.ndarray, valid: np.ndarray, lr: float,
+                ctx_ids: np.ndarray, valid: np.ndarray, lr,
                 first_update: int = 0) -> np.ndarray:
     """One SGD step of SGNS on a batch: center i (a row of `csr`) against
     ctx_ids[i] = (positive id, negative ids...), where `valid` masks the
-    negatives that collided with the positive. Each center's vector comes
-    from `csr.compose`; dot products are clamped to +-30 and a
-    clamped score passes no gradient. Raises SubtokError on a non-finite
-    score before any table changes; otherwise updates the context rows and
-    every constituent row, and returns the loss per center, computed in the
-    tables' float dtype."""
+    negatives that collided with the positive, at learning rate `lr`, one
+    for the batch or one per center. Each center's vector comes from
+    `csr.compose`; dot products are clamped to +-30 and a clamped score
+    passes no gradient. Raises NonFiniteScore on a non-finite score before
+    any table changes, naming update `first_update` + its row; otherwise
+    updates the context rows and every constituent row, and returns the loss
+    per center, computed in the tables' float dtype."""
     v, rows = csr.compose(params, centers)
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
     if not np.isfinite(scores).all():
         bad = int(np.argwhere(~np.isfinite(scores))[0][0])
         word = csr.words[int(centers[bad])]
-        raise SubtokError(f"non-finite score at update {first_update + bad} "
-                          f"(center word {word!r})")
+        raise NonFiniteScore(f"non-finite score at update {first_update + bad}"
+                             f" (center word {word!r})", bad)
     live = np.abs(scores) < SCORE_CLAMP
     scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
     g = 1.0 / (1.0 + np.exp(-scores))
@@ -162,9 +176,12 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
             - (_log_sigmoid(-scores[:, 1:]) * valid).sum(axis=1))
 
     grad_v = np.einsum("bk,bkd->bd", g, crows)
-    grad_c = (g[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1])
-    step = params.context.dtype.type(lr)
-    scatter_subtract(params.context, ctx_ids.reshape(-1), step * grad_c)
+    # (1, 1) or (batch, 1): each product rounds as with a scalar step
+    step = np.asarray(lr, dtype=params.context.dtype).reshape(-1, 1)
+    upd_c = g[:, :, None] * v[:, None, :]
+    upd_c *= step[:, :, None]
+    scatter_subtract(params.context, ctx_ids.reshape(-1),
+                     upd_c.reshape(-1, v.shape[1]))
     params.subtract_composed(grad_v, step, *rows)
     return loss
 
@@ -274,105 +291,247 @@ def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
     return centers[perm], ctxs[perm]
 
 
+@dataclass(eq=False)
+class _Lane:
+    """One model's place in a lockstep run: its settings, the length of its
+    LR schedule (its pairs over every epoch), its counters and loss trace,
+    and the SubtokError that stopped it, if one did."""
+
+    config: TrainConfig
+    total: int = 0
+    processed: int = 0
+    result: TrainResult = field(default_factory=TrainResult)
+    ema: float | None = None
+    error: SubtokError | None = None
+
+    def lr(self, processed: int) -> float:
+        cfg = self.config
+        return max(cfg.lr_floor, cfg.lr_start * (1.0 - processed / self.total))
+
+
+@dataclass(eq=False)
+class _Span:
+    """A lane's pairs of one epoch, or of a part of it, in batch order:
+    center rows, (positive, negatives) context rows and the negatives'
+    valid mask, and the lane's update count at the span's next pair."""
+
+    lane: _Lane
+    centers: np.ndarray
+    ctx_idx: np.ndarray
+    valid: np.ndarray
+    processed: int
+
+    def batch(self, b: int, size: int):
+        return (self.centers[b:b + size], self.ctx_idx[b:b + size],
+                self.valid[b:b + size])
+
+
+def _check_siblings(models, configs) -> None:
+    """Raise ValueError unless the models are siblings (one vocab, subword
+    vocab and segmenter, and configs equal but for the seed) trained with
+    TrainConfigs equal but for the seed, and at most one model runs
+    threaded."""
+    if not models or len(models) != len(configs):
+        raise ValueError("need one TrainConfig per model, and a model")
+    first, config = models[0], configs[0]
+    for model in models[1:]:
+        if (model.vocab is not first.vocab
+                or model.subword_vocab is not first.subword_vocab
+                or model.segmenter is not first.segmenter
+                or replace(model.config, seed=0)
+                != replace(first.config, seed=0)):
+            raise ValueError("lockstep models must be siblings "
+                             "(see SubwordModel.with_seed)")
+    if any(replace(c, seed=0) != replace(config, seed=0) for c in configs):
+        raise ValueError("lockstep TrainConfigs may differ only in seed")
+    if len(models) > 1 and config.threads > 1:
+        raise ValueError("threads > 1 trains one model at a time")
+
+
 class Trainer:
-    def __init__(self, corpus: Corpus, model: SubwordModel,
-                 config: TrainConfig):
-        self.corpus = corpus
-        self.model = model
-        self.config = config
-        self.csr = _WordCSR.of_model(model)
-        self.sampler = NegativeSampler(model.vocab)
-        self.keep_probs = subsample_keep_probs(model.vocab,
-                                               config.subsample_t)
-        self.stream_ids, self.sent_of = _token_stream(corpus, model.vocab)
-        self.result = TrainResult()
-        self._ema = None
-        self._next_trace = TRACE_EVERY
+    """Trains sibling models in lockstep. Their tables are stacked row-wise,
+    model m's rows after those of models 0..m-1, and its word and context
+    ids are shifted to match; each kernel call takes the next batch of every
+    model that still has one, each row at its own model's LR. No model's
+    rows get another's updates and every per-row operation of the kernel
+    rounds the same in a taller batch, so each model trains bit for bit as
+    it does alone."""
+
+    def __init__(self, corpus: Corpus, models: list[SubwordModel],
+                 configs: list[TrainConfig]):
+        _check_siblings(models, configs)
+        first = models[0]
+        self.models = models
+        self.config = configs[0]  # every setting but the seed is shared
+        self.csr = _WordCSR.of_model(first)
+        self.params = first.params
+        if len(models) > 1:
+            self.params = ParamTables.stack([m.params for m in models])
+            self.csr = self.csr.stacked(len(models),
+                                        first.params.subword.shape[0],
+                                        first.params.position.shape[0])
+        self.sampler = NegativeSampler(first.vocab)
+        self.keep_probs = subsample_keep_probs(first.vocab,
+                                               self.config.subsample_t)
+        self.stream_ids, self.sent_of = _token_stream(corpus, first.vocab)
+        self.lanes = [_Lane(c) for c in configs]
         self._lock = threading.Lock()
 
-    def _pair_rng(self, epoch: int) -> np.random.Generator:
-        return np.random.default_rng([self.config.seed, 17, epoch])
+    @staticmethod
+    def _pair_rng(seed: int, epoch: int) -> np.random.Generator:
+        return np.random.default_rng([seed, 17, epoch])
 
-    def _neg_rng(self, epoch: int) -> np.random.Generator:
-        return np.random.default_rng([self.config.seed, 31, epoch])
+    @staticmethod
+    def _neg_rng(seed: int, epoch: int) -> np.random.Generator:
+        return np.random.default_rng([seed, 31, epoch])
 
-    def run(self) -> TrainResult:
+    def run(self) -> list[TrainResult | SubtokError]:
+        """Train every model; returns, per model, its TrainResult or the
+        SubtokError that stopped it. A stopped model's tables stay as they
+        were when it stopped, and the others go on."""
         cfg = self.config
-        # the linear LR schedule runs over every epoch's pairs, counted
-        # from the same seeded draws that make them below
+        # each linear LR schedule runs over its model's pairs of every
+        # epoch, counted from the same seeded draws that make them below
         stream = (self.stream_ids, self.sent_of, self.keep_probs, cfg.window)
         subsampled = cfg.subsample_t > 0
-        total = sum(_epoch_pair_count(*stream, self._pair_rng(epoch),
-                                      subsampled)
-                    for epoch in range(cfg.epochs))
-        self.result.final_lr = cfg.lr_start
-        if total == 0:
-            return self.result
-        processed = 0
+        for lane in self.lanes:
+            lane.total = sum(
+                _epoch_pair_count(*stream, self._pair_rng(lane.config.seed,
+                                                          epoch), subsampled)
+                for epoch in range(cfg.epochs))
+            lane.result.final_lr = cfg.lr_start
+        words = len(self.models[0].vocab)
         for epoch in range(cfg.epochs):
-            centers, ctxs = _epoch_pairs(*stream, self._pair_rng(epoch),
-                                         subsampled)
-            if centers.size == 0:
+            spans = []
+            for m, lane in enumerate(self.lanes):
+                if lane.total == 0 or lane.error is not None:
+                    continue
+                seed = lane.config.seed
+                centers, ctxs = _epoch_pairs(
+                    *stream, self._pair_rng(seed, epoch), subsampled)
+                if centers.size == 0:
+                    continue
+                negs, valid = self.sampler.draw_matrix(
+                    self._neg_rng(seed, epoch), ctxs, cfg.negatives)
+                ctx_idx = np.concatenate((ctxs[:, None], negs), axis=1)
+                if m:  # model m's words and context rows follow m models'
+                    centers += m * words
+                    ctx_idx += m * words
+                spans.append(_Span(lane, centers, ctx_idx, valid,
+                                   lane.processed))
+            if not spans:
                 continue
-            negs, valid = self.sampler.draw_matrix(
-                self._neg_rng(epoch), ctxs, cfg.negatives)
             if cfg.threads <= 1:
-                processed = self._run_span(
-                    centers, ctxs, negs, valid, processed, total)
+                self._run_span(spans)
             else:
-                processed = self._run_threaded(
-                    centers, ctxs, negs, valid, processed, total)
-        self.result.processed_pairs = processed
-        return self.result
+                self._run_threaded(spans[0])
+        for m, (model, lane) in enumerate(zip(self.models, self.lanes)):
+            lane.result.processed_pairs = lane.processed
+            if self.params is not model.params:
+                for name in ("subword", "position", "context"):
+                    table = getattr(model.params, name)
+                    rows = table.shape[0]
+                    table[:] = getattr(self.params, name)[m * rows:
+                                                          (m + 1) * rows]
+        return [lane.error or lane.result for lane in self.lanes]
 
-    def _run_threaded(self, centers, ctxs, negs, valid, processed, total):
-        n = centers.size
+    def _run_threaded(self, span: _Span) -> None:
+        n = span.centers.size
         t = self.config.threads
         bounds = np.linspace(0, n, t + 1).astype(np.int64)
-        base = processed
         with ThreadPoolExecutor(max_workers=t) as pool:
-            futures = []
-            for w in range(t):
-                lo, hi = int(bounds[w]), int(bounds[w + 1])
-                futures.append(pool.submit(
-                    self._run_span, centers[lo:hi], ctxs[lo:hi],
-                    negs[lo:hi], valid[lo:hi], base + lo, total))
+            futures = [pool.submit(self._run_span, [_Span(
+                span.lane, span.centers[lo:hi], span.ctx_idx[lo:hi],
+                span.valid[lo:hi], span.processed + lo)])
+                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
             for f in futures:
                 f.result()
-        return base + n
+        span.lane.processed = span.processed + n
 
-    def _run_span(self, centers, ctxs, negs, valid, processed, total):
-        cfg = self.config
-        B = cfg.batch_size
-        for b in range(0, centers.size, B):
-            lr = max(cfg.lr_floor, cfg.lr_start * (1.0 - processed / total))
-            ctx_idx = np.concatenate(
-                (ctxs[b:b + B, None], negs[b:b + B]), axis=1)
-            loss = sgns_kernel(self.model.params, self.csr, centers[b:b + B],
-                               ctx_idx, valid[b:b + B], lr, processed)
-            processed += loss.shape[0]
-            self._record(processed, lr, float(loss.mean()))
-        return processed
+    def _run_span(self, spans: list[_Span]) -> None:
+        """Run the spans batch by batch in lockstep. A model whose batch
+        meets a non-finite score stops with the error it would give alone,
+        and the call is run again without it."""
+        B = self.config.batch_size
+        for b in range(0, max(s.centers.size for s in spans), B):
+            live = [s for s in spans
+                    if b < s.centers.size and s.lane.error is None]
+            while live:
+                try:
+                    self._step(live, b)
+                    break
+                except NonFiniteScore as exc:
+                    sizes = np.cumsum([s.batch(b, B)[0].size for s in live])
+                    owner = live.pop(int(np.searchsorted(sizes, exc.row,
+                                                         side="right")))
+                    if not live:
+                        owner.lane.error = exc
+                        break
+                    try:  # alone, it raises with its own update count
+                        self._step([owner], b)
+                    except NonFiniteScore as solo:
+                        owner.lane.error = solo
+        for s in spans:
+            s.lane.processed = s.processed
 
-    def _record(self, processed, lr, batch_loss):
+    def _step(self, spans: list[_Span], b: int) -> None:
+        """One kernel call on the batch at `b` of each span."""
+        B = self.config.batch_size
+        if len(spans) == 1:
+            span = spans[0]
+            lr = span.lane.lr(span.processed)
+            loss = sgns_kernel(self.params, self.csr, *span.batch(b, B), lr,
+                               span.processed)
+            span.processed += loss.shape[0]
+            self._record(span.lane, span.processed, lr, float(loss.mean()))
+            return
+        parts = [s.batch(b, B) for s in spans]
+        sizes = [p[0].size for p in parts]
+        lrs = [s.lane.lr(s.processed) for s in spans]
+        loss = sgns_kernel(self.params, self.csr,
+                           *(np.concatenate(col) for col in zip(*parts)),
+                           np.repeat(lrs, sizes))
+        start = 0
+        for span, size, lr in zip(spans, sizes, lrs):
+            span.processed += size
+            self._record(span.lane, span.processed, lr,
+                         float(loss[start:start + size].mean()))
+            start += size
+
+    def _record(self, lane: _Lane, processed, lr, batch_loss):
         with self._lock:
-            if self._ema is None:
-                self._ema = batch_loss
+            if lane.ema is None:
+                lane.ema = batch_loss
             else:
-                self._ema = EMA_ALPHA * self._ema + (1 - EMA_ALPHA) * batch_loss
-            self.result.final_lr = lr
-            if processed >= self._next_trace:
-                self.result.loss_trace.append((processed, lr, self._ema))
-                self._next_trace += TRACE_EVERY
+                lane.ema = EMA_ALPHA * lane.ema + (1 - EMA_ALPHA) * batch_loss
+            lane.result.final_lr = lr
+            trace = lane.result.loss_trace
+            if processed >= TRACE_EVERY * (len(trace) + 1):
+                trace.append((processed, lr, lane.ema))
+
+
+def train_lockstep(corpus: Corpus, models: list[SubwordModel],
+                   configs: list[TrainConfig]
+                   ) -> list[TrainResult | SubtokError]:
+    """Train sibling models (`SubwordModel.with_seed`) in place in one
+    lockstep loop, model i under configs[i]; the configs may differ only in
+    seed, and only one model may run threaded (ValueError otherwise).
+    Returns, per model, its loss trace or the SubtokError that stopped it:
+    each model trains, and fails, bit for bit as `train` trains it alone."""
+    results = Trainer(corpus, models, configs).run()
+    return [result if isinstance(result, SubtokError)
+            or model.params.all_finite()
+            else SubtokError("non-finite parameter after training")
+            for model, result in zip(models, results)]
 
 
 def train(corpus: Corpus, model: SubwordModel,
           config: TrainConfig) -> TrainResult:
-    """Train the model's tables in place; returns the loss trace."""
-    trainer = Trainer(corpus, model, config)
-    result = trainer.run()
-    if not model.params.all_finite():
-        raise SubtokError("non-finite parameter after training")
+    """Train the model's tables in place; returns the loss trace. This is
+    `train_lockstep` with one model; a failure raises its SubtokError."""
+    result, = train_lockstep(corpus, [model], [config])
+    if isinstance(result, SubtokError):
+        raise result
     return result
 
 

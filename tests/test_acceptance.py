@@ -38,7 +38,14 @@ from subtok.probe import (
 )
 from subtok.segment import char_ngrams, learn_bpe, learn_morfessor_lite
 from subtok.synth import make_suffix_benchmark
-from subtok.train import NegativeSampler, TrainConfig, grad_check, sgns_step
+from subtok.train import (
+    NegativeSampler,
+    TrainConfig,
+    grad_check,
+    sgns_step,
+    train,
+    train_lockstep,
+)
 
 
 def _report(number: int, name: str, failures: list):
@@ -47,17 +54,34 @@ def _report(number: int, name: str, failures: list):
     assert not failures, f"criterion {number} ({name}): {failures}"
 
 
+def _mention_train_config(seed):
+    return TrainConfig(window=5, negatives=5, epochs=3, batch_size=32,
+                       subsample_t=1e-3, seed=seed)
+
+
 def _train_charn_mentions(bench, corpus, seed, word_token=True,
                           segmenter="charn"):
     vocab = build_vocab(corpus, 2)
     cfg = ModelConfig(segmenter=segmenter, word_token=word_token, dim=32,
                       seed=seed)
     model = SubwordModel.build(cfg, vocab)
-    tcfg = TrainConfig(window=5, negatives=5, epochs=3, batch_size=32,
-                       subsample_t=1e-3, seed=seed)
-    from subtok.train import train
-    train(corpus, model, tcfg)
+    train(corpus, model, _mention_train_config(seed))
     return model
+
+
+def _train_charn_seeds(corpus, seeds):
+    """The models `_train_charn_mentions` trains for `seeds`, trained as
+    siblings in one lockstep call, which gives each the same tables."""
+    base = SubwordModel.build(ModelConfig(segmenter="charn", word_token=True,
+                                          dim=32, seed=seeds[0]),
+                              build_vocab(corpus, 2))
+    models = [base.with_seed(seed) for seed in seeds]
+    results = train_lockstep(corpus, models,
+                             [_mention_train_config(s) for s in seeds])
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return models
 
 
 def test_criterion_1_gradient_correctness():
@@ -198,8 +222,8 @@ def test_criterion_6_scarcity_monotonicity():
     full_train = list(bench.mentions.splits["train"])
     for we in we_sizes:
         sample = sample_tokens(bench.corpus, we)
-        for seed in range(1, 6):
-            model = _train_charn_mentions(bench, sample, seed)
+        seeds = list(range(1, 6))
+        for seed, model in zip(seeds, _train_charn_seeds(sample, seeds)):
             for task_n in task_sizes:
                 bench.mentions.splits["train"] = full_train[:task_n]
                 probe = train_mention_probe(model, bench.mentions,

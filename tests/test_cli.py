@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -23,14 +24,24 @@ from subtok.cli import (
 from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel, build_segmenter
-from subtok.probe import TAGGER_WINDOW, train_tagger_probe
+from subtok.probe import (
+    TAGGER_WINDOW,
+    eval_mention_accuracy,
+    eval_tag_accuracy,
+    load_conll,
+    load_mentions,
+    span_f1,
+    tag_sentences,
+    train_mention_probe,
+    train_tagger_probe,
+)
 from subtok.segment import (
     END_OF_WORD,
     MORF_MAX_ITERS,
     learn_morfessor_lite,
 )
 from subtok.synth import make_suffix_benchmark
-from subtok.train import TrainConfig, train
+from subtok.train import TrainConfig, train, train_lockstep
 
 
 @pytest.fixture
@@ -86,8 +97,9 @@ class FileLog:
 
 
 class CallCounts(FileLog):
-    """A FileLog of [name, pid] per call of train and learn_bpe; equal to
-    the {name: count} dict of those calls."""
+    """A FileLog of [name, pid] per training (one per model of a lockstep
+    call) and per learn_bpe call; equal to the {name: count} dict of
+    them."""
 
     def counts(self):
         names = [name for name, _ in self]
@@ -411,7 +423,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise SubtokError("bad\tvalue\nline")
 
-        monkeypatch.setattr("subtok.cli.train", fail)
+        monkeypatch.setattr("subtok.cli.train_lockstep", fail)
         out_dir = tmp_path / "sim"
         assert self._run(corpus_file, mentions_file, out_dir, "1") == 0
         lines = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()
@@ -559,15 +571,20 @@ class TestProbeStability:
                 "--dim", "32", "--subsample-t", "1e-3"]
         assert main(argv + ["--out", str(tmp_path / "exact")]) == 0
 
-        def rounded(sample, model, tcfg):
-            out = train(sample, model, tcfg)
-            model.params.subword *= 1 + 1e-7
+        scaled = FileLog(tmp_path / "scaled.jsonl")
+
+        def rounded(sample, models, tcfgs):
+            out = train_lockstep(sample, models, tcfgs)
+            for model in models:
+                model.params.subword *= 1 + 1e-7
+                scaled.append(model.config.label)
             return out
 
-        monkeypatch.setattr(subtok.cli, "train", rounded)
+        monkeypatch.setattr(subtok.cli, "train_lockstep", rounded)
         assert main(argv + ["--out", str(tmp_path / "rounded")]) == 0
         exact, rounded = ((tmp_path / run / "metrics.tsv").read_text("utf-8")
                           for run in ("exact", "rounded"))
+        assert len(scaled) == 8  # 2 WE points x 2 configs x 2 seeds
         assert exact.count("\tok\n") == 16
         assert rounded == exact
 
@@ -588,14 +605,16 @@ class TestSimulateReuse:
     def calls(self, monkeypatch, tmp_path):
         calls = CallCounts(tmp_path / "calls.jsonl")
 
-        def counted(name, func):
+        def counted(name, func, per=lambda *args: [None]):
             def wrapper(*args, **kwargs):
-                calls.append([name, os.getpid()])
+                for _ in per(*args):
+                    calls.append([name, os.getpid()])
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(subtok.cli, "train",
-                            counted("train", subtok.cli.train))
+        # one training per model of a lockstep call
+        monkeypatch.setattr(subtok.cli, "train_lockstep", counted(
+            "train", subtok.cli.train_lockstep, lambda _, models, __: models))
         monkeypatch.setattr(subtok.model, "learn_bpe",
                             counted("learn_bpe", subtok.model.learn_bpe))
         return calls
@@ -677,7 +696,7 @@ class TestSimulateReuse:
         assert sorted(loads) == [1, 2]
 
         def probe_from_file(model, task, data, **kwargs):
-            # each task point parses the file itself; workers are forked
+            # each model parses the file itself; workers are forked
             # after the once-per-seed loads, so they see seed_of filled
             return real_probe(model, task, subtok.cli.load_task_data(
                 task, mentions_file, seed_of[id(data)]), **kwargs)
@@ -685,7 +704,7 @@ class TestSimulateReuse:
         monkeypatch.setattr(subtok.cli, "run_probe", probe_from_file)
         loads.clear()
         assert self._run(corpus_file, mentions_file, tmp_path / "each") == 0
-        assert len(loads) == 2 + 16  # once per seed, then per task point
+        assert len(loads) == 2 + 8  # once per seed, then per model
         assert (tmp_path / "once" / "metrics.tsv").read_bytes() == \
             (tmp_path / "each" / "metrics.tsv").read_bytes()
 
@@ -750,8 +769,8 @@ class TestSimulateReuse:
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
-                we_n, _, label, seed = args[0]
-                submitted.append((we_n, label, seed))
+                we_n, cells = args[0]
+                submitted.append((we_n, [cell[:2] for cell in cells]))
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(subtok.cli, "ProcessPoolExecutor", Pool)
@@ -760,9 +779,10 @@ class TestSimulateReuse:
         out_dir = tmp_path / "sim"
         assert self._run(corpus_file, mentions_file, out_dir) == 0
         assert len(pools) == 1
-        assert submitted == [(we, label, seed) for we in (2400, 1200)
-                             for label in ("w2v", "bpe1e1:w+:p-")
-                             for seed in (1, 2)]
+        # one job per WE point and segmentation, holding both seeds
+        assert submitted == [(we, [(label, 1), (label, 2)])
+                             for we in (2400, 1200)
+                             for label in ("w2v", "bpe1e1:w+:p-")]
         rows = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]
         assert [r.split("\t")[0] for r in rows] == ["2400"] * 8 + ["1200"] * 8
 
@@ -794,12 +814,12 @@ class TestSimulateReuse:
         script = (
             "import os, sys\n"
             "import subtok.cli as cli\n"
-            "parent, real_train = os.getpid(), cli.train\n"
+            "parent, real_train = os.getpid(), cli.train_lockstep\n"
             "def train(*args, **kwargs):\n"
             "    if os.getpid() != parent:\n"
             "        os._exit(3)\n"
             "    return real_train(*args, **kwargs)\n"
-            "cli.train = train\n"
+            "cli.train_lockstep = train\n"
             "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -823,6 +843,150 @@ class TestSimulateReuse:
         assert f"line 2: expected `token token ...<TAB>label` in {bad}" in err
         assert calls == {"train": 0, "learn_bpe": 0}
         assert not (out_dir / "metrics.tsv").exists()
+
+
+    def test_resume_with_seeds_missing_different_task_points(
+            self, corpus_file, mentions_file, tmp_path, calls, capsys):
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        metrics = out_dir / "metrics.tsv"
+        full = metrics.read_text("utf-8").splitlines(True)
+        # seed 1 misses task point 5 and seed 2 task point 10, of one model
+        gone = ("2400\t5\tword:w-:p-\t1\t", "2400\t10\tword:w-:p-\t2\t")
+        metrics.write_text("".join(l for l in full if not l.startswith(gone)),
+                           encoding="utf-8")
+        calls.clear()
+        capsys.readouterr()
+        assert self._run(corpus_file, mentions_file, out_dir) == 0
+        assert calls == {"train": 2, "learn_bpe": 0}
+        assert "2 cells computed, 14 skipped" in capsys.readouterr().out
+        assert sorted(metrics.read_text("utf-8").splitlines(True)) == \
+            sorted(full)
+
+    def test_one_job_of_two_seeds_is_split_over_two_workers(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        pools, submitted = [], []
+
+        class Pool(subtok.cli.ProcessPoolExecutor):
+            def __init__(self, workers, *args, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, *args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                we_n, cells = args[0]
+                submitted.append((we_n, [cell[:2] for cell in cells]))
+                return super().submit(fn, *args, **kwargs)
+
+        argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
+                str(mentions_file), "--we-tokens", "2400",
+                "--task-instances", "5,10", "--configs", "w2v", "--seeds",
+                "1,2", "--dim", "8", "--train-epochs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(subtok.cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        assert main(argv + ["--out", str(tmp_path / "two")]) == 0
+        assert pools == [2]
+        assert submitted == [(2400, [("w2v", 1)]), (2400, [("w2v", 2)])]
+        assert (tmp_path / "one" / "metrics.tsv").read_bytes() == \
+            (tmp_path / "two" / "metrics.tsv").read_bytes()
+
+    def test_a_task_point_above_the_train_split_is_named_once(
+            self, corpus_file, mentions_file, tmp_path, capsys):
+        """40 mentions split 60/20/20 leave 24 to train on for every seed;
+        task point 30 is kept in its rows and named on stderr."""
+        argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
+                str(mentions_file), "--we-tokens", "1200,2400",
+                "--task-instances", "10,30", "--configs", "w2v,ft",
+                "--seeds", "1,2", "--dim", "8", "--train-epochs", "1",
+                "--out", str(tmp_path / "sim")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"simulate: task point 30 exceeds the train split of seed {seed} "
+            "(24 examples); its cells train on all 24" for seed in (1, 2)]
+        rows = (tmp_path / "sim" / "metrics.tsv").read_text("utf-8")
+        assert rows.count("\t30\t") == 8
+        assert main(argv) == 0  # nothing left to run, nothing to name
+        assert capsys.readouterr().err == ""
+
+    def test_probe_names_a_task_point_above_the_train_split(
+            self, corpus_file, mentions_file, tmp_path, capsys):
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        capsys.readouterr()
+        for n, err in ((10, ""), (30, "probe: --task-instances 30 exceeds "
+                       "the train split of seed 0 (24 examples); the probe "
+                       "trains on all 24\n")):
+            assert main(["probe", "--checkpoint", str(ckpt), "--task",
+                         "mentions", "--data", str(mentions_file),
+                         "--task-instances", str(n), "--out",
+                         str(tmp_path / f"m{n}.tsv")]) == 0
+            assert capsys.readouterr().err == err
+
+
+class TestRunProbeAllTaskPoints:
+    """run_probe given a list of task points equals one probe per point,
+    trained and scored by the probe module's own functions."""
+
+    POINTS = [5, 40, None, 10_000]
+
+    @pytest.fixture(scope="class")
+    def bench_model(self):
+        bench = make_suffix_benchmark(2, n_tokens=8_000, n_train_mentions=90,
+                                      n_dev_mentions=30, n_test_mentions=30)
+        model = SubwordModel.build(
+            ModelConfig(segmenter="charn", word_token=True, dim=12, seed=2),
+            build_vocab(bench.corpus, 2))
+        train(bench.corpus, model, TrainConfig(epochs=1, min_count=2,
+                                               subsample_t=1e-3, seed=2))
+        return bench, model
+
+    @staticmethod
+    def _one_point(model, task, data, n):
+        data = dataclasses.replace(data, splits={
+            **data.splits, "train": data.splits["train"][:n]})
+        label = model.config.label
+        if task == "mentions":
+            probe = train_mention_probe(model, data)
+            return [("fget", label, split, "accuracy",
+                     eval_mention_accuracy(probe, model, data, split))
+                    for split in ("dev", "test")]
+        probe = train_tagger_probe(model, data)
+        rows = []
+        for split in ("dev", "test"):
+            sents = data.split_sentences(split)
+            if data.scheme == "BIO":
+                scores = span_f1([labs for _, labs in sents],
+                                 tag_sentences(probe, model, sents))
+                rows += [("ner", label, split, metric, value) for metric, value
+                         in zip(("precision", "recall", "f1"), scores)]
+            else:
+                rows.append(("mtag", label, split, "accuracy",
+                             eval_tag_accuracy(probe, model, data, split)))
+        return rows
+
+    @pytest.mark.parametrize("task", ["mentions", "BIO", "full-tag"])
+    def test_equals_one_probe_per_point(self, bench_model, task):
+        bench, model = bench_model
+        if task == "mentions":
+            data = load_mentions(bench.mentions_tsv().splitlines(True),
+                                 seed=3)
+        else:
+            lines = []
+            for sent in bench.corpus.sentences[:80]:
+                for tok in sent[:9]:
+                    tag = (("B-" if len(tok) % 2 else "I-") + tok[-1]
+                           if task == "BIO" else f"{tok[-1]}|{len(tok) % 3}")
+                    lines.append(f"{tok}\t{tag}\n")
+                lines.append("\n")
+            data = load_conll(lines, seed=3)
+            assert data.scheme == task
+        kind = "mentions" if task == "mentions" else "conll"
+        rows = run_probe(model, kind, data, task_instances=self.POINTS)
+        expected = [self._one_point(model, task, data, n)
+                    for n in self.POINTS]
+        assert rows == expected
+        assert len({tuple(r) for r in rows}) > 1  # the points differ
+        assert run_probe(model, kind, data, task_instances=5) == expected[0]
 
 
 class TestSimulateConll:

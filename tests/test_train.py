@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from subtok.train import (
     sgns_loss,
     sgns_step,
     train,
+    train_lockstep,
 )
 
 # the package re-exports the function `train` under the module's name
@@ -548,3 +551,125 @@ class TestNegativeSampler:
         frac_a = (draws == m.vocab.word2id["a"]).mean()
         expected = 810**0.75 / (810**0.75 + 10**0.75)
         assert frac_a == pytest.approx(expected, abs=0.02)
+
+
+LOCKSTEP_TEXT = ("the cats sat on mats\nrats ran at the bats\n"
+                 "a cat and a rat sat\nhats on the cats and bats\n") * 6
+
+
+def _tables(model):
+    return [getattr(model.params, name).tobytes()
+            for name in ("subword", "position", "context")]
+
+
+class TestLockstep:
+    """`train_lockstep` trains each sibling bit for bit as `train` trains
+    it alone."""
+
+    @given(segmenter=st.sampled_from(["word", "charn", "bpe", "morf"]),
+           word_token=st.booleans(), position=st.booleans(),
+           seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
+                          unique=True),
+           batch_size=st.sampled_from([1, 3, 7, 32]),
+           epochs=st.integers(1, 2), window=st.integers(1, 3),
+           subsample_t=st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_solo_training(self, segmenter, word_token, position,
+                                  seeds, batch_size, epochs, window,
+                                  subsample_t):
+        corpus, base = make_model(LOCKSTEP_TEXT, segmenter=segmenter,
+                                  num_merges=20, word_token=word_token,
+                                  position=position, ngram_max=4)
+        configs = [TrainConfig(window=window, negatives=2, epochs=epochs,
+                               batch_size=batch_size, min_count=1,
+                               subsample_t=subsample_t, seed=seed)
+                   for seed in seeds]
+        models = [base.with_seed(seed) for seed in seeds]
+        with mock.patch.object(train_module, "TRACE_EVERY", 40):
+            results = train_lockstep(corpus, models, configs)
+            for model, result, config in zip(models, results, configs):
+                solo = base.with_seed(config.seed)
+                expected = train(corpus, solo, config)
+                assert _tables(model) == _tables(solo)
+                assert result.loss_trace == expected.loss_trace
+                assert result.processed_pairs == expected.processed_pairs
+                assert result.final_lr == expected.final_lr
+                assert result.processed_pairs > 0
+
+    def test_seeds_differ_in_pair_count_and_last_batch(self):
+        corpus, base = make_model(LOCKSTEP_TEXT)
+        seeds = [1, 2, 3]
+        configs = [TrainConfig(window=3, negatives=2, epochs=1, batch_size=7,
+                               min_count=1, subsample_t=0.05, seed=seed)
+                   for seed in seeds]
+        results = train_lockstep(corpus, [base.with_seed(s) for s in seeds],
+                                 configs)
+        pairs = [r.processed_pairs for r in results]
+        assert len(set(pairs)) == 3
+        assert any(n % 7 for n in pairs)
+
+    def test_a_failed_model_stops_alone(self):
+        text = LOCKSTEP_TEXT + "the zz sat\n"
+        corpus, base = make_model(text)
+        seeds = [4, 5, 6]
+        configs = [TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
+                               min_count=1, subsample_t=0, seed=seed)
+                   for seed in seeds]
+
+        def siblings():
+            models = [base.with_seed(seed) for seed in seeds]
+            models[1].params.context[base.vocab.word2id["zz"]] = np.inf
+            return models
+
+        models = siblings()
+        results = train_lockstep(corpus, models, configs)
+        for model, result, config in zip(siblings(), results, configs):
+            if model.config.seed == 5:
+                with pytest.raises(SubtokError) as alone:
+                    train(corpus, model, config)
+                assert isinstance(result, SubtokError)
+                assert str(result) == str(alone.value)
+                assert "update 0 " not in str(result)
+            else:
+                expected = train(corpus, model, config)
+                assert result.loss_trace == expected.loss_trace
+                assert result.processed_pairs == expected.processed_pairs
+            assert _tables(models[seeds.index(model.config.seed)]) == \
+                _tables(model)
+
+    def test_refuses_models_that_are_not_siblings(self):
+        corpus, base = make_model(LOCKSTEP_TEXT, segmenter="charn")
+        _, other = make_model(LOCKSTEP_TEXT, segmenter="charn", seed=4)
+        config = TrainConfig(min_count=1, epochs=1)
+        with pytest.raises(ValueError, match="siblings"):
+            train_lockstep(corpus, [base, other], [config, config])
+        wide = SubwordModel(dataclasses.replace(base.config, dim=4),
+                            base.vocab, base.subword_vocab, base.segmenter)
+        with pytest.raises(ValueError, match="siblings"):
+            train_lockstep(corpus, [base, wide], [config, config])
+
+    def test_refuses_configs_that_differ_but_in_seed(self):
+        corpus, base = make_model(LOCKSTEP_TEXT)
+        models = [base.with_seed(1), base.with_seed(2)]
+        one = TrainConfig(min_count=1, epochs=1, seed=1)
+        with pytest.raises(ValueError, match="only in seed"):
+            train_lockstep(corpus, models,
+                           [one, dataclasses.replace(one, seed=2, window=2)])
+        with pytest.raises(ValueError, match="one model"):
+            threaded = dataclasses.replace(one, threads=2)
+            train_lockstep(corpus, models,
+                           [threaded, dataclasses.replace(threaded, seed=2)])
+        with pytest.raises(ValueError, match="one TrainConfig per model"):
+            train_lockstep(corpus, models, [one])
+
+    def test_siblings_share_everything_but_the_tables(self):
+        _, base = make_model(LOCKSTEP_TEXT, segmenter="charn")
+        sibling = base.with_seed(9)
+        assert sibling.config == dataclasses.replace(base.config, seed=9)
+        assert sibling.vocab is base.vocab
+        assert sibling.subword_vocab is base.subword_vocab
+        assert sibling.segmenter is base.segmenter
+        assert sibling.word_indices("cats") is base.word_indices("cats")
+        fresh = SubwordModel(sibling.config, base.vocab, base.subword_vocab,
+                             base.segmenter)
+        assert _tables(sibling) == _tables(fresh) != _tables(base)

@@ -14,9 +14,11 @@ is run and left out.
 
 It prints each round, then for both sides the median and quartiles of the
 repetition's time inside subtok calls (raw seconds, not rescaled to a
-reference CPU speed), the median of the per-round ratio tree/REV, how many
-rounds each side won, the peak RSS of the child and of its reaped worker
-processes (`RUSAGE_CHILDREN`), failed checks, and whether every
+reference CPU speed), the median CPU seconds of a repetition (user plus
+system time of the child and of the worker processes it reaped, as
+`RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the per-round
+ratio tree/REV, how many rounds each side won, the peak RSS of the child
+and of its reaped worker processes, failed checks, and whether every
 repetition's `exact` record is equal across the two sides.
 
 Separate `perfbench/run.py` runs of one commit on a busy 2-vCPU VM gave
@@ -45,6 +47,14 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def cpu_seconds() -> float:
+    """User plus system CPU seconds of this process and of the children it
+    has reaped."""
+    return sum(u.ru_utime + u.ru_stime for u in (
+        resource.getrusage(resource.RUSAGE_SELF),
+        resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
 def serve(root: str, workload: str, seed: str, work: str) -> None:
     """Child side: set the workload up once under `work`, then run one
     repetition per `run` line read from stdin and answer each with one JSON
@@ -65,14 +75,16 @@ def serve(root: str, workload: str, seed: str, work: str) -> None:
         rep_dir = work_dir / f"rep{n}"
         rep_dir.mkdir()
         checks = workloads.Checks()
+        cpu_start = cpu_seconds()
         # the program's own prints would break the one-line answers
         with contextlib.redirect_stdout(io.StringIO()):
             rep = wl.run(int(seed), inputs, rep_dir, workloads.Timer(),
                          checks)
+        cpu_s = cpu_seconds() - cpu_start
         own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         answer.write(json.dumps({
-            "wall_s": rep.wall_s, "exact": rep.exact,
+            "wall_s": rep.wall_s, "cpu_s": cpu_s, "exact": rep.exact,
             "failures": checks.failures, "attempted": checks.attempted,
             "rss_mb": own / 1024, "children_rss_mb": kids / 1024},
             default=str) + "\n")
@@ -161,8 +173,10 @@ def main(argv=None) -> int:
         q1, q2, q3 = statistics.quantiles(walls, n=4, method="inclusive")
         failed = sum(len(r["failures"]) for r in side.reps)
         attempted = sum(r["attempted"] for r in side.reps)
+        cpu = statistics.median(r["cpu_s"] for r in side.reps)
         print(f"{side.name}: median {q2:.3f} s (quartiles {q1:.3f}-"
-              f"{q3:.3f}), n={len(walls)}, failed {failed}/{attempted}, "
+              f"{q3:.3f}), CPU {cpu:.3f} s, n={len(walls)}, "
+              f"failed {failed}/{attempted}, "
               f"peak RSS {max(r['rss_mb'] for r in side.reps):.0f} MB, "
               f"workers {max(r['children_rss_mb'] for r in side.reps):.0f}"
               " MB")
