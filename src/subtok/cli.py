@@ -60,7 +60,7 @@ from subtok.segment import (
     MorfModel,
     segment_word,
 )
-from subtok.train import TrainConfig, train, train_lockstep
+from subtok.train import LOCKSTEP_ROWS, TrainConfig, train, train_lockstep
 
 SIMULATE_COLUMNS = [
     "we_tokens", "task_instances", "config", "seed", "group", "batch_size",
@@ -323,26 +323,27 @@ def load_task_data(task: str, data_path, seed: int):
     return load_file(loaders[task], data_path, seed=seed)
 
 
-def run_probe(model, task: str, data, task_instances=None,
-              window: int = TAGGER_WINDOW):
+def run_probe(model, task: str, data, task_instances: list,
+              window: int = TAGGER_WINDOW) -> list[list[tuple]]:
     """Train and evaluate a probe on the dataset that load_task_data read,
-    its train split cut to the first `task_instances` items (None: all);
-    returns metric rows. Given a list of such sizes, it probes once per
-    size, slicing features built once for every example, and returns one
-    list of rows per size."""
-    sizes = task_instances if isinstance(task_instances, list) \
-        else [task_instances]
-    feats = TaskFeatures.of(model, data, window)
+    once per task point of `task_instances`, its train split cut to the
+    first that many items (None: all); returns one list of metric rows per
+    point. The features of the largest point's train items and of dev and
+    test are built once and sliced per point."""
+    train_items = _train_items(
+        data, None if None in task_instances else max(task_instances))
+    feats = TaskFeatures.of(model, data, train_items + data.splits["dev"]
+                            + data.splits["test"], window)
     label = model.config.label
     task_name = ("fget" if task == "mentions"
                  else "ner" if data.scheme == SCHEME_BIO else "mtag")
     out = []
-    for n in sizes:
+    for n in task_instances:
         probe = feats.probe(_train_items(data, n), data.splits["dev"])
         out.append([(task_name, label, split, metric, value)
                     for split in ("dev", "test")
                     for metric, value in feats.metrics(probe, data, split)])
-    return out if isinstance(task_instances, list) else out[0]
+    return out
 
 
 def _short_split(data, task_n) -> int | None:
@@ -360,9 +361,9 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
         print(f"probe: --task-instances {args.task_instances} exceeds the "
               f"train split of seed {args.seed} ({n_train} examples); the "
               f"probe trains on all {n_train}", file=sys.stderr)
-    rows = run_probe(model, args.task, data,
-                     task_instances=args.task_instances,
-                     window=args.probe_window)
+    rows, = run_probe(model, args.task, data,
+                      task_instances=[args.task_instances],
+                      window=args.probe_window)
     out = guard.register(default_out(args, "metrics.tsv"))
     write_metrics(out, rows)
     for row in rows:
@@ -606,10 +607,12 @@ def _cell_row(we_n, task_n, setup) -> list[str]:
 
 def _simulate_job(args, shared, task_data, we_n, cells) -> dict:
     """Rows of one job: the (config label, seed, task points) `cells` of WE
-    point `we_n`, whose configs share one segmentation. It is built here;
-    each config's seeds are siblings trained in one `train_lockstep` call.
-    Returns {(task point, config label, seed): rows}. A SubtokError fails
-    the cells it stops: all of them for the WE point's shared work or the
+    point `we_n`, whose configs share one segmentation, which is built here.
+    Each config's seeds are siblings, trained in `train_lockstep` calls of
+    as many seeds as LOCKSTEP_ROWS allows at the data group's batch size:
+    all of a G1 point's five, one at a time at G2 and G3. Returns
+    {(task point, config label, seed): rows}. A SubtokError fails the cells
+    it stops: all of them for the WE point's shared work or the
     segmentation, one model's for its training or probes."""
     try:
         if isinstance(shared[we_n], SubtokError):
@@ -618,29 +621,42 @@ def _simulate_job(args, shared, task_data, we_n, cells) -> dict:
         cfg = _cell_configs(args, cells[0][0], we_n, cells[0][1])[0]
         segmentation = build_segmentation(cfg, vocab)
     except SubtokError as exc:
+        sample = vocab = None
         segmentation = exc
     out = {}
     for label, group in itertools.groupby(cells, key=lambda cell: cell[0]):
-        group = list(group)
-        setups = [_cell_configs(args, label, we_n, seed)
-                  for _, seed, _ in group]
-        models, trained = [None] * len(group), [segmentation] * len(group)
-        if not isinstance(segmentation, SubtokError):
-            segmenter, svocab = segmentation
-            first = SubwordModel(setups[0][0], vocab, svocab, segmenter)
-            models = [first] + [first.with_seed(cfg.seed)
-                                for cfg, _, _ in setups[1:]]
-            try:
-                trained = train_lockstep(sample, models,
-                                         [tcfg for _, _, tcfg in setups])
-            except SubtokError as exc:
-                trained = [exc] * len(models)
-        for (_, seed, todo), setup, model, result in zip(group, setups,
-                                                          models, trained):
-            rows = _simulate_cell(args, task_data[seed], we_n, todo, setup,
-                                  model, result)
-            out.update(((task_n, label, seed), r)
-                       for task_n, r in zip(todo, rows))
+        part = [(cell, _cell_configs(args, label, we_n, cell[1]))
+                for cell in group]
+        per_call = max(1, LOCKSTEP_ROWS // part[0][1][2].batch_size)
+        for lo in range(0, len(part), per_call):
+            out.update(_lockstep_cells(args, task_data, we_n, sample, vocab,
+                                       segmentation, part[lo:lo + per_call]))
+    return out
+
+
+def _lockstep_cells(args, task_data, we_n, sample, vocab, segmentation,
+                    part) -> dict:
+    """Rows of `part`, (cell, `_cell_configs`) pairs of one config whose
+    seeds train in one `train_lockstep` call on `sample` and are then
+    probed; the models are dropped on return."""
+    models, trained = [None] * len(part), [segmentation] * len(part)
+    if not isinstance(segmentation, SubtokError):
+        segmenter, svocab = segmentation
+        first = SubwordModel(part[0][1][0], vocab, svocab, segmenter)
+        models = [first] + [first.with_seed(setup[0].seed)
+                            for _, setup in part[1:]]
+        try:
+            trained = train_lockstep(sample, models,
+                                     [setup[2] for _, setup in part])
+        except SubtokError as exc:
+            trained = [exc] * len(models)
+    out = {}
+    for ((label, seed, todo), setup), model, result in zip(part, models,
+                                                           trained):
+        rows = _simulate_cell(args, task_data[seed], we_n, todo, setup,
+                              model, result)
+        out.update(((task_n, label, seed), r)
+                   for task_n, r in zip(todo, rows))
     return out
 
 

@@ -294,19 +294,6 @@ def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
     return best
 
 
-def _labeled(model: SubwordModel, labels: list[str], examples):
-    """(slot features, label ids) of `examples`, a list of (slots, label)."""
-    lab2id = {l: i for i, l in enumerate(labels)}
-    return (_features(model, [slots for slots, _ in examples]),
-            [lab2id[l] for _, l in examples])
-
-
-def _predict(probe: SoftmaxProbe, model: SubwordModel, items) -> list[int]:
-    """Label ids predicted for examples given as slot lists; a tie goes to
-    the lowest label id."""
-    return probe.scores(_features(model, items)).argmax(axis=1).tolist()
-
-
 def _tagged(sentences, window: int) -> list[tuple[list, str]]:
     """(window slots, label) of every token of (tokens, labels) pairs."""
     if window < 0:
@@ -324,37 +311,48 @@ def _label_seqs(labels: list[str], preds, sentences):
 
 @dataclass
 class TaskFeatures:
-    """The slot features and label ids of every example of a dataset, built
-    in one `_features` call, so that probes on any of its splits, cut to any
-    size, slice them. A mention is one example; a sentence is one example
-    per token, with the tokens `window` either side as slots. Item i of the
-    dataset (a mention or a sentence) is rows bounds[i]:bounds[i + 1]."""
+    """The slot features and label ids of the examples of some items of a
+    dataset, built in one `_features` call, so that probes on any of those
+    items slice them. An item is a mention, one example, or a sentence, one
+    example per token with the tokens `window` either side as slots.
+    Dataset item i, if built, is rows bounds[at[i]]:bounds[at[i] + 1]."""
 
     feats: np.ndarray
     label_ids: np.ndarray
     bounds: np.ndarray
+    at: np.ndarray
     labels: list[str]
     window: int
 
     @classmethod
-    def of(cls, model: SubwordModel, data,
+    def of(cls, model: SubwordModel, data, items,
            window: int = TAGGER_WINDOW) -> "TaskFeatures":
+        """The features of the dataset items `items` (indices into its
+        examples or sentences)."""
+        items = list(dict.fromkeys(items))
         if isinstance(data, MentionDataset):
-            examples = [([toks], label) for toks, label in data.examples]
-            lens, window = [1] * len(examples), 0
+            examples = [([data.examples[i][0]], data.examples[i][1])
+                        for i in items]
+            lens, window = [1] * len(items), 0
+            n_items = len(data.examples)
         else:
-            examples = _tagged(data.sentences, window)
-            lens = [len(toks) for toks, _ in data.sentences]
-        feats, ids = _labeled(model, data.label_inventory, examples)
-        return cls(feats, np.asarray(ids, dtype=np.int64),
+            sents = [data.sentences[i] for i in items]
+            examples = _tagged(sents, window)
+            lens = [len(toks) for toks, _ in sents]
+            n_items = len(data.sentences)
+        lab2id = {l: i for i, l in enumerate(data.label_inventory)}
+        at = np.full(n_items, -1, dtype=np.int64)
+        at[items] = np.arange(len(items))
+        return cls(_features(model, [slots for slots, _ in examples]),
+                   np.array([lab2id[l] for _, l in examples], dtype=np.int64),
                    np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
-                   data.label_inventory, window)
+                   at, data.label_inventory, window)
 
     def rows(self, items) -> np.ndarray:
         """The feature rows of dataset items `items`, in order."""
-        items = np.asarray(items, dtype=np.int64)
-        starts = self.bounds[items]
-        counts = self.bounds[items + 1] - starts
+        at = self.at[np.asarray(items, dtype=np.int64)]
+        starts = self.bounds[at]
+        counts = self.bounds[at + 1] - starts
         heads = np.cumsum(counts) - counts
         return np.arange(counts.sum()) + np.repeat(starts - heads, counts)
 
@@ -366,63 +364,63 @@ class TaskFeatures:
                             self.feats[dev], self.label_ids[dev],
                             self.labels, self.window)
 
+    def predict(self, probe: SoftmaxProbe, items) -> list[int]:
+        """The label ids (in probe.labels) that `probe` predicts for the
+        examples of `items`, in order; a tie goes to the lowest id."""
+        rows = self.rows(items)
+        return probe.scores(self.feats[rows]).argmax(axis=1).tolist()
+
     def metrics(self, probe: SoftmaxProbe, data, split: str):
-        """(metric, value) pairs of `probe` on the examples of `split`, as
-        predicted by `_predict`: span precision, recall and F1 on BIO data,
-        and otherwise accuracy, a tag counting only when it matches whole
-        (0 for an empty split)."""
-        rows = self.rows(data.splits[split])
-        preds = probe.scores(self.feats[rows]).argmax(axis=1)
+        """(metric, value) pairs of `probe` on the examples of `split`: span
+        precision, recall and F1 on BIO data, and otherwise accuracy, a
+        label counting only when it matches whole (0 for an empty split)."""
+        items = data.splits[split]
+        preds = self.predict(probe, items)
         if isinstance(data, MentionDataset):
-            hits = int((preds == self.label_ids[rows]).sum())
-            return [("accuracy", hits / rows.size if rows.size else 0.0)]
+            hits = sum(probe.labels[p] == data.examples[i][1]
+                       for p, i in zip(preds, items))
+            return [("accuracy", hits / len(items) if items else 0.0)]
         sents = data.split_sentences(split)
         gold = [labs for _, labs in sents]
-        pred = _label_seqs(self.labels, preds, sents)
+        pred = _label_seqs(probe.labels, preds, sents)
         if data.scheme == SCHEME_BIO:
             return list(zip(("precision", "recall", "f1"),
                             span_f1(gold, pred)))
         return [("accuracy", per_label_accuracy(gold, pred))]
 
 
+def _split_probe(model: SubwordModel, data, window: int) -> SoftmaxProbe:
+    train, dev = data.splits["train"], data.splits["dev"]
+    return TaskFeatures.of(model, data, train + dev, window).probe(train, dev)
+
+
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
                         seed: int = 0) -> SoftmaxProbe:
     """Softmax probe over mention-mean features. `seed` changes nothing:
     the probe is deterministic, and `data` already holds its seeded split."""
-    labels = data.label_inventory
-    train, dev = (_labeled(model, labels, [([toks], label) for toks, label
-                                           in data.split_examples(split)])
-                  for split in ("train", "dev"))
-    return _train_probe(*train, *dev, labels)
+    return _split_probe(model, data, 0)
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
                           data: MentionDataset, split: str = "test") -> float:
-    examples = data.split_examples(split)
-    if not examples:
-        return 0.0
-    lab2id = {l: i for i, l in enumerate(probe.labels)}
-    preds = _predict(probe, model, [[toks] for toks, _ in examples])
-    hits = sum(pred == lab2id.get(label, -1)
-               for pred, (_, label) in zip(preds, examples))
-    return hits / len(examples)
+    (_, acc), = TaskFeatures.of(model, data, data.splits[split]).metrics(
+        probe, data, split)
+    return acc
 
 
 def train_tagger_probe(model: SubwordModel, data: TagDataset,
                        window: int = TAGGER_WINDOW) -> SoftmaxProbe:
     """Per-token softmax probe over concatenated window features."""
-    labels = data.label_inventory
-    train, dev = (_labeled(model, labels, _tagged(data.split_sentences(split),
-                                                  window))
-                  for split in ("train", "dev"))
-    return _train_probe(*train, *dev, labels, window)
+    return _split_probe(model, data, window)
 
 
 def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):
     """Predicted label sequences for (tokens, labels) pairs."""
-    preds = _predict(probe, model, [slots for slots, _ in
-                                    _tagged(sentences, probe.window)])
-    return _label_seqs(probe.labels, preds, sentences)
+    data = TagDataset(list(sentences), SCHEME_FULL_TAG)
+    items = range(len(data.sentences))
+    preds = TaskFeatures.of(model, data, items, probe.window).predict(probe,
+                                                                      items)
+    return _label_seqs(probe.labels, preds, data.sentences)
 
 
 def eval_tag_accuracy(probe: SoftmaxProbe, model: SubwordModel,
@@ -431,9 +429,9 @@ def eval_tag_accuracy(probe: SoftmaxProbe, model: SubwordModel,
     matches exactly (no partial credit)."""
     if data.scheme != SCHEME_FULL_TAG:
         raise SubtokError("per-label accuracy applies to full-tag data")
-    sents = data.split_sentences(split)
-    preds = tag_sentences(probe, model, sents)
-    return per_label_accuracy([labs for _, labs in sents], preds)
+    (_, acc), = TaskFeatures.of(model, data, data.splits[split],
+                                probe.window).metrics(probe, data, split)
+    return acc
 
 
 def per_label_accuracy(gold_seqs, pred_seqs) -> float:

@@ -45,6 +45,12 @@ from subtok.model import (
 SCORE_CLAMP = 30.0
 TRACE_EVERY = 10_000
 EMA_ALPHA = 0.99
+# The most rows a lockstep kernel call should take: models per call times
+# batch size. Lockstep pays only while numpy's per-call overhead outweighs
+# the per-row work. One epoch, d=100, five seeds against five solo runs:
+# batch 32 (G1) takes 0.86-0.91 of the time; batch 128 (G2) 0.97-1.12;
+# batch 512 (G3) 1.03-1.88, as the taller arrays leave the cache.
+LOCKSTEP_ROWS = 160
 
 
 @dataclass
@@ -312,18 +318,21 @@ class _Lane:
 @dataclass(eq=False)
 class _Span:
     """A lane's pairs of one epoch, or of a part of it, in batch order:
-    center rows, (positive, negatives) context rows and the negatives'
-    valid mask, and the lane's update count at the span's next pair."""
+    center rows, positive and negative context rows and the negatives'
+    valid mask, and the lane's update count at the span's next pair. The
+    positives and negatives are joined per batch: joining a whole epoch's
+    would hold the parts and the joined copy at once."""
 
     lane: _Lane
     centers: np.ndarray
-    ctx_idx: np.ndarray
+    ctxs: np.ndarray
+    negs: np.ndarray
     valid: np.ndarray
     processed: int
 
     def batch(self, b: int, size: int):
-        return (self.centers[b:b + size], self.ctx_idx[b:b + size],
-                self.valid[b:b + size])
+        return (self.centers[b:b + size], self.ctxs[b:b + size],
+                self.negs[b:b + size], self.valid[b:b + size])
 
 
 def _check_siblings(models, configs) -> None:
@@ -400,31 +409,8 @@ class Trainer:
                                                           epoch), subsampled)
                 for epoch in range(cfg.epochs))
             lane.result.final_lr = cfg.lr_start
-        words = len(self.models[0].vocab)
         for epoch in range(cfg.epochs):
-            spans = []
-            for m, lane in enumerate(self.lanes):
-                if lane.total == 0 or lane.error is not None:
-                    continue
-                seed = lane.config.seed
-                centers, ctxs = _epoch_pairs(
-                    *stream, self._pair_rng(seed, epoch), subsampled)
-                if centers.size == 0:
-                    continue
-                negs, valid = self.sampler.draw_matrix(
-                    self._neg_rng(seed, epoch), ctxs, cfg.negatives)
-                ctx_idx = np.concatenate((ctxs[:, None], negs), axis=1)
-                if m:  # model m's words and context rows follow m models'
-                    centers += m * words
-                    ctx_idx += m * words
-                spans.append(_Span(lane, centers, ctx_idx, valid,
-                                   lane.processed))
-            if not spans:
-                continue
-            if cfg.threads <= 1:
-                self._run_span(spans)
-            else:
-                self._run_threaded(spans[0])
+            self._run_epoch(epoch)
         for m, (model, lane) in enumerate(zip(self.models, self.lanes)):
             lane.result.processed_pairs = lane.processed
             if self.params is not model.params:
@@ -435,14 +421,44 @@ class Trainer:
                                                           (m + 1) * rows]
         return [lane.error or lane.result for lane in self.lanes]
 
+    def _run_epoch(self, epoch: int) -> None:
+        """Train every live model on its pairs of `epoch`. The pairs are
+        dropped on return, before the next epoch's are drawn."""
+        spans = [self._epoch_span(m, epoch) for m, lane
+                 in enumerate(self.lanes) if lane.total and lane.error is None]
+        spans = [span for span in spans if span.centers.size]
+        if not spans:
+            return
+        if self.config.threads <= 1:
+            self._run_span(spans)
+        else:
+            self._run_threaded(spans[0])
+
+    def _epoch_span(self, m: int, epoch: int) -> _Span:
+        """Model m's pairs of `epoch`, its ids shifted to its rows of the
+        stacked tables."""
+        cfg, lane = self.config, self.lanes[m]
+        seed = lane.config.seed
+        centers, ctxs = _epoch_pairs(
+            self.stream_ids, self.sent_of, self.keep_probs, cfg.window,
+            self._pair_rng(seed, epoch), cfg.subsample_t > 0)
+        negs, valid = self.sampler.draw_matrix(self._neg_rng(seed, epoch),
+                                               ctxs, cfg.negatives)
+        if m:  # model m's words and context rows follow m models'
+            words = len(self.models[0].vocab)
+            centers += m * words
+            ctxs += m * words
+            negs += m * words
+        return _Span(lane, centers, ctxs, negs, valid, lane.processed)
+
     def _run_threaded(self, span: _Span) -> None:
         n = span.centers.size
         t = self.config.threads
         bounds = np.linspace(0, n, t + 1).astype(np.int64)
         with ThreadPoolExecutor(max_workers=t) as pool:
             futures = [pool.submit(self._run_span, [_Span(
-                span.lane, span.centers[lo:hi], span.ctx_idx[lo:hi],
-                span.valid[lo:hi], span.processed + lo)])
+                span.lane, span.centers[lo:hi], span.ctxs[lo:hi],
+                span.negs[lo:hi], span.valid[lo:hi], span.processed + lo)])
                 for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
             for f in futures:
                 f.result()
@@ -475,22 +491,17 @@ class Trainer:
             s.lane.processed = s.processed
 
     def _step(self, spans: list[_Span], b: int) -> None:
-        """One kernel call on the batch at `b` of each span."""
+        """One kernel call on the batch at `b` of each span, each row at its
+        model's LR; an error names the update of the first span's model."""
         B = self.config.batch_size
-        if len(spans) == 1:
-            span = spans[0]
-            lr = span.lane.lr(span.processed)
-            loss = sgns_kernel(self.params, self.csr, *span.batch(b, B), lr,
-                               span.processed)
-            span.processed += loss.shape[0]
-            self._record(span.lane, span.processed, lr, float(loss.mean()))
-            return
         parts = [s.batch(b, B) for s in spans]
         sizes = [p[0].size for p in parts]
         lrs = [s.lane.lr(s.processed) for s in spans]
-        loss = sgns_kernel(self.params, self.csr,
-                           *(np.concatenate(col) for col in zip(*parts)),
-                           np.repeat(lrs, sizes))
+        centers, ctxs, negs, valid = (np.concatenate(col)
+                                      for col in zip(*parts))
+        loss = sgns_kernel(self.params, self.csr, centers,
+                           np.concatenate((ctxs[:, None], negs), axis=1),
+                           valid, np.repeat(lrs, sizes), spans[0].processed)
         start = 0
         for span, size, lr in zip(spans, sizes, lrs):
             span.processed += size
@@ -517,7 +528,10 @@ def train_lockstep(corpus: Corpus, models: list[SubwordModel],
     lockstep loop, model i under configs[i]; the configs may differ only in
     seed, and only one model may run threaded (ValueError otherwise).
     Returns, per model, its loss trace or the SubtokError that stopped it:
-    each model trains, and fails, bit for bit as `train` trains it alone."""
+    each model trains, and fails, bit for bit as `train` trains it alone.
+    The call holds every model's pairs of an epoch at once, and it is
+    faster than one call per model only while the models times the batch
+    size stay within LOCKSTEP_ROWS."""
     results = Trainer(corpus, models, configs).run()
     return [result if isinstance(result, SubtokError)
             or model.params.all_finite()

@@ -12,6 +12,7 @@ import pytest
 
 import subtok.cli
 import subtok.model
+import subtok.probe as probe_mod
 from subtok.cli import (
     ArtifactGuard,
     _cell_configs,
@@ -646,9 +647,9 @@ class TestSimulateReuse:
                         train(sample, model, tcfg)
                         data = load_task_data("mentions", mentions_file,
                                               seed)
-                        for task, _, split, metric, value in run_probe(
-                                model, "mentions", data,
-                                task_instances=task_n):
+                        rows, = run_probe(model, "mentions", data,
+                                          task_instances=[task_n])
+                        for task, _, split, metric, value in rows:
                             if split == "test":
                                 lines.append("\t".join(map(str, [
                                     we, task_n, cfg.label, seed, group.label,
@@ -678,6 +679,29 @@ class TestSimulateReuse:
         resumed = metrics.read_text("utf-8").splitlines(True)
         assert resumed[-len(gone):] == gone
         assert sorted(resumed) == sorted(full)
+
+    def test_lockstep_calls_stay_within_lockstep_rows(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        """A config's seeds share a lockstep call as far as LOCKSTEP_ROWS
+        allows at the group's batch size; with room for one G1 batch,
+        each seed trains alone, and the rows stay the same."""
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0})
+        sizes, real = FileLog(tmp_path / "sizes.jsonl"), train_lockstep
+
+        def recorded(sample, models, tcfgs):
+            sizes.append([len(models), tcfgs[0].batch_size])
+            return real(sample, models, tcfgs)
+
+        monkeypatch.setattr(subtok.cli, "train_lockstep", recorded)
+        assert self._run(corpus_file, mentions_file, tmp_path / "two") == 0
+        assert list(sizes) == [[2, 32]] * 4
+        sizes.clear()
+        monkeypatch.setattr(subtok.cli, "LOCKSTEP_ROWS", 32)
+        assert self._run(corpus_file, mentions_file, tmp_path / "one") == 0
+        assert list(sizes) == [[1, 32]] * 8
+        assert (tmp_path / "two" / "metrics.tsv").read_bytes() == \
+            (tmp_path / "one" / "metrics.tsv").read_bytes()
 
     def test_task_file_parsed_once_per_seed(self, corpus_file, mentions_file,
                                             tmp_path, monkeypatch, capsys):
@@ -986,7 +1010,21 @@ class TestRunProbeAllTaskPoints:
                     for n in self.POINTS]
         assert rows == expected
         assert len({tuple(r) for r in rows}) > 1  # the points differ
-        assert run_probe(model, kind, data, task_instances=5) == expected[0]
+        assert run_probe(model, kind, data, task_instances=[5]) == \
+            expected[:1]
+
+    def test_features_cover_the_largest_point_dev_and_test(
+            self, bench_model, monkeypatch):
+        """Train items past the largest task point are not featurized."""
+        bench, model = bench_model
+        data = load_mentions(bench.mentions_tsv().splitlines(True), seed=3)
+        built, real = [], probe_mod._features
+        monkeypatch.setattr(probe_mod, "_features", lambda model, items: (
+            built.append(len(items)) or real(model, items)))
+        run_probe(model, "mentions", data, task_instances=[5, 40])
+        assert built == [40 + len(data.splits["dev"])
+                         + len(data.splits["test"])]
+        assert len(data.splits["train"]) > 40
 
 
 class TestSimulateConll:

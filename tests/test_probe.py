@@ -388,7 +388,9 @@ def test_matches_reference_probes(label, task):
         data, window = mentions, 0
         probe = train_mention_probe(model, mentions)
         test = mentions.split_examples("test")
-        preds = probe_mod._predict(probe, model, [[t] for t, _ in test])
+        items = mentions.splits["test"]
+        preds = probe_mod.TaskFeatures.of(model, mentions, items).predict(
+            probe, items)
         ref_preds = [oracles.predict_index(
             probe, oracles.mention_features(ref_model, t)) for t, _ in test]
         assert eval_mention_accuracy(probe, model, mentions) == \
@@ -503,7 +505,9 @@ class TestScores:
         probe = self._probe(3, 4, 0)
         model = charn_model("aa bb\n" * 3)
         assert probe.scores(probe_mod._features(model, [])).shape == (0, 3)
-        assert probe_mod._predict(probe, model, []) == []
+        data = MentionDataset.from_examples([(("aa",), "0")])
+        assert probe_mod.TaskFeatures.of(model, data, []).predict(
+            probe, []) == []
 
     def test_zero_rows_score_the_bias_and_tie_to_lowest_index(self):
         probe = self._probe(4, 6, 3)
