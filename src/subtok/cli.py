@@ -592,11 +592,6 @@ def _run_job(job: tuple) -> dict:
     return _simulate_job(*_worker_state, *job)
 
 
-def _failed(exc: SubtokError) -> list[str]:
-    msg = str(exc).translate(str.maketrans("\t\r\n", "   "))
-    return ["-", "-", "-", "0", f"failed:{msg}"]
-
-
 def _cell_row(we_n, task_n, setup) -> list[str]:
     """The first columns of a row of the cell at task point `task_n` of the
     (WE point, config, seed) whose `_cell_configs` are `setup`."""
@@ -613,70 +608,78 @@ def _simulate_job(args, shared, task_data, we_n, cells) -> dict:
     all of a G1 point's five, one at a time at G2 and G3. Returns
     {(task point, config label, seed): rows}. A SubtokError fails the cells
     it stops: all of them for the WE point's shared work or the
-    segmentation, one model's for its training or probes."""
+    segmentation, one seed's for its training or probes."""
+    part = [(cell, _cell_configs(args, cell[0], we_n, cell[1]))
+            for cell in cells]
     try:
         if isinstance(shared[we_n], SubtokError):
             raise shared[we_n]
         sample, vocab = shared[we_n]
-        cfg = _cell_configs(args, cells[0][0], we_n, cells[0][1])[0]
-        segmentation = build_segmentation(cfg, vocab)
+        segmentation = build_segmentation(part[0][1][0], vocab)
     except SubtokError as exc:
-        sample = vocab = None
-        segmentation = exc
+        return _failed_cells(we_n, part, exc)
     out = {}
-    for label, group in itertools.groupby(cells, key=lambda cell: cell[0]):
-        part = [(cell, _cell_configs(args, label, we_n, cell[1]))
-                for cell in group]
-        per_call = max(1, LOCKSTEP_ROWS // part[0][1][2].batch_size)
-        for lo in range(0, len(part), per_call):
+    for _, group in itertools.groupby(part, key=lambda p: p[0][0]):
+        group = list(group)
+        per_call = max(1, LOCKSTEP_ROWS // group[0][1][2].batch_size)
+        for lo in range(0, len(group), per_call):
             out.update(_lockstep_cells(args, task_data, we_n, sample, vocab,
-                                       segmentation, part[lo:lo + per_call]))
+                                       segmentation, group[lo:lo + per_call]))
     return out
+
+
+def _failed_cells(we_n, part, exc: SubtokError) -> dict:
+    """Rows of the cells of `part`, (cell, `_cell_configs`) pairs, each
+    failed with `exc`, keyed as `_simulate_job`'s."""
+    tail = ["-", "-", "-", "0", "failed:" + str(exc).translate(
+        str.maketrans("\t\r\n", "   "))]
+    return {(task_n, label, seed): [_cell_row(we_n, task_n, setup) + tail]
+            for (label, seed, todo), setup in part for task_n in todo}
 
 
 def _lockstep_cells(args, task_data, we_n, sample, vocab, segmentation,
                     part) -> dict:
     """Rows of `part`, (cell, `_cell_configs`) pairs of one config whose
     seeds train in one `train_lockstep` call on `sample` and are then
-    probed; the models are dropped on return."""
-    models, trained = [None] * len(part), [segmentation] * len(part)
-    if not isinstance(segmentation, SubtokError):
-        segmenter, svocab = segmentation
-        first = SubwordModel(part[0][1][0], vocab, svocab, segmenter)
-        models = [first] + [first.with_seed(setup[0].seed)
-                            for _, setup in part[1:]]
-        try:
-            trained = train_lockstep(sample, models,
-                                     [setup[2] for _, setup in part])
-        except SubtokError as exc:
-            trained = [exc] * len(models)
+    probed; the models are dropped on return. A failed call of several
+    seeds is run again one seed per call, so that only a failing seed's
+    cells fail, each with the message that seed gives alone."""
+    segmenter, svocab = segmentation
+    first = SubwordModel(part[0][1][0], vocab, svocab, segmenter)
+    models = [first] + [first.with_seed(setup[0].seed)
+                        for _, setup in part[1:]]
+    try:
+        train_lockstep(sample, models, [setup[2] for _, setup in part])
+    except SubtokError as exc:
+        if len(part) == 1:
+            return _failed_cells(we_n, part, exc)
+        models = None  # the traceback holds the stacked tables until here
+    if models is None:
+        return {key: rows for one in part for key, rows in _lockstep_cells(
+            args, task_data, we_n, sample, vocab, segmentation, [one]).items()}
     out = {}
-    for ((label, seed, todo), setup), model, result in zip(part, models,
-                                                           trained):
-        rows = _simulate_cell(args, task_data[seed], we_n, todo, setup,
-                              model, result)
-        out.update(((task_n, label, seed), r)
-                   for task_n, r in zip(todo, rows))
+    for (cell, setup), model in zip(part, models):
+        out.update(_simulate_cell(args, task_data[cell[1]], we_n, cell, setup,
+                                  model))
     return out
 
 
-def _simulate_cell(args, data, we_n, task_points, setup, model, trained):
-    """The cells of one trained (WE point, config, seed), whose
-    `_cell_configs` are `setup`: one list of rows per task point, from one
-    `run_probe` call on `data`. `trained` is the model's TrainResult, or the
-    SubtokError that stopped its training and fails each of its cells."""
-    cells = [_cell_row(we_n, task_n, setup) for task_n in task_points]
+def _simulate_cell(args, data, we_n, cell, setup, model) -> dict:
+    """Rows of the trained model of `cell`, (config label, seed, task
+    points) of WE point `we_n`, whose `_cell_configs` are `setup`, keyed as
+    `_simulate_job`'s: one `run_probe` call on `data` probes every task
+    point, and a SubtokError fails each of them."""
+    label, seed, todo = cell
     try:
-        if isinstance(trained, SubtokError):
-            raise trained
-        task = "mentions" if args.mentions else "conll"
-        probes = run_probe(model, task, data, task_instances=task_points)
+        probes = run_probe(model, "mentions" if args.mentions else "conll",
+                           data, task_instances=todo)
     except SubtokError as exc:
-        return [[cell + _failed(exc)] for cell in cells]
-    return [[cell + [task_name, split, metric, f"{value:.6f}", "ok"]
-             for task_name, _, split, metric, value in rows
-             if split == "test"]
-            for cell, rows in zip(cells, probes)]
+        return _failed_cells(we_n, [(cell, setup)], exc)
+    return {(task_n, label, seed): [
+        _cell_row(we_n, task_n, setup)
+        + [task_name, split, metric, f"{value:.6f}", "ok"]
+        for task_name, _, split, metric, value in rows if split == "test"]
+        for task_n, rows in zip(todo, probes)}
 
 
 def cmd_report(args, guard: ArtifactGuard) -> int:

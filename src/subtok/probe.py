@@ -206,7 +206,6 @@ class SoftmaxProbe:
     weights: np.ndarray  # (n_labels, slots * dim)
     bias: np.ndarray  # (n_labels,)
     labels: list[str]
-    window: int = 0  # tagging: slots at offsets -window..+window
 
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """(examples, labels) scores; row i has the bits of
@@ -269,8 +268,7 @@ def _newton_cg(xa: np.ndarray, ids, lam: float,
 
 
 def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
-                 dev_ids, labels: list[str], window: int = 0
-                 ) -> SoftmaxProbe:
+                 dev_ids, labels: list[str]) -> SoftmaxProbe:
     """L2-regularised multinomial logistic regression over the rows of
     `train_feats`, as `_features` builds them, with label ids `train_ids`,
     solved for each λ of L2_GRID, each solve warm-started from the last. The
@@ -287,7 +285,7 @@ def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
     best, best_hits = None, -1
     for lam in L2_GRID:
         theta = _newton_cg(xa, train_ids, lam, theta)
-        probe = SoftmaxProbe(theta[:, :-1], theta[:, -1], labels, window)
+        probe = SoftmaxProbe(theta[:, :-1], theta[:, -1], labels)
         hits = (probe.scores(dev_feats).argmax(axis=1) == dev_ids).sum()
         if hits > best_hits:
             best, best_hits = probe, hits
@@ -300,13 +298,6 @@ def _tagged(sentences, window: int) -> list[tuple[list, str]]:
         raise ConfigError("window must be >= 0")
     return [(_window_slots(toks, i, window), labs[i])
             for toks, labs in sentences for i in range(len(toks))]
-
-
-def _label_seqs(labels: list[str], preds, sentences):
-    """Predicted label ids, one per token of `sentences` in order, as one
-    label tuple per sentence."""
-    preds = iter(preds)
-    return [tuple(labels[next(preds)] for _ in toks) for toks, _ in sentences]
 
 
 @dataclass
@@ -322,7 +313,6 @@ class TaskFeatures:
     bounds: np.ndarray
     at: np.ndarray
     labels: list[str]
-    window: int
 
     @classmethod
     def of(cls, model: SubwordModel, data, items,
@@ -333,7 +323,7 @@ class TaskFeatures:
         if isinstance(data, MentionDataset):
             examples = [([data.examples[i][0]], data.examples[i][1])
                         for i in items]
-            lens, window = [1] * len(items), 0
+            lens = [1] * len(items)
             n_items = len(data.examples)
         else:
             sents = [data.sentences[i] for i in items]
@@ -346,7 +336,7 @@ class TaskFeatures:
         return cls(_features(model, [slots for slots, _ in examples]),
                    np.array([lab2id[l] for _, l in examples], dtype=np.int64),
                    np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
-                   at, data.label_inventory, window)
+                   at, data.label_inventory)
 
     def rows(self, items) -> np.ndarray:
         """The feature rows of dataset items `items`, in order."""
@@ -361,8 +351,7 @@ class TaskFeatures:
         those of `dev_items`."""
         train, dev = self.rows(train_items), self.rows(dev_items)
         return _train_probe(self.feats[train], self.label_ids[train],
-                            self.feats[dev], self.label_ids[dev],
-                            self.labels, self.window)
+                            self.feats[dev], self.label_ids[dev], self.labels)
 
     def predict(self, probe: SoftmaxProbe, items) -> list[int]:
         """The label ids (in probe.labels) that `probe` predicts for the
@@ -382,55 +371,27 @@ class TaskFeatures:
             return [("accuracy", hits / len(items) if items else 0.0)]
         sents = data.split_sentences(split)
         gold = [labs for _, labs in sents]
-        pred = _label_seqs(probe.labels, preds, sents)
+        preds = iter(preds)  # one per token, as one label tuple per sentence
+        pred = [tuple(probe.labels[next(preds)] for _ in toks)
+                for toks, _ in sents]
         if data.scheme == SCHEME_BIO:
             return list(zip(("precision", "recall", "f1"),
                             span_f1(gold, pred)))
         return [("accuracy", per_label_accuracy(gold, pred))]
 
 
-def _split_probe(model: SubwordModel, data, window: int) -> SoftmaxProbe:
-    train, dev = data.splits["train"], data.splits["dev"]
-    return TaskFeatures.of(model, data, train + dev, window).probe(train, dev)
-
-
 def train_mention_probe(model: SubwordModel, data: MentionDataset,
                         seed: int = 0) -> SoftmaxProbe:
     """Softmax probe over mention-mean features. `seed` changes nothing:
     the probe is deterministic, and `data` already holds its seeded split."""
-    return _split_probe(model, data, 0)
+    train, dev = data.splits["train"], data.splits["dev"]
+    return TaskFeatures.of(model, data, train + dev).probe(train, dev)
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
                           data: MentionDataset, split: str = "test") -> float:
     (_, acc), = TaskFeatures.of(model, data, data.splits[split]).metrics(
         probe, data, split)
-    return acc
-
-
-def train_tagger_probe(model: SubwordModel, data: TagDataset,
-                       window: int = TAGGER_WINDOW) -> SoftmaxProbe:
-    """Per-token softmax probe over concatenated window features."""
-    return _split_probe(model, data, window)
-
-
-def tag_sentences(probe: SoftmaxProbe, model: SubwordModel, sentences):
-    """Predicted label sequences for (tokens, labels) pairs."""
-    data = TagDataset(list(sentences), SCHEME_FULL_TAG)
-    items = range(len(data.sentences))
-    preds = TaskFeatures.of(model, data, items, probe.window).predict(probe,
-                                                                      items)
-    return _label_seqs(probe.labels, preds, data.sentences)
-
-
-def eval_tag_accuracy(probe: SoftmaxProbe, model: SubwordModel,
-                      data: TagDataset, split: str = "test") -> float:
-    """Per-label accuracy: a token is correct iff its entire tag string
-    matches exactly (no partial credit)."""
-    if data.scheme != SCHEME_FULL_TAG:
-        raise SubtokError("per-label accuracy applies to full-tag data")
-    (_, acc), = TaskFeatures.of(model, data, data.splits[split],
-                                probe.window).metrics(probe, data, split)
     return acc
 
 

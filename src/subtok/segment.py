@@ -5,6 +5,7 @@ whole-word segmenter used by the skip-gram baseline."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -301,12 +302,16 @@ class WholeWordSegmenter:
 
 @dataclass
 class MorfModel:
-    """Simplified MDL morph model: a morph lexicon with counts and the final
-    two-part cost (token cost + lexicon character cost)."""
+    """Simplified MDL morph model: a morph lexicon with counts, the final
+    two-part cost (token cost + lexicon character cost), and the analyses
+    of the words it was trained on. A training word splits as its analysis,
+    any other word by Viterbi over the lexicon."""
 
     morph_lexicon: dict[str, int]
     corpus_cost: float
     cost_history: list[float] = field(default_factory=list)
+    analyses: dict[str, tuple[str, ...]] = field(default_factory=dict,
+                                                 repr=False)
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
     _denom: int = field(init=False, repr=False)
 
@@ -314,6 +319,7 @@ class MorfModel:
         # the lexicon is fixed once learned or loaded
         self._denom = (sum(self.morph_lexicon.values())
                        + len(self.morph_lexicon) + 1)
+        self._cache.update(self.analyses)
 
     def segment(self, word: str) -> tuple[str, ...]:
         cached = self._cache.get(word)
@@ -323,22 +329,51 @@ class MorfModel:
         return cached
 
     def save(self, path: str | Path) -> None:
+        """`#morf v2 <morphs>`, that many `morph<TAB>count` lexicon lines,
+        then a `word<TAB>morph morph ...` line per training word: the
+        analyses are kept, as Morfessor 2.0 keeps them."""
         with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"#morf v2 {len(self.morph_lexicon)}\n")
             for morph in sorted(self.morph_lexicon):
                 fh.write(f"{morph}\t{self.morph_lexicon[morph]}\n")
+            for word in sorted(self.analyses):
+                fh.write(f"{word}\t{' '.join(self.analyses[word])}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "MorfModel":
+        """The model that `save` wrote. A file without the header holds a
+        lexicon alone, as files did before analyses were kept, and every
+        word of such a model splits by Viterbi."""
+        lines = read_lines(path, "morph model")
+        header = next(lines, "")
+        n_morphs, first_line = math.inf, 2
+        if header.startswith("#morf v2 "):
+            n_morphs = nonnegative_int(header[len("#morf v2 "):].rstrip("\n"),
+                                       "lexicon size", 1)
+        else:
+            first_line = 1
+            lines = itertools.chain([header], lines)
         lexicon: dict[str, int] = {}
-        for ln, (morph, count) in read_fields(path, "morph model", "\t", 2,
-                                              "expected morph<TAB>count"):
-            if not morph:
+        analyses: dict[str, tuple[str, ...]] = {}
+        for ln, (key, value) in read_fields(
+                lines, "morph model", "\t", 2,
+                "expected morph<TAB>count or word<TAB>morph morph ...",
+                first_line=first_line):
+            if not key:
                 raise FormatError("empty morph", ln)
-            if morph in lexicon:
-                raise FormatError(f"repeated morph {morph!r}", ln)
-            lexicon[morph] = nonnegative_int(count, "morph count", ln)
+            if len(lexicon) < n_morphs:
+                if key in lexicon:
+                    raise FormatError(f"repeated morph {key!r}", ln)
+                lexicon[key] = nonnegative_int(value, "morph count", ln)
+            else:
+                morphs = tuple(value.split(" "))
+                if key in analyses or not all(morphs) or \
+                        "".join(morphs) != key:
+                    raise FormatError(f"bad analysis of {key!r}", ln)
+                analyses[key] = morphs
         return cls(morph_lexicon=lexicon,
-                   corpus_cost=_total_cost_from_counts(lexicon))
+                   corpus_cost=_total_cost_from_counts(lexicon),
+                   analyses=analyses)
 
 
 def _total_cost_from_counts(counts: dict[str, int]) -> float:
@@ -475,11 +510,9 @@ def learn_morfessor_lite(vocab: Vocab,
     for w, morphs in analyses.items():
         for m in morphs:
             final_counts[m] += freqs[w]
-    model = MorfModel(morph_lexicon=dict(final_counts),
-                      corpus_cost=cost_history[-1],
-                      cost_history=cost_history)
-    model._cache.update(analyses)
-    return model
+    return MorfModel(morph_lexicon=dict(final_counts),
+                     corpus_cost=cost_history[-1],
+                     cost_history=cost_history, analyses=analyses)
 
 
 def _viterbi_segment(word: str, lexicon: dict[str, int],
@@ -559,7 +592,11 @@ class SubwordVocab:
                                           "expected ns<TAB>key<TAB>id"):
             if ns not in (NS_SUBWORD, NS_WORD_TOKEN):
                 raise FormatError(f"unknown namespace {ns!r}", ln)
-            entries[(ns, s)] = nonnegative_int(i, "subword id", ln)
+            if nonnegative_int(i, "subword id", ln) != len(entries):
+                raise FormatError(f"non-contiguous id {i}", ln)
+            if (ns, s) in entries:
+                raise FormatError(f"repeated key {ns} {s!r}", ln)
+            entries[(ns, s)] = len(entries)
         return cls(entries=entries)
 
 

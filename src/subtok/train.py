@@ -15,7 +15,9 @@ One loop, `Trainer`, trains one model or sibling models in lockstep
 contracts: deterministic and single-threaded, where each model trains bit
 for bit as it does alone; and, for one model with `TrainConfig.threads`
 above 1, lock-free across threads, where torn reads are tolerated and the
-result is not reproducible.
+result is not reproducible. A call trains every model or fails as a
+whole: the first SubtokError stops it, and a failed call of several
+models leaves their own tables as they were.
 """
 
 from __future__ import annotations
@@ -144,14 +146,6 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
-class NonFiniteScore(SubtokError):
-    """A non-finite SGNS score, met at batch row `row` of a kernel call."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
 def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
                 ctx_ids: np.ndarray, valid: np.ndarray, lr,
                 first_update: int = 0) -> np.ndarray:
@@ -160,7 +154,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     negatives that collided with the positive, at learning rate `lr`, one
     for the batch or one per center. Each center's vector comes from
     `csr.compose`; dot products are clamped to +-30 and a clamped score
-    passes no gradient. Raises NonFiniteScore on a non-finite score before
+    passes no gradient. Raises SubtokError on a non-finite score before
     any table changes, naming update `first_update` + its row; otherwise
     updates the context rows and every constituent row, and returns the loss
     per center, computed in the tables' float dtype."""
@@ -170,8 +164,8 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     if not np.isfinite(scores).all():
         bad = int(np.argwhere(~np.isfinite(scores))[0][0])
         word = csr.words[int(centers[bad])]
-        raise NonFiniteScore(f"non-finite score at update {first_update + bad}"
-                             f" (center word {word!r})", bad)
+        raise SubtokError(f"non-finite score at update {first_update + bad}"
+                          f" (center word {word!r})")
     live = np.abs(scores) < SCORE_CLAMP
     scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
     g = 1.0 / (1.0 + np.exp(-scores))
@@ -300,15 +294,14 @@ def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
 @dataclass(eq=False)
 class _Lane:
     """One model's place in a lockstep run: its settings, the length of its
-    LR schedule (its pairs over every epoch), its counters and loss trace,
-    and the SubtokError that stopped it, if one did."""
+    LR schedule (its pairs over every epoch), and its counters and loss
+    trace."""
 
     config: TrainConfig
     total: int = 0
     processed: int = 0
     result: TrainResult = field(default_factory=TrainResult)
     ema: float | None = None
-    error: SubtokError | None = None
 
     def lr(self, processed: int) -> float:
         cfg = self.config
@@ -394,10 +387,11 @@ class Trainer:
     def _neg_rng(seed: int, epoch: int) -> np.random.Generator:
         return np.random.default_rng([seed, 31, epoch])
 
-    def run(self) -> list[TrainResult | SubtokError]:
-        """Train every model; returns, per model, its TrainResult or the
-        SubtokError that stopped it. A stopped model's tables stay as they
-        were when it stopped, and the others go on."""
+    def run(self) -> list[TrainResult]:
+        """Train every model; returns each model's TrainResult. A
+        SubtokError stops the call, and so does a non-finite table after
+        training, before any stacked table is copied back into its
+        model's."""
         cfg = self.config
         # each linear LR schedule runs over its model's pairs of every
         # epoch, counted from the same seeded draws that make them below
@@ -411,6 +405,8 @@ class Trainer:
             lane.result.final_lr = cfg.lr_start
         for epoch in range(cfg.epochs):
             self._run_epoch(epoch)
+        if not self.params.all_finite():
+            raise SubtokError("non-finite parameter after training")
         for m, (model, lane) in enumerate(zip(self.models, self.lanes)):
             lane.result.processed_pairs = lane.processed
             if self.params is not model.params:
@@ -419,13 +415,13 @@ class Trainer:
                     rows = table.shape[0]
                     table[:] = getattr(self.params, name)[m * rows:
                                                           (m + 1) * rows]
-        return [lane.error or lane.result for lane in self.lanes]
+        return [lane.result for lane in self.lanes]
 
     def _run_epoch(self, epoch: int) -> None:
-        """Train every live model on its pairs of `epoch`. The pairs are
+        """Train every model on its pairs of `epoch`. The pairs are
         dropped on return, before the next epoch's are drawn."""
         spans = [self._epoch_span(m, epoch) for m, lane
-                 in enumerate(self.lanes) if lane.total and lane.error is None]
+                 in enumerate(self.lanes) if lane.total]
         spans = [span for span in spans if span.centers.size]
         if not spans:
             return
@@ -465,28 +461,11 @@ class Trainer:
         span.lane.processed = span.processed + n
 
     def _run_span(self, spans: list[_Span]) -> None:
-        """Run the spans batch by batch in lockstep. A model whose batch
-        meets a non-finite score stops with the error it would give alone,
-        and the call is run again without it."""
+        """Run the spans batch by batch in lockstep, one kernel call on the
+        batch of every span that still has one."""
         B = self.config.batch_size
         for b in range(0, max(s.centers.size for s in spans), B):
-            live = [s for s in spans
-                    if b < s.centers.size and s.lane.error is None]
-            while live:
-                try:
-                    self._step(live, b)
-                    break
-                except NonFiniteScore as exc:
-                    sizes = np.cumsum([s.batch(b, B)[0].size for s in live])
-                    owner = live.pop(int(np.searchsorted(sizes, exc.row,
-                                                         side="right")))
-                    if not live:
-                        owner.lane.error = exc
-                        break
-                    try:  # alone, it raises with its own update count
-                        self._step([owner], b)
-                    except NonFiniteScore as solo:
-                        owner.lane.error = solo
+            self._step([s for s in spans if b < s.centers.size], b)
         for s in spans:
             s.lane.processed = s.processed
 
@@ -522,31 +501,27 @@ class Trainer:
 
 
 def train_lockstep(corpus: Corpus, models: list[SubwordModel],
-                   configs: list[TrainConfig]
-                   ) -> list[TrainResult | SubtokError]:
+                   configs: list[TrainConfig]) -> list[TrainResult]:
     """Train sibling models (`SubwordModel.with_seed`) in place in one
     lockstep loop, model i under configs[i]; the configs may differ only in
     seed, and only one model may run threaded (ValueError otherwise).
-    Returns, per model, its loss trace or the SubtokError that stopped it:
-    each model trains, and fails, bit for bit as `train` trains it alone.
-    The call holds every model's pairs of an epoch at once, and it is
-    faster than one call per model only while the models times the batch
-    size stay within LOCKSTEP_ROWS."""
-    results = Trainer(corpus, models, configs).run()
-    return [result if isinstance(result, SubtokError)
-            or model.params.all_finite()
-            else SubtokError("non-finite parameter after training")
-            for model, result in zip(models, results)]
+    Returns each model's loss trace: each model trains bit for bit as
+    `train` trains it alone. A call trains every model or raises the first
+    SubtokError, a non-finite score or a non-finite table after training.
+    A failed call of several models leaves their tables as they were, and
+    its error's update count follows the first model's, so a caller that
+    needs to know which model failed, and with what message, trains each
+    alone. The call holds every model's pairs of an epoch at once, and it
+    is faster than one call per model only while the models times the
+    batch size stay within LOCKSTEP_ROWS."""
+    return Trainer(corpus, models, configs).run()
 
 
 def train(corpus: Corpus, model: SubwordModel,
           config: TrainConfig) -> TrainResult:
     """Train the model's tables in place; returns the loss trace. This is
-    `train_lockstep` with one model; a failure raises its SubtokError."""
-    result, = train_lockstep(corpus, [model], [config])
-    if isinstance(result, SubtokError):
-        raise result
-    return result
+    `train_lockstep` with one model."""
+    return train_lockstep(corpus, [model], [config])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,13 @@ from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel, build_segmenter
 from subtok.probe import (
     TAGGER_WINDOW,
+    TaskFeatures,
     eval_mention_accuracy,
-    eval_tag_accuracy,
     load_conll,
     load_mentions,
+    per_label_accuracy,
     span_f1,
-    tag_sentences,
     train_mention_probe,
-    train_tagger_probe,
 )
 from subtok.segment import (
     END_OF_WORD,
@@ -703,6 +702,48 @@ class TestSimulateReuse:
         assert (tmp_path / "two" / "metrics.tsv").read_bytes() == \
             (tmp_path / "one" / "metrics.tsv").read_bytes()
 
+    def test_a_diverging_seed_fails_only_its_cells(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        """Seed 2's context row of the most frequent word is inf before
+        every call it trains in. Each two-seed G1 call fails and is run
+        again one seed per call; seed 2's cells fail with the message it
+        gives alone, and every other row equals a run without the fault."""
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0})
+        assert self._run(corpus_file, mentions_file, tmp_path / "clean") == 0
+        calls, real = FileLog(tmp_path / "calls.jsonl"), train_lockstep
+
+        def diverging(sample, models, tcfgs):
+            calls.append([model.config.seed for model in models])
+            for model in models:
+                if model.config.seed == 2:
+                    model.params.context[0] = np.inf
+            return real(sample, models, tcfgs)
+
+        monkeypatch.setattr(subtok.cli, "train_lockstep", diverging)
+        assert self._run(corpus_file, mentions_file, tmp_path / "fault") == 0
+        assert list(calls) == [[1, 2], [1], [2]] * 4
+        clean, fault = ((tmp_path / run / "metrics.tsv").read_text(
+            "utf-8").splitlines() for run in ("clean", "fault"))
+        args = build_parser().parse_args(
+            ["simulate", "--corpus", str(corpus_file),
+             "--mentions", str(mentions_file), *self.ARGV])
+        corpus = load_corpus(corpus_file)
+        assert len(fault) == len(clean) == 17
+        for expected, row in zip(clean, fault):
+            cell = expected.split("\t")[:8]
+            if cell[3] == "2":
+                cfg, _, tcfg = _cell_configs(args, cell[2], int(cell[0]), 2)
+                sample = sample_tokens(corpus, int(cell[0]))
+                model = SubwordModel.build(
+                    cfg, build_vocab(sample, tcfg.min_count))
+                model.params.context[0] = np.inf
+                with pytest.raises(SubtokError) as alone:
+                    train(sample, model, tcfg)
+                expected = "\t".join(cell + ["-", "-", "-", "0",
+                                             f"failed:{alone.value}"])
+            assert row == expected
+
     def test_task_file_parsed_once_per_seed(self, corpus_file, mentions_file,
                                             tmp_path, monkeypatch, capsys):
         loads = FileLog(tmp_path / "loads.jsonl")
@@ -974,18 +1015,25 @@ class TestRunProbeAllTaskPoints:
             return [("fget", label, split, "accuracy",
                      eval_mention_accuracy(probe, model, data, split))
                     for split in ("dev", "test")]
-        probe = train_tagger_probe(model, data)
+        train_items, dev = data.splits["train"], data.splits["dev"]
+        probe = TaskFeatures.of(model, data, train_items + dev).probe(
+            train_items, dev)
         rows = []
         for split in ("dev", "test"):
+            items = data.splits[split]
+            preds = iter(TaskFeatures.of(model, data, items).predict(probe,
+                                                                     items))
             sents = data.split_sentences(split)
+            gold = [labs for _, labs in sents]
+            pred = [tuple(probe.labels[next(preds)] for _ in toks)
+                    for toks, _ in sents]
             if data.scheme == "BIO":
-                scores = span_f1([labs for _, labs in sents],
-                                 tag_sentences(probe, model, sents))
                 rows += [("ner", label, split, metric, value) for metric, value
-                         in zip(("precision", "recall", "f1"), scores)]
+                         in zip(("precision", "recall", "f1"),
+                                span_f1(gold, pred))]
             else:
                 rows.append(("mtag", label, split, "accuracy",
-                             eval_tag_accuracy(probe, model, data, split)))
+                             per_label_accuracy(gold, pred)))
         return rows
 
     @pytest.mark.parametrize("task", ["mentions", "BIO", "full-tag"])
@@ -1227,7 +1275,8 @@ class TestBadNumbersExit1:
     @pytest.mark.parametrize("seg,text,message", [
         ("bpe", "#bpe v2 x\na b\n", "line 1: merge count"),
         ("morf", "walk\t3\nab\tx\n", "line 2: morph count"),
-        ("morf", "walk\t3\nab\t-5\n", "line 2: morph count")])
+        ("morf", "walk\t3\nab\t-5\n", "line 2: morph count"),
+        ("morf", "#morf v2 x\nwalk\t3\n", "line 1: lexicon size")])
     def test_segment_apply_bad_model_numbers(self, tmp_path, capsys, seg,
                                              text, message):
         model = tmp_path / "model.txt"
@@ -1243,6 +1292,10 @@ class TestBadNumbersExit1:
         ("morf", "walk\t3\n\t400\n", "line 2: empty morph"),
         ("morf", "walk\t3\ned\t2\nwalk\t4\n",
          "line 3: repeated morph 'walk'"),
+        ("morf", "#morf v2 2\nwalk\t3\ned\t2\nwalked\twalk e d x\n",
+         "line 4: bad analysis of 'walked'"),
+        ("morf", "#morf v2 1\nwalk\t3\nwalk\twalk\nwalk\twa lk\n",
+         "line 4: bad analysis of 'walk'"),
         ("bpe", "#bpe v2 2\na b\n x\n", "line 3: merge with an empty side"),
         ("bpe", "#bpe v2 2\nx \n", "line 2: merge with an empty side"),
         # files from before the marker was U+10FFFF spell it '</w>'
@@ -1373,6 +1426,33 @@ class TestCheckpointErrorsNameTheFile:
         assert err.startswith(prefix) and err.endswith(f" in {path}\n")
         assert err.count(str(path)) == 1 and err.count(str(ckpt)) == 1
         assert "internal error" not in err
+        assert not vec.exists()
+
+
+    @pytest.mark.parametrize("case", ["id-past-the-table", "repeated-id",
+                                      "repeated-key"])
+    def test_export_refuses_subword_lines_save_never_writes(
+            self, corpus_file, tmp_path, capsys, case):
+        """At line 3 of subwords.tsv, an id past the table once made export
+        exit 2 (IndexError), and a repeated id exported wrong vectors."""
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        path = ckpt / "subwords.tsv"
+        lines = [line.split("\t") for line in
+                 path.read_text("utf-8").splitlines(True)]
+        lines[2][2] = {"id-past-the-table": f"{len(lines)}\n",
+                       "repeated-id": lines[1][2]}.get(case, lines[2][2])
+        if case == "repeated-key":
+            lines[2][:2] = lines[1][:2]
+        path.write_text("".join("\t".join(line) for line in lines),
+                        encoding="utf-8")
+        vec = tmp_path / "vec.txt"
+        rc = main(["export", "--checkpoint", str(ckpt), "--out", str(vec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        message = (f"repeated key sub {lines[1][1]!r}"
+                   if case == "repeated-key"
+                   else f"non-contiguous id {lines[2][2].strip()}")
+        assert err == f"subtok: line 3: {message} in {path}\n"
         assert not vec.exists()
 
 
@@ -1551,8 +1631,7 @@ class TestParserDefaults:
         for fn, name, value in (
                 (learn_morfessor_lite, "max_iters", MORF_MAX_ITERS),
                 (build_segmenter, "max_iters", MORF_MAX_ITERS),
-                (run_probe, "window", TAGGER_WINDOW),
-                (train_tagger_probe, "window", TAGGER_WINDOW)):
+                (run_probe, "window", TAGGER_WINDOW)):
             default = inspect.signature(fn).parameters[name].default
             assert default == value, fn.__name__
 

@@ -17,16 +17,13 @@ from subtok.probe import (
     SoftmaxProbe,
     decode_spans,
     eval_mention_accuracy,
-    eval_tag_accuracy,
     load_conll,
     load_mentions,
     mention_features,
     per_label_accuracy,
     repair_bio,
     span_f1,
-    tag_sentences,
     train_mention_probe,
-    train_tagger_probe,
     write_metrics,
 )
 
@@ -35,6 +32,14 @@ def window_features(model, tokens, i, window):
     """The probe's feature row of token i with `window` slots each side."""
     return probe_mod._features(
         model, [probe_mod._window_slots(tokens, i, window)])[0]
+
+
+def tagger_probe(model, data, window):
+    """Features of every sentence of `data` with `window` slots each side,
+    and a probe trained on its train split, its λ chosen on dev."""
+    feats = probe_mod.TaskFeatures.of(model, data, range(len(data.sentences)),
+                                      window)
+    return feats, feats.probe(data.splits["train"], data.splits["dev"])
 
 
 def charn_model(text, **cfg):
@@ -255,23 +260,24 @@ class TestTaggerProbe:
         model.params.subword[:] = rng.normal(
             0, 0.2, model.params.subword.shape).astype(np.float32)
         data = self._suffix_tag_data(model)
-        probe = train_tagger_probe(model, data, window=0)
-        acc = eval_tag_accuracy(probe, model, data, "dev")
-        assert acc >= 0.95
+        feats, probe = tagger_probe(model, data, 0)
+        (metric, acc), = feats.metrics(probe, data, "dev")
+        assert metric == "accuracy" and acc >= 0.95
 
     def test_frozen_contract(self):
         model = charn_model("redaa bluaa\n" * 4)
         data = self._suffix_tag_data(model)
         sub = model.params.subword.copy()
-        train_tagger_probe(model, data, window=1)
+        tagger_probe(model, data, 1)
         assert np.array_equal(model.params.subword, sub)
 
     def test_accuracy_needs_full_tag_scheme(self):
         model = charn_model("aa bb\n" * 3)
         data = load_conll(["aa\tB-PER\n", "\n", "bb\tO\n"] * 4, seed=0)
-        probe = train_tagger_probe(model, data, window=0)
-        with pytest.raises(SubtokError):
-            eval_tag_accuracy(probe, model, data)
+        feats, probe = tagger_probe(model, data, 0)
+        # BIO data is scored by span F1, accuracy only full-tag data
+        assert [m for m, _ in feats.metrics(probe, data, "test")] == \
+            ["precision", "recall", "f1"]
 
 
 class TestOovProperty:
@@ -399,12 +405,12 @@ def test_matches_reference_probes(label, task):
     else:
         data = bio if task.startswith("bio") else full
         window = int(task[-1])
-        probe = train_tagger_probe(model, data, window=window)
-        test = data.split_sentences("test")
-        preds = tag_sentences(probe, model, test)
-        ref_preds = [tuple(probe.labels[oracles.predict_index(
-            probe, oracles.window_features(ref_model, toks, i, window))]
-            for i in range(len(toks))) for toks, _ in test]
+        feats, probe = tagger_probe(model, data, window)
+        preds = feats.predict(probe, data.splits["test"])
+        ref_preds = [oracles.predict_index(
+            probe, oracles.window_features(ref_model, toks, i, window))
+            for toks, _ in data.split_sentences("test")
+            for i in range(len(toks))]
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
         ref_model, data, probe.labels, window))
     assert grad < probe_mod.GRAD_TOL
@@ -443,11 +449,11 @@ def test_label_missing_from_train_split(task):
         data, missing = full, _SUFFIX_TAG["s"]
         data.splits["train"] = [i for i in data.splits["train"]
                                 if missing not in data.sentences[i][1]]
-        probe = train_tagger_probe(model, data, window=1)
+        _, probe = tagger_probe(model, data, 1)
     assert missing in probe.labels
     assert np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
-        model, data, probe.labels, probe.window))
+        model, data, probe.labels, 0 if task == "mentions" else 1))
     assert grad < probe_mod.GRAD_TOL
 
 
@@ -468,7 +474,7 @@ def test_slot_features_match_reference_features():
 def test_negative_window_is_a_config_error():
     model, _, bio, _ = _reference_setup("w2v")
     with pytest.raises(ConfigError, match="window must be >= 0"):
-        train_tagger_probe(model, bio, window=-1)
+        probe_mod.TaskFeatures.of(model, bio, bio.splits["train"], window=-1)
 
 
 class TestScores:

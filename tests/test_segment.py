@@ -325,6 +325,19 @@ class TestMorfessorLite:
         assert loaded.morph_lexicon == model.morph_lexicon
         assert loaded.segment("walked") == model.segment("walked")
 
+    def test_save_load_keeps_the_training_analyses(self, tmp_path):
+        """The one pass raised the cost and was reverted, so training keeps
+        `ws` whole, where Viterbi over the lexicon splits it `w s`."""
+        freqs = {"s": 819, "a": 742, "in": 639, "its": 259, "at": 245,
+                 "it": 242, "vocab": 238, "k": 237, "w": 216, "ws": 1}
+        model = learn_morfessor_lite(vocab_from_freqs(freqs))
+        model.save(tmp_path / "morf.tsv")
+        loaded = MorfModel.load(tmp_path / "morf.tsv")
+        assert model.segment("ws") == ("ws",)
+        assert {w: loaded.segment(w) for w in freqs} == \
+            {w: model.segment(w) for w in freqs}
+        assert loaded.morph_lexicon == model.morph_lexicon
+
 
 class TestSegmentWord:
     def test_charn_with_word_token(self):

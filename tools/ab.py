@@ -19,7 +19,9 @@ system time of the child and of the worker processes it reaped, as
 `RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the per-round
 ratio tree/REV, how many rounds each side won, the peak RSS of the child
 and of its reaped worker processes, failed checks, and whether every
-repetition's `exact` record is equal across the two sides.
+repetition's `exact` record is equal across the two sides. It exits 1 when
+the exact records differ or a check failed on either side, and 0
+otherwise, so that a script can gate on `exact records: equal`.
 
 Separate `perfbench/run.py` runs of one commit on a busy 2-vCPU VM gave
 simulate-grid raw times from 1.95 to 3.08 s (seeds 41-50); interleaving
@@ -188,7 +190,8 @@ def main(argv=None) -> int:
                      for k in set(r["exact"]) | set(t["exact"])
                      if r["exact"].get(k) != t["exact"].get(k)})
     print("exact records: " + (f"differ in {differ}" if differ else "equal"))
-    return 0
+    failed = any(r["failures"] for side in sides for r in side.reps)
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":
