@@ -5,35 +5,4 @@ embeddings -> additive composition -> skip-gram with negative sampling,
 plus linear probes for mention typing, morphological tagging, and NER.
 """
 
-from subtok.corpus import (
-    Corpus,
-    DataGroup,
-    Vocab,
-    build_vocab,
-    data_group_for,
-    negative_sampling_weights,
-    sample_tokens,
-    tokenize_corpus,
-)
-from subtok.errors import SubtokError
-from subtok.model import ModelConfig, ParamTables, SubwordModel
-from subtok.train import TrainConfig, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "DataGroup",
-    "ModelConfig",
-    "ParamTables",
-    "SubtokError",
-    "SubwordModel",
-    "TrainConfig",
-    "Vocab",
-    "build_vocab",
-    "data_group_for",
-    "negative_sampling_weights",
-    "sample_tokens",
-    "tokenize_corpus",
-    "train",
-]

@@ -35,6 +35,7 @@ from subtok.errors import (
     read_lines,
 )
 from subtok.model import (
+    SEGMENTER_FILES,
     SEGMENTER_KINDS,
     ModelConfig,
     SubwordModel,
@@ -54,12 +55,7 @@ from subtok.probe import (
     train_mention_probe,  # noqa: F401 -- perfbench/tracer.py wraps it here
     write_metrics,
 )
-from subtok.segment import (
-    MORF_MAX_ITERS,
-    BpeModel,
-    MorfModel,
-    segment_word,
-)
+from subtok.segment import MORF_MAX_ITERS, segment_word
 from subtok.train import LOCKSTEP_ROWS, TrainConfig, train, train_lockstep
 
 SIMULATE_COLUMNS = [
@@ -148,7 +144,6 @@ def model_config_from_args(args) -> ModelConfig:
         word_token=args.word_token,
         position=args.position,
         dim=args.dim,
-        max_positions=args.max_positions,
         seed=args.seed,
     )
 
@@ -181,8 +176,6 @@ def add_model_flags(p: argparse.ArgumentParser):
                    default=ModelConfig.position,
                    help="additive position embeddings (p+/p-)")
     p.add_argument("--dim", type=int, default=ModelConfig.dim)
-    p.add_argument("--max-positions", type=int,
-                   default=ModelConfig.max_positions)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
 
@@ -232,32 +225,26 @@ def cmd_vocab(args, guard: ArtifactGuard) -> int:
 
 
 def cmd_segment_learn(args, guard: ArtifactGuard) -> int:
-    corpus = load_corpus(args.corpus)
-    vocab = build_vocab(corpus, args.min_count)
+    vocab = build_vocab(load_corpus(args.corpus), args.min_count)
+    merges = args.merges if args.seg == "bpe" else ModelConfig.num_merges
+    model = build_segmenter(ModelConfig(segmenter=args.seg,
+                                        num_merges=merges),
+                            vocab, max_iters=args.max_iters)
+    out = guard.register(default_out(args, SEGMENTER_FILES[args.seg][0]))
+    model.save(out)
     if args.seg == "bpe":
-        model = build_segmenter(
-            ModelConfig(segmenter="bpe", num_merges=args.merges), vocab)
-        out = guard.register(default_out(args, "bpe.txt"))
-        model.save(out)
         print(f"learned {len(model.merges)} merges -> {out}")
-    elif args.seg == "morf":
-        model = build_segmenter(ModelConfig(segmenter="morf"), vocab,
-                                max_iters=args.max_iters)
-        out = guard.register(default_out(args, "morf.tsv"))
-        model.save(out)
+    else:
         print(f"learned {len(model.morph_lexicon)} morphs "
               f"(cost {model.corpus_cost:.2f}) -> {out}")
-    else:
-        raise SubtokError(f"segmenter {args.seg!r} requires no learning")
     return 0
 
 
 def _load_segmenter(args):
-    if args.seg in ("bpe", "morf"):
+    if args.seg in SEGMENTER_FILES:
         if not args.model:
             raise SubtokError(f"--model is required for --seg {args.seg}")
-        load = BpeModel.load if args.seg == "bpe" else MorfModel.load
-        return load_file(load, args.model)
+        return load_file(SEGMENTER_FILES[args.seg][1], args.model)
     cfg = ModelConfig(segmenter=args.seg, ngram_min=args.ngram_min,
                       ngram_max=args.ngram_max)
     return build_segmenter(cfg, vocab=None)
@@ -747,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment-learn", help="train a BPE or morph model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seg", choices=("bpe", "morf"), required=True)
+    p.add_argument("--seg", choices=tuple(SEGMENTER_FILES), required=True)
     p.add_argument("--merges", type=int, default=ModelConfig.num_merges)
     p.add_argument("--max-iters", type=int, default=MORF_MAX_ITERS)
     p.add_argument("--min-count", type=int, default=1)

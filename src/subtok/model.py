@@ -39,6 +39,10 @@ from subtok.segment import (
 
 SEGMENTER_KINDS = ("morf", "bpe", "charn", "word")
 
+# learned segmenter kind -> (its file's default name, the file's loader)
+SEGMENTER_FILES = {"bpe": ("bpe.txt", BpeModel.load),
+                   "morf": ("morf.tsv", MorfModel.load)}
+
 MATRIX_MAGIC = b"STM1"
 
 
@@ -306,9 +310,6 @@ class SubwordModel:
 
     # -- index resolution ---------------------------------------------------
 
-    def word_indices(self, word: str) -> WordIndices:
-        return self.indices_of([word])[0]
-
     def indices_of(self, words) -> list[WordIndices]:
         """The WordIndices of each of `words`, resolving in one pass every
         word the cache lacks."""
@@ -491,10 +492,8 @@ def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path) -> None:
                                      encoding="utf-8")
     model.vocab.save_tsv(ckpt / "vocab.tsv")
     model.subword_vocab.save_tsv(ckpt / "subwords.tsv")
-    if isinstance(model.segmenter, BpeModel):
-        model.segmenter.save(ckpt / "bpe.txt")
-    elif isinstance(model.segmenter, MorfModel):
-        model.segmenter.save(ckpt / "morf.tsv")
+    if model.config.segmenter in SEGMENTER_FILES:
+        model.segmenter.save(ckpt / SEGMENTER_FILES[model.config.segmenter][0])
     _write_matrix(ckpt / "subword.mat", model.params.subword)
     _write_matrix(ckpt / "position.mat", model.params.position)
     _write_matrix(ckpt / "context.mat", model.params.context)
@@ -507,10 +506,9 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     config = load_file(_read_config, ckpt / "config.txt")
     vocab = load_file(Vocab.load_tsv, ckpt / "vocab.tsv")
     svocab = load_file(SubwordVocab.load_tsv, ckpt / "subwords.tsv")
-    if config.segmenter == "bpe":
-        segmenter = load_file(BpeModel.load, ckpt / "bpe.txt")
-    elif config.segmenter == "morf":
-        segmenter = load_file(MorfModel.load, ckpt / "morf.tsv")
+    if config.segmenter in SEGMENTER_FILES:
+        name, load = SEGMENTER_FILES[config.segmenter]
+        segmenter = load_file(load, ckpt / name)
     else:
         segmenter = build_segmenter(config, vocab)
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),

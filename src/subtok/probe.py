@@ -44,9 +44,6 @@ class MentionDataset:
     label_inventory: list[str]
     splits: dict[str, list[int]]
 
-    def split_examples(self, split: str):
-        return [self.examples[i] for i in self.splits[split]]
-
     @classmethod
     def from_examples(cls, examples, seed: int = 0,
                       splits: dict[str, list[int]] | None = None

@@ -11,6 +11,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from subtok.corpus import Vocab
 from subtok.errors import (
     ConfigError,
@@ -314,17 +316,20 @@ class MorfModel:
                                                  repr=False)
     _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
     _denom: int = field(init=False, repr=False)
+    _longest: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # the lexicon is fixed once learned or loaded
         self._denom = (sum(self.morph_lexicon.values())
                        + len(self.morph_lexicon) + 1)
+        self._longest = max(map(len, self.morph_lexicon), default=0)
         self._cache.update(self.analyses)
 
     def segment(self, word: str) -> tuple[str, ...]:
         cached = self._cache.get(word)
         if cached is None:
-            cached = _viterbi_segment(word, self.morph_lexicon, self._denom)
+            cached = _viterbi_segment(word, self.morph_lexicon, self._denom,
+                                      self._longest)
             self._cache[word] = cached
         return cached
 
@@ -515,12 +520,14 @@ def learn_morfessor_lite(vocab: Vocab,
                      cost_history=cost_history, analyses=analyses)
 
 
-def _viterbi_segment(word: str, lexicon: dict[str, int],
-                     denom: int) -> tuple[str, ...]:
+def _viterbi_segment(word: str, lexicon: dict[str, int], denom: int,
+                     longest: int) -> tuple[str, ...]:
     """Segment an arbitrary word with the learned lexicon, whose add-one
     denominator `denom` is its token total + its size + 1; substrings
     absent from the lexicon fall back to a high per-character cost so known
-    morphs are preferred."""
+    morphs are preferred, and the first strictly cheapest start wins. No
+    span longer than the `longest` morph is known, so such spans are scored
+    in one numpy expression, without slicing or lookup."""
     if not word:
         raise ValueError("word must be non-empty")
     unk_char_cost = -math.log(1.0 / denom) + 1.0
@@ -533,13 +540,20 @@ def _viterbi_segment(word: str, lexicon: dict[str, int],
 
     n = len(word)
     best = [0.0] + [math.inf] * n
+    best_np = np.zeros(n + 1)  # best, filled in as the scan passes
     back = [0] * (n + 1)
     for j in range(1, n + 1):
-        for i in range(j):
+        lo = max(0, j - longest)
+        if lo:  # the float expression below; argmin takes the first minimum
+            costs = best_np[:lo] + (j - np.arange(lo)) * unk_char_cost
+            back[j] = int(costs.argmin())
+            best[j] = float(costs[back[j]])
+        for i in range(lo, j):
             c = best[i] + morph_cost(word[i:j])
             if c < best[j]:
                 best[j] = c
                 back[j] = i
+        best_np[j] = best[j]
     out = []
     j = n
     while j > 0:
@@ -552,8 +566,6 @@ def _viterbi_segment(word: str, lexicon: dict[str, int],
 # ---------------------------------------------------------------------------
 # Shared segmentation surface
 # ---------------------------------------------------------------------------
-
-Segmenter = BpeModel | MorfModel | CharNgramSegmenter | WholeWordSegmenter
 
 
 def segment_word(segmenter, word: str,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -211,21 +212,17 @@ def sgns_step(model: SubwordModel, center_word: str, context_word: str,
 
 
 def _token_stream(corpus: Corpus, vocab: Vocab):
-    """Flat in-vocab token id array plus the sentence index of each token."""
-    ids, sent_of = [], []
-    si = 0
-    for sent in corpus.sentences:
-        any_kept = False
-        for tok in sent:
-            wid = vocab.word2id.get(tok)
-            if wid is not None:
-                ids.append(wid)
-                sent_of.append(si)
-                any_kept = True
-        if any_kept:
-            si += 1
-    return (np.asarray(ids, dtype=np.int64),
-            np.asarray(sent_of, dtype=np.int64))
+    """Flat in-vocab token id array plus the sentence index of each token.
+    A sentence that keeps no token leaves a gap in the indices; readers
+    compare neighbouring indices only."""
+    sentences = corpus.sentences
+    lens = np.fromiter(map(len, sentences), dtype=np.int64,
+                       count=len(sentences))
+    ids = np.fromiter(map(vocab.word2id.get, chain.from_iterable(sentences),
+                          repeat(-1)), dtype=np.int64, count=int(lens.sum()))
+    sent_of = np.repeat(np.arange(len(sentences)), lens)
+    kept = ids >= 0
+    return ids[kept], sent_of[kept]
 
 
 def _epoch_tokens(stream_ids, sent_of, keep_probs, window, rng, subsampled):

@@ -289,15 +289,15 @@ def morf_reference_learn(word_freqs: dict[str, int], max_iters: int):
 def morf_reference_viterbi(word: str, lexicon: dict[str, int]):
     """Cheapest segmentation of an unseen word under the learned lexicon,
     summing the lexicon afresh on every call; unknown substrings cost a
-    high per-character price. Split points up to 30 characters back, the
-    first strict minimum wins."""
+    high per-character price. Every split point is tried, however far back,
+    and the first strict minimum wins."""
     denom = sum(lexicon.values()) + len(lexicon) + 1
     unk_char = -math.log(1.0 / denom) + 1.0
     n = len(word)
     best = [0.0] + [math.inf] * n
     back = [0] * (n + 1)
     for j in range(1, n + 1):
-        for i in range(max(0, j - 30), j):
+        for i in range(j):
             c = lexicon.get(word[i:j], 0)
             piece = (-math.log((c + 1) / denom) if c > 0
                      else (j - i) * unk_char)

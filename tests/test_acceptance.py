@@ -76,11 +76,7 @@ def _train_charn_seeds(corpus, seeds):
                                           dim=32, seed=seeds[0]),
                               build_vocab(corpus, 2))
     models = [base.with_seed(seed) for seed in seeds]
-    results = train_lockstep(corpus, models,
-                             [_mention_train_config(s) for s in seeds])
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+    train_lockstep(corpus, models, [_mention_train_config(s) for s in seeds])
     return models
 
 
@@ -264,7 +260,7 @@ def test_criterion_7_baseline_reduction():
               np.random.default_rng(0))
     changed = np.flatnonzero(
         np.abs(word_m.params.subword - before).sum(axis=1)).tolist()
-    expected_row = word_m.word_indices("aa").sub_ids[0]
+    expected_row = word_m.indices_of(["aa"])[0].sub_ids[0]
     if changed != [expected_row]:
         failures.append(f"whole-word step touched rows {changed}, "
                         f"expected [{expected_row}]")
@@ -280,7 +276,7 @@ def test_criterion_7_baseline_reduction():
               np.random.default_rng(1))
     changed = set(np.flatnonzero(
         np.abs(charn_m.params.subword - before).sum(axis=1)).tolist())
-    idx = charn_m.word_indices("cats")
+    idx = charn_m.indices_of(["cats"])[0]
     expected = set(idx.sub_ids.tolist()) | {idx.word_token_id}
     if changed != expected:
         failures.append(f"charn/w+ step touched {changed}, "

@@ -24,7 +24,12 @@ from subtok.cli import (
 )
 from subtok.corpus import build_vocab, load_corpus, sample_tokens
 from subtok.errors import SubtokError
-from subtok.model import ModelConfig, SubwordModel, build_segmenter
+from subtok.model import (
+    SEGMENTER_FILES,
+    ModelConfig,
+    SubwordModel,
+    build_segmenter,
+)
 from subtok.probe import (
     TAGGER_WINDOW,
     TaskFeatures,
@@ -203,6 +208,25 @@ class TestSegmentCommands:
         out_lines = capsys.readouterr().out.splitlines()
         assert out_lines[0].startswith("red\t")
         assert out_lines[1].startswith("blueish\t")
+
+    @pytest.mark.parametrize("seg", sorted(SEGMENTER_FILES))
+    def test_learn_writes_the_default_file_and_apply_reads_it(
+            self, corpus_file, tmp_path, monkeypatch, capsys, seg):
+        """Without --out the model file takes its kind's default name under
+        SUBTOK_DATA_DIR; --merges is read for bpe only."""
+        monkeypatch.setenv("SUBTOK_DATA_DIR", str(tmp_path))
+        merges = "20" if seg == "bpe" else "0"
+        assert main(["segment-learn", "--corpus", str(corpus_file),
+                     "--seg", seg, "--merges", merges]) == 0
+        written = tmp_path / SEGMENTER_FILES[seg][0]
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name != corpus_file.name] == [written.name]
+        capsys.readouterr()
+        assert main(["segment-apply", "--seg", seg, "--model", str(written),
+                     "red", "blueish"]) == 0
+        model = SEGMENTER_FILES[seg][1](written)
+        assert capsys.readouterr().out == "".join(
+            f"{w}\t{' '.join(model.segment(w))}\n" for w in ("red", "blueish"))
 
     def test_charn_apply(self, capsys):
         rc = main(["segment-apply", "--seg", "charn", "cats"])
@@ -1222,7 +1246,7 @@ class TestNoRowWords:
                    "--subsample-t", "0", "--out", str(ckpt)])
         assert rc == 0
         model = subtok.model.load_checkpoint(ckpt)
-        assert model.word_indices("ab").sub_ids.size == 0
+        assert model.indices_of(["ab"])[0].sub_ids.size == 0
         assert model.params.all_finite()
 
 

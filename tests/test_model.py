@@ -82,7 +82,7 @@ class TestCompose:
 
     def test_single_subword_identity(self):
         m = small_model(segmenter="word")
-        idx = m.word_indices("cat")
+        idx = m.indices_of(["cat"])[0]
         assert idx.sub_ids.size == 1
         assert m.word_vector("cat") == pytest.approx(
             m.params.subword[idx.sub_ids[0]])
@@ -122,28 +122,28 @@ class TestCompose:
 
     def test_word_token_delta(self):
         m = small_model(word_token=True)
-        idx = m.word_indices("cat")
+        idx = m.indices_of(["cat"])[0]
         without = WordIndices(idx.sub_ids, idx.pos_ids, -1, 0)
         delta = m.compose(idx) - m.compose(without)
         assert delta == pytest.approx(m.params.subword[idx.word_token_id])
 
     def test_position_clamp_for_long_words(self):
         m = small_model(max_positions=3, position=True)
-        idx = m.word_indices("catalog")
+        idx = m.indices_of(["catalog"])[0]
         assert idx.pos_ids.max() == 2
         assert (idx.pos_ids[3:] == 2).all()
 
     def test_all_unknown_zero_vector(self):
         m = small_model()
         vec = m.word_vector("zzzzzz")
-        assert all_unknown(m.word_indices("zzzzzz"))
+        assert all_unknown(m.indices_of(["zzzzzz"])[0])
         assert not vec.any()
 
     def test_unseen_word_shares_known_ngrams(self):
         m = small_model()
         # "cat" trained; same char n-grams as itself when recomposed as OOV
         vec = m.word_vector("cat")
-        assert not all_unknown(m.word_indices("cat"))
+        assert not all_unknown(m.indices_of(["cat"])[0])
         assert vec.any()
 
 
@@ -209,7 +209,7 @@ class TestBulkResolve:
         got = m.indices_of(words)
         refs = [resolve_reference(m, w) for w in words]
         for w, idx, ref in zip(words, got, refs):
-            assert idx is m.word_indices(w)
+            assert idx is m.indices_of([w])[0]
             assert idx.sub_ids.dtype == idx.pos_ids.dtype == np.int64
             assert idx.sub_ids.tolist() == ref.sub_ids.tolist(), w
             assert idx.pos_ids.tolist() == ref.pos_ids.tolist(), w
@@ -227,19 +227,19 @@ class TestBulkResolve:
         vocab word without its word-token row."""
         cfg, vocab, segmenter, svocab = resolve_parts("charn", True)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
-        assert m.word_indices("catalog").pos_ids.tolist()[-1] == 2
-        assert m.word_indices("cats").unknown > 1
-        assert m.word_indices("cats").sub_ids.size > 0
-        assert m.word_indices("cat").word_token_id == -1
-        assert m.word_indices("hat").word_token_id >= 0
+        assert m.indices_of(["catalog"])[0].pos_ids.tolist()[-1] == 2
+        assert m.indices_of(["cats"])[0].unknown > 1
+        assert m.indices_of(["cats"])[0].sub_ids.size > 0
+        assert m.indices_of(["cat"])[0].word_token_id == -1
+        assert m.indices_of(["hat"])[0].word_token_id >= 0
         cfg, vocab, segmenter, svocab = resolve_parts("charn5", False)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
-        q = m.word_indices("q")
+        q = m.indices_of(["q"])[0]
         assert q.sub_ids.size == 0 and q.unknown == 0
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            small_model().word_indices("")
+            small_model().indices_of([""])
 
 
 class TestComposeOracle:
@@ -264,7 +264,7 @@ class TestComposeOracle:
         assert vecs.dtype == np.float32
         np.testing.assert_allclose(vecs, expected, rtol=0, atol=1e-6)
         # the gathered rows are each center's rows, in order
-        indices = [m.word_indices(words[c]) for c in centers]
+        indices = [m.indices_of([words[c]])[0] for c in centers]
         assert counts.tolist() == [i.sub_ids.size for i in indices]
         assert sub_ids.tolist() == [r for i in indices for r in i.sub_ids]
         assert wt_ids.tolist() == [i.word_token_id for i in indices]
@@ -277,9 +277,9 @@ class TestComposeOracle:
     def test_fixed_words_cover_the_edge_cases(self):
         m = oracle_model(True, True)
         for w in ("zzz", "q"):
-            assert all_unknown(m.word_indices(w))
-        assert m.word_indices("catalog").pos_ids.max() == 2
-        assert m.word_indices("catalog").sub_ids.size > 3
+            assert all_unknown(m.indices_of([w])[0])
+        assert m.indices_of(["catalog"])[0].pos_ids.max() == 2
+        assert m.indices_of(["catalog"])[0].sub_ids.size > 3
 
     def test_no_centers(self):
         m = oracle_model(True, True)

@@ -287,9 +287,9 @@ class TestOovProperty:
         word = charn_model(text, segmenter="word")
         oov = "walker"
         cv, c_unknown = (charn.word_vector(oov),
-                         oracles.all_unknown(charn.word_indices(oov)))
+                         oracles.all_unknown(charn.indices_of([oov])[0]))
         wv, w_unknown = (word.word_vector(oov),
-                         oracles.all_unknown(word.word_indices(oov)))
+                         oracles.all_unknown(word.indices_of([oov])[0]))
         assert not c_unknown and cv.any()
         assert w_unknown and not wv.any()
 
@@ -360,7 +360,7 @@ _TASKS = ["mentions"] + [f"{scheme}-w{w}" for scheme in ("bio", "full")
 def _oracle_train_split(model, data, labels, window=0):
     """Oracle features and label ids of the train split of `data`."""
     if isinstance(data, MentionDataset):
-        examples = data.split_examples("train")
+        examples = [data.examples[i] for i in data.splits["train"]]
         return ([oracles.mention_features(model, toks)
                  for toks, _ in examples],
                 [labels.index(label) for _, label in examples])
@@ -393,7 +393,7 @@ def test_matches_reference_probes(label, task):
     if task == "mentions":
         data, window = mentions, 0
         probe = train_mention_probe(model, mentions)
-        test = mentions.split_examples("test")
+        test = [mentions.examples[i] for i in mentions.splits["test"]]
         items = mentions.splits["test"]
         preds = probe_mod.TaskFeatures.of(model, mentions, items).predict(
             probe, items)

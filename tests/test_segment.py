@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -316,6 +318,35 @@ class TestMorfessorLite:
             expected = morf_reference_viterbi(w, lexicon)
             assert model.segment(w) == expected
             assert rebuilt.segment(w) == expected
+
+    # Every word is longer than 30 letters and than every morph, so most of
+    # its spans are scored as unknown without a lookup; few letters and small
+    # counts make costs tie, so the first strict minimum must win there too.
+    @given(lexicon=st.dictionaries(st.text("ab", min_size=1, max_size=4),
+                                   st.integers(1, 4), max_size=6),
+           words=st.lists(st.text("abc", min_size=31, max_size=60),
+                          min_size=1, max_size=3))
+    @example(lexicon={}, words=["ab" * 20])
+    @example(lexicon={"ab": 1, "b": 1}, words=["ab" * 20])
+    @settings(max_examples=100, deadline=None)
+    def test_long_words_match_reference_viterbi(self, lexicon, words):
+        model = MorfModel(morph_lexicon=dict(lexicon), corpus_cost=0.0)
+        for w in words:
+            assert model.segment(w) == morf_reference_viterbi(w, lexicon)
+
+    def test_long_word_is_not_cubic(self):
+        """A 3000-letter unknown word took 3.3 s when every span was sliced
+        and looked up; the bound leaves a wide margin over today's time."""
+        rng = np.random.default_rng(1)
+        lexicon = {"ab": 3, "abc": 2, "ca": 1, "x": 1}
+        word = "".join(rng.choice(list("abcdefgh"), 3000))
+        model = MorfModel(morph_lexicon=dict(lexicon), corpus_cost=0.0)
+        start = time.process_time()
+        seg = model.segment(word)
+        assert time.process_time() - start < 1.0
+        assert "".join(seg) == word
+        assert model.segment(word[:400]) == morf_reference_viterbi(
+            word[:400], lexicon)
 
     def test_save_load(self, tmp_path):
         v = vocab_from_freqs({"walk": 10, "walked": 5, "walking": 5})

@@ -1,7 +1,7 @@
 import dataclasses
-import importlib
 import math
 import time
+import types
 from unittest import mock
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import subtok.model
+import subtok.train as train_module
 from subtok.corpus import (
     Corpus,
     build_vocab,
@@ -33,9 +34,6 @@ from subtok.train import (
     train,
     train_lockstep,
 )
-
-# the package re-exports the function `train` under the module's name
-train_module = importlib.import_module("subtok.train")
 
 
 def make_model(text, **cfg):
@@ -92,7 +90,7 @@ class TestSgnsStep:
         corpus, m = make_model("aa bb cc dd\n" * 5)
         sampler = NegativeSampler(m.vocab)
         rng = np.random.default_rng(1)
-        idx = m.word_indices("aa")
+        idx = m.indices_of(["aa"])[0]
         before = m.params.subword[idx.sub_ids[0]].copy()
         ctx_before = m.params.context.copy()
         lr = 0.1
@@ -113,8 +111,8 @@ class TestSgnsStep:
         sampler = NegativeSampler(m.vocab)
         # pick a word with >= 2 distinct subword rows
         word = next(w for w in m.vocab.words
-                    if len(set(m.word_indices(w).sub_ids)) >= 2)
-        idx = m.word_indices(word)
+                    if len(set(m.indices_of([w])[0].sub_ids)) >= 2)
+        idx = m.indices_of([word])[0]
         # make context rows non-zero so the gradient is non-trivial
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
@@ -140,7 +138,7 @@ class TestSgnsStep:
         sgns_step(m, "aa", "bb", 0.1, 2, sampler, rng)
         sub_changed = np.flatnonzero(
             np.abs(m.params.subword - sub_before).sum(axis=1))
-        aa_row = m.word_indices("aa").sub_ids[0]
+        aa_row = m.indices_of(["aa"])[0].sub_ids[0]
         assert sub_changed.tolist() == [aa_row]
         ctx_changed = set(np.flatnonzero(
             np.abs(m.params.context - ctx_before).sum(axis=1)).tolist())
@@ -157,7 +155,7 @@ class TestSgnsStep:
                   np.random.default_rng(4))
         changed = set(np.flatnonzero(
             np.abs(m.params.subword - before).sum(axis=1)).tolist())
-        idx = m.word_indices("cats")
+        idx = m.indices_of(["cats"])[0]
         expected = set(idx.sub_ids.tolist()) | {idx.word_token_id}
         assert changed == expected
 
@@ -326,7 +324,7 @@ class TestNoRowCenter:
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
         ids = m.vocab.word2id
-        ab, cats = m.word_indices("ab"), m.word_indices("cats")
+        ab, cats = m.indices_of(["ab"])[0], m.indices_of(["cats"])[0]
         assert ab.sub_ids.size == 0 and cats.sub_ids.size > 0
         order = ["ab", "cats"] if first else ["cats", "ab"]
         i = order.index("ab")
@@ -520,7 +518,7 @@ class TestTrain:
         # trainer touches only that input row per step, i.e. plain skip-gram
         corpus, m = make_model("aa bb cc\n" * 5)
         for w in m.vocab.words:
-            idx = m.word_indices(w)
+            idx = m.indices_of([w])[0]
             assert idx.sub_ids.size == 1
             assert idx.word_token_id == -1
         assert len(m.subword_vocab) == len(m.vocab)
@@ -661,7 +659,14 @@ class TestLockstep:
         assert sibling.vocab is base.vocab
         assert sibling.subword_vocab is base.subword_vocab
         assert sibling.segmenter is base.segmenter
-        assert sibling.word_indices("cats") is base.word_indices("cats")
+        assert sibling.indices_of(["cats"])[0] is base.indices_of(["cats"])[0]
         fresh = SubwordModel(sibling.config, base.vocab, base.subword_vocab,
                              base.segmenter)
         assert _tables(sibling) == _tables(fresh) != _tables(base)
+
+
+def test_package_attribute_is_the_module():
+    """The package re-exports nothing, so `subtok.train` names the module
+    once `import subtok.train` has run."""
+    assert isinstance(subtok.train, types.ModuleType)
+    assert subtok.train is train_module

@@ -1,10 +1,13 @@
-"""Interleaved A/B timing of one perfbench workload: a git revision against
+"""Interleaved A/B timing of perfbench workloads: a git revision against
 the working tree.
 
-    python3 tools/ab.py REV WORKLOAD [--seed N] [--rounds N]
+    python3 tools/ab.py REV WORKLOAD... [--seed N] [--rounds N]
+
+    e.g. python3 tools/ab.py HEAD train-200k segment-zipf19k simulate-grid
 
 The runner exports REV's `src/` and `perfbench/` with `git archive` into a
-temporary directory. It starts two long-lived child processes: one imports
+temporary directory once. The workloads are compared one after the other;
+for each, it starts two long-lived child processes: one imports
 REV's `perfbench/workloads.py` with REV's `src/` first on `sys.path`, the
 other the working tree's. Both run with BLAS pinned to one thread, as
 `perfbench/run.py` runs its child. Each child sets the workload's inputs up
@@ -12,21 +15,24 @@ once. The runner then asks the two sides for one repetition each per round,
 never both at once, and alternates which side goes first. One warm-up round
 is run and left out.
 
-It prints each round, then for both sides the median and quartiles of the
-repetition's time inside subtok calls (raw seconds, not rescaled to a
-reference CPU speed), the median CPU seconds of a repetition (user plus
-system time of the child and of the worker processes it reaped, as
-`RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the per-round
-ratio tree/REV, how many rounds each side won, the peak RSS of the child
-and of its reaped worker processes, failed checks, and whether every
-repetition's `exact` record is equal across the two sides. It exits 1 when
-the exact records differ or a check failed on either side, and 0
-otherwise, so that a script can gate on `exact records: equal`.
+For each workload it prints each round, then for both sides the median and
+quartiles of the repetition's time inside subtok calls (raw seconds, not
+rescaled to a reference CPU speed), the median CPU seconds of a repetition
+(user plus system time of the child and of the worker processes it
+reaped, as `RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the
+per-round ratio tree/REV, how many rounds each side won, the peak RSS of
+the child and of its reaped worker processes, failed checks, and whether
+every repetition's `exact` record is equal across the two sides. A last
+block gives one line per workload. It exits 1 when, on any workload, the
+exact records differ or a check failed on either side, and 0 otherwise, so
+one command gates a change on `exact records: equal` for every workload it
+names.
 
 Separate `perfbench/run.py` runs of one commit on a busy 2-vCPU VM gave
 simulate-grid raw times from 1.95 to 3.08 s (seeds 41-50); interleaving
-puts both sides under the same load within each round. Nothing is written in the repository: inputs, outputs
-and the exported revision live in a temporary directory.
+puts both sides under the same load within each round. Nothing is written
+in the repository: inputs, outputs and the exported revision live in a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -135,39 +141,28 @@ class Side:
                 self.proc.wait()
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(
-        description="Interleaved A/B timing of one perfbench workload: a "
-                    "git revision against the working tree.")
-    p.add_argument("rev", help="git revision to compare against, e.g. HEAD")
-    p.add_argument("workload", help="a perfbench workload name")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=12)
-    args = p.parse_args(argv)
-    if args.rounds < 2:
-        p.error("--rounds must be >= 2")
-
-    with tempfile.TemporaryDirectory(prefix="subtok-ab-") as tmp:
-        tmp = Path(tmp)
-        export(args.rev, tmp / "rev")
-        sides = [Side(args.rev, tmp / "rev", args.workload, args.seed,
-                      tmp / "rev-work"),
-                 Side("tree", ROOT, args.workload, args.seed,
-                      tmp / "tree-work")]
-        try:
-            for side in sides:  # warm-up, left out
-                side.run()
-            for i in range(args.rounds):
-                order = sides if i % 2 == 0 else sides[::-1]
-                for side in order:
-                    side.reps.append(side.run())
-                a, b = (s.reps[-1]["wall_s"] for s in sides)
-                print(f"round {i + 1:2d} ({order[0].name} first): "
-                      f"{args.rev} {a:.3f} s  tree {b:.3f} s  "
-                      f"ratio {b / a:.3f}", flush=True)
-        finally:
-            for side in sides:
-                side.close()
+def compare(rev_name: str, rev_root: Path, workload: str, seed: int,
+            rounds: int, tmp: Path) -> bool:
+    """Run and print one workload's interleaved rounds and summary; True
+    when its exact records are equal and no check failed."""
+    print(f"== {workload} ==", flush=True)
+    sides = [Side(rev_name, rev_root, workload, seed,
+                  tmp / f"{workload}-rev-work"),
+             Side("tree", ROOT, workload, seed, tmp / f"{workload}-tree-work")]
+    try:
+        for side in sides:  # warm-up, left out
+            side.run()
+        for i in range(rounds):
+            order = sides if i % 2 == 0 else sides[::-1]
+            for side in order:
+                side.reps.append(side.run())
+            a, b = (s.reps[-1]["wall_s"] for s in sides)
+            print(f"round {i + 1:2d} ({order[0].name} first): "
+                  f"{rev_name} {a:.3f} s  tree {b:.3f} s  "
+                  f"ratio {b / a:.3f}", flush=True)
+    finally:
+        for side in sides:
+            side.close()
 
     rev, tree = sides
     for side in sides:
@@ -184,14 +179,40 @@ def main(argv=None) -> int:
               " MB")
     ratios = [t["wall_s"] / r["wall_s"] for r, t in zip(rev.reps, tree.reps)]
     wins = sum(t["wall_s"] < r["wall_s"] for r, t in zip(rev.reps, tree.reps))
-    print(f"ratio tree/{args.rev}: median {statistics.median(ratios):.3f}; "
+    print(f"ratio tree/{rev_name}: median {statistics.median(ratios):.3f}; "
           f"tree faster in {wins} of {len(ratios)} rounds")
     differ = sorted({k for r, t in zip(rev.reps, tree.reps)
                      for k in set(r["exact"]) | set(t["exact"])
                      if r["exact"].get(k) != t["exact"].get(k)})
     print("exact records: " + (f"differ in {differ}" if differ else "equal"))
     failed = any(r["failures"] for side in sides for r in side.reps)
-    return 1 if differ or failed else 0
+    return not (differ or failed)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(
+        description="Interleaved A/B timing of perfbench workloads: a git "
+                    "revision against the working tree.")
+    p.add_argument("rev", help="git revision to compare against, e.g. HEAD")
+    p.add_argument("workloads", nargs="+", metavar="workload",
+                   help="perfbench workload names, compared in turn")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=12)
+    args = p.parse_args(argv)
+    if args.rounds < 2:
+        p.error("--rounds must be >= 2")
+
+    with tempfile.TemporaryDirectory(prefix="subtok-ab-") as tmp:
+        tmp = Path(tmp)
+        export(args.rev, tmp / "rev")
+        ok = [compare(args.rev, tmp / "rev", workload, args.seed,
+                      args.rounds, tmp) for workload in args.workloads]
+    print("== all ==")
+    for workload, good in zip(args.workloads, ok):
+        print(f"{workload}: " + ("exact records equal, no failed check"
+                                 if good else "exact records differ or a "
+                                              "check failed"))
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
