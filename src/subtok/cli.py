@@ -46,7 +46,6 @@ from subtok.model import (
     save_checkpoint,
 )
 from subtok.probe import (
-    SCHEME_BIO,
     TAGGER_WINDOW,
     TaskFeatures,
     eval_mention_accuracy,  # noqa: F401 -- perfbench/tracer.py wraps it here
@@ -67,6 +66,10 @@ CONFIG_ALIASES = {
     "w2v": "word:w-:p-",  # subword-agnostic skip-gram baseline
     "ft": "charn:w+:p-",  # fastText-style configuration
 }
+
+# config label flag -> (the ModelConfig field it sets, its value)
+CONFIG_FLAGS = {"w+": ("word_token", True), "w-": ("word_token", False),
+                "p+": ("position", True), "p-": ("position", False)}
 
 
 class ArtifactGuard:
@@ -103,35 +106,24 @@ def parse_config_label(label: str) -> ModelConfig:
     """Parse `seg[:w+|w-][:p+|p-]` (seg in morf|charn|word|bpeN|bpe1eK) or
     the aliases w2v / ft into a ModelConfig."""
     label = CONFIG_ALIASES.get(label, label)
-    parts = label.split(":")
-    seg = parts[0]
-    kwargs: dict = {"word_token": False, "position": False}
+    seg, *flags = label.split(":")
+    kwargs: dict = {"segmenter": seg}
     if seg.startswith("bpe"):
-        kwargs["segmenter"] = "bpe"
-        suffix = seg[3:]
         try:
-            merges = float(suffix)
+            merges = float(seg[3:])
         except ValueError:
             merges = math.nan
         if not merges.is_integer():
             raise SubtokError(
                 f"bpe config label needs a whole merge count: {label!r}")
-        kwargs["num_merges"] = int(merges)
-    elif seg in ("morf", "charn", "word"):
-        kwargs["segmenter"] = seg
-    else:
+        kwargs.update(segmenter="bpe", num_merges=int(merges))
+    elif seg not in ("morf", "charn", "word"):
         raise SubtokError(f"unknown config label {label!r}")
-    for part in parts[1:]:
-        if part == "w+":
-            kwargs["word_token"] = True
-        elif part == "w-":
-            kwargs["word_token"] = False
-        elif part == "p+":
-            kwargs["position"] = True
-        elif part == "p-":
-            kwargs["position"] = False
-        else:
-            raise SubtokError(f"unknown config flag {part!r} in {label!r}")
+    for flag in flags:
+        if flag not in CONFIG_FLAGS:
+            raise SubtokError(f"unknown config flag {flag!r} in {label!r}")
+        name, value = CONFIG_FLAGS[flag]
+        kwargs[name] = value
     return ModelConfig(**kwargs)
 
 
@@ -310,24 +302,23 @@ def load_task_data(task: str, data_path, seed: int):
     return load_file(loaders[task], data_path, seed=seed)
 
 
-def run_probe(model, task: str, data, task_instances: list,
+def run_probe(model, data, task_instances: list,
               window: int = TAGGER_WINDOW) -> list[list[tuple]]:
     """Train and evaluate a probe on the dataset that load_task_data read,
     once per task point of `task_instances`, its train split cut to the
     first that many items (None: all); returns one list of metric rows per
-    point. The features of the largest point's train items and of dev and
-    test are built once and sliced per point."""
+    point, each row named by the dataset's task. The features of the
+    largest point's train items and of dev and test are built once and
+    sliced per point."""
     train_items = _train_items(
         data, None if None in task_instances else max(task_instances))
     feats = TaskFeatures.of(model, data, train_items + data.splits["dev"]
                             + data.splits["test"], window)
     label = model.config.label
-    task_name = ("fget" if task == "mentions"
-                 else "ner" if data.scheme == SCHEME_BIO else "mtag")
     out = []
     for n in task_instances:
         probe = feats.probe(_train_items(data, n), data.splits["dev"])
-        out.append([(task_name, label, split, metric, value)
+        out.append([(data.task, label, split, metric, value)
                     for split in ("dev", "test")
                     for metric, value in feats.metrics(probe, data, split)])
     return out
@@ -348,8 +339,7 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
         print(f"probe: --task-instances {args.task_instances} exceeds the "
               f"train split of seed {args.seed} ({n_train} examples); the "
               f"probe trains on all {n_train}", file=sys.stderr)
-    rows, = run_probe(model, args.task, data,
-                      task_instances=[args.task_instances],
+    rows, = run_probe(model, data, task_instances=[args.task_instances],
                       window=args.probe_window)
     out = guard.register(default_out(args, "metrics.tsv"))
     write_metrics(out, rows)
@@ -658,8 +648,7 @@ def _simulate_cell(args, data, we_n, cell, setup, model) -> dict:
     point, and a SubtokError fails each of them."""
     label, seed, todo = cell
     try:
-        probes = run_probe(model, "mentions" if args.mentions else "conll",
-                           data, task_instances=todo)
+        probes = run_probe(model, data, task_instances=todo)
     except SubtokError as exc:
         return _failed_cells(we_n, [(cell, setup)], exc)
     return {(task_n, label, seed): [

@@ -12,10 +12,8 @@ import numpy as np
 
 from subtok.errors import (
     ConfigError,
-    CorpusDecodeError,
-    EmptyVocabError,
     FormatError,
-    InsufficientDataError,
+    SubtokError,
     nonnegative_int,
     read_fields,
 )
@@ -47,7 +45,8 @@ def tokenize_corpus(text: str | bytes) -> Corpus:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorpusDecodeError(exc.start, exc.reason) from exc
+            raise SubtokError(f"invalid UTF-8 at byte offset {exc.start}: "
+                              f"{exc.reason}") from exc
     sentences = []
     for line in text.splitlines():
         toks = line.split()
@@ -66,8 +65,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
 @dataclass
 class Vocab:
-    """Word types with dense ids assigned by descending count, ties broken
-    lexicographically."""
+    """Word types, at least one, with dense ids assigned by descending
+    count, ties broken lexicographically."""
 
     words: list[str]
     counts: np.ndarray  # int64, aligned with ids
@@ -75,6 +74,8 @@ class Vocab:
     word2id: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.words:
+            raise SubtokError("a vocabulary needs at least one word")
         if not self.word2id:
             self.word2id = {w: i for i, w in enumerate(self.words)}
 
@@ -92,19 +93,23 @@ class Vocab:
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "Vocab":
-        words, counts = [], []
+        word2id, counts = {}, []
         for ln, (word, wid, count) in read_fields(
                 path, "vocab file", "\t", 3,
                 "expected word<TAB>id<TAB>count"):
-            if nonnegative_int(wid, "word id", ln) != len(words):
+            if nonnegative_int(wid, "word id", ln) != len(word2id):
                 raise FormatError(f"non-contiguous id {wid}", ln)
-            words.append(word)
+            if not word:
+                raise FormatError("empty word", ln)
+            if word in word2id:
+                raise FormatError(f"repeated word {word!r}", ln)
+            word2id[word] = len(word2id)
             counts.append(nonnegative_int(count, "word count", ln))
-        if not words:
-            raise EmptyVocabError(f"no vocabulary entries in {path}")
+        if not word2id:
+            raise SubtokError(f"no vocabulary entries in {path}")
         counts_arr = np.asarray(counts, dtype=np.int64)
-        return cls(words=words, counts=counts_arr,
-                   total_tokens=int(counts_arr.sum()))
+        return cls(words=list(word2id), counts=counts_arr,
+                   total_tokens=int(counts_arr.sum()), word2id=word2id)
 
 
 def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
@@ -117,7 +122,7 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
         freq.update(sent)
     kept = [(w, c) for w, c in freq.items() if c >= min_count]
     if not kept:
-        raise EmptyVocabError(
+        raise SubtokError(
             f"no word type reaches min_count={min_count} "
             f"({len(freq)} types in corpus)"
         )
@@ -133,7 +138,8 @@ def sample_tokens(corpus: Corpus, n: int) -> Corpus:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > corpus.token_count:
-        raise InsufficientDataError(n, corpus.token_count)
+        raise SubtokError(f"requested {n} tokens but only "
+                          f"{corpus.token_count} are available")
     out, taken = [], 0
     for sent in corpus.sentences:
         if taken + len(sent) <= n:
@@ -152,8 +158,6 @@ def negative_sampling_weights(vocab: Vocab, power: float = 0.75) -> np.ndarray:
     word id."""
     if power <= 0:
         raise ValueError("power must be > 0")
-    if len(vocab) == 0:
-        raise EmptyVocabError("cannot build sampling weights for empty vocab")
     weights = vocab.counts.astype(np.float64) ** power
     return weights / weights.sum()
 

@@ -168,8 +168,6 @@ def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
                 vocab: Vocab) -> ParamTables:
     """Subword and position rows i.i.d. uniform on [-0.5/d, +0.5/d] from the
     seeded generator; context rows zero."""
-    if len(subword_vocab) == 0 or len(vocab) == 0:
-        raise ValueError("vocabularies must be non-empty")
     d = config.dim
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
@@ -382,8 +380,6 @@ def export_vectors(model: SubwordModel, path: str | Path) -> None:
     """word2vec-style text format: header `|V| d`, then one line per word in
     vocab-id order with 6-decimal fixed notation."""
     vocab = model.vocab
-    if len(vocab) == 0:
-        raise SubtokError("refusing to export an empty vocabulary")
     d = model.config.dim
     # one %-format per row over Python floats, each exactly its float32
     row_format = "%s " + " ".join(["%.6f"] * d) + "\n"

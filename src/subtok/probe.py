@@ -43,6 +43,7 @@ class MentionDataset:
     examples: list[tuple[tuple[str, ...], str]]
     label_inventory: list[str]
     splits: dict[str, list[int]]
+    task = "fget"  # the task name of its metrics rows; not a field
 
     @classmethod
     def from_examples(cls, examples, seed: int = 0,
@@ -95,6 +96,11 @@ class TagDataset:
 
     def split_sentences(self, split: str):
         return [self.sentences[i] for i in self.splits[split]]
+
+    @property
+    def task(self) -> str:
+        """The task name of its metrics rows: ner under BIO, else mtag."""
+        return "ner" if self.scheme == SCHEME_BIO else "mtag"
 
     @property
     def label_inventory(self) -> list[str]:

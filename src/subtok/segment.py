@@ -131,8 +131,6 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     which equal `apply_bpe`."""
     if num_merges < 1:
         raise ConfigError("num_merges must be >= 1")
-    if len(vocab) == 0:
-        raise ValueError("vocab must be non-empty")
 
     words = [list(_word_symbols(w)) for w in vocab.words]
     freqs = [int(c) for c in vocab.counts]
@@ -473,8 +471,6 @@ def learn_morfessor_lite(vocab: Vocab,
     the total cost is reverted and training stops."""
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if len(vocab) == 0:
-        raise ValueError("vocab must be non-empty")
 
     freqs = {w: int(c) for w, c in zip(vocab.words, vocab.counts)}
     analyses: dict[str, tuple[str, ...]] = {w: (w,) for w in vocab.words}
@@ -615,13 +611,15 @@ class SubwordVocab:
 def build_subword_vocab(vocab: Vocab, segmenter,
                         include_word_token: bool) -> SubwordVocab:
     """Union of subword keys over all vocab words (plus word-token keys when
-    requested), ids assigned by first occurrence in vocab id order."""
-    if len(vocab) == 0:
-        raise ValueError("vocab must be non-empty")
+    requested), ids assigned by first occurrence in vocab id order. A
+    segmenter that yields no key for any vocab word raises SubtokError."""
     entries: dict[tuple[str, str], int] = {}
     for w in vocab.words:
         seg = segment_word(segmenter, w, include_word_token)
         for key in seg.keys():
             if key not in entries:
                 entries[key] = len(entries)
+    if not entries:
+        raise SubtokError(f"the segmenter yields no subword for any of the "
+                          f"{len(vocab)} vocab words")
     return SubwordVocab(entries=entries)

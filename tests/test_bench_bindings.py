@@ -9,6 +9,12 @@ import inspect
 import sys
 from pathlib import Path
 
+from subtok.corpus import build_vocab, tokenize_corpus
+from subtok.segment import (
+    CharNgramSegmenter,
+    build_subword_vocab,
+    segment_word,
+)
 from subtok.train import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,3 +99,14 @@ def test_workload_calls_bind():
 
 def test_train_config_takes_threads():
     assert TrainConfig(threads=2).threads == 2
+
+
+def test_subword_vocab_takes_in():
+    """perfbench/workloads.py counts the keys of `segment_word` that a built
+    SubwordVocab lacks as `k not in subword_vocab`."""
+    segmenter = CharNgramSegmenter()
+    svocab = build_subword_vocab(
+        build_vocab(tokenize_corpus("walked talking"), 1), segmenter, True)
+    for word, unknown in (("walked", 0), ("talked", 4), ("jumps", 15)):
+        keys = segment_word(segmenter, word, True).keys()
+        assert sum(k not in svocab for k in keys) == unknown, word

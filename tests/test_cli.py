@@ -185,6 +185,15 @@ class TestVocabCommand:
         assert "internal error" not in err
         assert not out.exists()
 
+    def test_we_tokens_reads_a_prefix(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "v.tsv"
+        assert main(["vocab", "--corpus", str(corpus_file), "--we-tokens",
+                     "5", "--out", str(out)]) == 0
+        # the corpus's first line without its last word, `black`
+        assert out.read_text("utf-8") == "".join(
+            f"{w}\t{i}\t1\n"
+            for i, w in enumerate(["blue", "green", "pink", "red", "yellow"]))
+
     def test_data_dir_default_out(self, corpus_file, tmp_path, monkeypatch):
         root = tmp_path / "artifacts"
         root.mkdir()
@@ -234,6 +243,11 @@ class TestSegmentCommands:
         word, parts = capsys.readouterr().out.strip().split("\t")
         assert word == "cats"
         assert "<ca" in parts.split()
+
+    def test_apply_word_token(self, capsys):
+        assert main(["segment-apply", "--seg", "word", "--word-token",
+                     "cats"]) == 0
+        assert capsys.readouterr().out == "cats\tcats [cats]\n"
 
     def test_apply_bpe_without_model(self, capsys):
         assert main(["segment-apply", "--seg", "bpe", "cats"]) == 1
@@ -337,6 +351,16 @@ class TestTrainExportProbe:
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
         assert not ckpt.exists()
+
+    def test_we_tokens_trains_on_a_prefix(self, corpus_file, tmp_path,
+                                          capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--we-tokens",
+                     "1200", "--dim", "8", "--epochs", "1", "--out",
+                     str(ckpt)]) == 0
+        assert " on 1200 tokens " in capsys.readouterr().out
+        vocab = subtok.model.load_checkpoint(ckpt).vocab
+        assert vocab.counts.tolist() == [200] * 6
 
     def test_export_names_missing_config_key(self, corpus_file, tmp_path,
                                              capsys):
@@ -558,6 +582,31 @@ class TestSimulate:
         assert "internal error" not in err
         assert not out_dir.exists()
 
+    def test_failed_we_point_fails_only_its_cells(
+            self, corpus_file, mentions_file, tmp_path, capsys):
+        """The first 1200 tokens are distinct words, so no type of WE 1200
+        reaches G1's min_count 2; the next are corpus_file's."""
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text("".join(
+            " ".join(f"u{i + j}" for j in range(6)) + "\n"
+            for i in range(0, 1200, 6)) + corpus_file.read_text("utf-8"),
+            encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--corpus", str(corpus),
+                     "--mentions", str(mentions_file),
+                     "--we-tokens", "1200,2400", "--task-instances", "10",
+                     "--configs", "w2v,ft", "--seeds", "1",
+                     "--dim", "8", "--train-epochs", "1",
+                     "--out", str(out_dir)]) == 0
+        rows = [line.split("\t") for line in
+                (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]]
+        assert sorted((r[0], r[2], r[-1]) for r in rows) == [
+            ("1200", config, "failed:no word type reaches min_count=2 "
+                             "(1200 types in corpus)")
+            for config in ("charn:w+:p-", "word:w-:p-")] + [
+            ("2400", config, "ok")
+            for config in ("charn:w+:p-", "word:w-:p-")]
+
     def test_needs_task_data(self, corpus_file, tmp_path, capsys):
         rc = main(["simulate", "--corpus", str(corpus_file),
                    "--we-tokens", "2000", "--task-instances", "10",
@@ -670,7 +719,7 @@ class TestSimulateReuse:
                         train(sample, model, tcfg)
                         data = load_task_data("mentions", mentions_file,
                                               seed)
-                        rows, = run_probe(model, "mentions", data,
+                        rows, = run_probe(model, data,
                                           task_instances=[task_n])
                         for task, _, split, metric, value in rows:
                             if split == "test":
@@ -784,11 +833,11 @@ class TestSimulateReuse:
         assert self._run(corpus_file, mentions_file, tmp_path / "once") == 0
         assert sorted(loads) == [1, 2]
 
-        def probe_from_file(model, task, data, **kwargs):
+        def probe_from_file(model, data, **kwargs):
             # each model parses the file itself; workers are forked
             # after the once-per-seed loads, so they see seed_of filled
-            return real_probe(model, task, subtok.cli.load_task_data(
-                task, mentions_file, seed_of[id(data)]), **kwargs)
+            return real_probe(model, subtok.cli.load_task_data(
+                "mentions", mentions_file, seed_of[id(data)]), **kwargs)
 
         monkeypatch.setattr(subtok.cli, "run_probe", probe_from_file)
         loads.clear()
@@ -1076,13 +1125,12 @@ class TestRunProbeAllTaskPoints:
                 lines.append("\n")
             data = load_conll(lines, seed=3)
             assert data.scheme == task
-        kind = "mentions" if task == "mentions" else "conll"
-        rows = run_probe(model, kind, data, task_instances=self.POINTS)
+        rows = run_probe(model, data, task_instances=self.POINTS)
         expected = [self._one_point(model, task, data, n)
                     for n in self.POINTS]
         assert rows == expected
         assert len({tuple(r) for r in rows}) > 1  # the points differ
-        assert run_probe(model, kind, data, task_instances=[5]) == \
+        assert run_probe(model, data, task_instances=[5]) == \
             expected[:1]
 
     def test_features_cover_the_largest_point_dev_and_test(
@@ -1093,7 +1141,7 @@ class TestRunProbeAllTaskPoints:
         built, real = [], probe_mod._features
         monkeypatch.setattr(probe_mod, "_features", lambda model, items: (
             built.append(len(items)) or real(model, items)))
-        run_probe(model, "mentions", data, task_instances=[5, 40])
+        run_probe(model, data, task_instances=[5, 40])
         assert built == [40 + len(data.splits["dev"])
                          + len(data.splits["test"])]
         assert len(data.splits["train"]) > 40
@@ -1248,6 +1296,61 @@ class TestNoRowWords:
         model = subtok.model.load_checkpoint(ckpt)
         assert model.indices_of(["ab"])[0].sub_ids.size == 0
         assert model.params.all_finite()
+
+
+class TestRefusedInputExit1:
+    """Input that no command can use exits 1 with one stderr line and
+    writes nothing."""
+
+    def case(self, name, corpus_file, tmp_path):
+        """(argv, the message)."""
+        train = ["train", "--corpus", str(corpus_file), "--dim", "8",
+                 "--epochs", "1", "--out", str(tmp_path / "out")]
+        if name == "corpus-not-utf8":
+            corpus_file.write_bytes(b"red blue\n\xff pink\n")
+            return train, "invalid UTF-8 at byte offset 9: invalid start byte"
+        if name == "min-count-no-type-reaches":
+            return (train + ["--min-count", "401"],
+                    "no word type reaches min_count=401 (6 types in corpus)")
+        if name == "we-tokens-above-corpus":
+            return (train + ["--we-tokens", "2401"],
+                    "requested 2401 tokens but only 2400 are available")
+        if name == "ngram-range-without-subword":
+            # neither `<a>` nor `<b>` has an n-gram of 5 or 6 letters
+            corpus_file.write_text("a b " * 600 + "\n", encoding="utf-8")
+            return (train + ["--ngram-min", "5", "--ngram-max", "6"],
+                    "the segmenter yields no subword for any of the 2 "
+                    "vocab words")
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        path = ckpt / "vocab.tsv"
+        lines = path.read_text("utf-8").splitlines(True)
+        if name == "vocab-tsv-empty":
+            lines, message = [], f"no vocabulary entries in {path}"
+        elif name == "vocab-tsv-empty-word":
+            lines[0] = lines[0][lines[0].index("\t"):]
+            message = f"line 1: empty word in {path}"
+        else:
+            assert name == "vocab-tsv-repeated-word"
+            word = lines[0].split("\t")[0]
+            lines[1] = word + lines[1][lines[1].index("\t"):]
+            message = f"line 2: repeated word {word!r} in {path}"
+        path.write_text("".join(lines), encoding="utf-8")
+        return ["export", "--checkpoint", str(ckpt), "--out",
+                str(tmp_path / "vec.txt")], message
+
+    @pytest.mark.parametrize("name", [
+        "corpus-not-utf8", "min-count-no-type-reaches",
+        "we-tokens-above-corpus", "ngram-range-without-subword",
+        "vocab-tsv-empty", "vocab-tsv-empty-word",
+        "vocab-tsv-repeated-word"])
+    def test_exit_1_writing_nothing(self, corpus_file, tmp_path, capsys,
+                                    name):
+        argv, message = self.case(name, corpus_file, tmp_path)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"subtok: {message}\n")
+        assert _tree(tmp_path) == before
 
 
 class TestBadNumbersExit1:

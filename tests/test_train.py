@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import types
 from unittest import mock
@@ -21,6 +22,7 @@ from subtok.corpus import (
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.train import (
+    TRACE_EVERY,
     NegativeSampler,
     TrainConfig,
     _epoch_pair_count,
@@ -470,14 +472,17 @@ class TestTrain:
         assert cfg.lr_floor <= res.final_lr <= cfg.lr_start
 
     def test_trace_tsv(self, tmp_path):
-        corpus, m = make_model("u v w x\n" * 500)
+        corpus, m = make_model("u v w x\n" * 2000)
         res = train(corpus, m, TrainConfig(window=2, negatives=2, epochs=2,
                                            batch_size=32, subsample_t=0,
                                            seed=5))
+        assert res.processed_pairs > TRACE_EVERY  # so the trace has a row
         res.save_trace(tmp_path / "trace.tsv")
         lines = (tmp_path / "trace.tsv").read_text().splitlines()
-        assert len(lines) == len(res.loss_trace)
-        assert all(len(line.split("\t")) == 3 for line in lines)
+        assert len(lines) == len(res.loss_trace) >= 1
+        for line, (count, lr, ema) in zip(lines, res.loss_trace):
+            assert re.fullmatch(r"\d+\t\d+\.\d{8}\t-?\d+\.\d{6}", line)
+            assert line == f"{count}\t{lr:.8f}\t{ema:.6f}"
 
     def test_subsampling_reduces_pairs(self):
         text = " ".join(["the"] * 2000 + ["rare%d" % i for i in range(50)])

@@ -10,10 +10,14 @@ temporary directory once. The workloads are compared one after the other;
 for each, it starts two long-lived child processes: one imports
 REV's `perfbench/workloads.py` with REV's `src/` first on `sys.path`, the
 other the working tree's. Both run with BLAS pinned to one thread, as
-`perfbench/run.py` runs its child. Each child sets the workload's inputs up
-once. The runner then asks the two sides for one repetition each per round,
-never both at once, and alternates which side goes first. One warm-up round
-is run and left out.
+`perfbench/run.py` runs its child, and with one fixed `PYTHONHASHSEED`,
+so the sides differ in their code only: a hash seed drawn per child would
+give each side its own dict and set layouts for the whole run, which
+interleaving cannot average out. Each child's stderr, its workers'
+included, goes to a file, not among the rounds. Each child sets the
+workload's inputs up once. The runner then asks the two sides for one
+repetition each per round, never both at once, and alternates which side
+goes first. One warm-up round is run and left out.
 
 For each workload it prints each round, then for both sides the median and
 quartiles of the repetition's time inside subtok calls (raw seconds, not
@@ -21,7 +25,8 @@ rescaled to a reference CPU speed), the median CPU seconds of a repetition
 (user plus system time of the child and of the worker processes it
 reaped, as `RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the
 per-round ratio tree/REV, how many rounds each side won, the peak RSS of
-the child and of its reaped worker processes, failed checks, and whether
+the child and of its reaped worker processes, each distinct line the side
+wrote to stderr once with its count, failed checks, and whether
 every repetition's `exact` record is equal across the two sides. A last
 block gives one line per workload. It exits 1 when, on any workload, the
 exact records differ or a check failed on either side, and 0 otherwise, so
@@ -48,11 +53,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "PYTHONDONTWRITEBYTECODE": "1"}
+              "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"}
 
 
 def cpu_seconds() -> float:
@@ -115,11 +121,13 @@ class Side:
                  work: Path):
         self.name = name
         work.mkdir()
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--serve", str(root), workload,
-             str(seed), str(work)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            cwd=work, env={**os.environ, **PINNED_ENV})
+        self.stderr = work / "stderr.txt"
+        with open(self.stderr, "w", encoding="utf-8") as err:
+            self.proc = subprocess.Popen(
+                [sys.executable, __file__, "--serve", str(root), workload,
+                 str(seed), str(work)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err,
+                text=True, cwd=work, env={**os.environ, **PINNED_ENV})
         self.reps: list[dict] = []
 
     def run(self) -> dict:
@@ -127,8 +135,9 @@ class Side:
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
-            raise RuntimeError(f"the {self.name} child exited "
-                               f"(code {self.proc.wait()})")
+            raise RuntimeError(f"the {self.name} child exited (code "
+                               f"{self.proc.wait()}); its stderr:\n"
+                               + self.stderr.read_text("utf-8"))
         return json.loads(line)
 
     def close(self) -> None:
@@ -177,6 +186,9 @@ def compare(rev_name: str, rev_root: Path, workload: str, seed: int,
               f"peak RSS {max(r['rss_mb'] for r in side.reps):.0f} MB, "
               f"workers {max(r['children_rss_mb'] for r in side.reps):.0f}"
               " MB")
+        lines = Counter(side.stderr.read_text("utf-8").splitlines())
+        for line, count in lines.items():
+            print(f"{side.name} stderr ({count}x): {line}")
     ratios = [t["wall_s"] / r["wall_s"] for r, t in zip(rev.reps, tree.reps)]
     wins = sum(t["wall_s"] < r["wall_s"] for r, t in zip(rev.reps, tree.reps))
     print(f"ratio tree/{rev_name}: median {statistics.median(ratios):.3f}; "
