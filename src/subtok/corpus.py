@@ -101,6 +101,8 @@ class Vocab:
                 raise FormatError(f"non-contiguous id {wid}", ln)
             if not word:
                 raise FormatError("empty word", ln)
+            if word.split() != [word]:  # the tokenizer splits it
+                raise FormatError(f"word {word!r} holds whitespace", ln)
             if word in word2id:
                 raise FormatError(f"repeated word {word!r}", ln)
             word2id[word] = len(word2id)

@@ -118,15 +118,16 @@ class ParamTables:
         """SGD step through additive composition: word i's gradient row
         grad[i] goes unchanged into each of its counts[i] rows of `sub_ids`,
         into the aligned `pos_ids` rows unless pos_ids is None (p-), and
-        into its word-token row unless wt_ids[i] is -1. `step` is one
-        learning rate or a column of one per word."""
+        into its word-token row unless wt_ids is None or wt_ids[i] is -1.
+        `step` is one learning rate or a column of one per word."""
         upd = step * grad
         per_row = np.repeat(upd, counts, axis=0)
         scatter_subtract(self.subword, sub_ids, per_row)
         if pos_ids is not None:
             scatter_subtract(self.position, pos_ids, per_row)
-        has_wt = wt_ids >= 0
-        scatter_subtract(self.subword, wt_ids[has_wt], upd[has_wt])
+        if wt_ids is not None:
+            has_wt = wt_ids >= 0
+            scatter_subtract(self.subword, wt_ids[has_wt], upd[has_wt])
 
 
 # float dtype -> the complex dtype that holds two of its values
@@ -179,14 +180,18 @@ def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
                        context=ctx.astype(np.float32))
 
 
-def build_segmenter(config: ModelConfig, vocab: Vocab,
+def build_segmenter(config: ModelConfig, vocab: Vocab | None,
                     max_iters: int = MORF_MAX_ITERS):
     if config.segmenter == "bpe":
         return learn_bpe(vocab, config.num_merges)
     if config.segmenter == "morf":
         return learn_morfessor_lite(vocab, max_iters=max_iters)
     if config.segmenter == "charn":
-        return CharNgramSegmenter(config.ngram_min, config.ngram_max)
+        # building the subword vocab and resolving the model's rows both
+        # read every vocab word's n-grams; with no vocab it keeps none
+        words = vocab.words if vocab is not None else ()
+        return CharNgramSegmenter.keeping(words, config.ngram_min,
+                                          config.ngram_max)
     return WholeWordSegmenter()
 
 
@@ -214,7 +219,8 @@ class WordIndices:
 class _WordCSR:
     """Flattened per-word subword/position row ids (CSR layout) and
     word-token rows for batched gathering; `position` says whether the
-    position rows take part (p+)."""
+    position rows take part (p+), `word_token` whether any word has a
+    word-token row (w+ in practice)."""
 
     def __init__(self, words, indices: list[WordIndices], position: bool):
         self.words = words
@@ -227,6 +233,7 @@ class _WordCSR:
         self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
         self.wt_ids = np.asarray([i.word_token_id for i in indices],
                                  dtype=np.int64)
+        self.word_token = bool((self.wt_ids >= 0).any())
 
     @classmethod
     def of_model(cls, model: "SubwordModel", words=None) -> "_WordCSR":
@@ -250,32 +257,38 @@ class _WordCSR:
                               -1).reshape(-1)
         return out
 
-    def compose(self, params: ParamTables, centers: np.ndarray):
-        """(vectors, rows) of the words `centers` (row numbers of this
-        layout): vector i is the sum of word i's subword rows, plus the sum
-        of its position rows under p+, plus its word-token row under w+; a
-        word with no rows composes to zero. `rows` is the gathered layout
-        (counts, sub_ids, pos_ids, wt_ids) that
-        `ParamTables.subtract_composed` takes, pos_ids None under p-."""
-        counts = self.lens[centers]
+    def gather(self, words: np.ndarray):
+        """The table rows of `words` (row numbers of this layout), word by
+        word in the order given: (counts, sub_ids, pos_ids, wt_ids), the
+        layout that `ParamTables.subtract_composed` takes, pos_ids None
+        under p- and wt_ids None when no word has a word-token row."""
+        counts = self.lens[words]
         heads = np.cumsum(counts) - counts
         gather = (np.arange(counts.sum())
-                  + np.repeat(self.starts[centers] - heads, counts))
-        sub_ids = self.flat_sub[gather]
+                  + np.repeat(self.starts[words] - heads, counts))
         pos_ids = self.flat_pos[gather] if self.position else None
+        wt_ids = self.wt_ids[words] if self.word_token else None
+        return counts, self.flat_sub[gather], pos_ids, wt_ids
+
+    def compose(self, params: ParamTables, words: np.ndarray):
+        """(vectors, rows) of `words` (row numbers of this layout): vector
+        i is the sum of word i's subword rows, plus the sum of its position
+        rows under p+, plus its word-token row under w+; a word with no
+        rows composes to zero. `rows` is `gather(words)`."""
+        rows = counts, sub_ids, pos_ids, wt_ids = self.gather(words)
         # reduceat would give an empty word the next word's first row
         filled = counts > 0
-        heads = heads[filled]
-        vecs = np.zeros((centers.size, params.subword.shape[1]),
+        heads = (np.cumsum(counts) - counts)[filled]
+        vecs = np.zeros((words.size, params.subword.shape[1]),
                         dtype=params.subword.dtype)
         vecs[filled] = np.add.reduceat(params.subword[sub_ids], heads, axis=0)
         if pos_ids is not None:
             vecs[filled] += np.add.reduceat(params.position[pos_ids], heads,
                                             axis=0)
-        wt_ids = self.wt_ids[centers]
-        has_wt = wt_ids >= 0
-        vecs[has_wt] += params.subword[wt_ids[has_wt]]
-        return vecs, (counts, sub_ids, pos_ids, wt_ids)
+        if wt_ids is not None:
+            has_wt = wt_ids >= 0
+            vecs[has_wt] += params.subword[wt_ids[has_wt]]
+        return vecs, rows
 
 
 class SubwordModel:
@@ -505,8 +518,9 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     if config.segmenter in SEGMENTER_FILES:
         name, load = SEGMENTER_FILES[config.segmenter]
         segmenter = load_file(load, ckpt / name)
-    else:
-        segmenter = build_segmenter(config, vocab)
+    else:  # a loaded subword vocab is not built again, so no vocab word's
+        # n-grams are read twice: the segmenter need keep none
+        segmenter = build_segmenter(config, None)
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))

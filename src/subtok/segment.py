@@ -277,11 +277,27 @@ def char_ngrams(word: str, n_min: int = 3, n_max: int = 6) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CharNgramSegmenter:
+    """`char_ngrams` in [n_min, n_max]. One made by `keeping` keeps the
+    n-grams of the words given, as the learned segmenters keep their
+    training words' segmentations, and computes any other word's anew."""
+
     n_min: int = 3
     n_max: int = 6
+    _kept: dict[str, tuple[str, ...]] = field(default_factory=dict,
+                                              repr=False, compare=False)
+
+    @classmethod
+    def keeping(cls, words, n_min: int, n_max: int) -> "CharNgramSegmenter":
+        segmenter = cls(n_min, n_max)
+        segmenter._kept.update((w, char_ngrams(w, n_min, n_max))
+                               for w in words)
+        return segmenter
 
     def segment(self, word: str) -> tuple[str, ...]:
-        return char_ngrams(word, self.n_min, self.n_max)
+        kept = self._kept.get(word)
+        if kept is None:
+            return char_ngrams(word, self.n_min, self.n_max)
+        return kept
 
 
 @dataclass(frozen=True)

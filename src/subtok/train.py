@@ -2,22 +2,29 @@
 
 The target word vector is the sum of its subword (and position / word-token)
 rows, composed by `subtok.model._WordCSR.compose`, the one composition that
-export and the probes also use; this module does not compose, and the
-kernel sends its gradient back through the rows that compose gathered. The
-context side is the word-level context matrix. The SGNS gradient is written
-once, in the batched kernel `sgns_kernel`: the trainer runs it per
-minibatch, `sgns_step` runs it for one pair, and `grad_check` checks its
-updates against finite differences of `sgns_loss`. Every table update goes
-through the one flat-row scatter, `subtok.model.scatter_subtract`.
+export and the probes also use; this module does not compose. A kernel
+call takes its batch as distinct words and each center's index among
+them: it composes each distinct word once, and sends each center's
+gradient back through that center's rows in batch order, so the tables
+get the same subtractions in the same order as when every center was
+composed on its own. The context side is the word-level context matrix.
+The SGNS gradient is written once, in the batched kernel `sgns_kernel`:
+the trainer runs it per minibatch, `sgns_step` runs it for one pair, and
+`grad_check` checks its updates against finite differences of
+`sgns_loss`. Every table update goes through the one flat-row scatter,
+`subtok.model.scatter_subtract`.
 
 One loop, `Trainer`, trains one model or sibling models in lockstep
-(`train_lockstep`); `train` is its one-model call. Two execution
-contracts: deterministic and single-threaded, where each model trains bit
-for bit as it does alone; and, for one model with `TrainConfig.threads`
-above 1, lock-free across threads, where torn reads are tolerated and the
-result is not reproducible. A call trains every model or fails as a
-whole: the first SubtokError stops it, and a failed call of several
-models leaves their own tables as they were.
+(`train_lockstep`); `train` is its one-model call. Each epoch it plans
+every batch's distinct centers once, in one vectorised pass per model
+(`_plan_batches`), so a kernel call only slices and, in lockstep, joins
+the models' slices. Two execution contracts: deterministic and
+single-threaded, where each model trains bit for bit as it does alone;
+and, for one model with `TrainConfig.threads` above 1, lock-free across
+threads, where torn reads are tolerated and the result is not
+reproducible. A call trains every model or fails as a whole: the first
+SubtokError stops it, and a failed call of several models leaves their
+own tables as they were.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +57,15 @@ TRACE_EVERY = 10_000
 EMA_ALPHA = 0.99
 # The most rows a lockstep kernel call should take: models per call times
 # batch size. Lockstep pays only while numpy's per-call overhead outweighs
-# the per-row work. One epoch, d=100, five seeds against five solo runs:
-# batch 32 (G1) takes 0.86-0.91 of the time; batch 128 (G2) 0.97-1.12;
-# batch 512 (G3) 1.03-1.88, as the taller arrays leave the cache.
+# the per-row work. One epoch, d=100, five seeds against five solo runs
+# (ft, w2v; CPU time, median of 5): batch 32 (G1) takes 0.93 and 0.73 of
+# the time; batch 128 (G2) 0.96 and 0.86; batch 512 (G3) 1.63 and 0.93,
+# as the taller arrays leave the cache. G2's gain is small against
+# holding five seeds' pairs at once, so a call stays at G1's five seeds.
 LOCKSTEP_ROWS = 160
+# The most pairs `_plan_batches` plans in one pass: its scratch arrays take
+# about 50 bytes per pair, so an epoch's plan adds little to its pairs.
+PLAN_PAIRS = 1 << 16
 
 
 @dataclass
@@ -147,19 +159,22 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
-def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
-                ctx_ids: np.ndarray, valid: np.ndarray, lr,
+def sgns_kernel(params: ParamTables, csr: _WordCSR, words: np.ndarray,
+                back: np.ndarray, ctx_ids: np.ndarray, valid: np.ndarray, lr,
                 first_update: int = 0) -> np.ndarray:
-    """One SGD step of SGNS on a batch: center i (a row of `csr`) against
-    ctx_ids[i] = (positive id, negative ids...), where `valid` masks the
-    negatives that collided with the positive, at learning rate `lr`, one
-    for the batch or one per center. Each center's vector comes from
-    `csr.compose`; dot products are clamped to +-30 and a clamped score
-    passes no gradient. Raises SubtokError on a non-finite score before
-    any table changes, naming update `first_update` + its row; otherwise
-    updates the context rows and every constituent row, and returns the loss
-    per center, computed in the tables' float dtype."""
-    v, rows = csr.compose(params, centers)
+    """One SGD step of SGNS on a batch: center i, the word words[back[i]]
+    (a row of `csr`), against ctx_ids[i] = (positive id, negative ids...),
+    where `valid` masks the negatives that collided with the positive, at
+    learning rate `lr`, one for the batch or one per center. `csr.compose`
+    sums each of `words` once, meant to be the batch's distinct centers,
+    and each center takes its word's vector; dot products are clamped to
+    +-30 and a clamped score passes no gradient. Raises SubtokError on a
+    non-finite score before any table changes, naming update
+    `first_update` + its row; otherwise updates the context rows and, per
+    center in batch order, every constituent row, and returns the loss per
+    center, computed in the tables' float dtype."""
+    centers = words[back]
+    v = csr.compose(params, words)[0][back]
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
     if not np.isfinite(scores).all():
@@ -173,8 +188,9 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     g[:, 0] -= 1.0
     g[:, 1:] *= valid
     g *= live
-    loss = (-_log_sigmoid(scores[:, 0])
-            - (_log_sigmoid(-scores[:, 1:]) * valid).sum(axis=1))
+    # -log sigmoid(x) is log(1 + e^-x): _log_sigmoid negated, bit for bit
+    loss = (np.logaddexp(0.0, -scores[:, 0])
+            + (np.logaddexp(0.0, scores[:, 1:]) * valid).sum(axis=1))
 
     grad_v = np.einsum("bk,bkd->bd", g, crows)
     # (1, 1) or (batch, 1): each product rounds as with a scalar step
@@ -183,7 +199,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
     upd_c *= step[:, :, None]
     scatter_subtract(params.context, ctx_ids.reshape(-1),
                      upd_c.reshape(-1, v.shape[1]))
-    params.subtract_composed(grad_v, step, *rows)
+    params.subtract_composed(grad_v, step, *csr.gather(centers))
     return loss
 
 
@@ -200,9 +216,10 @@ def sgns_step(model: SubwordModel, center_word: str, context_word: str,
             f"both words must be in vocab: {center_word!r}, {context_word!r}")
     ctx = np.array([ctx_id])
     negs, valid = sampler.draw_matrix(rng, ctx, k)
+    one = np.zeros(1, dtype=np.int64)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
-                       np.zeros(1, dtype=np.int64),
-                       np.concatenate((ctx[:, None], negs), axis=1), valid, lr)
+                       one, one, np.concatenate((ctx[:, None], negs), axis=1),
+                       valid, lr)
     return float(loss[0])
 
 
@@ -305,24 +322,55 @@ class _Lane:
         return max(cfg.lr_floor, cfg.lr_start * (1.0 - processed / self.total))
 
 
-@dataclass(eq=False)
 class _Span:
-    """A lane's pairs of one epoch, or of a part of it, in batch order:
-    center rows, positive and negative context rows and the negatives'
+    """A lane's pairs of one epoch, or of a part of it (threads > 1), in
+    batch order: positive and negative context rows and the negatives'
     valid mask, and the lane's update count at the span's next pair. The
     positives and negatives are joined per batch: joining a whole epoch's
-    would hold the parts and the joined copy at once."""
+    would hold the parts and the joined copy at once.
 
-    lane: _Lane
-    centers: np.ndarray
-    ctxs: np.ndarray
-    negs: np.ndarray
-    valid: np.ndarray
-    processed: int
+    The span plans its batches of `size` pairs when it is made, and keeps
+    the centers only as the kernel takes them: `words` has each batch's
+    distinct centers in ascending order, batch j's at
+    words[bounds[j]:bounds[j + 1]], and back[i] is center i's index among
+    its batch's."""
 
-    def batch(self, b: int, size: int):
-        return (self.centers[b:b + size], self.ctxs[b:b + size],
-                self.negs[b:b + size], self.valid[b:b + size])
+    def __init__(self, lane: _Lane, processed: int, centers: np.ndarray,
+                 ctxs: np.ndarray, negs: np.ndarray, valid: np.ndarray,
+                 size: int):
+        self.lane, self.processed, self.size = lane, processed, size
+        self.ctxs, self.negs, self.valid = ctxs, negs, valid
+        self.words, self.back, self.bounds = _plan_batches(centers, size)
+        self.batches = len(self.bounds) - 1
+
+    def batch(self, j: int):
+        """Batch j: (words, back, positives, negatives, valid)."""
+        b = slice(j * self.size, (j + 1) * self.size)
+        return (self.words[self.bounds[j]:self.bounds[j + 1]], self.back[b],
+                self.ctxs[b], self.negs[b], self.valid[b])
+
+
+def _plan_batches(centers: np.ndarray, size: int):
+    """`_Span`'s (words, back, bounds) of `centers` in batches of `size`.
+    The key batch number * stride + center is one per (batch, center), so
+    `np.unique` of the keys gives each batch's distinct centers in order
+    and each center's index among all of them, and `searchsorted` finds
+    where each batch's keys start. One pass takes whole batches of at most
+    PLAN_PAIRS pairs, which bounds its scratch arrays."""
+    stride = int(centers.max(initial=0)) + 1
+    back = np.empty(centers.size, dtype=np.int64)
+    words, bounds = [np.empty(0, dtype=np.int64)], [0]
+    run = max(1, PLAN_PAIRS // size) * size
+    for lo in range(0, centers.size, run):
+        part = centers[lo:lo + run]
+        batch_no = np.arange(part.size) // size
+        keys, inverse = np.unique(batch_no * stride + part,
+                                  return_inverse=True)
+        starts = np.searchsorted(keys, np.arange(batch_no[-1] + 2) * stride)
+        back[lo:lo + part.size] = inverse - starts[batch_no]
+        words.append(keys % stride)
+        bounds += (starts[1:] + bounds[-1]).tolist()
+    return np.concatenate(words), back, bounds
 
 
 def _check_siblings(models, configs) -> None:
@@ -417,19 +465,22 @@ class Trainer:
     def _run_epoch(self, epoch: int) -> None:
         """Train every model on its pairs of `epoch`. The pairs are
         dropped on return, before the next epoch's are drawn."""
-        spans = [self._epoch_span(m, epoch) for m, lane
-                 in enumerate(self.lanes) if lane.total]
-        spans = [span for span in spans if span.centers.size]
-        if not spans:
+        B = self.config.batch_size
+        models = [m for m, lane in enumerate(self.lanes) if lane.total]
+        if self.config.threads > 1:  # one model (see _check_siblings)
+            if models:
+                self._run_threaded(self.lanes[0], self._lane_pairs(0, epoch))
             return
-        if self.config.threads <= 1:
+        # each model's centers go once its span is planned
+        spans = [_Span(self.lanes[m], self.lanes[m].processed,
+                       *self._lane_pairs(m, epoch), B) for m in models]
+        spans = [span for span in spans if span.batches]
+        if spans:
             self._run_span(spans)
-        else:
-            self._run_threaded(spans[0])
 
-    def _epoch_span(self, m: int, epoch: int) -> _Span:
-        """Model m's pairs of `epoch`, its ids shifted to its rows of the
-        stacked tables."""
+    def _lane_pairs(self, m: int, epoch: int):
+        """Model m's pairs of `epoch` as (centers, positives, negatives,
+        valid), its ids shifted to its rows of the stacked tables."""
         cfg, lane = self.config, self.lanes[m]
         seed = lane.config.seed
         centers, ctxs = _epoch_pairs(
@@ -442,47 +493,52 @@ class Trainer:
             centers += m * words
             ctxs += m * words
             negs += m * words
-        return _Span(lane, centers, ctxs, negs, valid, lane.processed)
+        return centers, ctxs, negs, valid
 
-    def _run_threaded(self, span: _Span) -> None:
-        n = span.centers.size
+    def _run_threaded(self, lane: _Lane, pairs) -> None:
+        """One span per thread, each a contiguous part of the epoch's pairs
+        that batches and plans from its own first pair."""
+        n, first = pairs[0].size, lane.processed
         t = self.config.threads
         bounds = np.linspace(0, n, t + 1).astype(np.int64)
         with ThreadPoolExecutor(max_workers=t) as pool:
             futures = [pool.submit(self._run_span, [_Span(
-                span.lane, span.centers[lo:hi], span.ctxs[lo:hi],
-                span.negs[lo:hi], span.valid[lo:hi], span.processed + lo)])
+                lane, first + lo, *(a[lo:hi] for a in pairs),
+                self.config.batch_size)])
                 for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
             for f in futures:
                 f.result()
-        span.lane.processed = span.processed + n
+        lane.processed = first + n
 
     def _run_span(self, spans: list[_Span]) -> None:
         """Run the spans batch by batch in lockstep, one kernel call on the
         batch of every span that still has one."""
-        B = self.config.batch_size
-        for b in range(0, max(s.centers.size for s in spans), B):
-            self._step([s for s in spans if b < s.centers.size], b)
+        for j in range(max(s.batches for s in spans)):
+            self._step([s for s in spans if j < s.batches], j)
         for s in spans:
             s.lane.processed = s.processed
 
-    def _step(self, spans: list[_Span], b: int) -> None:
-        """One kernel call on the batch at `b` of each span, each row at its
-        model's LR; an error names the update of the first span's model."""
-        B = self.config.batch_size
-        parts = [s.batch(b, B) for s in spans]
-        sizes = [p[0].size for p in parts]
+    def _step(self, spans: list[_Span], j: int) -> None:
+        """One kernel call on batch j of each span, each row at its model's
+        LR; an error names the update of the first span's model."""
+        words, back, ctxs, negs, valid = zip(*(s.batch(j) for s in spans))
+        sizes = [c.size for c in ctxs]
         lrs = [s.lane.lr(s.processed) for s in spans]
-        centers, ctxs, negs, valid = (np.concatenate(col)
-                                      for col in zip(*parts))
-        loss = sgns_kernel(self.params, self.csr, centers,
+        # each span's back indexes its own words, which follow the words
+        # of the spans before it
+        back = np.concatenate([c + first for c, first in zip(
+            back, accumulate((w.size for w in words), initial=0))])
+        words, ctxs, negs, valid = (np.concatenate(col)
+                                    for col in (words, ctxs, negs, valid))
+        loss = sgns_kernel(self.params, self.csr, words, back,
                            np.concatenate((ctxs[:, None], negs), axis=1),
                            valid, np.repeat(lrs, sizes), spans[0].processed)
         start = 0
         for span, size, lr in zip(spans, sizes, lrs):
             span.processed += size
+            # the bits of .mean(), without its Python-level overhead
             self._record(span.lane, span.processed, lr,
-                         float(loss[start:start + size].mean()))
+                         float(loss[start:start + size].sum() / size))
             start += size
 
     def _record(self, lane: _Lane, processed, lr, batch_loss):
@@ -562,9 +618,9 @@ def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
         idx = WordIndices(sub_ids=rows, pos_ids=rows,
                           word_token_id=n_sub if use_wt else -1, unknown=0)
         after = params.copy()
-        sgns_kernel(after, _WordCSR(["w"], [idx], use_pos),
-                    np.zeros(1, dtype=np.int64), np.arange(k + 1)[None],
-                    np.ones((1, k), dtype=bool), 1.0)
+        one = np.zeros(1, dtype=np.int64)
+        sgns_kernel(after, _WordCSR(["w"], [idx], use_pos), one, one,
+                    np.arange(k + 1)[None], np.ones((1, k), dtype=bool), 1.0)
 
         def loss():
             v = params.subword[:n_sub].sum(axis=0)

@@ -7,14 +7,25 @@ from collections import Counter
 
 import numpy as np
 
-from subtok.model import SubwordModel, WordIndices, _WordCSR
+from subtok.model import (
+    ParamTables,
+    SubwordModel,
+    WordIndices,
+    _WordCSR,
+    scatter_subtract,
+)
 from subtok.segment import (
     END_OF_WORD,
     NS_SUBWORD,
     NS_WORD_TOKEN,
     segment_word,
 )
-from subtok.train import NegativeSampler, sgns_kernel
+from subtok.train import (
+    SCORE_CLAMP,
+    NegativeSampler,
+    _log_sigmoid,
+    sgns_kernel,
+)
 
 
 def bpe_reference_learn(word_freqs: dict[str, int], num_merges: int):
@@ -198,11 +209,39 @@ def sgns_step_reference(model: SubwordModel, center_word: str,
     no place in the batch. Returns the pair loss."""
     ctx_id = model.vocab.word2id[context_word]
     negs = draw_avoiding(sampler, rng, k, ctx_id)
+    one = np.zeros(1, dtype=np.int64)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
-                       np.zeros(1, dtype=np.int64),
-                       np.concatenate(([ctx_id], negs))[None],
+                       one, one, np.concatenate(([ctx_id], negs))[None],
                        np.ones((1, negs.size), dtype=bool), lr)
     return float(loss[0])
+
+
+def sgns_kernel_reference(params: ParamTables, csr: _WordCSR,
+                          centers: np.ndarray, ctx_ids: np.ndarray,
+                          valid: np.ndarray, lr) -> np.ndarray:
+    """The SGNS kernel step with every center composed from its own rows,
+    a word that repeats in the batch once per repeat, as the kernel was
+    written before it composed each distinct word once. Returns the loss
+    per center; raises no error on a non-finite score."""
+    v, rows = csr.compose(params, centers)
+    crows = params.context[ctx_ids]
+    scores = np.einsum("bd,bkd->bk", v, crows)
+    live = np.abs(scores) < SCORE_CLAMP
+    scores = np.clip(scores, -SCORE_CLAMP, SCORE_CLAMP)
+    g = 1.0 / (1.0 + np.exp(-scores))
+    g[:, 0] -= 1.0
+    g[:, 1:] *= valid
+    g *= live
+    loss = (-_log_sigmoid(scores[:, 0])
+            - (_log_sigmoid(-scores[:, 1:]) * valid).sum(axis=1))
+    grad_v = np.einsum("bk,bkd->bd", g, crows)
+    step = np.asarray(lr, dtype=params.context.dtype).reshape(-1, 1)
+    upd_c = g[:, :, None] * v[:, None, :]
+    upd_c *= step[:, :, None]
+    scatter_subtract(params.context, ctx_ids.reshape(-1),
+                     upd_c.reshape(-1, v.shape[1]))
+    params.subtract_composed(grad_v, step, *rows)
+    return loss
 
 
 def morf_reference_best_split(word: str, counts: dict[str, int], f: int,

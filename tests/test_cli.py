@@ -1329,12 +1329,21 @@ class TestRefusedInputExit1:
         elif name == "vocab-tsv-empty-word":
             lines[0] = lines[0][lines[0].index("\t"):]
             message = f"line 1: empty word in {path}"
-        else:
-            assert name == "vocab-tsv-repeated-word"
+        elif name == "vocab-tsv-repeated-word":
             word = lines[0].split("\t")[0]
             lines[1] = word + lines[1][lines[1].index("\t"):]
             message = f"line 2: repeated word {word!r} in {path}"
+        else:
+            # `export` once wrote `re d` into a vectors file that
+            # `load_vectors` refuses
+            assert name.startswith("vocab-tsv-whitespace-word")
+            lines[0] = "re d" + lines[0][lines[0].index("\t"):]
+            message = f"line 1: word 're d' holds whitespace in {path}"
         path.write_text("".join(lines), encoding="utf-8")
+        if name.endswith("-probe"):
+            return ["probe", "--checkpoint", str(ckpt), "--task", "conll",
+                    "--data", str(_ner_file(tmp_path)), "--out",
+                    str(tmp_path / "metrics.tsv")], message
         return ["export", "--checkpoint", str(ckpt), "--out",
                 str(tmp_path / "vec.txt")], message
 
@@ -1342,7 +1351,8 @@ class TestRefusedInputExit1:
         "corpus-not-utf8", "min-count-no-type-reaches",
         "we-tokens-above-corpus", "ngram-range-without-subword",
         "vocab-tsv-empty", "vocab-tsv-empty-word",
-        "vocab-tsv-repeated-word"])
+        "vocab-tsv-repeated-word", "vocab-tsv-whitespace-word",
+        "vocab-tsv-whitespace-word-probe"])
     def test_exit_1_writing_nothing(self, corpus_file, tmp_path, capsys,
                                     name):
         argv, message = self.case(name, corpus_file, tmp_path)

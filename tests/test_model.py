@@ -12,6 +12,7 @@ from oracles import (
     resolve_reference,
     scatter_reference,
 )
+import subtok.segment
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
 from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
@@ -241,6 +242,27 @@ class TestBulkResolve:
         with pytest.raises(ValueError):
             small_model().indices_of([""])
 
+    @pytest.mark.parametrize("word_token", [False, True])
+    def test_each_vocab_word_segmented_once(self, monkeypatch, word_token):
+        """Building a charn model's subword vocab and resolving its vocab
+        words' rows, as the trainer does, and a sibling's, compute each
+        word's n-grams once."""
+        calls = []
+        real = subtok.segment.char_ngrams
+
+        def counted(word, *args):
+            calls.append(word)
+            return real(word, *args)
+
+        monkeypatch.setattr(subtok.segment, "char_ngrams", counted)
+        vocab = build_vocab(tokenize_corpus(
+            "cat hat bat mat\nrat cat hat\ncatalog\n"), 1)
+        m = SubwordModel.build(ModelConfig(segmenter="charn", dim=8,
+                                           word_token=word_token), vocab)
+        _WordCSR.of_model(m)
+        _WordCSR.of_model(m.with_seed(2))
+        assert sorted(calls) == sorted(vocab.words)
+
 
 class TestComposeOracle:
     @given(word_token=st.booleans(), position=st.booleans(),
@@ -267,7 +289,10 @@ class TestComposeOracle:
         indices = [m.indices_of([words[c]])[0] for c in centers]
         assert counts.tolist() == [i.sub_ids.size for i in indices]
         assert sub_ids.tolist() == [r for i in indices for r in i.sub_ids]
-        assert wt_ids.tolist() == [i.word_token_id for i in indices]
+        if word_token:
+            assert wt_ids.tolist() == [i.word_token_id for i in indices]
+        else:
+            assert wt_ids is None
         if position:
             assert pos_ids.tolist() == [r for i in indices
                                         for r in i.pos_ids]

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -44,6 +44,12 @@ def make_model(text, **cfg):
     corpus = tokenize_corpus(text)
     vocab = build_vocab(corpus, 1)
     return corpus, SubwordModel.build(ModelConfig(**defaults), vocab)
+
+
+def planned(centers):
+    """(words, back) of a batch of centers, as the kernel takes them: the
+    distinct centers, and each center's index among them."""
+    return np.unique(centers, return_inverse=True)
 
 
 class TestSgnsLoss:
@@ -215,8 +221,8 @@ class TestSgnsKernel:
         vecs = [m.word_vector(w).astype(np.float64) for w in ("aa", "bb")]
         ctx = m.params.context.astype(np.float64)
         before = m.params.copy()
-        loss = sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
-                           valid, 0.1)
+        loss = sgns_kernel(m.params, _WordCSR.of_model(m), *planned(centers),
+                           ctx_ids, valid, 0.1)
         # dd is only the masked negative of the first center
         assert np.array_equal(m.params.context[ids["dd"]],
                               before.context[ids["dd"]])
@@ -239,8 +245,8 @@ class TestSgnsKernel:
         ctx_ids = np.array([[ids["bb"], ids["cc"]],
                             [ids["dd"], ids["ee"]]])
         before = m.params.copy()
-        sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
-                    np.ones((2, 1), dtype=bool), 0.1)
+        sgns_kernel(m.params, _WordCSR.of_model(m), *planned(centers),
+                    ctx_ids, np.ones((2, 1), dtype=bool), 0.1)
         for w in ("bb", "ee"):
             assert np.array_equal(m.params.context[ids[w]],
                                   before.context[ids[w]])
@@ -268,14 +274,16 @@ class TestSgnsKernel:
         csr = _WordCSR.of_model(m)
         before = m.params.copy()
         reference = m.params.copy()
-        loss = sgns_kernel(m.params, csr, centers, ctx_ids, valid, 0.5)
+        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids, valid,
+                           0.5)
 
         def subtract_at_2d(table, rows, vals):
             np.subtract.at(table, rows, vals)
 
         monkeypatch.setattr(subtok.model, "scatter_subtract", subtract_at_2d)
         monkeypatch.setattr(train_module, "scatter_subtract", subtract_at_2d)
-        ref_loss = sgns_kernel(reference, csr, centers, ctx_ids, valid, 0.5)
+        ref_loss = sgns_kernel(reference, csr, *planned(centers), ctx_ids,
+                               valid, 0.5)
         assert loss.tobytes() == ref_loss.tobytes()
         for name in ("subword", "position", "context"):
             table = getattr(m.params, name)
@@ -340,7 +348,7 @@ class TestNoRowCenter:
         assert vecs[i].tobytes() == expected.tobytes()
 
         before = m.params.copy()
-        loss = sgns_kernel(m.params, csr, centers, ctx_ids,
+        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids,
                            np.ones((2, 1), dtype=bool), 0.1)
         assert loss[i] == pytest.approx(sgns_loss(
             expected.astype(np.float64), ctx_ids[i, 0], ctx_ids[i, 1:],
@@ -357,6 +365,184 @@ class TestNoRowCenter:
         if word_token:
             assert not np.array_equal(m.params.subword[ab.word_token_id],
                                       before.subword[ab.word_token_id])
+
+
+# `ab` has no subword rows under 5- and 6-grams (see TestNoRowCenter);
+# `cats` and `scats` share the row of `cats>`
+NO_ROW_TEXT = ("ab cats scats hats\nhats ab ab cats\ncats cats cats ab\n"
+               "scats hats ab cats\n") * 5
+
+
+class TestPlannedKernel:
+    """The kernel sums each of `words` once and gives every center its
+    word's sum; tables and loss equal those of the kernel that composes
+    every center on its own, bit for bit."""
+
+    @given(word_token=st.booleans(), position=st.booleans(),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           seed=st.integers(0, 2**16))
+    @example(word_token=True, position=True, picks=[1] * 32, seed=0)
+    @example(word_token=False, position=True, picks=[0] * 8, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_center_kernel(self, word_token, position, picks,
+                                      seed):
+        _, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
+                          ngram_max=6, word_token=word_token,
+                          position=position)
+        rng = np.random.default_rng(seed)
+        m.params.context[:] = rng.normal(
+            0, 0.5, m.params.context.shape).astype(np.float32)
+        n = len(picks)
+        centers = np.array(picks)
+        ctx_ids = rng.integers(0, len(m.vocab), size=(n, 3))
+        valid = rng.random((n, 2)) < 0.8
+        lr = rng.uniform(0.01, 0.5, size=n)
+        reference = m.params.copy()
+        csr = _WordCSR.of_model(m)
+        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids, valid,
+                           lr)
+        ref_loss = oracles.sgns_kernel_reference(reference, csr, centers,
+                                                 ctx_ids, valid, lr)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert _tables(m) == [getattr(reference, name).tobytes()
+                              for name in ("subword", "position", "context")]
+
+
+def _recorded_training(corpus, models, configs, kernel, plan_pairs):
+    """Train through `kernel`, called as `sgns_kernel` is, planning at most
+    `plan_pairs` pairs in one pass. Returns the TrainResults; each
+    `_epoch_pairs` call's centers, which the trainer shifts in place to
+    their stacked rows; (words, back, loss) per kernel call; and the words
+    each `_WordCSR.compose` call summed."""
+    pairs, calls, summed = [], [], []
+    real_pairs = train_module._epoch_pairs
+    real_compose = subtok.model._WordCSR.compose
+
+    def recorded_pairs(*args):
+        out = real_pairs(*args)
+        pairs.append(out[0])
+        return out
+
+    def recorded_kernel(params, csr, words, back, *args):
+        loss = kernel(params, csr, words, back, *args)
+        calls.append((words.copy(), back.copy(), loss))
+        return loss
+
+    def recorded_compose(self, params, words):
+        summed.append(words.copy())
+        return real_compose(self, params, words)
+
+    with mock.patch.object(train_module, "_epoch_pairs", recorded_pairs), \
+            mock.patch.object(train_module, "sgns_kernel", recorded_kernel), \
+            mock.patch.object(subtok.model._WordCSR, "compose",
+                              recorded_compose), \
+            mock.patch.object(train_module, "TRACE_EVERY", 40), \
+            mock.patch.object(train_module, "PLAN_PAIRS", plan_pairs):
+        results = train_lockstep(corpus, models, configs)
+    return results, pairs, calls, summed
+
+
+def _per_center_kernel(params, csr, words, back, ctx_ids, valid, lr,
+                       first_update=0):
+    return oracles.sgns_kernel_reference(params, csr, words[back], ctx_ids,
+                                         valid, lr)
+
+
+def _check_planned_training(corpus, base, configs, plan_pairs=1 << 16):
+    """Train siblings of `base` under `configs` in one lockstep call and
+    check the plan: call j of an epoch gets batch j of every model that
+    still has one, model after model, as words[back], and sums exactly
+    its distinct centers; and every table and loss equals training with
+    each center composed on its own. Returns each model's pair counts per
+    epoch."""
+    B = configs[0].batch_size
+    models = [base.with_seed(c.seed) for c in configs]
+    results, pairs, calls, summed = _recorded_training(
+        corpus, models, configs, sgns_kernel, plan_pairs)
+    expected = []
+    for e in range(configs[0].epochs):
+        lanes = pairs[e * len(models):(e + 1) * len(models)]
+        for b in range(0, max(p.size for p in lanes), B):
+            expected.append(np.concatenate([p[b:b + B] for p in lanes
+                                            if b < p.size]))
+    assert len(calls) == len(expected) == len(summed)
+    for (words, back, _), centers, sums in zip(calls, expected, summed):
+        assert np.array_equal(words[back], centers)
+        assert np.array_equal(words, np.unique(centers))
+        assert np.array_equal(sums, words)
+
+    ref_models = [base.with_seed(c.seed) for c in configs]
+    ref_results, _, ref_calls, _ = _recorded_training(
+        corpus, ref_models, configs, _per_center_kernel, plan_pairs)
+    for (_, _, loss), (_, _, ref_loss) in zip(calls, ref_calls):
+        assert loss.tobytes() == ref_loss.tobytes()
+    for model, ref, result, ref_result in zip(models, ref_models, results,
+                                              ref_results):
+        assert _tables(model) == _tables(ref)
+        assert result.loss_trace == ref_result.loss_trace
+    return [[p.size for p in pairs[m::len(models)]]
+            for m in range(len(models))]
+
+
+class TestPlannedTraining:
+    """The trainer plans each epoch's calls once; the plan gives every
+    call its batches' centers and their distinct words."""
+
+    @given(segmenter=st.sampled_from(["word", "charn", "bpe"]),
+           word_token=st.booleans(), position=st.booleans(),
+           seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
+                          unique=True),
+           batch_size=st.sampled_from([1, 3, 7, 32]),
+           epochs=st.integers(1, 2),
+           subsample_t=st.sampled_from([0.0, 0.05]),
+           plan_pairs=st.sampled_from([1, 20, 1 << 16]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_center_training(self, segmenter, word_token,
+                                        position, seeds, batch_size, epochs,
+                                        subsample_t, plan_pairs):
+        """`plan_pairs` 1 plans each batch in a pass of its own, 20 a few
+        batches per pass."""
+        corpus, base = make_model(NO_ROW_TEXT, segmenter=segmenter,
+                                  num_merges=10, ngram_min=5, ngram_max=6,
+                                  word_token=word_token, position=position)
+        _check_planned_training(corpus, base, [
+            TrainConfig(window=2, negatives=2, epochs=epochs,
+                        batch_size=batch_size, min_count=1,
+                        subsample_t=subsample_t, seed=seed)
+            for seed in seeds], plan_pairs)
+
+    def test_repeats_partial_batches_and_lanes_that_end_apart(self):
+        """Batches of a few words repeated, the no-row word among them, a
+        partial last batch, and lockstep models whose pairs end at
+        different calls."""
+        corpus, base = make_model(NO_ROW_TEXT, segmenter="charn",
+                                  ngram_min=5, ngram_max=6, word_token=True,
+                                  position=True)
+        configs = [TrainConfig(window=3, negatives=2, epochs=2, batch_size=8,
+                               min_count=1, subsample_t=0.05, seed=seed)
+                   for seed in (1, 2, 3)]
+        counts = _check_planned_training(corpus, base, configs)
+        assert any(n % 8 for lane in counts for n in lane)
+        calls = [[-(-n // 8) for n in lane] for lane in counts]
+        assert any(len(set(epoch)) > 1 for epoch in zip(*calls))
+
+    def test_threaded_calls_sum_their_distinct_centers(self):
+        corpus, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
+                               ngram_max=6, word_token=True)
+        config = TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
+                             min_count=1, subsample_t=0, threads=2)
+        _, pairs, calls, summed = _recorded_training(
+            corpus, [m], [config], sgns_kernel, 20)
+        assert m.params.all_finite()
+        for words, back, _ in calls:
+            assert back.size <= 8
+            assert np.array_equal(words, np.unique(words[back]))
+        # the threads' calls interleave
+        assert sorted(map(tuple, summed)) == sorted(tuple(w) for w, _, _
+                                                    in calls)
+        assert np.array_equal(
+            np.sort(np.concatenate([w[b] for w, b, _ in calls])),
+            np.sort(np.concatenate(pairs)))
 
 
 class TestEpochPairs:

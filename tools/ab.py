@@ -24,7 +24,10 @@ quartiles of the repetition's time inside subtok calls (raw seconds, not
 rescaled to a reference CPU speed), the median CPU seconds of a repetition
 (user plus system time of the child and of the worker processes it
 reaped, as `RUSAGE_SELF` and `RUSAGE_CHILDREN` deltas), the median of the
-per-round ratio tree/REV, how many rounds each side won, the peak RSS of
+per-round ratio tree/REV, how many rounds each side won, the median of the
+per-round CPU ratio tree/REV and how many rounds each side used less CPU
+(on a busy VM the CPU seconds separate the sides more cleanly than the
+times, which also count waiting for a core), the peak RSS of
 the child and of its reaped worker processes, each distinct line the side
 wrote to stderr once with its count, failed checks, and whether
 every repetition's `exact` record is equal across the two sides. A last
@@ -193,6 +196,11 @@ def compare(rev_name: str, rev_root: Path, workload: str, seed: int,
     wins = sum(t["wall_s"] < r["wall_s"] for r, t in zip(rev.reps, tree.reps))
     print(f"ratio tree/{rev_name}: median {statistics.median(ratios):.3f}; "
           f"tree faster in {wins} of {len(ratios)} rounds")
+    cpu_ratios = [t["cpu_s"] / r["cpu_s"] for r, t in zip(rev.reps, tree.reps)]
+    print(f"CPU ratio tree/{rev_name}: median "
+          f"{statistics.median(cpu_ratios):.3f}; less CPU: tree in "
+          f"{sum(x < 1 for x in cpu_ratios)}, {rev_name} in "
+          f"{sum(x > 1 for x in cpu_ratios)} of {len(cpu_ratios)} rounds")
     differ = sorted({k for r, t in zip(rev.reps, tree.reps)
                      for k in set(r["exact"]) | set(t["exact"])
                      if r["exact"].get(k) != t["exact"].get(k)})
