@@ -43,7 +43,9 @@ from subtok.model import (
     build_segmenter,
     export_vectors,
     load_checkpoint,
+    load_segmenter,
     save_checkpoint,
+    segmentation_key,
 )
 from subtok.probe import (
     TAGGER_WINDOW,
@@ -73,19 +75,25 @@ CONFIG_FLAGS = {"w+": ("word_token", True), "w-": ("word_token", False),
 
 
 class ArtifactGuard:
-    """Tracks artifacts written by a command so they can be removed if the
-    command fails part-way."""
+    """Tracks the paths a command writes so that, if it fails part-way, what
+    it created is removed: each registered path that did not exist, and the
+    new entries of each that was a directory. What existed is kept."""
 
     def __init__(self):
-        self.paths: list[Path] = []
+        self.new: list[Path] = []
+        self.held: dict[Path, set[Path]] = {}  # directory -> its entries
 
     def register(self, path) -> Path:
         p = Path(path)
-        self.paths.append(p)
+        if p.is_dir():
+            self.held[p] = set(p.iterdir())
+        elif not p.exists():
+            self.new.append(p)
         return p
 
     def cleanup(self):
-        for p in self.paths:
+        for p in self.new + [q for d, held in self.held.items()
+                             for q in d.iterdir() if q not in held]:
             if p.is_dir():
                 shutil.rmtree(p, ignore_errors=True)
             elif p.exists():
@@ -232,18 +240,14 @@ def cmd_segment_learn(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def _load_segmenter(args):
-    if args.seg in SEGMENTER_FILES:
-        if not args.model:
-            raise SubtokError(f"--model is required for --seg {args.seg}")
-        return load_file(SEGMENTER_FILES[args.seg][1], args.model)
-    cfg = ModelConfig(segmenter=args.seg, ngram_min=args.ngram_min,
-                      ngram_max=args.ngram_max)
-    return build_segmenter(cfg, vocab=None)
-
-
 def cmd_segment_apply(args, guard: ArtifactGuard) -> int:
-    segmenter = _load_segmenter(args)
+    learned = args.seg in SEGMENTER_FILES
+    if learned and not args.model:
+        raise SubtokError(f"--model is required for --seg {args.seg}")
+    ngrams = {} if learned else dict(ngram_min=args.ngram_min,
+                                     ngram_max=args.ngram_max)
+    segmenter = load_segmenter(ModelConfig(segmenter=args.seg, **ngrams),
+                               args.model)
     words = args.words or [w for line in sys.stdin for w in line.split()]
     if not all(words):
         raise SubtokError("cannot segment an empty word")
@@ -296,10 +300,8 @@ def _train_items(data, n: int | None) -> list[int]:
 
 def load_task_data(task: str, data_path, seed: int):
     """The mentions or CoNLL dataset in `data_path`, split by `seed`."""
-    loaders = {"mentions": load_mentions, "conll": load_conll}
-    if task not in loaders:
-        raise SubtokError(f"unknown task {task!r}")
-    return load_file(loaders[task], data_path, seed=seed)
+    load = {"mentions": load_mentions, "conll": load_conll}[task]
+    return load_file(load, data_path, seed=seed)
 
 
 def run_probe(model, data, task_instances: list,
@@ -332,6 +334,8 @@ def _short_split(data, task_n) -> int | None:
 
 
 def cmd_probe(args, guard: ArtifactGuard) -> int:
+    if args.probe_window < 0:
+        raise SubtokError("--probe-window must be >= 0")
     model = load_checkpoint(args.checkpoint)
     data = load_task_data(args.task, args.data, args.seed)
     n_train = _short_split(data, args.task_instances)
@@ -402,12 +406,12 @@ def _refuse_repeats(flag: str, values: list, keys: list) -> None:
 
 def cmd_simulate(args, guard: ArtifactGuard) -> int:
     """Run the grid. Each WE point's cells still missing from the table are
-    grouped into jobs, one per segmentation (`_seg_key`): a job builds it,
-    trains each of its configs' seeds in one lockstep call, and probes each
-    model once for all of its missing task points. Jobs run largest WE
-    point first, then by config. Rows are written WE point by WE point in
-    that order, each WE point's rows in grid order (task, then config, then
-    seed), and flushed once per WE point."""
+    grouped into jobs, one per segmentation (`segmentation_key`): a job
+    builds it, trains each of its configs' seeds in one lockstep call, and
+    probes each model once for all of its missing task points. Jobs run
+    largest WE point first, then by config. Rows are written WE point by WE
+    point in that order, each WE point's rows in grid order (task, then
+    config, then seed), and flushed once per WE point."""
     we_points = _int_list(args.we_tokens, "--we-tokens", 1)
     task_points = _int_list(args.task_instances, "--task-instances", 1)
     configs = args.configs.split(",")
@@ -438,7 +442,7 @@ def cmd_simulate(args, guard: ArtifactGuard) -> int:
                     if (str(we_n), str(task_n), labels[ci], str(seed))
                     not in done]
             if todo:
-                by_seg.setdefault(_seg_key(we_n, cfgs[ci]), []).append(
+                by_seg.setdefault(segmentation_key(cfgs[ci]), []).append(
                     (configs[ci], seed, todo))
         jobs += [(we_n, cells) for cells in by_seg.values()]
     cpus = len(os.sched_getaffinity(0))
@@ -509,12 +513,6 @@ def _cell_configs(args, label, we_n, seed):
     group = data_group_for(we_n)
     return cfg, group, train_config(args, group, seed,
                                     epochs=args.train_epochs)
-
-
-def _seg_key(we_n: int, cfg: ModelConfig) -> tuple:
-    """The WE point and the fields that build_segmentation reads."""
-    return (we_n, cfg.segmenter, cfg.num_merges, cfg.ngram_min,
-            cfg.ngram_max, cfg.word_token)
 
 
 def _shared_work(corpus, we_points) -> dict:

@@ -1,7 +1,7 @@
 """Parameter tables and the additive composition that turns a word's subword
-sequence into its vector, plus export and checkpoint formats. The
-composition is written once, in `_WordCSR.compose`: training, `compose`,
-`word_vector`, `vectors`, export and the probes all call it."""
+sequence into its vector, plus export and checkpoint formats. `_WordCSR`
+writes the composition once: `compose` for training, `vectors`, export and
+the probes, and its backward pass `subtract` for training."""
 
 from __future__ import annotations
 
@@ -113,22 +113,6 @@ class ParamTables:
                 and np.isfinite(self.position).all()
                 and np.isfinite(self.context).all())
 
-    def subtract_composed(self, grad, step, counts, sub_ids, pos_ids,
-                          wt_ids) -> None:
-        """SGD step through additive composition: word i's gradient row
-        grad[i] goes unchanged into each of its counts[i] rows of `sub_ids`,
-        into the aligned `pos_ids` rows unless pos_ids is None (p-), and
-        into its word-token row unless wt_ids is None or wt_ids[i] is -1.
-        `step` is one learning rate or a column of one per word."""
-        upd = step * grad
-        per_row = np.repeat(upd, counts, axis=0)
-        scatter_subtract(self.subword, sub_ids, per_row)
-        if pos_ids is not None:
-            scatter_subtract(self.position, pos_ids, per_row)
-        if wt_ids is not None:
-            has_wt = wt_ids >= 0
-            scatter_subtract(self.subword, wt_ids[has_wt], upd[has_wt])
-
 
 # float dtype -> the complex dtype that holds two of its values
 _PAIR_DTYPES = {np.dtype(np.float32): np.dtype(np.complex64),
@@ -197,11 +181,25 @@ def build_segmenter(config: ModelConfig, vocab: Vocab | None,
 
 def build_segmentation(config: ModelConfig, vocab: Vocab):
     """(segmenter, subword vocab) of `config` over `vocab`. They depend only
-    on the segmenter fields and `word_token`, not on the seed or the
-    tables, so models that differ in nothing else can share them."""
+    on the fields of `segmentation_key`, so models whose configs have one
+    key can share them."""
     segmenter = build_segmenter(config, vocab)
     return segmenter, build_subword_vocab(vocab, segmenter,
                                           config.word_token)
+
+
+def segmentation_key(config: ModelConfig) -> tuple:
+    """The fields of `config` that `build_segmentation` reads."""
+    return (config.segmenter, config.num_merges, config.ngram_min,
+            config.ngram_max, config.word_token)
+
+
+def load_segmenter(config: ModelConfig, path):
+    """`config`'s segmenter: a learned kind read from `path`, any other kind
+    built with no vocab, so that it keeps no word's n-grams."""
+    if config.segmenter in SEGMENTER_FILES:
+        return load_file(SEGMENTER_FILES[config.segmenter][1], path)
+    return build_segmenter(config, None)
 
 
 @dataclass(frozen=True)
@@ -259,9 +257,9 @@ class _WordCSR:
 
     def gather(self, words: np.ndarray):
         """The table rows of `words` (row numbers of this layout), word by
-        word in the order given: (counts, sub_ids, pos_ids, wt_ids), the
-        layout that `ParamTables.subtract_composed` takes, pos_ids None
-        under p- and wt_ids None when no word has a word-token row."""
+        word in the order given: (counts, sub_ids, pos_ids, wt_ids), with
+        pos_ids None under p- and wt_ids None when no word has a word-token
+        row."""
         counts = self.lens[words]
         heads = np.cumsum(counts) - counts
         gather = (np.arange(counts.sum())
@@ -270,12 +268,12 @@ class _WordCSR:
         wt_ids = self.wt_ids[words] if self.word_token else None
         return counts, self.flat_sub[gather], pos_ids, wt_ids
 
-    def compose(self, params: ParamTables, words: np.ndarray):
-        """(vectors, rows) of `words` (row numbers of this layout): vector
-        i is the sum of word i's subword rows, plus the sum of its position
-        rows under p+, plus its word-token row under w+; a word with no
-        rows composes to zero. `rows` is `gather(words)`."""
-        rows = counts, sub_ids, pos_ids, wt_ids = self.gather(words)
+    def compose(self, params: ParamTables, words: np.ndarray) -> np.ndarray:
+        """The vectors of `words` (row numbers of this layout): vector i is
+        the sum of word i's subword rows, plus the sum of its position rows
+        under p+, plus its word-token row under w+; a word with no rows
+        composes to zero."""
+        counts, sub_ids, pos_ids, wt_ids = self.gather(words)
         # reduceat would give an empty word the next word's first row
         filled = counts > 0
         heads = (np.cumsum(counts) - counts)[filled]
@@ -288,7 +286,21 @@ class _WordCSR:
         if wt_ids is not None:
             has_wt = wt_ids >= 0
             vecs[has_wt] += params.subword[wt_ids[has_wt]]
-        return vecs, rows
+        return vecs
+
+    def subtract(self, params: ParamTables, words: np.ndarray, grad, step):
+        """The SGD step back through `compose`: each row that word i composes
+        from, word by word in `words` order, loses step * grad[i]. `step` is
+        one learning rate or a column of one per word."""
+        counts, sub_ids, pos_ids, wt_ids = self.gather(words)
+        upd = step * grad
+        per_row = np.repeat(upd, counts, axis=0)
+        scatter_subtract(params.subword, sub_ids, per_row)
+        if pos_ids is not None:
+            scatter_subtract(params.position, pos_ids, per_row)
+        if wt_ids is not None:
+            has_wt = wt_ids >= 0
+            scatter_subtract(params.subword, wt_ids[has_wt], upd[has_wt])
 
 
 class SubwordModel:
@@ -369,16 +381,13 @@ class SubwordModel:
         """Composed vectors of `words`, one row each, in one batched call. A
         vector that is not finite raises SubtokError naming its word."""
         csr = _WordCSR.of_model(self, words)
-        vecs = csr.compose(self.params, np.arange(len(words)))[0]
+        # an overflowing sum is reported below, naming its word
+        with np.errstate(over="ignore", invalid="ignore"):
+            vecs = csr.compose(self.params, np.arange(len(words)))
         bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
         if bad.size:
             raise SubtokError(f"the vector of {words[bad[0]]!r} is not finite")
         return vecs
-
-    def compose(self, idx: WordIndices) -> np.ndarray:
-        """The composed vector of one word's resolved rows."""
-        csr = _WordCSR([None], [idx], self.config.position)
-        return csr.compose(self.params, np.zeros(1, dtype=np.int64))[0][0]
 
     def word_vector(self, word: str) -> np.ndarray:
         return self.vectors([word])[0]
@@ -396,9 +405,11 @@ def export_vectors(model: SubwordModel, path: str | Path) -> None:
     d = model.config.dim
     # one %-format per row over Python floats, each exactly its float32
     row_format = "%s " + " ".join(["%.6f"] * d) + "\n"
+    # composed first: a failed composition leaves the file as it was
+    vecs = model.vectors(vocab.words)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(vocab)} {d}\n")
-        for w, vec in zip(vocab.words, model.vectors(vocab.words)):
+        for w, vec in zip(vocab.words, vecs):
             fh.write(row_format % (w, *vec.tolist()))
 
 
@@ -515,12 +526,8 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     config = load_file(_read_config, ckpt / "config.txt")
     vocab = load_file(Vocab.load_tsv, ckpt / "vocab.tsv")
     svocab = load_file(SubwordVocab.load_tsv, ckpt / "subwords.tsv")
-    if config.segmenter in SEGMENTER_FILES:
-        name, load = SEGMENTER_FILES[config.segmenter]
-        segmenter = load_file(load, ckpt / name)
-    else:  # a loaded subword vocab is not built again, so no vocab word's
-        # n-grams are read twice: the segmenter need keep none
-        segmenter = build_segmenter(config, None)
+    learned = SEGMENTER_FILES.get(config.segmenter)
+    segmenter = load_segmenter(config, learned and ckpt / learned[0])
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))

@@ -235,8 +235,6 @@ def apply_bpe(model: BpeModel, word: str) -> tuple[str, ...]:
     Implemented by repeatedly merging the lowest-ranked pair present; merges
     can only create pairs of later rank, so this equals an in-order replay.
     """
-    if not word:
-        raise ValueError("word must be non-empty")
     syms = list(_word_symbols(word))
     ranks = model._ranks
     while len(syms) > 1:
@@ -264,8 +262,6 @@ def char_ngrams(word: str, n_min: int = 3, n_max: int = 6) -> tuple[str, ...]:
     Duplicates are kept."""
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    if not word:
-        raise ValueError("word must be non-empty")
     wrapped = f"<{word}>"
     L = len(wrapped)
     out = []
@@ -306,8 +302,6 @@ class WholeWordSegmenter:
     reduces the trainer to plain word-level skip-gram."""
 
     def segment(self, word: str) -> tuple[str, ...]:
-        if not word:
-            raise ValueError("word must be non-empty")
         return (word,)
 
 
@@ -408,14 +402,16 @@ def _total_cost_from_counts(counts: dict[str, int]) -> float:
     return cost
 
 
-def _analyses_cost(analyses: dict[str, tuple[str, ...]],
-                   freqs: dict[str, int]) -> float:
+def _morph_counts(analyses: dict[str, tuple[str, ...]],
+                  freqs: dict[str, int]) -> Counter:
+    """Each morph's token count: the frequency of every word whose analysis
+    holds it, once per occurrence."""
     counts: Counter = Counter()
     for w, morphs in analyses.items():
         f = freqs[w]
         for m in morphs:
             counts[m] += f
-    return _total_cost_from_counts(counts)
+    return counts
 
 
 def _holds_known_morph(word: str, counts: dict[str, int]) -> bool:
@@ -439,21 +435,18 @@ def _best_split(word: str, counts: dict[str, int], f: int,
     strict minimum wins); both halves are shorter, so they are already in
     the memo.
 
-    A substring is plain when none of its substrings has a count. Two plain
-    halves cost novel twice plus the substring's letters, with novel >= 0.
-    That is no less than the substring's own cost, novel + length without a
-    count and at most novel with one, so such a split never wins the
+    A word with no known morph in it is returned whole at once, as the
+    search would return it: each of its substrings is novel and, by
+    induction on length, keeps its own cost, since two halves that keep
+    theirs cost novel twice plus the substring's letters, with novel >= 0,
+    no less than the substring's own novel plus letters. No split wins the
     strict < (when denom is 1, novel is -0.0 and the split ties, which also
-    loses). Only split points with a half that is not plain are tried, and
-    a word with no known morph in it is returned whole at once. A substring
-    is plain when it has no count and its two substrings one letter shorter
-    are plain."""
+    loses)."""
     novel = f * -math.log(1 / denom)
     n = len(word)
     if not _holds_known_morph(word, counts):
         return novel + n, (word,)
-    # substring -> (cost, segmentation, plain)
-    memo: dict[str, tuple[float, tuple[str, ...], bool]] = {}
+    memo: dict[str, tuple[float, tuple[str, ...]]] = {}
     for length in range(1, n + 1):
         for start in range(n - length + 1):
             sub = word[start:start + length]
@@ -462,21 +455,17 @@ def _best_split(word: str, counts: dict[str, int], f: int,
             c = counts.get(sub, 0)
             if c:
                 best_cost = f * -math.log((c + 1) / denom)
-                plain = False
             else:
                 best_cost = novel + length  # lexicon growth penalty
-                plain = length == 1 or (memo[sub[:-1]][2]
-                                        and memo[sub[1:]][2])
             best_seg = (sub,)
-            if not plain:
-                for i in range(1, length):
-                    lc, lseg, lplain = memo[sub[:i]]
-                    rc, rseg, rplain = memo[sub[i:]]
-                    if not (lplain and rplain) and lc + rc < best_cost:
-                        best_cost = lc + rc
-                        best_seg = lseg + rseg
-            memo[sub] = (best_cost, best_seg, plain)
-    return memo[word][:2]
+            for i in range(1, length):
+                lc, lseg = memo[sub[:i]]
+                rc, rseg = memo[sub[i:]]
+                if lc + rc < best_cost:
+                    best_cost = lc + rc
+                    best_seg = lseg + rseg
+            memo[sub] = (best_cost, best_seg)
+    return memo[word]
 
 
 def learn_morfessor_lite(vocab: Vocab,
@@ -493,7 +482,7 @@ def learn_morfessor_lite(vocab: Vocab,
     counts: Counter = Counter({w: freqs[w] for w in vocab.words})
     total = sum(counts.values())  # morph tokens, kept exact as counts change
 
-    cost_history = [_analyses_cost(analyses, freqs)]
+    cost_history = [_total_cost_from_counts(_morph_counts(analyses, freqs))]
 
     for _ in range(max_iters):
         prev_analyses = dict(analyses)
@@ -513,7 +502,7 @@ def learn_morfessor_lite(vocab: Vocab,
                 counts[m] += f
             total += f * len(seg)
 
-        cost = _analyses_cost(analyses, freqs)
+        cost = _total_cost_from_counts(_morph_counts(analyses, freqs))
         if cost < cost_history[-1] - 1e-6:
             cost_history.append(cost)
         else:
@@ -523,11 +512,7 @@ def learn_morfessor_lite(vocab: Vocab,
                 cost_history.append(cost)
             break
 
-    final_counts: Counter = Counter()
-    for w, morphs in analyses.items():
-        for m in morphs:
-            final_counts[m] += freqs[w]
-    return MorfModel(morph_lexicon=dict(final_counts),
+    return MorfModel(morph_lexicon=dict(_morph_counts(analyses, freqs)),
                      corpus_cost=cost_history[-1],
                      cost_history=cost_history, analyses=analyses)
 
@@ -540,8 +525,6 @@ def _viterbi_segment(word: str, lexicon: dict[str, int], denom: int,
     morphs are preferred, and the first strictly cheapest start wins. No
     span longer than the `longest` morph is known, so such spans are scored
     in one numpy expression, without slicing or lookup."""
-    if not word:
-        raise ValueError("word must be non-empty")
     unk_char_cost = -math.log(1.0 / denom) + 1.0
 
     def morph_cost(m):

@@ -1,13 +1,13 @@
 """Skip-gram with negative sampling over subword-composed target vectors.
 
 The target word vector is the sum of its subword (and position / word-token)
-rows, composed by `subtok.model._WordCSR.compose`, the one composition that
-export and the probes also use; this module does not compose. A kernel
+rows. `subtok.model._WordCSR` owns that composition: `compose`, which
+export and the probes also use, and its backward pass `subtract`. A kernel
 call takes its batch as distinct words and each center's index among
-them: it composes each distinct word once, and sends each center's
-gradient back through that center's rows in batch order, so the tables
-get the same subtractions in the same order as when every center was
-composed on its own. The context side is the word-level context matrix.
+them: it composes each distinct word once, and `subtract` sends each
+center's gradient back through that center's rows in batch order, so the
+tables get the same subtractions in the same order as when every center
+was composed on its own. The context side is the word-level context matrix.
 The SGNS gradient is written once, in the batched kernel `sgns_kernel`:
 the trainer runs it per minibatch, `sgns_step` runs it for one pair, and
 `grad_check` checks its updates against finite differences of
@@ -174,7 +174,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, words: np.ndarray,
     center in batch order, every constituent row, and returns the loss per
     center, computed in the tables' float dtype."""
     centers = words[back]
-    v = csr.compose(params, words)[0][back]
+    v = csr.compose(params, words)[back]
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
     if not np.isfinite(scores).all():
@@ -199,7 +199,7 @@ def sgns_kernel(params: ParamTables, csr: _WordCSR, words: np.ndarray,
     upd_c *= step[:, :, None]
     scatter_subtract(params.context, ctx_ids.reshape(-1),
                      upd_c.reshape(-1, v.shape[1]))
-    params.subtract_composed(grad_v, step, *csr.gather(centers))
+    csr.subtract(params, centers, grad_v, step)
     return loss
 
 

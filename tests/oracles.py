@@ -223,7 +223,7 @@ def sgns_kernel_reference(params: ParamTables, csr: _WordCSR,
     a word that repeats in the batch once per repeat, as the kernel was
     written before it composed each distinct word once. Returns the loss
     per center; raises no error on a non-finite score."""
-    v, rows = csr.compose(params, centers)
+    v = csr.compose(params, centers)
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
     live = np.abs(scores) < SCORE_CLAMP
@@ -240,7 +240,7 @@ def sgns_kernel_reference(params: ParamTables, csr: _WordCSR,
     upd_c *= step[:, :, None]
     scatter_subtract(params.context, ctx_ids.reshape(-1),
                      upd_c.reshape(-1, v.shape[1]))
-    params.subtract_composed(grad_v, step, *rows)
+    csr.subtract(params, centers, grad_v, step)
     return loss
 
 

@@ -1262,6 +1262,25 @@ class TestArtifactGuard:
         guard.register(tmp_path / "never-created")
         guard.cleanup()
 
+    def test_cleanup_keeps_what_existed(self, tmp_path):
+        old_dir, old_file = tmp_path / "old", tmp_path / "old.txt"
+        old_dir.mkdir()
+        (old_dir / "a").write_text("kept", encoding="utf-8")
+        old_file.write_text("kept", encoding="utf-8")
+        guard = ArtifactGuard()
+        for p in (old_dir, old_file, tmp_path / "new"):
+            guard.register(p)
+        (old_dir / "b").mkdir()
+        (old_dir / "b" / "c").write_text("partial", encoding="utf-8")
+        (old_dir / "d").write_text("partial", encoding="utf-8")
+        old_file.write_text("overwritten", encoding="utf-8")
+        (tmp_path / "new").write_text("partial", encoding="utf-8")
+        guard.cleanup()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old",
+                                                              "old.txt"]
+        assert [p.name for p in old_dir.iterdir()] == ["a"]
+        assert old_file.read_text("utf-8") == "overwritten"
+
 
 def _train_checkpoint(corpus_file, ckpt):
     assert main(["train", "--corpus", str(corpus_file), "--seg", "charn",
@@ -1374,6 +1393,24 @@ class TestBadNumbersExit1:
         err = capsys.readouterr().err
         assert "window must be >= 0" in err and "internal error" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["mentions", "conll"])
+    def test_negative_probe_window_before_the_task_file(
+            self, corpus_file, mentions_file, tmp_path, capsys, task):
+        """The mentions probe reads no window, and a task file that cannot
+        be read is not reached: the flag is refused first, for each task."""
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        for data in ((mentions_file if task == "mentions"
+                      else _ner_file(tmp_path)), tmp_path / "missing.tsv"):
+            before = _tree(tmp_path)
+            capsys.readouterr()
+            rc = main(["probe", "--checkpoint", str(ckpt), "--task", task,
+                       "--data", str(data), "--probe-window", "-3", "--out",
+                       str(tmp_path / "metrics.tsv")])
+            assert rc == 1
+            assert capsys.readouterr() == (
+                "", "subtok: --probe-window must be >= 0\n")
+            assert _tree(tmp_path) == before
 
     def test_negative_probe_seed(self, corpus_file, mentions_file, tmp_path,
                                  capsys):
@@ -1506,17 +1543,24 @@ class TestBadSettingsExit1:
         assert _tree(tmp_path) == before
 
 
+def _non_finite_checkpoint(corpus_file, ckpt):
+    """A trained checkpoint at `ckpt` whose subword rows are +-3e38, so
+    that every composed vector overflows float32; returns its model."""
+    _train_checkpoint(corpus_file, ckpt)
+    model = subtok.model.load_checkpoint(ckpt)
+    # a sum of two such rows overflows float32
+    model.params.subword[:] = np.where(model.params.subword < 0, -3e38,
+                                       3e38)
+    subtok.model.save_checkpoint(model, ckpt)
+    return model
+
+
 class TestNonFiniteVectors:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["probe", "export"])
     def test_exit_1_naming_the_word(self, corpus_file, mentions_file,
                                     tmp_path, capsys, command):
-        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-        model = subtok.model.load_checkpoint(ckpt)
-        # a sum of two such rows overflows float32
-        model.params.subword[:] = np.where(model.params.subword < 0, -3e38,
-                                           3e38)
-        subtok.model.save_checkpoint(model, ckpt)
+        ckpt = tmp_path / "ckpt"
+        model = _non_finite_checkpoint(corpus_file, ckpt)
         argv = (["probe", "--checkpoint", str(ckpt), "--task", "mentions",
                  "--data", str(mentions_file)] if command == "probe"
                 else ["export", "--checkpoint", str(ckpt)])
@@ -1527,6 +1571,51 @@ class TestNonFiniteVectors:
         assert word and word[1] in model.vocab.words
         assert "internal error" not in err
         assert not out.exists()
+
+    def test_python_dash_m_export_prints_one_line(self, corpus_file,
+                                                  tmp_path):
+        """Run as a program, where no test sets the warning filters: the
+        overflow prints no warning before the one diagnostic line."""
+        ckpt = tmp_path / "ckpt"
+        _non_finite_checkpoint(corpus_file, ckpt)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "subtok", "export", "--checkpoint",
+             str(ckpt), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"subtok: the vector of '\w+' is not finite\n",
+                            proc.stderr), proc.stderr
+
+
+class TestFailedCommandKeepsWhatExisted:
+    """A command that fails removes what it wrote, and only that: an output
+    path that existed before it ran keeps what it held."""
+
+    def test_train_into_an_existing_directory(self, corpus_file, tmp_path,
+                                              capsys):
+        out = tmp_path / "d"
+        (out / "subword.mat").mkdir(parents=True)
+        (out / "keep.txt").write_text("precious", encoding="utf-8")
+        before = _tree(tmp_path)
+        assert main(["train", "--corpus", str(corpus_file), "--dim", "8",
+                     "--epochs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "subword.mat" in err and err.count("\n") == 1
+        assert _tree(tmp_path) == before
+
+    def test_export_over_an_existing_file(self, corpus_file, tmp_path,
+                                          capsys):
+        _non_finite_checkpoint(corpus_file, tmp_path / "ckpt")
+        out = tmp_path / "vecs.txt"
+        out.write_text("precious", encoding="utf-8")
+        before = _tree(tmp_path)
+        assert main(["export", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--out", str(out)]) == 1
+        assert "is not finite" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
 
 
 class TestCheckpointErrorsNameTheFile:
@@ -1743,6 +1832,70 @@ class TestUnreadableFilesExit1:
         assert str(named) in err
         assert "internal error" not in err
         assert stdout == ""
+        assert _tree(tmp_path) == before
+
+
+class TestRefusalsExit1:
+    """Refusals of a bad checkpoint, metrics table or flag: each exits 1
+    with its one stderr line and writes nothing."""
+
+    def case(self, name, corpus_file, mentions_file, tmp_path):
+        """(argv, the message)."""
+        if name in ("truncated-matrix", "bad-matrix-header", "config-line"):
+            ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+            argv = ["export", "--checkpoint", str(ckpt), "--out",
+                    str(tmp_path / "vec.txt")]
+            if name == "config-line":
+                path = ckpt / "config.txt"
+                lines = path.read_text("utf-8").splitlines(True)
+                path.write_text("".join(lines) + "dim 8\n",
+                                encoding="utf-8")
+                return argv, (f"line {len(lines) + 1}: bad config line "
+                              f"'dim 8' in {path}")
+            path = ckpt / "subword.mat"
+            data = path.read_bytes()
+            if name == "truncated-matrix":
+                path.write_bytes(data[:-4])
+                return argv, f"truncated matrix file {path}"
+            path.write_bytes(b"STM0" + data[4:])
+            return argv, f"bad matrix header in {path}"
+        if name.startswith("report-"):
+            path = tmp_path / "metrics.tsv"
+            header = "\t".join(subtok.cli.SIMULATE_COLUMNS) + "\n"
+            if name == "report-wrong-header":
+                path.write_text(header.replace("seed", "seeds"),
+                                encoding="utf-8")
+                message = f"unexpected metrics header in {path}"
+            else:
+                path.write_text(header, encoding="utf-8")
+                message = f"metrics table {path} is empty"
+            return ["report", "--metrics", str(path), "--out",
+                    str(tmp_path / "summary.tsv")], message
+        if name == "simulate-seeds":
+            return (["simulate", "--corpus", str(corpus_file), "--mentions",
+                     str(mentions_file), "--we-tokens", "2000",
+                     "--task-instances", "10", "--configs", "w2v",
+                     "--seeds", "1,x", "--out", str(tmp_path / "sim")],
+                    "--seeds needs a comma list of integers, got '1,x'")
+        assert name == "probe-task-instances"
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        return (["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                 "--data", str(mentions_file), "--task-instances", "0",
+                 "--out", str(tmp_path / "metrics.tsv")],
+                "--task-instances must be >= 1")
+
+    @pytest.mark.parametrize("name", [
+        "truncated-matrix", "bad-matrix-header", "config-line",
+        "report-wrong-header", "report-header-only", "simulate-seeds",
+        "probe-task-instances"])
+    def test_exit_1_writing_nothing(self, corpus_file, mentions_file,
+                                    tmp_path, capsys, name):
+        argv, message = self.case(name, corpus_file, mentions_file,
+                                  tmp_path)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"subtok: {message}\n")
         assert _tree(tmp_path) == before
 
 

@@ -62,6 +62,12 @@ class TestInitParams:
         assert m.params.position.shape == (m.config.max_positions, 8)
 
 
+def compose_one(m, idx):
+    """The composed vector of one word's resolved rows `idx`."""
+    csr = _WordCSR([None], [idx], m.config.position)
+    return csr.compose(m.params, np.zeros(1, dtype=np.int64))[0]
+
+
 class TestCompose:
     def test_addition_no_position(self):
         m = small_model()
@@ -69,7 +75,7 @@ class TestCompose:
                           word_token_id=-1, unknown=0)
         m.params.subword[0] = [1, 2, 0, 0, 0, 0, 0, 0]
         m.params.subword[1] = [3, -1, 0, 0, 0, 0, 0, 0]
-        assert m.compose(idx)[:2] == pytest.approx([4, 1])
+        assert compose_one(m, idx)[:2] == pytest.approx([4, 1])
 
     def test_addition_with_position(self):
         m = small_model(position=True)
@@ -79,7 +85,7 @@ class TestCompose:
         m.params.subword[1] = [3, -1, 0, 0, 0, 0, 0, 0]
         m.params.position[0] = [0, 1, 0, 0, 0, 0, 0, 0]
         m.params.position[1] = [1, 0, 0, 0, 0, 0, 0, 0]
-        assert m.compose(idx)[:2] == pytest.approx([5, 2])
+        assert compose_one(m, idx)[:2] == pytest.approx([5, 2])
 
     def test_single_subword_identity(self):
         m = small_model(segmenter="word")
@@ -92,7 +98,7 @@ class TestCompose:
         m = small_model()
         a = WordIndices(np.array([2, 5]), np.array([0, 1]), -1, 0)
         b = WordIndices(np.array([5, 2]), np.array([0, 1]), -1, 0)
-        assert m.compose(a) == pytest.approx(m.compose(b))
+        assert compose_one(m, a) == pytest.approx(compose_one(m, b))
 
     def test_permutation_invariant_even_with_positions(self):
         # Position rows attach to sequence indices, so a transposition of the
@@ -101,16 +107,16 @@ class TestCompose:
         m = small_model(position=True)
         a = WordIndices(np.array([2, 5]), np.array([0, 1]), -1, 0)
         b = WordIndices(np.array([5, 2]), np.array([0, 1]), -1, 0)
-        assert m.compose(a) == pytest.approx(m.compose(b))
+        assert compose_one(m, a) == pytest.approx(compose_one(m, b))
         expected = (m.params.subword[2] + m.params.position[0]
                     + m.params.subword[5] + m.params.position[1])
-        assert m.compose(a) == pytest.approx(expected)
+        assert compose_one(m, a) == pytest.approx(expected)
 
     def test_position_offset_depends_on_length(self):
         m = small_model(position=True)
         short = WordIndices(np.array([2]), np.array([0]), -1, 0)
         longer = WordIndices(np.array([2, 2]), np.array([0, 1]), -1, 0)
-        delta = m.compose(longer) - m.compose(short)
+        delta = compose_one(m, longer) - compose_one(m, short)
         expected = m.params.subword[2] + m.params.position[1]
         assert delta == pytest.approx(expected, abs=1e-6)
 
@@ -125,7 +131,7 @@ class TestCompose:
         m = small_model(word_token=True)
         idx = m.indices_of(["cat"])[0]
         without = WordIndices(idx.sub_ids, idx.pos_ids, -1, 0)
-        delta = m.compose(idx) - m.compose(without)
+        delta = compose_one(m, idx) - compose_one(m, without)
         assert delta == pytest.approx(m.params.subword[idx.word_token_id])
 
     def test_position_clamp_for_long_words(self):
@@ -280,8 +286,9 @@ class TestComposeOracle:
         centers = np.asarray(list(range(len(words)))
                              + [p % len(words) for p in picks],
                              dtype=np.int64)
-        vecs, (counts, sub_ids, pos_ids, wt_ids) = _WordCSR.of_model(
-            m, words).compose(m.params, centers)
+        csr = _WordCSR.of_model(m, words)
+        vecs = csr.compose(m.params, centers)
+        counts, sub_ids, pos_ids, wt_ids = csr.gather(centers)
         expected = np.array([compose_reference(m, words[c]) for c in centers])
         assert vecs.dtype == np.float32
         np.testing.assert_allclose(vecs, expected, rtol=0, atol=1e-6)
@@ -308,8 +315,9 @@ class TestComposeOracle:
 
     def test_no_centers(self):
         m = oracle_model(True, True)
-        vecs, (counts, sub_ids, _, _) = _WordCSR.of_model(m).compose(
-            m.params, np.empty(0, dtype=np.int64))
+        csr, none = _WordCSR.of_model(m), np.empty(0, dtype=np.int64)
+        vecs = csr.compose(m.params, none)
+        counts, sub_ids, _, _ = csr.gather(none)
         assert vecs.shape == (0, 8) and counts.size == sub_ids.size == 0
 
     @pytest.mark.parametrize("word_token", [False, True])

@@ -342,7 +342,7 @@ class TestNoRowCenter:
         ctx_ids = np.array([[ids["hats"], ids["cats"]],
                             [ids["hats"], ids["ab"]]])
         csr = _WordCSR.of_model(m)
-        vecs, _ = csr.compose(m.params, centers)
+        vecs = csr.compose(m.params, centers)
         expected = (m.params.subword[ab.word_token_id].copy() if word_token
                     else np.zeros(8, dtype=np.float32))
         assert vecs[i].tobytes() == expected.tobytes()
