@@ -271,8 +271,7 @@ def cmd_train(args, guard: ArtifactGuard) -> int:
     model = SubwordModel.build(config, vocab)
     result = train(corpus, model, tcfg)
     out = guard.register(default_out(args, "checkpoint"))
-    save_checkpoint(model, out)
-    result.save_trace(Path(out) / "trace.tsv")
+    save_checkpoint(model, out, {"trace.tsv": result.save_trace})
     print(f"trained {config.label} on {corpus.token_count} tokens "
           f"({group.label}: batch {tcfg.batch_size}, {tcfg.epochs} epochs, "
           f"min_count {tcfg.min_count}); {result.processed_pairs} updates "

@@ -1,13 +1,16 @@
 """Parameter tables and the additive composition that turns a word's subword
 sequence into its vector, plus export and checkpoint formats. `_WordCSR`
-writes the composition once: `compose` for training, `vectors`, export and
-the probes, and its backward pass `subtract` for training."""
+owns both: `of_model` resolves words into their table rows, in one pass
+straight into the flat layout, and the composition is written once,
+`compose` for training, `vectors`, export and the probes, and its backward
+pass `subtract` for training."""
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -202,41 +205,48 @@ def load_segmenter(config: ModelConfig, path):
     return build_segmenter(config, None)
 
 
-@dataclass(frozen=True)
-class WordIndices:
-    """Resolved table rows for one word: subword row ids, aligned position
-    row ids, the word-token row (or -1), and how many segmentation elements
-    were unknown."""
-
-    sub_ids: np.ndarray  # int64
-    pos_ids: np.ndarray  # int64, aligned with sub_ids
-    word_token_id: int
-    unknown: int
-
-
 class _WordCSR:
-    """Flattened per-word subword/position row ids (CSR layout) and
-    word-token rows for batched gathering; `position` says whether the
+    """Per-word subword/position row ids, flattened (CSR layout): word i's
+    rows are flat_sub[starts[i]:starts[i] + lens[i]], aligned with flat_pos,
+    and wt_ids[i] is its word-token row (or -1). `position` says whether the
     position rows take part (p+), `word_token` whether any word has a
     word-token row (w+ in practice)."""
 
-    def __init__(self, words, indices: list[WordIndices], position: bool):
+    def __init__(self, words, flat_sub: np.ndarray, flat_pos: np.ndarray,
+                 lens: np.ndarray, wt_ids: np.ndarray, position: bool):
         self.words = words
         self.position = position
-        empty = np.empty(0, dtype=np.int64)
-        self.flat_sub = np.concatenate([empty] + [i.sub_ids for i in indices])
-        self.flat_pos = np.concatenate([empty] + [i.pos_ids for i in indices])
-        self.lens = np.asarray([i.sub_ids.size for i in indices],
-                               dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lens)[:-1]))
-        self.wt_ids = np.asarray([i.word_token_id for i in indices],
-                                 dtype=np.int64)
-        self.word_token = bool((self.wt_ids >= 0).any())
+        self.flat_sub, self.flat_pos = flat_sub, flat_pos
+        self.lens, self.wt_ids = lens, wt_ids
+        self.starts = np.cumsum(lens) - lens
+        self.word_token = bool((wt_ids >= 0).any())
 
     @classmethod
     def of_model(cls, model: "SubwordModel", words=None) -> "_WordCSR":
+        """The rows of `words` (default: the model's vocab) in `model`'s
+        tables, in one pass. A subword that the vocab has gets its row and,
+        as position, its index in the word's full segmentation (unknown
+        subwords count) clipped to max_positions - 1; an unknown subword
+        gets no row, and a word with no word-token row gets -1."""
         words = model.vocab.words if words is None else words
-        return cls(words, model.indices_of(words), model.config.position)
+        if not all(words):
+            raise ValueError("word must be non-empty")
+        segs = [model.segmenter.segment(w) for w in words]
+        get = model.subword_vocab.entries.get
+        ids = np.array([get((NS_SUBWORD, s), -1) for seg in segs for s in seg],
+                       dtype=np.int64)
+        seg_lens = np.array([len(seg) for seg in segs], dtype=np.int64)
+        offsets = np.arange(ids.size) - np.repeat(np.cumsum(seg_lens)
+                                                  - seg_lens, seg_lens)
+        known = ids >= 0
+        lens = np.bincount(np.repeat(np.arange(len(words)), seg_lens)[known],
+                           minlength=len(words))
+        wt_ids = np.full(len(words), -1, dtype=np.int64)
+        if model.config.word_token:
+            wt_ids[:] = [get((NS_WORD_TOKEN, w), -1) for w in words]
+        return cls(words, ids[known],
+                   np.minimum(offsets[known], model.config.max_positions - 1),
+                   lens, wt_ids, model.config.position)
 
     def stacked(self, copies: int, sub_rows: int,
                 pos_rows: int) -> "_WordCSR":
@@ -244,16 +254,15 @@ class _WordCSR:
         copy m's word i is row m * len(words) + i, and its subword,
         word-token and position ids are shifted by m * sub_rows and
         m * pos_rows."""
-        out = copy.copy(self)
         shift = np.arange(copies)[:, None]
-        out.words = list(self.words) * copies
-        out.flat_sub = (self.flat_sub + shift * sub_rows).reshape(-1)
-        out.flat_pos = (self.flat_pos + shift * pos_rows).reshape(-1)
-        out.lens = np.tile(self.lens, copies)
-        out.starts = np.concatenate(([0], np.cumsum(out.lens)[:-1]))
-        out.wt_ids = np.where(self.wt_ids >= 0, self.wt_ids + shift * sub_rows,
-                              -1).reshape(-1)
-        return out
+        return _WordCSR(
+            list(self.words) * copies,
+            (self.flat_sub + shift * sub_rows).reshape(-1),
+            (self.flat_pos + shift * pos_rows).reshape(-1),
+            np.tile(self.lens, copies),
+            np.where(self.wt_ids >= 0, self.wt_ids + shift * sub_rows,
+                     -1).reshape(-1),
+            self.position)
 
     def gather(self, words: np.ndarray):
         """The table rows of `words` (row numbers of this layout), word by
@@ -316,7 +325,6 @@ class SubwordModel:
         self.segmenter = segmenter
         self.params = params if params is not None else init_params(
             config, subword_vocab, vocab)
-        self._index_cache: dict[str, WordIndices] = {}
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocab) -> "SubwordModel":
@@ -324,56 +332,10 @@ class SubwordModel:
         return cls(config, vocab, svocab, segmenter)
 
     def with_seed(self, seed: int) -> "SubwordModel":
-        """A sibling: this model's vocab, subword vocab, segmenter and
-        resolved word indices, and fresh tables from `seed`."""
-        sibling = SubwordModel(dataclasses.replace(self.config, seed=seed),
-                               self.vocab, self.subword_vocab, self.segmenter)
-        sibling._index_cache = self._index_cache
-        return sibling
-
-    # -- index resolution ---------------------------------------------------
-
-    def indices_of(self, words) -> list[WordIndices]:
-        """The WordIndices of each of `words`, resolving in one pass every
-        word the cache lacks."""
-        cache = self._index_cache
-        new = [w for w in dict.fromkeys(words) if w not in cache]
-        if new:
-            self._resolve(new)
-        return [cache[w] for w in words]
-
-    def _resolve(self, words: list[str]) -> None:
-        """Cache the WordIndices of each of `words`, as views of arrays
-        shared by the batch. Each word is segmented once. A subword that the
-        vocab has gets its row and, as position, its index in the word's
-        full segmentation (unknown subwords count) clipped to
-        max_positions - 1; an unknown subword or word token counts in
-        `unknown`."""
-        if not all(words):
-            raise ValueError("word must be non-empty")
-        segs = [self.segmenter.segment(w) for w in words]
-        get = self.subword_vocab.entries.get
-        ids = np.array([get((NS_SUBWORD, s), -1) for seg in segs for s in seg],
-                       dtype=np.int64)
-        seg_lens = np.array([len(seg) for seg in segs], dtype=np.int64)
-        offsets = np.arange(ids.size) - np.repeat(np.cumsum(seg_lens)
-                                                  - seg_lens, seg_lens)
-        known = ids >= 0
-        sub_ids = ids[known]
-        pos_ids = np.minimum(offsets[known], self.config.max_positions - 1)
-        lens = np.bincount(np.repeat(np.arange(len(words)), seg_lens)[known],
-                           minlength=len(words))
-        unknown = seg_lens - lens
-        wt_ids = np.full(len(words), -1, dtype=np.int64)
-        if self.config.word_token:
-            wt_ids[:] = [get((NS_WORD_TOKEN, w), -1) for w in words]
-            unknown += wt_ids < 0
-        ends = np.cumsum(lens).tolist()
-        spans = [slice(start, end)
-                 for start, end in zip([0] + ends[:-1], ends)]
-        self._index_cache.update(zip(words, map(
-            WordIndices, [sub_ids[s] for s in spans],
-            [pos_ids[s] for s in spans], wt_ids.tolist(), unknown.tolist())))
+        """A sibling: this model's vocab, subword vocab and segmenter, and
+        fresh tables from `seed`."""
+        return SubwordModel(dataclasses.replace(self.config, seed=seed),
+                            self.vocab, self.subword_vocab, self.segmenter)
 
     # -- composition --------------------------------------------------------
 
@@ -502,21 +464,41 @@ def _read_config(path: Path) -> ModelConfig:
         raise FormatError(str(exc)) from exc
 
 
-def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path) -> None:
+def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path,
+                    extra: dict | None = None) -> None:
     """Checkpoint directory: key=value config, vocab and subword-vocab TSVs,
-    the segmenter model file (when the segmenter is learned), and three
-    binary float32 matrices."""
+    the segmenter model file (when the segmenter is learned), three binary
+    float32 matrices, and each file of `extra`, a name -> a function that
+    writes the file to the path given. Every file is written into a
+    temporary directory inside the checkpoint first and renamed into place
+    only once all are written, so a failed write leaves the files that were
+    there. A target that exists and is not a regular file is refused before
+    anything is written."""
     ckpt = Path(ckpt_dir)
-    ckpt.mkdir(parents=True, exist_ok=True)
-    (ckpt / "config.txt").write_text(_config_to_text(model.config),
-                                     encoding="utf-8")
-    model.vocab.save_tsv(ckpt / "vocab.tsv")
-    model.subword_vocab.save_tsv(ckpt / "subwords.tsv")
+    params = model.params
+    writers = {
+        "config.txt": lambda p: p.write_text(_config_to_text(model.config),
+                                             encoding="utf-8"),
+        "vocab.tsv": model.vocab.save_tsv,
+        "subwords.tsv": model.subword_vocab.save_tsv,
+        "subword.mat": lambda p: _write_matrix(p, params.subword),
+        "position.mat": lambda p: _write_matrix(p, params.position),
+        "context.mat": lambda p: _write_matrix(p, params.context),
+    }
     if model.config.segmenter in SEGMENTER_FILES:
-        model.segmenter.save(ckpt / SEGMENTER_FILES[model.config.segmenter][0])
-    _write_matrix(ckpt / "subword.mat", model.params.subword)
-    _write_matrix(ckpt / "position.mat", model.params.position)
-    _write_matrix(ckpt / "context.mat", model.params.context)
+        writers[SEGMENTER_FILES[model.config.segmenter][0]] = \
+            model.segmenter.save
+    writers.update(extra or {})
+    for name in writers:
+        if (ckpt / name).exists() and not (ckpt / name).is_file():
+            raise SubtokError(f"{ckpt / name} exists and is not a regular "
+                              "file")
+    ckpt.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=ckpt, prefix=".partial-") as tmp:
+        for name, write in writers.items():
+            write(Path(tmp) / name)
+        for name in writers:
+            os.replace(Path(tmp) / name, ckpt / name)
 
 
 def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:

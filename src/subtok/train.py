@@ -47,7 +47,6 @@ from subtok.errors import ConfigError, SubtokError
 from subtok.model import (
     ParamTables,
     SubwordModel,
-    WordIndices,
     _WordCSR,
     scatter_subtract,
 )
@@ -615,11 +614,11 @@ def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
         params = ParamTables(subword=np.vstack([sub, wt]), position=pos,
                              context=ctx)
         rows = np.arange(n_sub)
-        idx = WordIndices(sub_ids=rows, pos_ids=rows,
-                          word_token_id=n_sub if use_wt else -1, unknown=0)
+        csr = _WordCSR(["w"], rows, rows, np.array([n_sub]),
+                       np.array([n_sub if use_wt else -1]), use_pos)
         after = params.copy()
         one = np.zeros(1, dtype=np.int64)
-        sgns_kernel(after, _WordCSR(["w"], [idx], use_pos), one, one,
+        sgns_kernel(after, csr, one, one,
                     np.arange(k + 1)[None], np.ones((1, k), dtype=bool), 1.0)
 
         def loss():

@@ -4,13 +4,13 @@ implementations. These deliberately recompute everything from scratch."""
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from subtok.model import (
     ParamTables,
     SubwordModel,
-    WordIndices,
     _WordCSR,
     scatter_subtract,
 )
@@ -130,12 +130,23 @@ def scatter_reference(table, rows, vals):
         table[r] -= v
 
 
-def resolve_reference(model: SubwordModel, word: str) -> WordIndices:
-    """`word`'s WordIndices, resolved one subword at a time: each known
-    subword's row, and as its position its index in the segmentation
-    (unknown pieces count) clamped to max_positions - 1; under w+ the
-    word-token row, or -1. `unknown` counts the pieces and the word token
-    that the subword vocab lacks."""
+class Resolved(NamedTuple):
+    """One word's rows as `resolve_reference` finds them: subword row ids,
+    aligned position row ids, the word-token row (or -1), and how many
+    segmentation pieces and word tokens the subword vocab lacks."""
+
+    sub_ids: list[int]
+    pos_ids: list[int]
+    word_token_id: int
+    unknown: int
+
+
+def resolve_reference(model: SubwordModel, word: str) -> Resolved:
+    """`word`'s rows, resolved one subword at a time: each known subword's
+    row, and as its position its index in the segmentation (unknown pieces
+    count) clamped to max_positions - 1; under w+ the word-token row, or
+    -1. `unknown` counts the pieces and the word token that the subword
+    vocab lacks."""
     seg = segment_word(model.segmenter, word, model.config.word_token)
     sub_ids, pos_ids = [], []
     unknown = 0
@@ -154,9 +165,21 @@ def resolve_reference(model: SubwordModel, word: str) -> WordIndices:
             unknown += 1
         else:
             wt_id = wt
-    return WordIndices(sub_ids=np.asarray(sub_ids, dtype=np.int64),
-                       pos_ids=np.asarray(pos_ids, dtype=np.int64),
-                       word_token_id=wt_id, unknown=unknown)
+    return Resolved(sub_ids, pos_ids, wt_id, unknown)
+
+
+def reference_csr(model: SubwordModel, words) -> _WordCSR:
+    """The `_WordCSR` of `words`, its flat arrays joined from each word's
+    `resolve_reference`."""
+    refs = [resolve_reference(model, w) for w in words]
+    return _WordCSR(words,
+                    np.array([i for r in refs for i in r.sub_ids],
+                             dtype=np.int64),
+                    np.array([i for r in refs for i in r.pos_ids],
+                             dtype=np.int64),
+                    np.array([len(r.sub_ids) for r in refs], dtype=np.int64),
+                    np.array([r.word_token_id for r in refs], dtype=np.int64),
+                    model.config.position)
 
 
 def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
@@ -181,10 +204,11 @@ def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
     return vec
 
 
-def all_unknown(idx: WordIndices) -> bool:
-    """Whether a word's resolved rows hold neither a known subword nor a
+def all_unknown(model: SubwordModel, word: str) -> bool:
+    """Whether `word`'s resolved rows hold neither a known subword nor a
     word-token row, so that it composes to the zero vector."""
-    return idx.sub_ids.size == 0 and idx.word_token_id < 0
+    csr = _WordCSR.of_model(model, [word])
+    return bool(csr.lens[0] == 0 and csr.wt_ids[0] < 0)
 
 
 def draw_avoiding(sampler: NegativeSampler, rng: np.random.Generator,

@@ -25,6 +25,7 @@ from subtok.corpus import (
 from subtok.model import (
     ModelConfig,
     SubwordModel,
+    _WordCSR,
     export_vectors,
     load_checkpoint,
     load_vectors,
@@ -260,7 +261,7 @@ def test_criterion_7_baseline_reduction():
               np.random.default_rng(0))
     changed = np.flatnonzero(
         np.abs(word_m.params.subword - before).sum(axis=1)).tolist()
-    expected_row = word_m.indices_of(["aa"])[0].sub_ids[0]
+    expected_row = _WordCSR.of_model(word_m, ["aa"]).flat_sub[0]
     if changed != [expected_row]:
         failures.append(f"whole-word step touched rows {changed}, "
                         f"expected [{expected_row}]")
@@ -276,8 +277,8 @@ def test_criterion_7_baseline_reduction():
               np.random.default_rng(1))
     changed = set(np.flatnonzero(
         np.abs(charn_m.params.subword - before).sum(axis=1)).tolist())
-    idx = charn_m.indices_of(["cats"])[0]
-    expected = set(idx.sub_ids.tolist()) | {idx.word_token_id}
+    cats = _WordCSR.of_model(charn_m, ["cats"])
+    expected = set(cats.flat_sub.tolist()) | set(cats.wt_ids.tolist())
     if changed != expected:
         failures.append(f"charn/w+ step touched {changed}, "
                         f"expected {expected}")

@@ -13,6 +13,7 @@ import pytest
 import subtok.cli
 import subtok.model
 import subtok.probe as probe_mod
+import subtok.train
 from subtok.cli import (
     ArtifactGuard,
     _cell_configs,
@@ -606,6 +607,55 @@ class TestSimulate:
             for config in ("charn:w+:p-", "word:w-:p-")] + [
             ("2400", config, "ok")
             for config in ("charn:w+:p-", "word:w-:p-")]
+
+    def test_we_point_without_a_frequent_type_fails_its_rows(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        """WE 3 is `uniqa uniqb uniqc`, so no type reaches G1's min_count
+        2 and its cells fail; WE 10000's are trained and probed. With one
+        CPU the jobs run in this process."""
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0})
+        corpus = tmp_path / "uniq.txt"
+        corpus.write_text("uniqa uniqb uniqc\n"
+                          + corpus_file.read_text("utf-8") * 5,
+                          encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--corpus", str(corpus),
+                     "--mentions", str(mentions_file),
+                     "--we-tokens", "3,10000", "--task-instances", "10",
+                     "--configs", "w2v", "--seeds", "1", "--dim", "8",
+                     "--train-epochs", "1", "--out", str(out_dir)]) == 0
+        rows = [line.split("\t") for line in
+                (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]]
+        assert sorted((r[0], r[-1]) for r in rows) == [
+            ("10000", "ok"),
+            ("3", "failed:no word type reaches min_count=2 "
+                  "(3 types in corpus)")]
+
+    def test_empty_dev_split_fails_the_rows(self, corpus_file, tmp_path,
+                                            capsys):
+        """Three mentions split 1/0/2: the probe has no dev split, so the
+        cell's rows fail and the command goes on."""
+        mentions = tmp_path / "three.tsv"
+        mentions.write_text("red\t/warm\nblue\t/cool\ngreen\t/cool\n",
+                            encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, mentions, out_dir, "1") == 0
+        rows = [line.split("\t") for line in
+                (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]]
+        assert rows and all(r[-1].startswith("failed:empty dev split: ")
+                            for r in rows)
+
+    def test_mention_without_tokens_exit_1_before_any_file(
+            self, corpus_file, tmp_path, capsys):
+        task_file = tmp_path / "mentions.tsv"
+        task_file.write_text("   \tlabel\n", encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        assert self._run(corpus_file, task_file, out_dir, "1") == 1
+        err = capsys.readouterr().err
+        assert (f"line 1: expected `token token ...<TAB>label` in "
+                f"{task_file}") in err
+        assert not out_dir.exists()
 
     def test_needs_task_data(self, corpus_file, tmp_path, capsys):
         rc = main(["simulate", "--corpus", str(corpus_file),
@@ -1313,7 +1363,7 @@ class TestNoRowWords:
                    "--subsample-t", "0", "--out", str(ckpt)])
         assert rc == 0
         model = subtok.model.load_checkpoint(ckpt)
-        assert model.indices_of(["ab"])[0].sub_ids.size == 0
+        assert subtok.model._WordCSR.of_model(model, ["ab"]).lens[0] == 0
         assert model.params.all_finite()
 
 
@@ -1604,6 +1654,35 @@ class TestFailedCommandKeepsWhatExisted:
                      "--epochs", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "subword.mat" in err and err.count("\n") == 1
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("fault", ["position.mat-is-a-directory",
+                                       "trace-write-fails"])
+    def test_failed_train_keeps_the_checkpoint_it_would_replace(
+            self, corpus_file, tmp_path, monkeypatch, capsys, fault):
+        """A seed-2 train over a seed-1 checkpoint fails, refused up front
+        or after all but its last file is written; every file of the
+        seed-1 checkpoint stays as it was, byte for byte."""
+        out = tmp_path / "d"
+        argv = ["train", "--corpus", str(corpus_file), "--dim", "8",
+                "--epochs", "1", "--out", str(out)]
+        assert main(argv + ["--seed", "1"]) == 0
+        if fault == "position.mat-is-a-directory":
+            (out / "position.mat").unlink()
+            (out / "position.mat").mkdir()
+            named = "position.mat"
+        else:
+            def disk_full(result, path):
+                raise OSError(28, "No space left on device", str(path))
+
+            monkeypatch.setattr(subtok.train.TrainResult, "save_trace",
+                                disk_full)
+            named = "trace.tsv"
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv + ["--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
         assert _tree(tmp_path) == before
 
     def test_export_over_an_existing_file(self, corpus_file, tmp_path,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_unknown,
     compose_reference,
+    reference_csr,
     resolve_reference,
     scatter_reference,
 )
@@ -18,7 +19,6 @@ from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
     ModelConfig,
     SubwordModel,
-    WordIndices,
     _WordCSR,
     _write_matrix,
     export_vectors,
@@ -62,61 +62,55 @@ class TestInitParams:
         assert m.params.position.shape == (m.config.max_positions, 8)
 
 
-def compose_one(m, idx):
-    """The composed vector of one word's resolved rows `idx`."""
-    csr = _WordCSR([None], [idx], m.config.position)
+def compose_one(m, sub_ids, pos_ids, word_token_id=-1):
+    """The composed vector of one word with the rows given."""
+    csr = _WordCSR([None], np.array(sub_ids), np.array(pos_ids),
+                   np.array([len(sub_ids)]), np.array([word_token_id]),
+                   m.config.position)
     return csr.compose(m.params, np.zeros(1, dtype=np.int64))[0]
 
 
 class TestCompose:
     def test_addition_no_position(self):
         m = small_model()
-        idx = WordIndices(sub_ids=np.array([0, 1]), pos_ids=np.array([0, 1]),
-                          word_token_id=-1, unknown=0)
         m.params.subword[0] = [1, 2, 0, 0, 0, 0, 0, 0]
         m.params.subword[1] = [3, -1, 0, 0, 0, 0, 0, 0]
-        assert compose_one(m, idx)[:2] == pytest.approx([4, 1])
+        assert compose_one(m, [0, 1], [0, 1])[:2] == pytest.approx([4, 1])
 
     def test_addition_with_position(self):
         m = small_model(position=True)
-        idx = WordIndices(sub_ids=np.array([0, 1]), pos_ids=np.array([0, 1]),
-                          word_token_id=-1, unknown=0)
         m.params.subword[0] = [1, 2, 0, 0, 0, 0, 0, 0]
         m.params.subword[1] = [3, -1, 0, 0, 0, 0, 0, 0]
         m.params.position[0] = [0, 1, 0, 0, 0, 0, 0, 0]
         m.params.position[1] = [1, 0, 0, 0, 0, 0, 0, 0]
-        assert compose_one(m, idx)[:2] == pytest.approx([5, 2])
+        assert compose_one(m, [0, 1], [0, 1])[:2] == pytest.approx([5, 2])
 
     def test_single_subword_identity(self):
         m = small_model(segmenter="word")
-        idx = m.indices_of(["cat"])[0]
-        assert idx.sub_ids.size == 1
+        csr = _WordCSR.of_model(m, ["cat"])
+        assert csr.flat_sub.size == 1
         assert m.word_vector("cat") == pytest.approx(
-            m.params.subword[idx.sub_ids[0]])
+            m.params.subword[csr.flat_sub[0]])
 
     def test_permutation_invariant_without_positions(self):
         m = small_model()
-        a = WordIndices(np.array([2, 5]), np.array([0, 1]), -1, 0)
-        b = WordIndices(np.array([5, 2]), np.array([0, 1]), -1, 0)
-        assert compose_one(m, a) == pytest.approx(compose_one(m, b))
+        assert compose_one(m, [2, 5], [0, 1]) == pytest.approx(
+            compose_one(m, [5, 2], [0, 1]))
 
     def test_permutation_invariant_even_with_positions(self):
         # Position rows attach to sequence indices, so a transposition of the
         # subword ids leaves the additive sum unchanged: positions contribute
         # a length-dependent offset, not an order signal.
         m = small_model(position=True)
-        a = WordIndices(np.array([2, 5]), np.array([0, 1]), -1, 0)
-        b = WordIndices(np.array([5, 2]), np.array([0, 1]), -1, 0)
-        assert compose_one(m, a) == pytest.approx(compose_one(m, b))
+        a = compose_one(m, [2, 5], [0, 1])
+        assert a == pytest.approx(compose_one(m, [5, 2], [0, 1]))
         expected = (m.params.subword[2] + m.params.position[0]
                     + m.params.subword[5] + m.params.position[1])
-        assert compose_one(m, a) == pytest.approx(expected)
+        assert a == pytest.approx(expected)
 
     def test_position_offset_depends_on_length(self):
         m = small_model(position=True)
-        short = WordIndices(np.array([2]), np.array([0]), -1, 0)
-        longer = WordIndices(np.array([2, 2]), np.array([0, 1]), -1, 0)
-        delta = compose_one(m, longer) - compose_one(m, short)
+        delta = compose_one(m, [2, 2], [0, 1]) - compose_one(m, [2], [0])
         expected = m.params.subword[2] + m.params.position[1]
         assert delta == pytest.approx(expected, abs=1e-6)
 
@@ -129,28 +123,29 @@ class TestCompose:
 
     def test_word_token_delta(self):
         m = small_model(word_token=True)
-        idx = m.indices_of(["cat"])[0]
-        without = WordIndices(idx.sub_ids, idx.pos_ids, -1, 0)
-        delta = compose_one(m, idx) - compose_one(m, without)
-        assert delta == pytest.approx(m.params.subword[idx.word_token_id])
+        csr = _WordCSR.of_model(m, ["cat"])
+        wt = csr.wt_ids[0]
+        delta = (compose_one(m, csr.flat_sub, csr.flat_pos, wt)
+                 - compose_one(m, csr.flat_sub, csr.flat_pos))
+        assert delta == pytest.approx(m.params.subword[wt])
 
     def test_position_clamp_for_long_words(self):
         m = small_model(max_positions=3, position=True)
-        idx = m.indices_of(["catalog"])[0]
-        assert idx.pos_ids.max() == 2
-        assert (idx.pos_ids[3:] == 2).all()
+        pos_ids = _WordCSR.of_model(m, ["catalog"]).flat_pos
+        assert pos_ids.max() == 2
+        assert (pos_ids[3:] == 2).all()
 
     def test_all_unknown_zero_vector(self):
         m = small_model()
         vec = m.word_vector("zzzzzz")
-        assert all_unknown(m.indices_of(["zzzzzz"])[0])
+        assert all_unknown(m, "zzzzzz")
         assert not vec.any()
 
     def test_unseen_word_shares_known_ngrams(self):
         m = small_model()
         # "cat" trained; same char n-grams as itself when recomposed as OOV
         vec = m.word_vector("cat")
-        assert not all_unknown(m.indices_of(["cat"])[0])
+        assert not all_unknown(m, "cat")
         assert vec.any()
 
 
@@ -202,31 +197,23 @@ class TestBulkResolve:
     @given(kind=st.sampled_from(sorted(RESOLVE_SEGMENTERS)),
            word_token=st.booleans(),
            words=st.lists(st.text(alphabet="cathlogbzq", min_size=1,
-                                  max_size=9), max_size=8),
-           cached=st.integers(0, 12))
+                                  max_size=9), max_size=8))
     @settings(max_examples=120, deadline=None)
-    def test_matches_per_word_reference(self, kind, word_token, words,
-                                        cached):
+    def test_matches_per_word_reference(self, kind, word_token, words):
         cfg, vocab, segmenter, svocab = resolve_parts(kind, word_token)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
         # OOV words, then the fixed and vocab words, then repeats
         words = words + FIXED_WORDS + vocab.words + words[::-1]
-        # some words are in the cache before the batch that holds them all
-        m.indices_of(words[:cached])
-        got = m.indices_of(words)
-        refs = [resolve_reference(m, w) for w in words]
-        for w, idx, ref in zip(words, got, refs):
-            assert idx is m.indices_of([w])[0]
-            assert idx.sub_ids.dtype == idx.pos_ids.dtype == np.int64
-            assert idx.sub_ids.tolist() == ref.sub_ids.tolist(), w
-            assert idx.pos_ids.tolist() == ref.pos_ids.tolist(), w
-            assert (idx.word_token_id, idx.unknown) == \
-                (ref.word_token_id, ref.unknown), w
-        csr = _WordCSR.of_model(m, words)
-        ref_csr = _WordCSR(words, refs, cfg.position)
+        csr, ref = _WordCSR.of_model(m, words), reference_csr(m, words)
         for name in ("flat_sub", "flat_pos", "lens", "starts", "wt_ids"):
-            assert getattr(csr, name).tolist() == \
-                getattr(ref_csr, name).tolist()
+            got = getattr(csr, name)
+            assert got.dtype == np.int64, name
+            assert got.tolist() == getattr(ref, name).tolist(), name
+        # a word's unknown pieces: its segmentation's length less its rows
+        for w, n in zip(words, csr.lens):
+            r = resolve_reference(m, w)
+            unknown_wt = word_token and r.word_token_id < 0
+            assert len(segmenter.segment(w)) - n == r.unknown - unknown_wt, w
 
     def test_edge_cases_occur(self):
         """The cases the reference test must meet: clipped positions, an
@@ -234,19 +221,19 @@ class TestBulkResolve:
         vocab word without its word-token row."""
         cfg, vocab, segmenter, svocab = resolve_parts("charn", True)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
-        assert m.indices_of(["catalog"])[0].pos_ids.tolist()[-1] == 2
-        assert m.indices_of(["cats"])[0].unknown > 1
-        assert m.indices_of(["cats"])[0].sub_ids.size > 0
-        assert m.indices_of(["cat"])[0].word_token_id == -1
-        assert m.indices_of(["hat"])[0].word_token_id >= 0
+        csr = _WordCSR.of_model(m, ["catalog", "cats", "cat", "hat"])
+        assert csr.flat_pos[csr.lens[0] - 1] == 2
+        assert resolve_reference(m, "cats").unknown > 1
+        assert csr.lens[1] > 0
+        assert csr.wt_ids[2] == -1 and csr.wt_ids[3] >= 0
         cfg, vocab, segmenter, svocab = resolve_parts("charn5", False)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
-        q = m.indices_of(["q"])[0]
-        assert q.sub_ids.size == 0 and q.unknown == 0
+        assert _WordCSR.of_model(m, ["q"]).lens.tolist() == [0]
+        assert resolve_reference(m, "q").unknown == 0
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            small_model().indices_of([""])
+            _WordCSR.of_model(small_model(), [""])
 
     @pytest.mark.parametrize("word_token", [False, True])
     def test_each_vocab_word_segmented_once(self, monkeypatch, word_token):
@@ -293,25 +280,25 @@ class TestComposeOracle:
         assert vecs.dtype == np.float32
         np.testing.assert_allclose(vecs, expected, rtol=0, atol=1e-6)
         # the gathered rows are each center's rows, in order
-        indices = [m.indices_of([words[c]])[0] for c in centers]
-        assert counts.tolist() == [i.sub_ids.size for i in indices]
-        assert sub_ids.tolist() == [r for i in indices for r in i.sub_ids]
+        each = _WordCSR.of_model(m, [words[c] for c in centers])
+        assert counts.tolist() == each.lens.tolist()
+        assert sub_ids.tolist() == each.flat_sub.tolist()
         if word_token:
-            assert wt_ids.tolist() == [i.word_token_id for i in indices]
+            assert wt_ids.tolist() == each.wt_ids.tolist()
         else:
             assert wt_ids is None
         if position:
-            assert pos_ids.tolist() == [r for i in indices
-                                        for r in i.pos_ids]
+            assert pos_ids.tolist() == each.flat_pos.tolist()
         else:
             assert pos_ids is None
 
     def test_fixed_words_cover_the_edge_cases(self):
         m = oracle_model(True, True)
         for w in ("zzz", "q"):
-            assert all_unknown(m.indices_of([w])[0])
-        assert m.indices_of(["catalog"])[0].pos_ids.max() == 2
-        assert m.indices_of(["catalog"])[0].sub_ids.size > 3
+            assert all_unknown(m, w)
+        catalog = _WordCSR.of_model(m, ["catalog"])
+        assert catalog.flat_pos.max() == 2
+        assert catalog.flat_sub.size > 3
 
     def test_no_centers(self):
         m = oracle_model(True, True)

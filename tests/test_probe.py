@@ -287,9 +287,9 @@ class TestOovProperty:
         word = charn_model(text, segmenter="word")
         oov = "walker"
         cv, c_unknown = (charn.word_vector(oov),
-                         oracles.all_unknown(charn.indices_of([oov])[0]))
+                         oracles.all_unknown(charn, oov))
         wv, w_unknown = (word.word_vector(oov),
-                         oracles.all_unknown(word.indices_of([oov])[0]))
+                         oracles.all_unknown(word, oov))
         assert not c_unknown and cv.any()
         assert w_unknown and not wv.any()
 

@@ -98,13 +98,13 @@ class TestSgnsStep:
         corpus, m = make_model("aa bb cc dd\n" * 5)
         sampler = NegativeSampler(m.vocab)
         rng = np.random.default_rng(1)
-        idx = m.indices_of(["aa"])[0]
-        before = m.params.subword[idx.sub_ids[0]].copy()
+        row = _WordCSR.of_model(m, ["aa"]).flat_sub[0]
+        before = m.params.subword[row].copy()
         ctx_before = m.params.context.copy()
         lr = 0.1
         sgns_step(m, "aa", "bb", lr, 2, sampler, rng)
         # reconstruct the expected gradient from the pre-step tables
-        after = m.params.subword[idx.sub_ids[0]]
+        after = m.params.subword[row]
         v = before
         # all context rows were zero, so sigma = 0.5 everywhere
         # grad_v = (0.5 - 1) * c_pos + sum 0.5 * c_neg = 0 (zero rows)
@@ -119,17 +119,16 @@ class TestSgnsStep:
         sampler = NegativeSampler(m.vocab)
         # pick a word with >= 2 distinct subword rows
         word = next(w for w in m.vocab.words
-                    if len(set(m.indices_of([w])[0].sub_ids)) >= 2)
-        idx = m.indices_of([word])[0]
+                    if len(set(_WordCSR.of_model(m, [w]).flat_sub)) >= 2)
+        sub_ids = _WordCSR.of_model(m, [word]).flat_sub
         # make context rows non-zero so the gradient is non-trivial
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
         before = m.params.subword.copy()
         sgns_step(m, word, m.vocab.words[0], 0.05, 2, sampler,
                   np.random.default_rng(2))
-        deltas = m.params.subword[idx.sub_ids] - before[idx.sub_ids]
-        unique_ids = set(idx.sub_ids.tolist())
-        if len(unique_ids) == len(idx.sub_ids):
+        deltas = m.params.subword[sub_ids] - before[sub_ids]
+        if len(set(sub_ids.tolist())) == len(sub_ids):
             for row in deltas[1:]:
                 assert row == pytest.approx(deltas[0], abs=1e-7)
         assert np.abs(deltas).sum() > 0
@@ -146,7 +145,7 @@ class TestSgnsStep:
         sgns_step(m, "aa", "bb", 0.1, 2, sampler, rng)
         sub_changed = np.flatnonzero(
             np.abs(m.params.subword - sub_before).sum(axis=1))
-        aa_row = m.indices_of(["aa"])[0].sub_ids[0]
+        aa_row = _WordCSR.of_model(m, ["aa"]).flat_sub[0]
         assert sub_changed.tolist() == [aa_row]
         ctx_changed = set(np.flatnonzero(
             np.abs(m.params.context - ctx_before).sum(axis=1)).tolist())
@@ -163,8 +162,8 @@ class TestSgnsStep:
                   np.random.default_rng(4))
         changed = set(np.flatnonzero(
             np.abs(m.params.subword - before).sum(axis=1)).tolist())
-        idx = m.indices_of(["cats"])[0]
-        expected = set(idx.sub_ids.tolist()) | {idx.word_token_id}
+        cats = _WordCSR.of_model(m, ["cats"])
+        expected = set(cats.flat_sub.tolist()) | set(cats.wt_ids.tolist())
         assert changed == expected
 
     @pytest.mark.parametrize("text,cfg", [
@@ -334,8 +333,8 @@ class TestNoRowCenter:
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
         ids = m.vocab.word2id
-        ab, cats = m.indices_of(["ab"])[0], m.indices_of(["cats"])[0]
-        assert ab.sub_ids.size == 0 and cats.sub_ids.size > 0
+        ab, cats = (_WordCSR.of_model(m, [w]) for w in ("ab", "cats"))
+        assert ab.flat_sub.size == 0 and cats.flat_sub.size > 0
         order = ["ab", "cats"] if first else ["cats", "ab"]
         i = order.index("ab")
         centers = np.array([ids[w] for w in order])
@@ -343,7 +342,7 @@ class TestNoRowCenter:
                             [ids["hats"], ids["ab"]]])
         csr = _WordCSR.of_model(m)
         vecs = csr.compose(m.params, centers)
-        expected = (m.params.subword[ab.word_token_id].copy() if word_token
+        expected = (m.params.subword[ab.wt_ids[0]].copy() if word_token
                     else np.zeros(8, dtype=np.float32))
         assert vecs[i].tobytes() == expected.tobytes()
 
@@ -354,17 +353,17 @@ class TestNoRowCenter:
             expected.astype(np.float64), ctx_ids[i, 0], ctx_ids[i, 1:],
             before.context.astype(np.float64)), rel=1e-5)
         # only the rows of `cats` (and the word-token row of `ab`) move
-        moved = set(cats.sub_ids) | {cats.word_token_id, ab.word_token_id}
+        moved = set(cats.flat_sub) | {cats.wt_ids[0], ab.wt_ids[0]}
         for r in range(len(m.subword_vocab)):
             if r not in moved:
                 assert np.array_equal(m.params.subword[r], before.subword[r])
         for r in range(m.config.max_positions):
-            if r not in cats.pos_ids:
+            if r not in cats.flat_pos:
                 assert np.array_equal(m.params.position[r],
                                       before.position[r])
         if word_token:
-            assert not np.array_equal(m.params.subword[ab.word_token_id],
-                                      before.subword[ab.word_token_id])
+            assert not np.array_equal(m.params.subword[ab.wt_ids[0]],
+                                      before.subword[ab.wt_ids[0]])
 
 
 # `ab` has no subword rows under 5- and 6-grams (see TestNoRowCenter);
@@ -708,10 +707,8 @@ class TestTrain:
         # degenerate segmenter: exactly one subword row per word and the
         # trainer touches only that input row per step, i.e. plain skip-gram
         corpus, m = make_model("aa bb cc\n" * 5)
-        for w in m.vocab.words:
-            idx = m.indices_of([w])[0]
-            assert idx.sub_ids.size == 1
-            assert idx.word_token_id == -1
+        csr = _WordCSR.of_model(m)
+        assert (csr.lens == 1).all() and (csr.wt_ids == -1).all()
         assert len(m.subword_vocab) == len(m.vocab)
 
 
@@ -850,7 +847,6 @@ class TestLockstep:
         assert sibling.vocab is base.vocab
         assert sibling.subword_vocab is base.subword_vocab
         assert sibling.segmenter is base.segmenter
-        assert sibling.indices_of(["cats"])[0] is base.indices_of(["cats"])[0]
         fresh = SubwordModel(sibling.config, base.vocab, base.subword_vocab,
                              base.segmenter)
         assert _tables(sibling) == _tables(fresh) != _tables(base)
