@@ -2,8 +2,10 @@
 training, probing, and the data-scarcity simulation grid.
 
 Exit codes: 0 success, 1 bad input (single-line diagnostic), including a
-file that cannot be read or written, 2 internal error. Partial artifacts
-are removed when a command fails.
+file that cannot be read or written, 2 internal error. Every output is
+written under a temporary name and renamed into place (`write_files`), so
+a failed command leaves every path as it was; simulate's metrics table is
+the exception, appended to and flushed row by row for resume.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import shutil
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,7 @@ from subtok.errors import (
     load_file,
     nonnegative_int,
     read_lines,
+    write_files,
 )
 from subtok.model import (
     SEGMENTER_FILES,
@@ -72,32 +74,6 @@ CONFIG_ALIASES = {
 # config label flag -> (the ModelConfig field it sets, its value)
 CONFIG_FLAGS = {"w+": ("word_token", True), "w-": ("word_token", False),
                 "p+": ("position", True), "p-": ("position", False)}
-
-
-class ArtifactGuard:
-    """Tracks the paths a command writes so that, if it fails part-way, what
-    it created is removed: each registered path that did not exist, and the
-    new entries of each that was a directory. What existed is kept."""
-
-    def __init__(self):
-        self.new: list[Path] = []
-        self.held: dict[Path, set[Path]] = {}  # directory -> its entries
-
-    def register(self, path) -> Path:
-        p = Path(path)
-        if p.is_dir():
-            self.held[p] = set(p.iterdir())
-        elif not p.exists():
-            self.new.append(p)
-        return p
-
-    def cleanup(self):
-        for p in self.new + [q for d, held in self.held.items()
-                             for q in d.iterdir() if q not in held]:
-            if p.is_dir():
-                shutil.rmtree(p, ignore_errors=True)
-            elif p.exists():
-                p.unlink(missing_ok=True)
 
 
 def data_dir() -> Path:
@@ -215,23 +191,23 @@ def _corpus_prefix(corpus, we_tokens):
     return sample_tokens(corpus, we_tokens)
 
 
-def cmd_vocab(args, guard: ArtifactGuard) -> int:
+def cmd_vocab(args) -> int:
     corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     vocab = build_vocab(corpus, args.min_count)
-    out = guard.register(default_out(args, "vocab.tsv"))
-    vocab.save_tsv(out)
+    out = default_out(args, "vocab.tsv")
+    write_files({out: vocab.save_tsv})
     print(f"wrote {len(vocab)} entries to {out}")
     return 0
 
 
-def cmd_segment_learn(args, guard: ArtifactGuard) -> int:
+def cmd_segment_learn(args) -> int:
     vocab = build_vocab(load_corpus(args.corpus), args.min_count)
     merges = args.merges if args.seg == "bpe" else ModelConfig.num_merges
     model = build_segmenter(ModelConfig(segmenter=args.seg,
                                         num_merges=merges),
                             vocab, max_iters=args.max_iters)
-    out = guard.register(default_out(args, SEGMENTER_FILES[args.seg][0]))
-    model.save(out)
+    out = default_out(args, SEGMENTER_FILES[args.seg][0])
+    write_files({out: model.save})
     if args.seg == "bpe":
         print(f"learned {len(model.merges)} merges -> {out}")
     else:
@@ -240,7 +216,7 @@ def cmd_segment_learn(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def cmd_segment_apply(args, guard: ArtifactGuard) -> int:
+def cmd_segment_apply(args) -> int:
     learned = args.seg in SEGMENTER_FILES
     if learned and not args.model:
         raise SubtokError(f"--model is required for --seg {args.seg}")
@@ -260,7 +236,7 @@ def cmd_segment_apply(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def cmd_train(args, guard: ArtifactGuard) -> int:
+def cmd_train(args) -> int:
     corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     group = data_group_for(corpus.token_count)
     tcfg = train_config(args, group, args.seed, epochs=args.epochs,
@@ -270,7 +246,7 @@ def cmd_train(args, guard: ArtifactGuard) -> int:
     config = model_config_from_args(args)
     model = SubwordModel.build(config, vocab)
     result = train(corpus, model, tcfg)
-    out = guard.register(default_out(args, "checkpoint"))
+    out = default_out(args, "checkpoint")
     save_checkpoint(model, out, {"trace.tsv": result.save_trace})
     print(f"trained {config.label} on {corpus.token_count} tokens "
           f"({group.label}: batch {tcfg.batch_size}, {tcfg.epochs} epochs, "
@@ -279,10 +255,10 @@ def cmd_train(args, guard: ArtifactGuard) -> int:
     return 0
 
 
-def cmd_export(args, guard: ArtifactGuard) -> int:
+def cmd_export(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    out = guard.register(default_out(args, "vectors.txt"))
-    export_vectors(model, out)
+    out = default_out(args, "vectors.txt")
+    write_files({out: lambda p: export_vectors(model, p)})
     print(f"wrote {len(model.vocab)} vectors to {out}")
     return 0
 
@@ -332,7 +308,7 @@ def _short_split(data, task_n) -> int | None:
     return n_train if task_n is not None and task_n > n_train else None
 
 
-def cmd_probe(args, guard: ArtifactGuard) -> int:
+def cmd_probe(args) -> int:
     if args.probe_window < 0:
         raise SubtokError("--probe-window must be >= 0")
     model = load_checkpoint(args.checkpoint)
@@ -344,8 +320,8 @@ def cmd_probe(args, guard: ArtifactGuard) -> int:
               f"probe trains on all {n_train}", file=sys.stderr)
     rows, = run_probe(model, data, task_instances=[args.task_instances],
                       window=args.probe_window)
-    out = guard.register(default_out(args, "metrics.tsv"))
-    write_metrics(out, rows)
+    out = default_out(args, "metrics.tsv")
+    write_files({out: lambda p: write_metrics(p, rows)})
     for row in rows:
         print("\t".join(str(x) for x in row))
     return 0
@@ -403,7 +379,7 @@ def _refuse_repeats(flag: str, values: list, keys: list) -> None:
         first[key] = value
 
 
-def cmd_simulate(args, guard: ArtifactGuard) -> int:
+def cmd_simulate(args) -> int:
     """Run the grid. Each WE point's cells still missing from the table are
     grouped into jobs, one per segmentation (`segmentation_key`): a job
     builds it, trains each of its configs' seeds in one lockstep call, and
@@ -655,7 +631,7 @@ def _simulate_cell(args, data, we_n, cell, setup, model) -> dict:
         for task_n, rows in zip(todo, probes)}
 
 
-def cmd_report(args, guard: ArtifactGuard) -> int:
+def cmd_report(args) -> int:
     path = Path(args.metrics)
     if not path.exists():
         raise SubtokError(f"no metrics table at {path}")
@@ -678,24 +654,25 @@ def cmd_report(args, guard: ArtifactGuard) -> int:
             failed[fkey] = failed.get(fkey, 0) + 1
     if not groups and not failed:
         raise SubtokError(f"metrics table {path} is empty")
-    out = guard.register(default_out(args, "summary.tsv"))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("we_tokens\ttask_instances\tconfig\ttask\tsplit\tmetric"
-                 "\tmean\tstdev\tn\tn_failed\n")
-        # WE and task points in numeric order, whatever the row order
-        all_keys = sorted(set(groups) | set(failed),
-                          key=lambda k: (int(k[0]), int(k[1]), *k[2:]))
-        for key in all_keys:
-            vals = groups.get(key, [])
-            n_failed = failed.get(key[:3] + ("-", "-", "-"), 0)
-            if vals:
-                mean = statistics.mean(vals)
-                stdev = statistics.pstdev(vals)
-                fh.write("\t".join(key) +
+    lines = ["we_tokens\ttask_instances\tconfig\ttask\tsplit\tmetric"
+             "\tmean\tstdev\tn\tn_failed\n"]
+    # WE and task points in numeric order, whatever the row order
+    all_keys = sorted(set(groups) | set(failed),
+                      key=lambda k: (int(k[0]), int(k[1]), *k[2:]))
+    for key in all_keys:
+        vals = groups.get(key, [])
+        n_failed = failed.get(key[:3] + ("-", "-", "-"), 0)
+        if vals:
+            mean = statistics.mean(vals)
+            stdev = statistics.pstdev(vals)
+            lines.append("\t".join(key) +
                          f"\t{mean:.6f}\t{stdev:.6f}\t{len(vals)}"
                          f"\t{n_failed}\n")
-            else:
-                fh.write("\t".join(key) + f"\t-\t-\t0\t{n_failed}\n")
+        else:
+            lines.append("\t".join(key) + f"\t-\t-\t0\t{n_failed}\n")
+    out = default_out(args, "summary.tsv")
+    write_files({out: lambda p: p.write_text("".join(lines),
+                                             encoding="utf-8")})
     print(f"wrote summary to {out}")
     return 0
 
@@ -793,11 +770,9 @@ def main(argv=None) -> int:
         print("subtok: simulate needs exactly one of --mentions and --conll",
               file=sys.stderr)
         return 1
-    guard = ArtifactGuard()
     try:
-        return args.func(args, guard)
+        return args.func(args)
     except Exception as exc:
-        guard.cleanup()
         # an OSError that names a file is a path that cannot be read or
         # written; one without a file name (fork, memory) is internal
         if isinstance(exc, SubtokError) or (

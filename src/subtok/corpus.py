@@ -135,10 +135,8 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
 
 
 def sample_tokens(corpus: Corpus, n: int) -> Corpus:
-    """Contiguous prefix of exactly n tokens; the final sentence is truncated
-    if needed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Contiguous prefix of exactly n >= 1 tokens; the final sentence is
+    truncated if needed."""
     if n > corpus.token_count:
         raise SubtokError(f"requested {n} tokens but only "
                           f"{corpus.token_count} are available")
@@ -156,10 +154,8 @@ def sample_tokens(corpus: Corpus, n: int) -> Corpus:
 
 
 def negative_sampling_weights(vocab: Vocab, power: float = 0.75) -> np.ndarray:
-    """Unigram distribution raised to `power` and renormalized; indexed by
-    word id."""
-    if power <= 0:
-        raise ValueError("power must be > 0")
+    """Unigram distribution raised to `power` > 0 and renormalized; indexed
+    by word id."""
     weights = vocab.counts.astype(np.float64) ** power
     return weights / weights.sum()
 
@@ -193,8 +189,6 @@ def data_group_for(n_tokens: int) -> DataGroup:
     """Map a token count to its training group: [10K, 50K] -> G1,
     (50K, 500K] -> G2, (500K, 5M] -> G3. Counts outside the grid clamp to
     the nearest group."""
-    if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
     if n_tokens <= 50_000:
         return G1
     if n_tokens <= 500_000:

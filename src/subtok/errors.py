@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the one reader of text
-input files that raises them."""
+"""Exception types shared across the package, the one reader of text input
+files that raises them, and the one writer of output files."""
 
+import os
+import shutil
+import tempfile
 from os import PathLike
+from pathlib import Path
 
 
 class SubtokError(Exception):
@@ -71,3 +75,37 @@ def read_fields(source, what: str, sep: str, count: int, expected: str,
             if len(fields) != count:
                 raise FormatError(expected, ln)
             yield ln, fields
+
+
+def write_files(writers: dict, make_dir: bool = False) -> None:
+    """Write each target path of `writers`, a path -> a function that writes
+    a file to the path given, into one `.partial-*` directory beside the
+    targets, then rename each into place once all are written, so that a
+    failure leaves every target as it was. The targets share a directory,
+    which `make_dir` creates when it is missing and removes again on
+    failure. A target that exists and is not a regular file is refused up
+    front; an OSError is raised as SubtokError `cannot write <target>:
+    <reason>`."""
+    targets = [Path(p) for p in writers]
+    for target in targets:
+        if target.exists() and not target.is_file():
+            raise SubtokError(f"{target} exists and is not a regular file")
+    directory = targets[0].parent
+    new_dirs = [d for d in (directory, *directory.parents) if not d.exists()]
+    failed = targets[0]  # the target that an error names
+    try:
+        if make_dir:
+            directory.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=directory,
+                                         prefix=".partial-") as tmp:
+            for failed, write in zip(targets, writers.values()):
+                write(Path(tmp) / failed.name)
+            for failed in targets:
+                os.replace(Path(tmp) / failed.name, failed)
+    except BaseException as exc:
+        if make_dir and new_dirs:
+            shutil.rmtree(new_dirs[-1], ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise SubtokError(f"cannot write {failed}: "
+                              f"{exc.strerror or exc}") from exc
+        raise

@@ -8,9 +8,7 @@ pass `subtract` for training."""
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from subtok.errors import (
     nonnegative_int,
     read_fields,
     read_lines,
+    write_files,
 )
 from subtok.segment import (
     MORF_MAX_ITERS,
@@ -197,12 +196,12 @@ def segmentation_key(config: ModelConfig) -> tuple:
             config.ngram_max, config.word_token)
 
 
-def load_segmenter(config: ModelConfig, path):
+def load_segmenter(config: ModelConfig, path, vocab: Vocab | None = None):
     """`config`'s segmenter: a learned kind read from `path`, any other kind
-    built with no vocab, so that it keeps no word's n-grams."""
+    built over `vocab`, keeping its words' n-grams (none for None)."""
     if config.segmenter in SEGMENTER_FILES:
         return load_file(SEGMENTER_FILES[config.segmenter][1], path)
-    return build_segmenter(config, None)
+    return build_segmenter(config, vocab)
 
 
 class _WordCSR:
@@ -469,11 +468,8 @@ def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path,
     """Checkpoint directory: key=value config, vocab and subword-vocab TSVs,
     the segmenter model file (when the segmenter is learned), three binary
     float32 matrices, and each file of `extra`, a name -> a function that
-    writes the file to the path given. Every file is written into a
-    temporary directory inside the checkpoint first and renamed into place
-    only once all are written, so a failed write leaves the files that were
-    there. A target that exists and is not a regular file is refused before
-    anything is written."""
+    writes the file to the path given. All are written by one
+    `write_files` call, so a failed save leaves the directory as it was."""
     ckpt = Path(ckpt_dir)
     params = model.params
     writers = {
@@ -489,16 +485,8 @@ def save_checkpoint(model: SubwordModel, ckpt_dir: str | Path,
         writers[SEGMENTER_FILES[model.config.segmenter][0]] = \
             model.segmenter.save
     writers.update(extra or {})
-    for name in writers:
-        if (ckpt / name).exists() and not (ckpt / name).is_file():
-            raise SubtokError(f"{ckpt / name} exists and is not a regular "
-                              "file")
-    ckpt.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=ckpt, prefix=".partial-") as tmp:
-        for name, write in writers.items():
-            write(Path(tmp) / name)
-        for name in writers:
-            os.replace(Path(tmp) / name, ckpt / name)
+    write_files({ckpt / name: write for name, write in writers.items()},
+                make_dir=True)
 
 
 def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
@@ -509,7 +497,7 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     vocab = load_file(Vocab.load_tsv, ckpt / "vocab.tsv")
     svocab = load_file(SubwordVocab.load_tsv, ckpt / "subwords.tsv")
     learned = SEGMENTER_FILES.get(config.segmenter)
-    segmenter = load_segmenter(config, learned and ckpt / learned[0])
+    segmenter = load_segmenter(config, learned and ckpt / learned[0], vocab)
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import subtok.cli
+import subtok.corpus
 import subtok.model
 import subtok.probe as probe_mod
+import subtok.segment
 import subtok.train
 from subtok.cli import (
-    ArtifactGuard,
     _cell_configs,
     build_parser,
     load_task_data,
@@ -1296,42 +1297,6 @@ class TestReport:
         assert main(["report", "--metrics", str(tmp_path / "x.tsv")]) == 1
 
 
-class TestArtifactGuard:
-    def test_cleanup_removes_files_and_dirs(self, tmp_path):
-        guard = ArtifactGuard()
-        f = guard.register(tmp_path / "a.txt")
-        d = guard.register(tmp_path / "ckpt")
-        f.write_text("partial")
-        d.mkdir()
-        (d / "x").write_text("partial")
-        guard.cleanup()
-        assert not f.exists() and not d.exists()
-
-    def test_cleanup_tolerates_missing(self, tmp_path):
-        guard = ArtifactGuard()
-        guard.register(tmp_path / "never-created")
-        guard.cleanup()
-
-    def test_cleanup_keeps_what_existed(self, tmp_path):
-        old_dir, old_file = tmp_path / "old", tmp_path / "old.txt"
-        old_dir.mkdir()
-        (old_dir / "a").write_text("kept", encoding="utf-8")
-        old_file.write_text("kept", encoding="utf-8")
-        guard = ArtifactGuard()
-        for p in (old_dir, old_file, tmp_path / "new"):
-            guard.register(p)
-        (old_dir / "b").mkdir()
-        (old_dir / "b" / "c").write_text("partial", encoding="utf-8")
-        (old_dir / "d").write_text("partial", encoding="utf-8")
-        old_file.write_text("overwritten", encoding="utf-8")
-        (tmp_path / "new").write_text("partial", encoding="utf-8")
-        guard.cleanup()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["old",
-                                                              "old.txt"]
-        assert [p.name for p in old_dir.iterdir()] == ["a"]
-        assert old_file.read_text("utf-8") == "overwritten"
-
-
 def _train_checkpoint(corpus_file, ckpt):
     assert main(["train", "--corpus", str(corpus_file), "--seg", "charn",
                  "--word-token", "--position", "--dim", "8", "--epochs",
@@ -1378,6 +1343,11 @@ class TestRefusedInputExit1:
         if name == "corpus-not-utf8":
             corpus_file.write_bytes(b"red blue\n\xff pink\n")
             return train, "invalid UTF-8 at byte offset 9: invalid start byte"
+        if name in ("corpus-empty", "corpus-whitespace-only"):
+            corpus_file.write_text("" if name == "corpus-empty" else
+                                   " \n\t\n", encoding="utf-8")
+            return (train,
+                    "no word type reaches min_count=2 (0 types in corpus)")
         if name == "min-count-no-type-reaches":
             return (train + ["--min-count", "401"],
                     "no word type reaches min_count=401 (6 types in corpus)")
@@ -1398,6 +1368,9 @@ class TestRefusedInputExit1:
         elif name == "vocab-tsv-empty-word":
             lines[0] = lines[0][lines[0].index("\t"):]
             message = f"line 1: empty word in {path}"
+        elif name == "vocab-tsv-skipped-id":
+            lines[1] = lines[1].replace("\t1\t", "\t2\t", 1)
+            message = f"line 2: non-contiguous id 2 in {path}"
         elif name == "vocab-tsv-repeated-word":
             word = lines[0].split("\t")[0]
             lines[1] = word + lines[1][lines[1].index("\t"):]
@@ -1417,9 +1390,10 @@ class TestRefusedInputExit1:
                 str(tmp_path / "vec.txt")], message
 
     @pytest.mark.parametrize("name", [
-        "corpus-not-utf8", "min-count-no-type-reaches",
-        "we-tokens-above-corpus", "ngram-range-without-subword",
-        "vocab-tsv-empty", "vocab-tsv-empty-word",
+        "corpus-not-utf8", "corpus-empty", "corpus-whitespace-only",
+        "min-count-no-type-reaches", "we-tokens-above-corpus",
+        "ngram-range-without-subword", "vocab-tsv-empty",
+        "vocab-tsv-empty-word", "vocab-tsv-skipped-id",
         "vocab-tsv-repeated-word", "vocab-tsv-whitespace-word",
         "vocab-tsv-whitespace-word-probe"])
     def test_exit_1_writing_nothing(self, corpus_file, tmp_path, capsys,
@@ -1697,6 +1671,78 @@ class TestFailedCommandKeepsWhatExisted:
         assert _tree(tmp_path) == before
 
 
+def _half_then_disk_full(*args, **kwargs):
+    """A writer that writes part of the file at its one Path argument, then
+    fails as a full disk does."""
+    path = next(a for a in args if isinstance(a, Path))
+    path.write_bytes(b"half")
+    raise OSError(28, "No space left on device", str(path))
+
+
+class TestFailedWriteKeepsWhatExisted:
+    """An output whose write fails part-way leaves its path as it was."""
+
+    def _single_file_command(self, command, corpus_file, mentions_file,
+                             tmp_path):
+        """(argv without --out, (owner, name) of its --out file's writer)."""
+        if command == "vocab":
+            return (["vocab", "--corpus", str(corpus_file)],
+                    (subtok.corpus.Vocab, "save_tsv"))
+        if command == "segment-learn":
+            return (["segment-learn", "--corpus", str(corpus_file), "--seg",
+                     "bpe", "--merges", "10"],
+                    (subtok.segment.BpeModel, "save"))
+        if command == "report":
+            metrics = tmp_path / "metrics.tsv"
+            metrics.write_text("\t".join(subtok.cli.SIMULATE_COLUMNS) + "\n"
+                               "2000\t10\tword:w-:p-\t1\tG1\t32\t1\t2\t"
+                               "fget\ttest\taccuracy\t0.5\tok\n",
+                               encoding="utf-8")
+            return ["report", "--metrics", str(metrics)], (Path, "write_text")
+        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
+        if command == "export":
+            return (["export", "--checkpoint", str(ckpt)],
+                    (subtok.cli, "export_vectors"))
+        assert command == "probe"
+        return (["probe", "--checkpoint", str(ckpt), "--task", "mentions",
+                 "--data", str(mentions_file)],
+                (subtok.cli, "write_metrics"))
+
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize("command", ["vocab", "segment-learn", "export",
+                                         "probe", "report"])
+    def test_failed_write_keeps_the_out_path_as_it_was(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys,
+            command, existing):
+        """The writer of `--out` writes part of its file, then fails: the
+        command exits 1 naming `--out`, an `--out` that existed keeps its
+        bytes, and no new path is left."""
+        argv, (owner, name) = self._single_file_command(
+            command, corpus_file, mentions_file, tmp_path)
+        out = tmp_path / "out.txt"
+        if existing:
+            out.write_text("precious", encoding="utf-8")
+        before = _tree(tmp_path)
+        monkeypatch.setattr(owner, name, _half_then_disk_full)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"subtok: cannot write {out}: No space left on device\n")
+        assert _tree(tmp_path) == before
+
+    def test_failed_train_into_a_new_directory_leaves_none(
+            self, corpus_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(subtok.train.TrainResult, "save_trace",
+                            _half_then_disk_full)
+        out = tmp_path / "new" / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--dim", "8",
+                     "--epochs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"subtok: cannot write {out / 'trace.tsv'}: No space left on "
+            "device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
 class TestCheckpointErrorsNameTheFile:
     @pytest.mark.parametrize("name", ["config.txt", "vocab.tsv",
                                       "subwords.tsv", "bpe.txt", "morf.tsv",
@@ -1735,7 +1781,7 @@ class TestCheckpointErrorsNameTheFile:
 
 
     @pytest.mark.parametrize("case", ["id-past-the-table", "repeated-id",
-                                      "repeated-key"])
+                                      "repeated-key", "unknown-namespace"])
     def test_export_refuses_subword_lines_save_never_writes(
             self, corpus_file, tmp_path, capsys, case):
         """At line 3 of subwords.tsv, an id past the table once made export
@@ -1748,15 +1794,17 @@ class TestCheckpointErrorsNameTheFile:
                        "repeated-id": lines[1][2]}.get(case, lines[2][2])
         if case == "repeated-key":
             lines[2][:2] = lines[1][:2]
+        if case == "unknown-namespace":
+            lines[2][0] = "x"
         path.write_text("".join("\t".join(line) for line in lines),
                         encoding="utf-8")
         vec = tmp_path / "vec.txt"
         rc = main(["export", "--checkpoint", str(ckpt), "--out", str(vec)])
         assert rc == 1
         err = capsys.readouterr().err
-        message = (f"repeated key sub {lines[1][1]!r}"
-                   if case == "repeated-key"
-                   else f"non-contiguous id {lines[2][2].strip()}")
+        message = {"repeated-key": f"repeated key sub {lines[1][1]!r}",
+                   "unknown-namespace": "unknown namespace 'x'"}.get(
+            case, f"non-contiguous id {lines[2][2].strip()}")
         assert err == f"subtok: line 3: {message} in {path}\n"
         assert not vec.exists()
 

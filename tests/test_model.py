@@ -412,6 +412,15 @@ class TestExport:
             load_vectors(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 3\na 0.1 0.2\n", "line 1: expected `<count> <dim>` header"),
+        ("2 2\na 0.1 0.2\n", "header says 2 rows, file has 1")])
+    def test_load_refuses_a_bad_header(self, tmp_path, text, message):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_vectors(path)
+
     def test_empty_vocab_refused(self):
         # so no model, and no export, has an empty vocabulary
         with pytest.raises(SubtokError, match="at least one word"):
@@ -448,6 +457,25 @@ class TestCheckpoint:
         assert [loaded.segmenter.segment(w) for w in words] == \
             [m.segmenter.segment(w) for w in words]
         assert np.array_equal(loaded.vectors(words), m.vectors(words))
+
+    def test_loaded_charn_keeps_the_vocab_ngrams(self, tmp_path,
+                                                 monkeypatch):
+        """A loaded charn model composes its vocab words without computing
+        their n-grams again, to the built model's vectors bit for bit."""
+        m = small_model(word_token=True, position=True)
+        save_checkpoint(m, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        calls = []
+        real = subtok.segment.char_ngrams
+
+        def counted(word, *args):
+            calls.append(word)
+            return real(word, *args)
+
+        monkeypatch.setattr(subtok.segment, "char_ngrams", counted)
+        vecs = loaded.vectors(m.vocab.words)
+        assert calls == []
+        assert np.array_equal(vecs, m.vectors(m.vocab.words))
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(SubtokError):
