@@ -18,10 +18,14 @@ from subtok.errors import (
     read_fields,
 )
 
+# negatives are drawn from the unigram distribution raised to this power
+NEGATIVE_POWER = 0.75
+
 
 @dataclass(frozen=True)
 class Corpus:
-    """A tokenized corpus: sentences are non-empty lists of non-empty tokens."""
+    """A tokenized corpus: sentences are non-empty lists of non-empty tokens.
+    `from_sentences` drops empty sentences; its callers make no empty token."""
 
     sentences: tuple[tuple[str, ...], ...]
     token_count: int
@@ -29,9 +33,6 @@ class Corpus:
     @classmethod
     def from_sentences(cls, sentences: Iterable[Iterable[str]]) -> "Corpus":
         sents = tuple(tuple(s) for s in sentences if s)
-        for sent in sents:
-            if any(not tok for tok in sent):
-                raise ValueError("empty token in sentence")
         return cls(sentences=sents, token_count=sum(len(s) for s in sents))
 
 
@@ -153,10 +154,10 @@ def sample_tokens(corpus: Corpus, n: int) -> Corpus:
     return Corpus.from_sentences(out)
 
 
-def negative_sampling_weights(vocab: Vocab, power: float = 0.75) -> np.ndarray:
-    """Unigram distribution raised to `power` > 0 and renormalized; indexed
-    by word id."""
-    weights = vocab.counts.astype(np.float64) ** power
+def negative_sampling_weights(vocab: Vocab) -> np.ndarray:
+    """Unigram distribution raised to NEGATIVE_POWER and renormalized;
+    indexed by word id."""
+    weights = vocab.counts.astype(np.float64) ** NEGATIVE_POWER
     return weights / weights.sum()
 
 

@@ -226,10 +226,9 @@ class _WordCSR:
         tables, in one pass. A subword that the vocab has gets its row and,
         as position, its index in the word's full segmentation (unknown
         subwords count) clipped to max_positions - 1; an unknown subword
-        gets no row, and a word with no word-token row gets -1."""
+        gets no row, and a word with no word-token row gets -1. Every word
+        is non-empty, as vocab words and the loaders' tokens are."""
         words = model.vocab.words if words is None else words
-        if not all(words):
-            raise ValueError("word must be non-empty")
         segs = [model.segmenter.segment(w) for w in words]
         get = model.subword_vocab.entries.get
         ids = np.array([get((NS_SUBWORD, s), -1) for seg in segs for s in seg],

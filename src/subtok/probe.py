@@ -49,10 +49,9 @@ class MentionDataset:
     def from_examples(cls, examples, seed: int = 0,
                       splits: dict[str, list[int]] | None = None
                       ) -> "MentionDataset":
+        """Each example is (non-empty tokens, label), as `load_mentions`
+        and `synth` make them."""
         examples = [(tuple(toks), label) for toks, label in examples]
-        for toks, _ in examples:
-            if not toks:
-                raise ValueError("empty token list in mention")
         labels = sorted({label for _, label in examples})
         if splits is None:
             splits = random_split(len(examples), seed)
@@ -296,9 +295,8 @@ def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
 
 
 def _tagged(sentences, window: int) -> list[tuple[list, str]]:
-    """(window slots, label) of every token of (tokens, labels) pairs."""
-    if window < 0:
-        raise ConfigError("window must be >= 0")
+    """(window slots, label) of every token of (tokens, labels) pairs;
+    `window` >= 0, as `probe` requires of `--probe-window`."""
     return [(_window_slots(toks, i, window), labs[i])
             for toks, labs in sentences for i in range(len(toks))]
 
@@ -399,10 +397,10 @@ def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
 
 
 def per_label_accuracy(gold_seqs, pred_seqs) -> float:
+    """The share of predicted labels equal to gold; each prediction is as
+    long as its gold sequence, as `TaskFeatures.metrics` builds them."""
     total = hits = 0
     for gold, pred in zip(gold_seqs, pred_seqs):
-        if len(gold) != len(pred):
-            raise SubtokError("gold/pred length mismatch")
         for g, p in zip(gold, pred):
             total += 1
             hits += g == p
@@ -439,13 +437,10 @@ def decode_spans(labels) -> set[tuple[int, int, str]]:
 
 def span_f1(gold_seqs, pred_seqs) -> tuple[float, float, float]:
     """(precision, recall, F1) over exact (start, end, type) span matches;
-    0/0 ratios are defined as 0."""
+    0/0 ratios are defined as 0. Each prediction is as long as its gold
+    sequence, as `TaskFeatures.metrics` builds them."""
     n_gold = n_pred = n_match = 0
-    if len(gold_seqs) != len(pred_seqs):
-        raise SubtokError("gold/pred sequence count mismatch")
     for gold, pred in zip(gold_seqs, pred_seqs):
-        if len(gold) != len(pred):
-            raise SubtokError("gold/pred length mismatch")
         gs = decode_spans(gold)
         ps = decode_spans(pred)
         n_gold += len(gs)

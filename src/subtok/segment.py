@@ -128,10 +128,8 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     it lost, and merging skips it.
 
     The model's cache is seeded with each training word's final symbols,
-    which equal `apply_bpe`."""
-    if num_merges < 1:
-        raise ConfigError("num_merges must be >= 1")
-
+    which equal `apply_bpe`. `num_merges` is >= 1, as `ModelConfig`
+    requires."""
     words = [list(_word_symbols(w)) for w in vocab.words]
     freqs = [int(c) for c in vocab.counts]
 
@@ -259,9 +257,7 @@ def apply_bpe(model: BpeModel, word: str) -> tuple[str, ...]:
 def char_ngrams(word: str, n_min: int = 3, n_max: int = 6) -> tuple[str, ...]:
     """All contiguous substrings of the '<'-word-'>' wrapped form with length
     in [n_min, n_max], shortest first, left to right within each length.
-    Duplicates are kept."""
-    if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
+    Duplicates are kept. 1 <= n_min <= n_max, as `ModelConfig` requires."""
     wrapped = f"<{word}>"
     L = len(wrapped)
     out = []
@@ -566,9 +562,9 @@ def _viterbi_segment(word: str, lexicon: dict[str, int], denom: int,
 def segment_word(segmenter, word: str,
                  include_word_token: bool) -> Segmentation:
     """Delegate to the configured segmenter; with include_word_token the
-    whole word is appended as a word-token unit in its own namespace."""
-    if not word:
-        raise ValueError("word must be non-empty")
+    whole word is appended as a word-token unit in its own namespace. The
+    word is non-empty: vocab words are, and `segment-apply` refuses an
+    empty one."""
     return Segmentation(word=word, subwords=tuple(segmenter.segment(word)),
                         includes_word_token=include_word_token)
 

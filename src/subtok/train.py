@@ -120,10 +120,9 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 def sgns_loss(target_vec: np.ndarray, context_id: int,
               negative_ids, context_table: np.ndarray) -> float:
     """-log sigmoid(v.c+) - sum_j log sigmoid(-v.c-_j), dot products clamped
-    to +-30 before the logistic."""
+    to +-30 before the logistic; `negative_ids` holds at least one id, as
+    `grad_check` draws them."""
     negative_ids = np.asarray(negative_ids, dtype=np.int64)
-    if negative_ids.size < 1:
-        raise ValueError("need at least one negative id")
     pos = float(np.clip(target_vec @ context_table[context_id],
                         -SCORE_CLAMP, SCORE_CLAMP))
     neg = np.clip(context_table[negative_ids] @ target_vec,
@@ -132,12 +131,12 @@ def sgns_loss(target_vec: np.ndarray, context_id: int,
 
 
 class NegativeSampler:
-    """Draws negatives from the unigram^power distribution; negatives that
-    collide with the positive id are resampled up to 10 times, then masked
-    out."""
+    """Draws negatives from the unigram^NEGATIVE_POWER distribution;
+    negatives that collide with the positive id are resampled up to 10
+    times, then masked out."""
 
-    def __init__(self, vocab: Vocab, power: float = 0.75):
-        self.weights = negative_sampling_weights(vocab, power)
+    def __init__(self, vocab: Vocab):
+        self.weights = negative_sampling_weights(vocab)
         self.cum = np.cumsum(self.weights)
         self.cum[-1] = 1.0
 
@@ -253,12 +252,9 @@ def _epoch_tokens(stream_ids, sent_of, keep_probs, window, rng, subsampled):
     ids = stream_ids[kept_mask]
     sents = sent_of[kept_mask]
     m = ids.size
-    if m == 0:
-        return (np.empty(0, dtype=np.int64),) * 4
     radii = rng.integers(1, window + 1, size=m)
 
-    change = np.empty(m, dtype=bool)
-    change[0] = True
+    change = np.ones(m, dtype=bool)
     change[1:] = sents[1:] != sents[:-1]
     group_start = np.maximum.accumulate(np.where(change, np.arange(m), 0))
     pos = np.arange(m) - group_start
@@ -286,18 +282,12 @@ def _epoch_pairs(stream_ids, sent_of, keep_probs, window, rng, subsampled):
                                               subsampled)
     centers, ctxs = [], []
     for off in range(1, window + 1):
-        left = (radii >= off) & (pos >= off)
-        if left.any():
-            i = np.flatnonzero(left)
-            centers.append(ids[i])
-            ctxs.append(ids[i - off])
-        right = (radii >= off) & (from_end >= off)
-        if right.any():
-            i = np.flatnonzero(right)
-            centers.append(ids[i])
-            ctxs.append(ids[i + off])
-    if not centers:
-        return (np.empty(0, dtype=np.int64),) * 2
+        i = np.flatnonzero((radii >= off) & (pos >= off))
+        centers.append(ids[i])
+        ctxs.append(ids[i - off])
+        i = np.flatnonzero((radii >= off) & (from_end >= off))
+        centers.append(ids[i])
+        ctxs.append(ids[i + off])
     centers = np.concatenate(centers)
     ctxs = np.concatenate(ctxs)
     perm = rng.permutation(centers.size)

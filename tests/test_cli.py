@@ -127,6 +127,7 @@ class TestConfigLabels:
     def test_bpe_merge_counts(self):
         assert parse_config_label("bpe1e3").num_merges == 1000
         assert parse_config_label("bpe500").num_merges == 500
+        assert parse_config_label("bpe500").label == "bpe500:w-:p-"
 
     def test_flags(self):
         cfg = parse_config_label("morf:w+:p+")
@@ -2024,6 +2025,25 @@ class TestRefusalsExit1:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"subtok: {message}\n")
         assert _tree(tmp_path) == before
+
+
+class TestInternalErrorExit2:
+    """An exception that is not a refusal (not a SubtokError, nor an
+    OSError that names a file) exits 2 with its type and message."""
+
+    @pytest.mark.parametrize("exc,line", [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (OSError(12, "Cannot allocate memory"),
+         "OSError: [Errno 12] Cannot allocate memory")],
+        ids=["runtime-error", "oserror-without-file-name"])
+    def test_exit_2(self, monkeypatch, capsys, exc, line):
+        def raise_exc(args):
+            raise exc
+
+        monkeypatch.setattr(subtok.cli, "cmd_report", raise_exc)
+        assert main(["report", "--metrics", "metrics.tsv"]) == 2
+        assert capsys.readouterr() == (
+            "", f"subtok: internal error: {line}\n")
 
 
 class TestParserDefaults:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subtok.corpus
 from subtok.corpus import (
     G1,
     G2,
@@ -112,7 +113,7 @@ class TestSampleTokens:
 class TestNegativeSamplingWeights:
     def test_power_075(self):
         v = build_vocab(tokenize_corpus("a a a a b"), 1)
-        w = negative_sampling_weights(v, 0.75)
+        w = negative_sampling_weights(v)
         # direct arithmetic: 4^0.75 / (4^0.75 + 1)
         expected_a = 4**0.75 / (4**0.75 + 1)
         assert w[v.word2id["a"]] == pytest.approx(expected_a, abs=1e-6)
@@ -121,23 +122,23 @@ class TestNegativeSamplingWeights:
 
     def test_symmetry(self):
         v = build_vocab(tokenize_corpus("a b"), 1)
-        for power in (0.3, 0.75, 1.0, 2.0):
-            assert negative_sampling_weights(v, power) == pytest.approx(
-                [0.5, 0.5])
+        assert negative_sampling_weights(v) == pytest.approx([0.5, 0.5])
 
-    def test_unigram(self):
+    def test_unigram(self, monkeypatch):
+        """The weights follow NEGATIVE_POWER: at 1 they are the unigram
+        distribution."""
+        monkeypatch.setattr(subtok.corpus, "NEGATIVE_POWER", 1.0)
         v = build_vocab(tokenize_corpus("a a a b"), 1)
-        w = negative_sampling_weights(v, 1.0)
+        w = negative_sampling_weights(v)
         assert w[v.word2id["a"]] == pytest.approx(0.75)
 
     @given(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=4),
-                           st.integers(1, 1000), min_size=1, max_size=20),
-           st.floats(0.1, 2.0))
+                           st.integers(1, 1000), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
-    def test_distribution_properties(self, counts, power):
+    def test_distribution_properties(self, counts):
         text = "\n".join(" ".join([w] * c) for w, c in counts.items())
         v = build_vocab(tokenize_corpus(text), 1)
-        w = negative_sampling_weights(v, power)
+        w = negative_sampling_weights(v)
         assert abs(w.sum() - 1.0) < 1e-9
         assert (w > 0).all()
 

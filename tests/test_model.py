@@ -231,10 +231,6 @@ class TestBulkResolve:
         assert _WordCSR.of_model(m, ["q"]).lens.tolist() == [0]
         assert resolve_reference(m, "q").unknown == 0
 
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            _WordCSR.of_model(small_model(), [""])
-
     @pytest.mark.parametrize("word_token", [False, True])
     def test_each_vocab_word_segmented_once(self, monkeypatch, word_token):
         """Building a charn model's subword vocab and resolving its vocab

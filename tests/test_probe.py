@@ -10,7 +10,7 @@ import oracles
 import subtok.probe as probe_mod
 from subtok.cli import parse_config_label
 from subtok.corpus import build_vocab, tokenize_corpus
-from subtok.errors import ConfigError, FormatError, SubtokError
+from subtok.errors import FormatError, SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.probe import (
     MentionDataset,
@@ -145,10 +145,6 @@ class TestSpanF1:
         p2, r2, f1b = span_f1(pred, gold)
         assert (p1, r1) == (r2, p2)
         assert f1a == pytest.approx(f1b)
-
-    def test_length_mismatch(self):
-        with pytest.raises(SubtokError):
-            span_f1([("O", "O")], [("O",)])
 
     def test_f1_bounded(self):
         rng = np.random.default_rng(0)
@@ -435,6 +431,21 @@ def test_solver_agrees_with_gradient_descent(lam, seed):
     assert np.abs(theta[:, -1] - bias).max() < 1e-6
 
 
+def test_solver_stops_when_no_step_lowers_the_loss():
+    """At feature scale 1e7 the loss stops falling in floating point while
+    some gradient entry still exceeds GRAD_TOL: at the weakest λ of L2_GRID
+    no backtracking step lowers it, and the solve keeps the last step that
+    did, with finite weights that fit the separable training labels."""
+    feats = np.array([[7e7], [-4e7], [3e7], [-4e7]])
+    ids = np.array([0, 1, 2, 1])
+    xa = np.hstack([feats, np.ones((4, 1))])
+    theta = np.zeros((3, 2))
+    for lam in probe_mod.L2_GRID:
+        theta = probe_mod._newton_cg(xa, ids, lam, theta)
+    assert np.isfinite(theta).all()
+    assert (xa @ theta.T).argmax(axis=1).tolist() == ids.tolist()
+
+
 @pytest.mark.parametrize("task", ["mentions", "conll"])
 def test_label_missing_from_train_split(task):
     """A truncated train split can miss a label: its bias falls without
@@ -469,12 +480,6 @@ def test_slot_features_match_reference_features():
                 assert np.array_equal(
                     window_features(model, toks, i, window),
                     oracles.window_features(model, toks, i, window))
-
-
-def test_negative_window_is_a_config_error():
-    model, _, bio, _ = _reference_setup("w2v")
-    with pytest.raises(ConfigError, match="window must be >= 0"):
-        probe_mod.TaskFeatures.of(model, bio, bio.splits["train"], window=-1)
 
 
 class TestScores:

@@ -203,6 +203,18 @@ class TestSgnsStep:
         if len(words) == 2:
             assert dropped > 10
 
+    @pytest.mark.parametrize("center,context", [("aa", "zz"), ("zz", "bb")])
+    def test_refuses_a_word_not_in_vocab(self, center, context):
+        _, m = make_model("aa bb cc dd\n" * 5)
+        before = [getattr(m.params, name).copy()
+                  for name in ("subword", "position", "context")]
+        with pytest.raises(SubtokError, match="both words must be in vocab: "
+                           f"'{center}', '{context}'"):
+            sgns_step(m, center, context, 0.1, 2, NegativeSampler(m.vocab),
+                      np.random.default_rng(0))
+        for name, table in zip(("subword", "position", "context"), before):
+            assert np.array_equal(getattr(m.params, name), table)
+
 
 class TestSgnsKernel:
     def _batch_model(self):
@@ -564,6 +576,20 @@ class TestEpochPairs:
         assert _epoch_pair_count(*stream, np.random.default_rng(seed),
                                  subsampled) == centers.size
 
+    @pytest.mark.parametrize("text,keep", [("a\nb\na\n", 1.0),
+                                           ("a b a b\n", 0.0)],
+                             ids=["one-token-sentences", "none-kept"])
+    def test_an_epoch_with_no_pair(self, text, keep):
+        corpus = tokenize_corpus(text)
+        vocab = build_vocab(corpus, 1)
+        stream = (*_token_stream(corpus, vocab),
+                  np.full(len(vocab), keep), 2)
+        centers, ctxs = _epoch_pairs(*stream, np.random.default_rng(0), True)
+        assert centers.dtype == ctxs.dtype == np.int64
+        assert centers.size == ctxs.size == 0
+        assert _epoch_pair_count(*stream, np.random.default_rng(0),
+                                 True) == 0
+
     def test_made_once_per_epoch_with_the_two_pass_schedule(self,
                                                             monkeypatch):
         corpus, m = make_model("u v w x y z\n" * 600)
@@ -732,7 +758,7 @@ class TestNegativeSampler:
 
     def test_distribution_follows_power_law(self):
         corpus, m = make_model(" ".join(["a"] * 810 + ["b"] * 10))
-        sampler = NegativeSampler(m.vocab, power=0.75)
+        sampler = NegativeSampler(m.vocab)
         draws = sampler.draw(np.random.default_rng(2), 20_000)
         frac_a = (draws == m.vocab.word2id["a"]).mean()
         expected = 810**0.75 / (810**0.75 + 10**0.75)
