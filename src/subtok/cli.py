@@ -101,7 +101,7 @@ def parse_config_label(label: str) -> ModelConfig:
             raise SubtokError(
                 f"bpe config label needs a whole merge count: {label!r}")
         kwargs.update(segmenter="bpe", num_merges=int(merges))
-    elif seg not in ("morf", "charn", "word"):
+    elif seg not in SEGMENTER_KINDS:
         raise SubtokError(f"unknown config label {label!r}")
     for flag in flags:
         if flag not in CONFIG_FLAGS:

@@ -56,8 +56,8 @@ class ModelConfig:
 
     segmenter: str = "charn"  # morf | bpe | charn | word
     num_merges: int = 10_000  # bpe only
-    ngram_min: int = 3  # charn only
-    ngram_max: int = 6
+    ngram_min: int = CharNgramSegmenter.n_min  # charn only
+    ngram_max: int = CharNgramSegmenter.n_max
     word_token: bool = False
     position: bool = False
     dim: int = 100

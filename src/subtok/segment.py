@@ -66,12 +66,12 @@ class BpeModel:
 
     merges: list[tuple[str, str]]
     num_merges: int
-    _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
-    _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
+    _cache: dict[str, tuple[str, ...]] = field(
+        init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._ranks:
-            self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+        self._ranks = {pair: i for i, pair in enumerate(self.merges)}
 
     def segment(self, word: str) -> tuple[str, ...]:
         cached = self._cache.get(word)
@@ -254,7 +254,7 @@ def apply_bpe(model: BpeModel, word: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def char_ngrams(word: str, n_min: int = 3, n_max: int = 6) -> tuple[str, ...]:
+def char_ngrams(word: str, n_min: int, n_max: int) -> tuple[str, ...]:
     """All contiguous substrings of the '<'-word-'>' wrapped form with length
     in [n_min, n_max], shortest first, left to right within each length.
     Duplicates are kept. 1 <= n_min <= n_max, as `ModelConfig` requires."""
@@ -275,8 +275,8 @@ class CharNgramSegmenter:
 
     n_min: int = 3
     n_max: int = 6
-    _kept: dict[str, tuple[str, ...]] = field(default_factory=dict,
-                                              repr=False, compare=False)
+    _kept: dict[str, tuple[str, ...]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def keeping(cls, words, n_min: int, n_max: int) -> "CharNgramSegmenter":
@@ -318,7 +318,8 @@ class MorfModel:
     cost_history: list[float] = field(default_factory=list)
     analyses: dict[str, tuple[str, ...]] = field(default_factory=dict,
                                                  repr=False)
-    _cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _cache: dict[str, tuple[str, ...]] = field(
+        init=False, default_factory=dict, repr=False)
     _denom: int = field(init=False, repr=False)
     _longest: int = field(init=False, repr=False)
 

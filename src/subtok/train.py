@@ -3,11 +3,11 @@
 The target word vector is the sum of its subword (and position / word-token)
 rows. `subtok.model._WordCSR` owns that composition: `compose`, which
 export and the probes also use, and its backward pass `subtract`. A kernel
-call takes its batch as distinct words and each center's index among
-them: it composes each distinct word once, and `subtract` sends each
-center's gradient back through that center's rows in batch order, so the
-tables get the same subtractions in the same order as when every center
-was composed on its own. The context side is the word-level context matrix.
+call takes its batch's centers, composes each distinct one once, and
+`subtract` sends each center's gradient back through that center's rows
+in batch order, so the tables get the same subtractions in the same order
+as when every center was composed on its own. The context side is the
+word-level context matrix.
 The SGNS gradient is written once, in the batched kernel `sgns_kernel`:
 the trainer runs it per minibatch, `sgns_step` runs it for one pair, and
 `grad_check` checks its updates against finite differences of
@@ -15,16 +15,13 @@ the trainer runs it per minibatch, `sgns_step` runs it for one pair, and
 `subtok.model.scatter_subtract`.
 
 One loop, `Trainer`, trains one model or sibling models in lockstep
-(`train_lockstep`); `train` is its one-model call. Each epoch it plans
-every batch's distinct centers once, in one vectorised pass per model
-(`_plan_batches`), so a kernel call only slices and, in lockstep, joins
-the models' slices. Two execution contracts: deterministic and
-single-threaded, where each model trains bit for bit as it does alone;
-and, for one model with `TrainConfig.threads` above 1, lock-free across
-threads, where torn reads are tolerated and the result is not
-reproducible. A call trains every model or fails as a whole: the first
-SubtokError stops it, and a failed call of several models leaves their
-own tables as they were.
+(`train_lockstep`); `train` is its one-model call. Two execution
+contracts: deterministic and single-threaded, where each model trains bit
+for bit as it does alone; and, for one model with `TrainConfig.threads`
+above 1, lock-free across threads, where torn reads are tolerated and the
+result is not reproducible. A call trains every model or fails as a
+whole: the first SubtokError stops it, and a failed call of several
+models leaves their own tables as they were.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +59,6 @@ EMA_ALPHA = 0.99
 # as the taller arrays leave the cache. G2's gain is small against
 # holding five seeds' pairs at once, so a call stays at G1's five seeds.
 LOCKSTEP_ROWS = 160
-# The most pairs `_plan_batches` plans in one pass: its scratch arrays take
-# about 50 bytes per pair, so an epoch's plan adds little to its pairs.
-PLAN_PAIRS = 1 << 16
 
 
 @dataclass
@@ -157,21 +151,21 @@ class NegativeSampler:
         return negs, negs != positives[:, None]
 
 
-def sgns_kernel(params: ParamTables, csr: _WordCSR, words: np.ndarray,
-                back: np.ndarray, ctx_ids: np.ndarray, valid: np.ndarray, lr,
+def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
+                ctx_ids: np.ndarray, valid: np.ndarray, lr,
                 first_update: int = 0) -> np.ndarray:
-    """One SGD step of SGNS on a batch: center i, the word words[back[i]]
-    (a row of `csr`), against ctx_ids[i] = (positive id, negative ids...),
+    """One SGD step of SGNS on a batch: center i, the word centers[i] (a
+    row of `csr`), against ctx_ids[i] = (positive id, negative ids...),
     where `valid` masks the negatives that collided with the positive, at
     learning rate `lr`, one for the batch or one per center. `csr.compose`
-    sums each of `words` once, meant to be the batch's distinct centers,
-    and each center takes its word's vector; dot products are clamped to
-    +-30 and a clamped score passes no gradient. Raises SubtokError on a
-    non-finite score before any table changes, naming update
-    `first_update` + its row; otherwise updates the context rows and, per
-    center in batch order, every constituent row, and returns the loss per
-    center, computed in the tables' float dtype."""
-    centers = words[back]
+    sums each distinct center once and each center takes its word's
+    vector; dot products are clamped to +-30 and a clamped score passes no
+    gradient. Raises SubtokError on a non-finite score before any table
+    changes, naming update `first_update` + its row; otherwise updates the
+    context rows and, per center in batch order, every constituent row,
+    and returns the loss per center, computed in the tables' float
+    dtype."""
+    words, back = np.unique(centers, return_inverse=True)
     v = csr.compose(params, words)[back]
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
@@ -214,10 +208,9 @@ def sgns_step(model: SubwordModel, center_word: str, context_word: str,
             f"both words must be in vocab: {center_word!r}, {context_word!r}")
     ctx = np.array([ctx_id])
     negs, valid = sampler.draw_matrix(rng, ctx, k)
-    one = np.zeros(1, dtype=np.int64)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
-                       one, one, np.concatenate((ctx[:, None], negs), axis=1),
-                       valid, lr)
+                       np.zeros(1, dtype=np.int64),
+                       np.concatenate((ctx[:, None], negs), axis=1), valid, lr)
     return float(loss[0])
 
 
@@ -313,53 +306,24 @@ class _Lane:
 
 class _Span:
     """A lane's pairs of one epoch, or of a part of it (threads > 1), in
-    batch order: positive and negative context rows and the negatives'
-    valid mask, and the lane's update count at the span's next pair. The
-    positives and negatives are joined per batch: joining a whole epoch's
-    would hold the parts and the joined copy at once.
-
-    The span plans its batches of `size` pairs when it is made, and keeps
-    the centers only as the kernel takes them: `words` has each batch's
-    distinct centers in ascending order, batch j's at
-    words[bounds[j]:bounds[j + 1]], and back[i] is center i's index among
-    its batch's."""
+    batch order: centers, positive and negative context rows and the
+    negatives' valid mask, in batches of `size` pairs, and the lane's
+    update count at the span's next pair. The positives and negatives are
+    joined per batch: joining a whole epoch's would hold the parts and the
+    joined copy at once."""
 
     def __init__(self, lane: _Lane, processed: int, centers: np.ndarray,
                  ctxs: np.ndarray, negs: np.ndarray, valid: np.ndarray,
                  size: int):
         self.lane, self.processed, self.size = lane, processed, size
-        self.ctxs, self.negs, self.valid = ctxs, negs, valid
-        self.words, self.back, self.bounds = _plan_batches(centers, size)
-        self.batches = len(self.bounds) - 1
+        self.centers, self.ctxs = centers, ctxs
+        self.negs, self.valid = negs, valid
+        self.batches = -(-centers.size // size)
 
     def batch(self, j: int):
-        """Batch j: (words, back, positives, negatives, valid)."""
+        """Batch j: (centers, positives, negatives, valid)."""
         b = slice(j * self.size, (j + 1) * self.size)
-        return (self.words[self.bounds[j]:self.bounds[j + 1]], self.back[b],
-                self.ctxs[b], self.negs[b], self.valid[b])
-
-
-def _plan_batches(centers: np.ndarray, size: int):
-    """`_Span`'s (words, back, bounds) of `centers` in batches of `size`.
-    The key batch number * stride + center is one per (batch, center), so
-    `np.unique` of the keys gives each batch's distinct centers in order
-    and each center's index among all of them, and `searchsorted` finds
-    where each batch's keys start. One pass takes whole batches of at most
-    PLAN_PAIRS pairs, which bounds its scratch arrays."""
-    stride = int(centers.max(initial=0)) + 1
-    back = np.empty(centers.size, dtype=np.int64)
-    words, bounds = [np.empty(0, dtype=np.int64)], [0]
-    run = max(1, PLAN_PAIRS // size) * size
-    for lo in range(0, centers.size, run):
-        part = centers[lo:lo + run]
-        batch_no = np.arange(part.size) // size
-        keys, inverse = np.unique(batch_no * stride + part,
-                                  return_inverse=True)
-        starts = np.searchsorted(keys, np.arange(batch_no[-1] + 2) * stride)
-        back[lo:lo + part.size] = inverse - starts[batch_no]
-        words.append(keys % stride)
-        bounds += (starts[1:] + bounds[-1]).tolist()
-    return np.concatenate(words), back, bounds
+        return self.centers[b], self.ctxs[b], self.negs[b], self.valid[b]
 
 
 def _check_siblings(models, configs) -> None:
@@ -460,7 +424,6 @@ class Trainer:
             if models:
                 self._run_threaded(self.lanes[0], self._lane_pairs(0, epoch))
             return
-        # each model's centers go once its span is planned
         spans = [_Span(self.lanes[m], self.lanes[m].processed,
                        *self._lane_pairs(m, epoch), B) for m in models]
         spans = [span for span in spans if span.batches]
@@ -486,7 +449,7 @@ class Trainer:
 
     def _run_threaded(self, lane: _Lane, pairs) -> None:
         """One span per thread, each a contiguous part of the epoch's pairs
-        that batches and plans from its own first pair."""
+        that batches from its own first pair."""
         n, first = pairs[0].size, lane.processed
         t = self.config.threads
         bounds = np.linspace(0, n, t + 1).astype(np.int64)
@@ -510,16 +473,12 @@ class Trainer:
     def _step(self, spans: list[_Span], j: int) -> None:
         """One kernel call on batch j of each span, each row at its model's
         LR; an error names the update of the first span's model."""
-        words, back, ctxs, negs, valid = zip(*(s.batch(j) for s in spans))
+        centers, ctxs, negs, valid = zip(*(s.batch(j) for s in spans))
         sizes = [c.size for c in ctxs]
         lrs = [s.lane.lr(s.processed) for s in spans]
-        # each span's back indexes its own words, which follow the words
-        # of the spans before it
-        back = np.concatenate([c + first for c, first in zip(
-            back, accumulate((w.size for w in words), initial=0))])
-        words, ctxs, negs, valid = (np.concatenate(col)
-                                    for col in (words, ctxs, negs, valid))
-        loss = sgns_kernel(self.params, self.csr, words, back,
+        centers, ctxs, negs, valid = (np.concatenate(col)
+                                      for col in (centers, ctxs, negs, valid))
+        loss = sgns_kernel(self.params, self.csr, centers,
                            np.concatenate((ctxs[:, None], negs), axis=1),
                            valid, np.repeat(lrs, sizes), spans[0].processed)
         start = 0
@@ -607,8 +566,7 @@ def grad_check(dim: int = 10, trials: int = 100, seed: int = 0,
         csr = _WordCSR(["w"], rows, rows, np.array([n_sub]),
                        np.array([n_sub if use_wt else -1]), use_pos)
         after = params.copy()
-        one = np.zeros(1, dtype=np.int64)
-        sgns_kernel(after, csr, one, one,
+        sgns_kernel(after, csr, np.zeros(1, dtype=np.int64),
                     np.arange(k + 1)[None], np.ones((1, k), dtype=bool), 1.0)
 
         def loss():

@@ -233,9 +233,9 @@ def sgns_step_reference(model: SubwordModel, center_word: str,
     no place in the batch. Returns the pair loss."""
     ctx_id = model.vocab.word2id[context_word]
     negs = draw_avoiding(sampler, rng, k, ctx_id)
-    one = np.zeros(1, dtype=np.int64)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
-                       one, one, np.concatenate(([ctx_id], negs))[None],
+                       np.zeros(1, dtype=np.int64),
+                       np.concatenate(([ctx_id], negs))[None],
                        np.ones((1, negs.size), dtype=bool), lr)
     return float(loss[0])
 

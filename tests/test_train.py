@@ -46,12 +46,6 @@ def make_model(text, **cfg):
     return corpus, SubwordModel.build(ModelConfig(**defaults), vocab)
 
 
-def planned(centers):
-    """(words, back) of a batch of centers, as the kernel takes them: the
-    distinct centers, and each center's index among them."""
-    return np.unique(centers, return_inverse=True)
-
-
 class TestSgnsLoss:
     def test_all_zero(self):
         ctx = np.zeros((6, 4))
@@ -232,8 +226,8 @@ class TestSgnsKernel:
         vecs = [m.word_vector(w).astype(np.float64) for w in ("aa", "bb")]
         ctx = m.params.context.astype(np.float64)
         before = m.params.copy()
-        loss = sgns_kernel(m.params, _WordCSR.of_model(m), *planned(centers),
-                           ctx_ids, valid, 0.1)
+        loss = sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
+                           valid, 0.1)
         # dd is only the masked negative of the first center
         assert np.array_equal(m.params.context[ids["dd"]],
                               before.context[ids["dd"]])
@@ -256,8 +250,8 @@ class TestSgnsKernel:
         ctx_ids = np.array([[ids["bb"], ids["cc"]],
                             [ids["dd"], ids["ee"]]])
         before = m.params.copy()
-        sgns_kernel(m.params, _WordCSR.of_model(m), *planned(centers),
-                    ctx_ids, np.ones((2, 1), dtype=bool), 0.1)
+        sgns_kernel(m.params, _WordCSR.of_model(m), centers, ctx_ids,
+                    np.ones((2, 1), dtype=bool), 0.1)
         for w in ("bb", "ee"):
             assert np.array_equal(m.params.context[ids[w]],
                                   before.context[ids[w]])
@@ -285,16 +279,14 @@ class TestSgnsKernel:
         csr = _WordCSR.of_model(m)
         before = m.params.copy()
         reference = m.params.copy()
-        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids, valid,
-                           0.5)
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids, valid, 0.5)
 
         def subtract_at_2d(table, rows, vals):
             np.subtract.at(table, rows, vals)
 
         monkeypatch.setattr(subtok.model, "scatter_subtract", subtract_at_2d)
         monkeypatch.setattr(train_module, "scatter_subtract", subtract_at_2d)
-        ref_loss = sgns_kernel(reference, csr, *planned(centers), ctx_ids,
-                               valid, 0.5)
+        ref_loss = sgns_kernel(reference, csr, centers, ctx_ids, valid, 0.5)
         assert loss.tobytes() == ref_loss.tobytes()
         for name in ("subword", "position", "context"):
             table = getattr(m.params, name)
@@ -359,7 +351,7 @@ class TestNoRowCenter:
         assert vecs[i].tobytes() == expected.tobytes()
 
         before = m.params.copy()
-        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids,
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids,
                            np.ones((2, 1), dtype=bool), 0.1)
         assert loss[i] == pytest.approx(sgns_loss(
             expected.astype(np.float64), ctx_ids[i, 0], ctx_ids[i, 1:],
@@ -385,7 +377,7 @@ NO_ROW_TEXT = ("ab cats scats hats\nhats ab ab cats\ncats cats cats ab\n"
 
 
 class TestPlannedKernel:
-    """The kernel sums each of `words` once and gives every center its
+    """The kernel sums each distinct center once and gives every center its
     word's sum; tables and loss equal those of the kernel that composes
     every center on its own, bit for bit."""
 
@@ -410,8 +402,7 @@ class TestPlannedKernel:
         lr = rng.uniform(0.01, 0.5, size=n)
         reference = m.params.copy()
         csr = _WordCSR.of_model(m)
-        loss = sgns_kernel(m.params, csr, *planned(centers), ctx_ids, valid,
-                           lr)
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids, valid, lr)
         ref_loss = oracles.sgns_kernel_reference(reference, csr, centers,
                                                  ctx_ids, valid, lr)
         assert loss.tobytes() == ref_loss.tobytes()
@@ -419,12 +410,11 @@ class TestPlannedKernel:
                               for name in ("subword", "position", "context")]
 
 
-def _recorded_training(corpus, models, configs, kernel, plan_pairs):
-    """Train through `kernel`, called as `sgns_kernel` is, planning at most
-    `plan_pairs` pairs in one pass. Returns the TrainResults; each
-    `_epoch_pairs` call's centers, which the trainer shifts in place to
-    their stacked rows; (words, back, loss) per kernel call; and the words
-    each `_WordCSR.compose` call summed."""
+def _recorded_training(corpus, models, configs, kernel):
+    """Train through `kernel`, called as `sgns_kernel` is. Returns the
+    TrainResults; each `_epoch_pairs` call's centers, which the trainer
+    shifts in place to their stacked rows; (centers, loss) per kernel
+    call; and the words each `_WordCSR.compose` call summed."""
     pairs, calls, summed = [], [], []
     real_pairs = train_module._epoch_pairs
     real_compose = subtok.model._WordCSR.compose
@@ -434,9 +424,9 @@ def _recorded_training(corpus, models, configs, kernel, plan_pairs):
         pairs.append(out[0])
         return out
 
-    def recorded_kernel(params, csr, words, back, *args):
-        loss = kernel(params, csr, words, back, *args)
-        calls.append((words.copy(), back.copy(), loss))
+    def recorded_kernel(params, csr, centers, *args):
+        loss = kernel(params, csr, centers, *args)
+        calls.append((centers.copy(), loss))
         return loss
 
     def recorded_compose(self, params, words):
@@ -447,29 +437,28 @@ def _recorded_training(corpus, models, configs, kernel, plan_pairs):
             mock.patch.object(train_module, "sgns_kernel", recorded_kernel), \
             mock.patch.object(subtok.model._WordCSR, "compose",
                               recorded_compose), \
-            mock.patch.object(train_module, "TRACE_EVERY", 40), \
-            mock.patch.object(train_module, "PLAN_PAIRS", plan_pairs):
+            mock.patch.object(train_module, "TRACE_EVERY", 40):
         results = train_lockstep(corpus, models, configs)
     return results, pairs, calls, summed
 
 
-def _per_center_kernel(params, csr, words, back, ctx_ids, valid, lr,
+def _per_center_kernel(params, csr, centers, ctx_ids, valid, lr,
                        first_update=0):
-    return oracles.sgns_kernel_reference(params, csr, words[back], ctx_ids,
+    return oracles.sgns_kernel_reference(params, csr, centers, ctx_ids,
                                          valid, lr)
 
 
-def _check_planned_training(corpus, base, configs, plan_pairs=1 << 16):
+def _check_planned_training(corpus, base, configs):
     """Train siblings of `base` under `configs` in one lockstep call and
-    check the plan: call j of an epoch gets batch j of every model that
-    still has one, model after model, as words[back], and sums exactly
+    check its calls: call j of an epoch gets the centers of batch j of
+    every model that still has one, model after model, and sums exactly
     its distinct centers; and every table and loss equals training with
     each center composed on its own. Returns each model's pair counts per
     epoch."""
     B = configs[0].batch_size
     models = [base.with_seed(c.seed) for c in configs]
     results, pairs, calls, summed = _recorded_training(
-        corpus, models, configs, sgns_kernel, plan_pairs)
+        corpus, models, configs, sgns_kernel)
     expected = []
     for e in range(configs[0].epochs):
         lanes = pairs[e * len(models):(e + 1) * len(models)]
@@ -477,15 +466,14 @@ def _check_planned_training(corpus, base, configs, plan_pairs=1 << 16):
             expected.append(np.concatenate([p[b:b + B] for p in lanes
                                             if b < p.size]))
     assert len(calls) == len(expected) == len(summed)
-    for (words, back, _), centers, sums in zip(calls, expected, summed):
-        assert np.array_equal(words[back], centers)
-        assert np.array_equal(words, np.unique(centers))
-        assert np.array_equal(sums, words)
+    for (centers, _), batch, sums in zip(calls, expected, summed):
+        assert np.array_equal(centers, batch)
+        assert np.array_equal(sums, np.unique(batch))
 
     ref_models = [base.with_seed(c.seed) for c in configs]
     ref_results, _, ref_calls, _ = _recorded_training(
-        corpus, ref_models, configs, _per_center_kernel, plan_pairs)
-    for (_, _, loss), (_, _, ref_loss) in zip(calls, ref_calls):
+        corpus, ref_models, configs, _per_center_kernel)
+    for (_, loss), (_, ref_loss) in zip(calls, ref_calls):
         assert loss.tobytes() == ref_loss.tobytes()
     for model, ref, result, ref_result in zip(models, ref_models, results,
                                               ref_results):
@@ -496,8 +484,8 @@ def _check_planned_training(corpus, base, configs, plan_pairs=1 << 16):
 
 
 class TestPlannedTraining:
-    """The trainer plans each epoch's calls once; the plan gives every
-    call its batches' centers and their distinct words."""
+    """Every kernel call of the trainer gets its batches' centers and sums
+    their distinct words once."""
 
     @given(segmenter=st.sampled_from(["word", "charn", "bpe"]),
            word_token=st.booleans(), position=st.booleans(),
@@ -505,14 +493,11 @@ class TestPlannedTraining:
                           unique=True),
            batch_size=st.sampled_from([1, 3, 7, 32]),
            epochs=st.integers(1, 2),
-           subsample_t=st.sampled_from([0.0, 0.05]),
-           plan_pairs=st.sampled_from([1, 20, 1 << 16]))
+           subsample_t=st.sampled_from([0.0, 0.05]))
     @settings(max_examples=30, deadline=None)
     def test_equals_per_center_training(self, segmenter, word_token,
                                         position, seeds, batch_size, epochs,
-                                        subsample_t, plan_pairs):
-        """`plan_pairs` 1 plans each batch in a pass of its own, 20 a few
-        batches per pass."""
+                                        subsample_t):
         corpus, base = make_model(NO_ROW_TEXT, segmenter=segmenter,
                                   num_merges=10, ngram_min=5, ngram_max=6,
                                   word_token=word_token, position=position)
@@ -520,7 +505,7 @@ class TestPlannedTraining:
             TrainConfig(window=2, negatives=2, epochs=epochs,
                         batch_size=batch_size, min_count=1,
                         subsample_t=subsample_t, seed=seed)
-            for seed in seeds], plan_pairs)
+            for seed in seeds])
 
     def test_repeats_partial_batches_and_lanes_that_end_apart(self):
         """Batches of a few words repeated, the no-row word among them, a
@@ -543,16 +528,14 @@ class TestPlannedTraining:
         config = TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
                              min_count=1, subsample_t=0, threads=2)
         _, pairs, calls, summed = _recorded_training(
-            corpus, [m], [config], sgns_kernel, 20)
+            corpus, [m], [config], sgns_kernel)
         assert m.params.all_finite()
-        for words, back, _ in calls:
-            assert back.size <= 8
-            assert np.array_equal(words, np.unique(words[back]))
+        assert all(centers.size <= 8 for centers, _ in calls)
         # the threads' calls interleave
-        assert sorted(map(tuple, summed)) == sorted(tuple(w) for w, _, _
-                                                    in calls)
+        assert sorted(map(tuple, summed)) == sorted(
+            tuple(np.unique(centers)) for centers, _ in calls)
         assert np.array_equal(
-            np.sort(np.concatenate([w[b] for w, b, _ in calls])),
+            np.sort(np.concatenate([centers for centers, _ in calls])),
             np.sort(np.concatenate(pairs)))
 
 
