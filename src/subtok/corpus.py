@@ -3,6 +3,7 @@ sampling distributions used by SGNS training."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,9 +121,7 @@ def build_vocab(corpus: Corpus, min_count: int) -> Vocab:
     descending count, then lexicographically."""
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
-    freq = Counter()
-    for sent in corpus.sentences:
-        freq.update(sent)
+    freq = Counter(itertools.chain.from_iterable(corpus.sentences))
     kept = [(w, c) for w, c in freq.items() if c >= min_count]
     if not kept:
         raise SubtokError(

@@ -411,18 +411,21 @@ def _morph_counts(analyses: dict[str, tuple[str, ...]],
     return counts
 
 
-def _holds_known_morph(word: str, counts: dict[str, int]) -> bool:
-    """Whether some substring of `word` is a key of `counts`."""
+def _holds_known_morph(word: str, counts: dict[str, int],
+                       lengths: set[int]) -> bool:
+    """Whether some substring of `word` is a key of `counts`. `lengths`
+    holds the length of every key (it may hold more), so only substrings
+    of those lengths are sliced and looked up."""
     n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            if word[i:j] in counts:
+    for k in lengths:
+        for i in range(n - k + 1):
+            if word[i:i + k] in counts:
                 return True
     return False
 
 
-def _best_split(word: str, counts: dict[str, int], f: int,
-                denom: int) -> tuple[float, tuple[str, ...]]:
+def _best_split(word: str, counts: dict[str, int], f: int, denom: int,
+                lengths: set[int]) -> tuple[float, tuple[str, ...]]:
     """Cheapest segmentation of a word of frequency `f` over all ordered
     partitions, where a morph with count c > 0 in `counts` costs
     f * -log((c + 1) / denom) and any other morph costs
@@ -438,10 +441,10 @@ def _best_split(word: str, counts: dict[str, int], f: int,
     theirs cost novel twice plus the substring's letters, with novel >= 0,
     no less than the substring's own novel plus letters. No split wins the
     strict < (when denom is 1, novel is -0.0 and the split ties, which also
-    loses)."""
+    loses). `lengths` is as for `_holds_known_morph`."""
     novel = f * -math.log(1 / denom)
     n = len(word)
-    if not _holds_known_morph(word, counts):
+    if not _holds_known_morph(word, counts, lengths):
         return novel + n, (word,)
     memo: dict[str, tuple[float, tuple[str, ...]]] = {}
     for length in range(1, n + 1):
@@ -478,6 +481,8 @@ def learn_morfessor_lite(vocab: Vocab,
     analyses: dict[str, tuple[str, ...]] = {w: (w,) for w in vocab.words}
     counts: Counter = Counter({w: freqs[w] for w in vocab.words})
     total = sum(counts.values())  # morph tokens, kept exact as counts change
+    # every length a key of counts has had: grow-only, so a superset
+    lengths = set(map(len, counts))
 
     cost_history = [_total_cost_from_counts(_morph_counts(analyses, freqs))]
 
@@ -493,10 +498,11 @@ def learn_morfessor_lite(vocab: Vocab,
                     del counts[m]
             total -= f * len(old)
             denom = total + len(counts) + 1  # +1: room for one novel morph
-            _, seg = _best_split(w, counts, f, denom)
+            _, seg = _best_split(w, counts, f, denom, lengths)
             analyses[w] = seg
             for m in seg:
                 counts[m] += f
+            lengths.update(map(len, seg))
             total += f * len(seg)
 
         cost = _total_cost_from_counts(_morph_counts(analyses, freqs))
@@ -608,14 +614,17 @@ def build_subword_vocab(vocab: Vocab, segmenter,
                         include_word_token: bool) -> SubwordVocab:
     """Union of subword keys over all vocab words (plus word-token keys when
     requested), ids assigned by first occurrence in vocab id order. A
-    segmenter that yields no key for any vocab word raises SubtokError."""
-    entries: dict[tuple[str, str], int] = {}
-    for w in vocab.words:
-        seg = segment_word(segmenter, w, include_word_token)
-        for key in seg.keys():
-            if key not in entries:
-                entries[key] = len(entries)
-    if not entries:
+    segmenter that yields no key for any vocab word raises SubtokError.
+    One pass: subwords stay plain `str` until `dict.fromkeys` dedupes them,
+    and a str never equals a word-token tuple, so namespaces stay apart."""
+    def units(w):
+        return (*segmenter.segment(w), (NS_WORD_TOKEN, w))
+
+    first = dict.fromkeys(itertools.chain.from_iterable(map(
+        units if include_word_token else segmenter.segment, vocab.words)))
+    if not first:
         raise SubtokError(f"the segmenter yields no subword for any of the "
                           f"{len(vocab)} vocab words")
-    return SubwordVocab(entries=entries)
+    return SubwordVocab(entries={
+        (k if isinstance(k, tuple) else (NS_SUBWORD, k)): i
+        for i, k in enumerate(first)})

@@ -83,6 +83,19 @@ def ngram_enumeration(word: str, n_min: int, n_max: int):
     return tuple(out)
 
 
+def subword_vocab_reference(vocab, segmenter, include_word_token: bool):
+    """`build_subword_vocab`'s entries as first written: one `Segmentation`
+    per vocab word, its keys inserted one at a time in first-occurrence
+    order. Returns the entries dict, empty when no word yields a key."""
+    entries: dict[tuple[str, str], int] = {}
+    for w in vocab.words:
+        seg = segment_word(segmenter, w, include_word_token)
+        for key in seg.keys():
+            if key not in entries:
+                entries[key] = len(entries)
+    return entries
+
+
 def all_partitions(word: str):
     """Every ordered partition of a word into non-empty pieces."""
     n = len(word)

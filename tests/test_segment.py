@@ -14,6 +14,7 @@ from oracles import (
     morf_reference_learn,
     morf_reference_viterbi,
     ngram_enumeration,
+    subword_vocab_reference,
 )
 from subtok.corpus import build_vocab, tokenize_corpus
 from subtok.errors import FormatError, SubtokError
@@ -104,6 +105,20 @@ class TestLearnBpe:
         fresh = BpeModel(merges=model.merges, num_merges=num_merges)
         for w in v.words:
             assert model.segment(w) == apply_bpe(fresh, w)
+
+    # Stopping after n merges must give the first n merges of a run to
+    # exhaustion, so one learn can serve every merge count of a vocab.
+    @given(freqs=st.dictionaries(st.text("abc", min_size=1, max_size=8),
+                                 st.integers(1, 4), min_size=1, max_size=8))
+    @example(freqs={"ab": 2, "ba": 2, "aa": 2, "bb": 2})
+    @example(freqs={"aaaa": 1, "abab": 1})
+    @settings(max_examples=100, deadline=None)
+    def test_merges_are_a_prefix_of_the_exhaustive_run(self, freqs):
+        v = vocab_from_freqs(freqs)
+        full = learn_bpe(v, 10_000).merges
+        assert len(full) < 10_000  # no pair occurs twice any more
+        for n in range(1, len(full) + 1):
+            assert learn_bpe(v, n).merges == full[:n]
 
     def test_cache_seeded_from_training(self):
         freqs = {"aaaa": 2, "abab": 3, "aaa": 2}
@@ -244,10 +259,14 @@ class TestBestSplit:
     # x + ab + y costs 2 (log 3 + 1) + log 1.5 = 4.60, below the whole
     # word's log 3 + 4 = 5.10
     @example(case=("xaby", {"ab": 1}, 1, 3))
+    # every key is longer than the word, so no length is scanned
+    @example(case=("ab", {"abc": 3, "bbab": 1}, 1, 7))
+    # the word holds substrings of the keys' length 2, but none is a key
+    @example(case=("abab", {"bb": 2, "aa": 1}, 3, 6))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case):
         word, counts, f, denom = case
-        assert _best_split(word, counts, f, denom) == \
+        assert _best_split(word, counts, f, denom, set(map(len, counts))) == \
             morf_reference_best_split(word, counts, f, denom)
 
 
@@ -304,6 +323,10 @@ class TestMorfessorLite:
     @example(freqs={"abab": 3}, max_iters=2, unseen=["ab", "ba"])
     # "babb" splits into b + ab + b: a known morph between novel letters
     @example(freqs={"ab": 4, "babb": 1}, max_iters=3, unseen=["babba"])
+    # the words have lengths 1, 3 and 5; the second pass adds the first
+    # morph of length 2 ("aa"), and later words must find it
+    @example(freqs={"aaa": 1, "baabb": 2, "b": 1, "bbbbb": 1}, max_iters=2,
+             unseen=[])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_learner(self, freqs, max_iters, unseen):
         model = learn_morfessor_lite(vocab_from_freqs(freqs), max_iters)
@@ -421,6 +444,36 @@ class TestBuildSubwordVocab:
         sv2 = build_subword_vocab(v, CharNgramSegmenter(), True)
         assert sv1.entries == sv2.entries
         assert sorted(sv1.entries.values()) == list(range(len(sv1)))
+
+    # Ids follow first occurrence in vocab order, with each word token right
+    # after its word's subwords; a subword spelled like a vocab word keeps
+    # its own id in its own namespace.
+    @given(freqs=st.dictionaries(st.text("abc", min_size=1, max_size=6),
+                                 st.integers(1, 4), min_size=1, max_size=8),
+           kind=st.sampled_from(["charn", "bpe", "morf", "word"]),
+           size=st.integers(1, 6), word_token=st.booleans())
+    @example(freqs={"ab": 1}, kind="word", size=1, word_token=True)
+    # "abc" is later in vocab order, and its n-gram "ab" is the word "ab"
+    @example(freqs={"ab": 3, "abc": 2}, kind="charn", size=2,
+             word_token=True)
+    # no word is long enough for a 6-gram, so no key at all
+    @example(freqs={"a": 2, "b": 1}, kind="charn", size=6, word_token=False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, freqs, kind, size, word_token):
+        v = vocab_from_freqs(freqs)
+        segmenter = {
+            "charn": lambda: CharNgramSegmenter(size, size + 2),
+            "bpe": lambda: learn_bpe(v, size * 3),
+            "morf": lambda: learn_morfessor_lite(v, max_iters=size % 3 + 1),
+            "word": WholeWordSegmenter,
+        }[kind]()
+        expected = subword_vocab_reference(v, segmenter, word_token)
+        if not expected:
+            with pytest.raises(SubtokError, match="no subword"):
+                build_subword_vocab(v, segmenter, word_token)
+            return
+        got = build_subword_vocab(v, segmenter, word_token)
+        assert list(got.entries.items()) == list(expected.items())
 
     def test_tsv_roundtrip(self, tmp_path):
         v = vocab_from_freqs({"ab": 3, "cd": 2})
