@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,6 +112,29 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word) + (END_OF_WORD,)
 
 
+def _pair_census(cps: np.ndarray, freq: np.ndarray) -> tuple[
+        dict[tuple[str, str], int], defaultdict[tuple[str, str], array]]:
+    """The weighted count of each pair of adjacent code points in `cps`,
+    words joined end to end, each slot weighted by its `freq`, and the
+    slots where the pair starts, in increasing order. No pair starts at a
+    word's end-of-word marker."""
+    left = np.flatnonzero(cps[:-1] != ord(END_OF_WORD))
+    keys = (cps[left] << 21) | cps[left + 1]  # code points are < 2**21
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.add.reduceat(freq[left[order]], starts)
+    slots = array("q", left[order].tobytes())
+    bounds = [*starts.tolist(), len(slots)]
+    pairs = [(chr(k >> 21), chr(k & 0x1FFFFF))
+             for k in keys[starts].tolist()]
+    index: defaultdict[tuple[str, str], array] = defaultdict(
+        lambda: array("q"))
+    index.update((p, slots[s:e]) for p, s, e in zip(pairs, bounds,
+                                                     bounds[1:]))
+    return dict(zip(pairs, counts.tolist())), index
+
+
 def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     """Greedy frequency-based merging over the vocab's word types, each a
     character sequence plus a terminal end-of-word marker. Ties on pair count
@@ -122,24 +146,41 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
     current count, and every pair whose count a merge changes is pushed
     again. The top valid entry is the pair a full scan would pick.
 
-    A merge changes only the pairs that overlap a merged occurrence and the
-    pairs that touch a merged symbol, so only those are recounted. The
-    index of words per pair is a superset: a word stays listed under a pair
-    it lost, and merging skips it.
+    The words lie end to end in one flat list of symbol slots, and `nxt` and
+    `prv` link the live slots of a word. A pair occurrence is named by its
+    left slot. A merge of (a, b) writes a + b into the left slot, empties
+    the right one, and recounts only that occurrence's neighbours:
+    (left, a) becomes (left, ab) and (b, right) becomes (ab, right). The
+    index of left slots per pair is a superset: a slot stays listed under a
+    pair it lost, and merging skips any slot that no longer spells the pair.
+    Slots are merged in increasing order, which is word by word and left to
+    right, so a run like `aaa` merges as a full rescan would.
 
-    The model's cache is seeded with each training word's final symbols,
-    which equal `apply_bpe`. `num_merges` is >= 1, as `ModelConfig`
-    requires."""
-    words = [list(_word_symbols(w)) for w in vocab.words]
-    freqs = [int(c) for c in vocab.counts]
-
-    # pair -> weighted count, plus an index of which words contain the pair
-    stats: Counter = Counter()
-    index: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
-    for wi, (syms, f) in enumerate(zip(words, freqs)):
-        for a, b in zip(syms, syms[1:]):
-            stats[(a, b)] += f
-            index[(a, b)].add(wi)
+    The initial counts and index come from one numpy pass over the code
+    points. The model's cache is seeded with each training word's final
+    symbols, which equal `apply_bpe`. `num_merges` is >= 1, as
+    `ModelConfig` requires."""
+    words = vocab.words
+    text = END_OF_WORD.join(words) + END_OF_WORD
+    if text.count(END_OF_WORD) > len(words):
+        for w in words:
+            _word_symbols(w)  # raises for the first word with the marker
+    cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                        dtype="<u4").astype(np.int64)
+    n = len(cps)
+    ends = np.flatnonzero(cps == ord(END_OF_WORD))
+    freq = np.repeat(vocab.counts.astype(np.int64),
+                     np.diff(ends, prepend=-1))
+    stats, index = _pair_census(cps, freq)
+    wf = freq.tolist()
+    # slot n, reached as index -1, is a sentinel: its empty symbol spells
+    # no pair, so a word's first and last slots need no bounds check
+    sym = list(text) + [""]
+    prv = np.arange(-1, n)
+    prv[ends + 1] = -1
+    nxt = np.arange(1, n + 2)
+    nxt[ends] = -1
+    prv, nxt = array("q", prv.tobytes()), array("q", nxt.tobytes())
     heap = [(-c, p) for p, c in stats.items()]
     heapq.heapify(heap)
 
@@ -153,51 +194,37 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
         merges.append(best)
         a, b = best
         merged_sym = a + b
-
+        # every occurrence of `best` is merged, and no merge recreates its
+        # own pair (merged_sym differs from a), so it leaves stats and index
+        del stats[best]
         delta: defaultdict[tuple[str, str], int] = defaultdict(int)
-        # no word keeps `best` after this merge, and no merge recreates its
-        # own pair (merged_sym differs from a), so its index entry can go
-        for wi in index.pop(best):
-            syms = words[wi]
-            n = len(syms)
-            out: list[str] = []
-            occ: list[int] = []  # positions in syms of merged occurrences
-            new_at: list[int] = []  # their positions in out
-            i = 0
-            while i < n:
-                if i + 1 < n and syms[i] == a and syms[i + 1] == b:
-                    occ.append(i)
-                    new_at.append(len(out))
-                    out.append(merged_sym)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            if not occ:
+        for i in sorted(index.pop(best)):
+            j = nxt[i]
+            if sym[i] != a or sym[j] != b:
                 continue
-            f = freqs[wi]
-            # pair j is (syms[j], syms[j+1]); positions arrive in order, so
-            # `last` drops the ones shared by neighbouring occurrences
-            last = -1
-            for i in occ:
-                for j in (i - 1, i, i + 1):
-                    if last < j < n - 1:
-                        delta[(syms[j], syms[j + 1])] -= f
-                        last = j
-            last = -1
-            m = len(out)
-            for k in new_at:
-                for j in (k - 1, k):
-                    if last < j < m - 1:
-                        pair = (out[j], out[j + 1])
-                        delta[pair] += f
-                        index[pair].add(wi)
-                        last = j
-            words[wi] = out
+            f = wf[i]
+            lo, hi = prv[i], nxt[j]
+            left, right = sym[lo], sym[hi]
+            if left:
+                delta[(left, a)] -= f
+                pair = (left, merged_sym)
+                delta[pair] += f
+                index[pair].append(lo)
+            if right:
+                delta[(b, right)] -= f
+                pair = (merged_sym, right)
+                delta[pair] += f
+                index[pair].append(i)
+            sym[i] = merged_sym
+            sym[j] = ""
+            nxt[i] = hi
+            prv[hi] = i
+        # in a run like `aaa` the (b, right) of one occurrence is `best`
+        delta.pop(best, None)
         for pair, d in delta.items():
-            if not d:
+            if not d:  # added and taken back, as (ab, a) in `abab`
                 continue
-            count = stats[pair] + d
+            count = stats.get(pair, 0) + d
             if count > 0:
                 stats[pair] = count
                 heapq.heappush(heap, (-count, pair))
@@ -205,7 +232,9 @@ def learn_bpe(vocab: Vocab, num_merges: int) -> BpeModel:
                 del stats[pair]
 
     model = BpeModel(merges=merges, num_merges=num_merges)
-    model._cache.update(zip(vocab.words, map(tuple, words)))
+    bounds = [0, *(ends + 1).tolist()]
+    model._cache.update(zip(words, [tuple(filter(None, sym[s:e]))
+                                    for s, e in zip(bounds, bounds[1:])]))
     return model
 
 
@@ -484,7 +513,10 @@ def learn_morfessor_lite(vocab: Vocab,
     # every length a key of counts has had: grow-only, so a superset
     lengths = set(map(len, counts))
 
-    cost_history = [_total_cost_from_counts(_morph_counts(analyses, freqs))]
+    # the morph counts of the last accepted analyses; the whole words give
+    # `_morph_counts`' keys in its order
+    lexicon = dict(counts)
+    cost_history = [_total_cost_from_counts(lexicon)]
 
     for _ in range(max_iters):
         prev_analyses = dict(analyses)
@@ -505,17 +537,17 @@ def learn_morfessor_lite(vocab: Vocab,
             lengths.update(map(len, seg))
             total += f * len(seg)
 
-        cost = _total_cost_from_counts(_morph_counts(analyses, freqs))
-        if cost < cost_history[-1] - 1e-6:
-            cost_history.append(cost)
-        else:
-            if cost > cost_history[-1]:
-                analyses = prev_analyses
-            else:
-                cost_history.append(cost)
+        recount = _morph_counts(analyses, freqs)
+        cost = _total_cost_from_counts(recount)
+        if cost > cost_history[-1]:
+            analyses = prev_analyses
+            break
+        lexicon = recount
+        cost_history.append(cost)
+        if cost >= cost_history[-2] - 1e-6:
             break
 
-    return MorfModel(morph_lexicon=dict(_morph_counts(analyses, freqs)),
+    return MorfModel(morph_lexicon=dict(lexicon),
                      corpus_cost=cost_history[-1],
                      cost_history=cost_history, analyses=analyses)
 

@@ -77,12 +77,17 @@ class TestLearnBpe:
     # Few symbols and counts of 1-3 make many pairs tie, the characters of
     # the old marker '</w>' sort before the letters and before the marker,
     # and up to 80 merges on at most 10 short words runs past the point
-    # where no pair occurs twice.
-    @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=6),
+    # where no pair occurs twice. 'é' (2 bytes in UTF-8) and U+1F600 (past
+    # the 16-bit plane) check that the census keys pairs by code point.
+    @given(freqs=st.dictionaries(st.text("ab</w>é\U0001f600", min_size=1,
+                                         max_size=6),
                                  st.integers(1, 3), min_size=1, max_size=10),
            num_merges=st.integers(1, 80))
     @example(freqs={"ab": 2, "ba": 2, "aa": 2, "bb": 2}, num_merges=80)
     @example(freqs={"aaaa": 1, "abab": 1}, num_merges=1)
+    # a lone surrogate, which UTF-8 and UTF-32 cannot encode strictly
+    @example(freqs={"a\ud800a\ud800": 3, "\ud800\U0001f600": 2},
+             num_merges=10)
     @settings(max_examples=200, deadline=None)
     def test_heap_matches_full_scan_oracle(self, freqs, num_merges):
         got = learn_bpe(vocab_from_freqs(freqs), num_merges).merges
@@ -92,10 +97,17 @@ class TestLearnBpe:
     # what apply_bpe gives for the learned merges. The characters of the old
     # marker let a word spell out '</w>', which now is an ordinary symbol;
     # overlapping occurrences test the pairs updated around a merge.
-    @given(freqs=st.dictionaries(st.text("ab</w>", min_size=1, max_size=8),
+    @given(freqs=st.dictionaries(st.text("ab</w>é\U0001f600", min_size=1,
+                                         max_size=8),
                                  st.integers(1, 4), min_size=1, max_size=10),
            num_merges=st.integers(1, 60))
     @example(freqs={"aaaa": 2, "abab": 3, "aaa": 2}, num_merges=10)
+    # (b, marker) merges first and takes abab's last b, so abab's second
+    # (a, b) slot is stale when (a, b) merges: merging it anyway would
+    # write ab over its a and drop the b-marker symbol that follows
+    @example(freqs={"abab": 2, "b": 3}, num_merges=2)
+    @example(freqs={"a\ud800a\ud800": 3, "\ud800\U0001f600": 2},
+             num_merges=10)
     @example(freqs={"aaaaaaa": 2, "ababa": 2, "baaab": 1}, num_merges=60)
     @example(freqs={"/": 3, "/</w></w>": 1}, num_merges=30)
     @settings(max_examples=300, deadline=None)
