@@ -21,6 +21,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from subtok.corpus import (
     build_vocab,
@@ -349,8 +350,6 @@ def _read_existing_cells(path: Path) -> set[tuple]:
     """(we_tokens, task_instances, config, seed) of every row of an existing
     metrics table; a malformed row raises FormatError, so no row is appended
     after it."""
-    if not path.exists():
-        return set()
     return {tuple(row[c] for c in SIMULATE_COLUMNS[:4])
             for _, row in _metrics_rows(path)}
 
@@ -379,6 +378,24 @@ def _refuse_repeats(flag: str, values: list, keys: list) -> None:
         first[key] = value
 
 
+class _Cell(NamedTuple):
+    """One (WE point, config, seed) of the grid with task points still to
+    run, its settings resolved once, in the command's own process."""
+
+    we_n: int
+    model: ModelConfig
+    train: TrainConfig
+    todo: list[int]  # task points that the metrics table lacks
+
+    def row(self, task_n) -> list[str]:
+        """The first columns of a row of task point `task_n`; the first
+        four are the cell's key, for resume and for grid order."""
+        return [str(self.we_n), str(task_n), self.model.label,
+                str(self.model.seed), data_group_for(self.we_n).label,
+                str(self.train.batch_size), str(self.train.epochs),
+                str(self.train.min_count)]
+
+
 def cmd_simulate(args) -> int:
     """Run the grid. Each WE point's cells still missing from the table are
     grouped into jobs, one per segmentation (`segmentation_key`): a job
@@ -389,44 +406,51 @@ def cmd_simulate(args) -> int:
     config, then seed), and flushed once per WE point."""
     we_points = _int_list(args.we_tokens, "--we-tokens", 1)
     task_points = _int_list(args.task_instances, "--task-instances", 1)
-    configs = args.configs.split(",")
     seeds = _int_list(args.seeds, "--seeds", 0)
     corpus = load_corpus(args.corpus)
     if corpus.token_count < max(we_points):
         raise SubtokError(
             f"corpus has {corpus.token_count} tokens; largest WE point is "
             f"{max(we_points)}")
-    # a label or flag out of range fails the command before a file is written
-    cfgs = [_cell_configs(args, label, we_points[0], seeds[0])[0]
-            for label in configs]
-    labels = [cfg.label for cfg in cfgs]
-    _refuse_repeats("--configs", configs, labels)
+    labels = args.configs.split(",")
+    configs = [parse_config_label(label) for label in labels]
+    _refuse_repeats("--configs", labels, [cfg.label for cfg in configs])
 
     out_dir = Path(args.out) if args.out else data_dir() / "simulate"
     metrics_path = out_dir / "metrics.tsv"
-    done = _read_existing_cells(metrics_path)
-    # a job is (WE point, [(config, seed, task points missing from the
-    # table)]), its configs sharing one segmentation. The largest WE point's
-    # jobs take longest, so starting them first keeps the tail of the run,
-    # where workers wait for the last job, short.
+    # a run killed before its header reached the disk leaves 0 bytes
+    new_file = not metrics_path.exists() or metrics_path.stat().st_size == 0
+    done = set() if new_file else _read_existing_cells(metrics_path)
+    # a cell's key is its rows' first four columns; in this order
+    grid = {key: i for i, key in enumerate(itertools.product(
+        map(str, we_points), map(str, task_points),
+        [cfg.label for cfg in configs], map(str, seeds)))}
+    # every cell is resolved here, so a flag out of range fails the command
+    # before a file is written. A job is a list of one WE point's cells
+    # that share a segmentation. The largest WE point's jobs take longest,
+    # so starting them first keeps the tail of the run, where workers wait
+    # for the last job, short.
     jobs = []
     for we_n in sorted(we_points, reverse=True):
         by_seg: dict[tuple, list] = {}
-        for ci, seed in itertools.product(range(len(configs)), seeds):
+        for cfg, seed in itertools.product(configs, seeds):
+            cell = _Cell(we_n, dataclasses.replace(cfg, dim=args.dim,
+                                                   seed=seed),
+                         train_config(args, data_group_for(we_n), seed,
+                                      epochs=args.train_epochs), task_points)
             todo = [task_n for task_n in task_points
-                    if (str(we_n), str(task_n), labels[ci], str(seed))
-                    not in done]
+                    if tuple(cell.row(task_n)[:4]) not in done]
             if todo:
-                by_seg.setdefault(segmentation_key(cfgs[ci]), []).append(
-                    (configs[ci], seed, todo))
-        jobs += [(we_n, cells) for cells in by_seg.values()]
+                by_seg.setdefault(segmentation_key(cell.model), []).append(
+                    cell._replace(todo=todo))
+        jobs += by_seg.values()
     cpus = len(os.sched_getaffinity(0))
     jobs = _split_seeds(jobs, cpus)
     # a bad task file fails the command before anything is trained or
     # written
     task = "mentions" if args.mentions else "conll"
-    wanted = {(task_n, seed) for _, cells in jobs
-              for _, seed, todo in cells for task_n in todo}
+    wanted = {(task_n, cell.model.seed) for job in jobs for cell in job
+              for task_n in cell.todo}
     task_data = {seed: load_task_data(task, args.mentions or args.conll, seed)
                  for seed in dict.fromkeys(seed for _, seed in wanted)}
     for task_n, seed in itertools.product(task_points, seeds):
@@ -438,27 +462,23 @@ def cmd_simulate(args) -> int:
                   f"all {n_train}", file=sys.stderr)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    new_file = not metrics_path.exists()
     n_run = 0
-    state = (args, _shared_work(corpus, {we_n for we_n, _ in jobs}),
-             task_data)
-    with open(metrics_path, "a", encoding="utf-8") as fh, \
-            _job_rows(state, jobs, min(cpus, len(jobs))) as job_rows:
+    state = (_shared_work(corpus, {job[0].we_n for job in jobs}), task_data)
+    with open(metrics_path, "a", encoding="utf-8") as fh:
         if new_file:
+            # on disk before any job starts, so that a run killed during
+            # its first WE point leaves a table that resumes
             fh.write("\t".join(SIMULATE_COLUMNS) + "\n")
-        for _, we_jobs in itertools.groupby(zip(jobs, job_rows),
-                                            key=lambda pair: pair[0][0]):
-            rows = {}  # (task point, config, seed) -> the cell's rows
-            for _, job_out in we_jobs:
-                rows.update(job_out)
-            for key in itertools.product(task_points, configs, seeds):
-                if key in rows:
-                    for row in rows[key]:
-                        fh.write("\t".join(str(x) for x in row) + "\n")
-                    n_run += 1
             fh.flush()
-    n_cells = len(we_points) * len(task_points) * len(configs) * len(seeds)
-    print(f"simulate: {n_run} cells computed, {n_cells - n_run} skipped -> "
+        with _job_rows(state, jobs, min(cpus, len(jobs))) as job_rows:
+            for _, we_jobs in itertools.groupby(
+                    zip(jobs, job_rows), key=lambda pair: pair[0][0].we_n):
+                rows = sorted((row for _, rows in we_jobs for row in rows),
+                              key=lambda row: grid[tuple(row[:4])])
+                fh.writelines("\t".join(row) + "\n" for row in rows)
+                fh.flush()
+                n_run += len({tuple(row[:4]) for row in rows})
+    print(f"simulate: {n_run} cells computed, {len(grid) - n_run} skipped -> "
           f"{metrics_path}")
     return 0
 
@@ -469,25 +489,15 @@ def _split_seeds(jobs: list, workers: int) -> list:
     job of one seed is not split."""
     jobs = list(jobs)
     while 0 < len(jobs) < workers:
-        seeds = [list(dict.fromkeys(seed for _, seed, _ in cells))
-                 for _, cells in jobs]
+        seeds = [list(dict.fromkeys(cell.model.seed for cell in job))
+                 for job in jobs]
         i = max(range(len(jobs)), key=lambda j: len(seeds[j]))
         if len(seeds[i]) < 2:
             break
-        we_n, cells = jobs[i]
         first = set(seeds[i][:(len(seeds[i]) + 1) // 2])
-        jobs[i:i + 1] = [(we_n, [c for c in cells if c[1] in first]),
-                         (we_n, [c for c in cells if c[1] not in first])]
+        jobs[i:i + 1] = [[c for c in jobs[i] if c.model.seed in first],
+                         [c for c in jobs[i] if c.model.seed not in first]]
     return jobs
-
-
-def _cell_configs(args, label, we_n, seed):
-    """(ModelConfig, data group, TrainConfig) of one simulate cell."""
-    cfg = dataclasses.replace(parse_config_label(label), dim=args.dim,
-                              seed=seed)
-    group = data_group_for(we_n)
-    return cfg, group, train_config(args, group, seed,
-                                    epochs=args.train_epochs)
 
 
 def _shared_work(corpus, we_points) -> dict:
@@ -509,11 +519,11 @@ def _shared_work(corpus, we_points) -> dict:
 def _job_rows(state: tuple, jobs: list, workers: int):
     """Yields an iterator over the rows of each job, in job order. One pool
     of `workers` workers runs the jobs in the order given. Workers are
-    forked, so they inherit `state` (the arguments, the shared work and the
-    task data), and only jobs and rows are pickled. With one worker the jobs
-    run in this process, each when its rows are asked for."""
+    forked, so they inherit `state` (the shared work and the task data),
+    and only jobs and rows are pickled. With one worker the jobs run in
+    this process, each when its rows are asked for."""
     if workers <= 1:
-        yield (_simulate_job(*state, *job) for job in jobs)
+        yield (_simulate_job(*state, job) for job in jobs)
         return
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
@@ -538,97 +548,81 @@ def _set_worker_state(state: tuple) -> None:
     _worker_state = state
 
 
-def _run_job(job: tuple) -> dict:
-    return _simulate_job(*_worker_state, *job)
+def _run_job(job: list) -> list:
+    return _simulate_job(*_worker_state, job)
 
 
-def _cell_row(we_n, task_n, setup) -> list[str]:
-    """The first columns of a row of the cell at task point `task_n` of the
-    (WE point, config, seed) whose `_cell_configs` are `setup`."""
-    cfg, group, tcfg = setup
-    return [str(we_n), str(task_n), cfg.label, str(cfg.seed), group.label,
-            str(tcfg.batch_size), str(tcfg.epochs), str(tcfg.min_count)]
-
-
-def _simulate_job(args, shared, task_data, we_n, cells) -> dict:
-    """Rows of one job: the (config label, seed, task points) `cells` of WE
-    point `we_n`, whose configs share one segmentation, which is built here.
-    Each config's seeds are siblings, trained in `train_lockstep` calls of
-    as many seeds as LOCKSTEP_ROWS allows at the data group's batch size:
-    all of a G1 point's five, one at a time at G2 and G3. Returns
-    {(task point, config label, seed): rows}. A SubtokError fails the cells
-    it stops: all of them for the WE point's shared work or the
-    segmentation, one seed's for its training or probes."""
-    part = [(cell, _cell_configs(args, cell[0], we_n, cell[1]))
-            for cell in cells]
+def _simulate_job(shared, task_data, cells) -> list:
+    """Rows of one job: `cells` of one WE point, whose configs share one
+    segmentation, which is built here. Each config's seeds are siblings,
+    trained in `train_lockstep` calls of as many seeds as LOCKSTEP_ROWS
+    allows at the data group's batch size: all of a G1 point's five, one
+    at a time at G2 and G3. A SubtokError fails the cells it stops: all of
+    them for the WE point's shared work or the segmentation, one seed's for
+    its training or probes."""
+    work = shared[cells[0].we_n]
     try:
-        if isinstance(shared[we_n], SubtokError):
-            raise shared[we_n]
-        sample, vocab = shared[we_n]
-        segmentation = build_segmentation(part[0][1][0], vocab)
+        if isinstance(work, SubtokError):
+            raise work
+        sample, vocab = work
+        segmentation = build_segmentation(cells[0].model, vocab)
     except SubtokError as exc:
-        return _failed_cells(we_n, part, exc)
-    out = {}
-    for _, group in itertools.groupby(part, key=lambda p: p[0][0]):
-        group = list(group)
-        per_call = max(1, LOCKSTEP_ROWS // group[0][1][2].batch_size)
-        for lo in range(0, len(group), per_call):
-            out.update(_lockstep_cells(args, task_data, we_n, sample, vocab,
-                                       segmentation, group[lo:lo + per_call]))
-    return out
+        return _failed_rows(cells, exc)
+    rows = []
+    for _, siblings in itertools.groupby(cells,
+                                         key=lambda c: c.model.label):
+        siblings = list(siblings)
+        per_call = max(1, LOCKSTEP_ROWS // siblings[0].train.batch_size)
+        for lo in range(0, len(siblings), per_call):
+            rows += _lockstep_cells(task_data, sample, vocab, segmentation,
+                                    siblings[lo:lo + per_call])
+    return rows
 
 
-def _failed_cells(we_n, part, exc: SubtokError) -> dict:
-    """Rows of the cells of `part`, (cell, `_cell_configs`) pairs, each
-    failed with `exc`, keyed as `_simulate_job`'s."""
+def _failed_rows(cells, exc: SubtokError) -> list:
+    """A row per task point of `cells`, each failed with `exc`."""
     tail = ["-", "-", "-", "0", "failed:" + str(exc).translate(
         str.maketrans("\t\r\n", "   "))]
-    return {(task_n, label, seed): [_cell_row(we_n, task_n, setup) + tail]
-            for (label, seed, todo), setup in part for task_n in todo}
+    return [cell.row(task_n) + tail for cell in cells
+            for task_n in cell.todo]
 
 
-def _lockstep_cells(args, task_data, we_n, sample, vocab, segmentation,
-                    part) -> dict:
-    """Rows of `part`, (cell, `_cell_configs`) pairs of one config whose
-    seeds train in one `train_lockstep` call on `sample` and are then
-    probed; the models are dropped on return. A failed call of several
-    seeds is run again one seed per call, so that only a failing seed's
-    cells fail, each with the message that seed gives alone."""
+def _lockstep_cells(task_data, sample, vocab, segmentation, cells) -> list:
+    """Rows of `cells`, seeds of one config that train in one
+    `train_lockstep` call on `sample` and are then probed; the models are
+    dropped on return. A failed call of several seeds is run again one
+    seed per call, so that only a failing seed's cells fail, each with the
+    message that seed gives alone."""
     segmenter, svocab = segmentation
-    first = SubwordModel(part[0][1][0], vocab, svocab, segmenter)
-    models = [first] + [first.with_seed(setup[0].seed)
-                        for _, setup in part[1:]]
+    first = SubwordModel(cells[0].model, vocab, svocab, segmenter)
+    models = [first] + [first.with_seed(cell.model.seed)
+                        for cell in cells[1:]]
     try:
-        train_lockstep(sample, models, [setup[2] for _, setup in part])
+        train_lockstep(sample, models, [cell.train for cell in cells])
     except SubtokError as exc:
-        if len(part) == 1:
-            return _failed_cells(we_n, part, exc)
+        if len(cells) == 1:
+            return _failed_rows(cells, exc)
         models = None  # the traceback holds the stacked tables until here
     if models is None:
-        return {key: rows for one in part for key, rows in _lockstep_cells(
-            args, task_data, we_n, sample, vocab, segmentation, [one]).items()}
-    out = {}
-    for (cell, setup), model in zip(part, models):
-        out.update(_simulate_cell(args, task_data[cell[1]], we_n, cell, setup,
-                                  model))
-    return out
+        return [row for cell in cells for row in _lockstep_cells(
+            task_data, sample, vocab, segmentation, [cell])]
+    return [row for cell, model in zip(cells, models)
+            for row in _simulate_cell(task_data[cell.model.seed], cell,
+                                      model)]
 
 
-def _simulate_cell(args, data, we_n, cell, setup, model) -> dict:
-    """Rows of the trained model of `cell`, (config label, seed, task
-    points) of WE point `we_n`, whose `_cell_configs` are `setup`, keyed as
-    `_simulate_job`'s: one `run_probe` call on `data` probes every task
-    point, and a SubtokError fails each of them."""
-    label, seed, todo = cell
+def _simulate_cell(data, cell, model) -> list:
+    """Rows of `cell`'s trained model: one `run_probe` call on `data`
+    probes every task point, and a SubtokError fails each of them."""
     try:
-        probes = run_probe(model, data, task_instances=todo)
+        probes = run_probe(model, data, task_instances=cell.todo)
     except SubtokError as exc:
-        return _failed_cells(we_n, [(cell, setup)], exc)
-    return {(task_n, label, seed): [
-        _cell_row(we_n, task_n, setup)
-        + [task_name, split, metric, f"{value:.6f}", "ok"]
-        for task_name, _, split, metric, value in rows if split == "test"]
-        for task_n, rows in zip(todo, probes)}
+        return _failed_rows([cell], exc)
+    return [cell.row(task_n)
+            + [task_name, split, metric, f"{value:.6f}", "ok"]
+            for task_n, rows in zip(cell.todo, probes)
+            for task_name, _, split, metric, value in rows
+            if split == "test"]
 
 
 def cmd_report(args) -> int:

@@ -12,7 +12,6 @@ from subtok.model import (
     ParamTables,
     SubwordModel,
     _WordCSR,
-    scatter_subtract,
 )
 from subtok.segment import (
     END_OF_WORD,
@@ -258,8 +257,12 @@ def sgns_kernel_reference(params: ParamTables, csr: _WordCSR,
                           valid: np.ndarray, lr) -> np.ndarray:
     """The SGNS kernel step with every center composed from its own rows,
     a word that repeats in the batch once per repeat, as the kernel was
-    written before it composed each distinct word once. Returns the loss
-    per center; raises no error on a non-finite score."""
+    written before it composed each distinct word once. It steps back with
+    `subtract_reference` and `scatter_reference`, not the code under test.
+    The forward pass stays `csr.compose`: float32 `np.add.reduceat` does
+    not round as a one-row-at-a-time sum does, so `compose_reference`
+    would break the tests' `==`. Returns the loss per center; raises no
+    error on a non-finite score."""
     v = csr.compose(params, centers)
     crows = params.context[ctx_ids]
     scores = np.einsum("bd,bkd->bk", v, crows)
@@ -275,10 +278,29 @@ def sgns_kernel_reference(params: ParamTables, csr: _WordCSR,
     step = np.asarray(lr, dtype=params.context.dtype).reshape(-1, 1)
     upd_c = g[:, :, None] * v[:, None, :]
     upd_c *= step[:, :, None]
-    scatter_subtract(params.context, ctx_ids.reshape(-1),
-                     upd_c.reshape(-1, v.shape[1]))
-    csr.subtract(params, centers, grad_v, step)
+    scatter_reference(params.context, ctx_ids.reshape(-1),
+                      upd_c.reshape(-1, v.shape[1]))
+    subtract_reference(params, csr, centers, grad_v, step)
     return loss
+
+
+def subtract_reference(params: ParamTables, csr: _WordCSR,
+                       centers: np.ndarray, grad: np.ndarray, step) -> None:
+    """The SGD step back through composition, one center at a time in
+    batch order: each row that the center composes from loses its
+    step * grad row, subtracted one row at a time. The rows are sliced
+    from `csr`'s flat arrays (`reference_csr` checks that layout), which
+    works on a stacked lockstep layout too."""
+    upd = step * grad
+    for w, u in zip(centers, upd):
+        rows = slice(csr.starts[w], csr.starts[w] + csr.lens[w])
+        scatter_reference(params.subword, csr.flat_sub[rows],
+                          itertools.repeat(u))
+        if csr.position:
+            scatter_reference(params.position, csr.flat_pos[rows],
+                              itertools.repeat(u))
+        if csr.wt_ids[w] >= 0:
+            scatter_reference(params.subword, [csr.wt_ids[w]], [u])
 
 
 def morf_reference_best_split(word: str, counts: dict[str, int], f: int,

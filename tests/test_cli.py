@@ -17,14 +17,19 @@ import subtok.probe as probe_mod
 import subtok.segment
 import subtok.train
 from subtok.cli import (
-    _cell_configs,
     build_parser,
     load_task_data,
     main,
     parse_config_label,
     run_probe,
+    train_config,
 )
-from subtok.corpus import build_vocab, load_corpus, sample_tokens
+from subtok.corpus import (
+    build_vocab,
+    data_group_for,
+    load_corpus,
+    sample_tokens,
+)
 from subtok.errors import SubtokError
 from subtok.model import (
     SEGMENTER_FILES,
@@ -507,6 +512,68 @@ class TestSimulate:
         msg = capsys.readouterr().out
         assert "1 cells computed, 1 skipped" in msg
 
+    def test_an_alias_and_its_label_name_the_same_cell(
+            self, corpus_file, mentions_file, tmp_path, capsys):
+        """Resume compares configs by their resolved label, however the
+        run that wrote the rows spelled them."""
+        out_dir = tmp_path / "sim"
+        for configs, message in (
+                ("w2v,bpe1e3:w+:p-", "2 cells computed, 0 skipped"),
+                ("word:w-:p-,bpe1000:w+", "0 cells computed, 2 skipped"),
+                ("word:w-:p-,bpe1000:w+,ft", "1 cells computed, 2 skipped")):
+            assert main(["simulate", "--corpus", str(corpus_file),
+                         "--mentions", str(mentions_file), "--we-tokens",
+                         "2000", "--task-instances", "10", "--configs",
+                         configs, "--seeds", "1", "--dim", "8",
+                         "--train-epochs", "1", "--out", str(out_dir)]) == 0
+            assert message in capsys.readouterr().out
+        rows = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]
+        assert [r.split("\t")[2] for r in rows] == [
+            "word:w-:p-", "bpe1e3:w+:p-", "charn:w+:p-"]
+
+    def test_an_empty_table_resumes_as_a_new_one(
+            self, corpus_file, mentions_file, tmp_path, capsys):
+        """A run killed before its header reached the disk left 0 bytes;
+        running again writes what a run done in one go writes."""
+        assert self._run(corpus_file, mentions_file, tmp_path / "once",
+                         "1,2") == 0
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        (out_dir / "metrics.tsv").write_bytes(b"")
+        capsys.readouterr()
+        assert self._run(corpus_file, mentions_file, out_dir, "1,2") == 0
+        assert "2 cells computed, 0 skipped" in capsys.readouterr().out
+        assert (out_dir / "metrics.tsv").read_bytes() == \
+            (tmp_path / "once" / "metrics.tsv").read_bytes()
+
+    def test_a_wrong_header_exit_1(self, corpus_file, mentions_file,
+                                   tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        metrics = out_dir / "metrics.tsv"
+        metrics.write_text("we_tokens\n", encoding="utf-8")
+        assert self._run(corpus_file, mentions_file, out_dir, "1") == 1
+        assert capsys.readouterr().err == \
+            f"subtok: unexpected metrics header in {metrics}\n"
+        assert metrics.read_text("utf-8") == "we_tokens\n"
+
+    def test_the_header_is_on_disk_before_the_first_job(
+            self, corpus_file, mentions_file, tmp_path, monkeypatch, capsys):
+        """So a run killed during its first WE point leaves a table that
+        resumes. With one worker the jobs run in this process."""
+        monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
+                            lambda pid: {0})
+        out_dir = tmp_path / "sim"
+        seen, real = [], subtok.cli.build_segmentation
+
+        def build(cfg, vocab):
+            seen.append((out_dir / "metrics.tsv").read_text("utf-8"))
+            return real(cfg, vocab)
+
+        monkeypatch.setattr(subtok.cli, "build_segmentation", build)
+        assert self._run(corpus_file, mentions_file, out_dir, "1") == 0
+        assert seen == ["\t".join(subtok.cli.SIMULATE_COLUMNS) + "\n"]
+
     @pytest.mark.parametrize("we,task", [("0", "10"), ("2000,-1", "10"),
                                          ("2000", "0"), ("2000", "10,0")])
     def test_grid_point_below_1_exit_1_before_any_file(
@@ -712,6 +779,15 @@ class TestProbeStability:
         assert len(scaled) == 8  # 2 WE points x 2 configs x 2 seeds
         assert exact.count("\tok\n") == 16
         assert rounded == exact
+
+
+def _cell_configs(args, label, we_n, seed):
+    """(ModelConfig, data group, TrainConfig) of one simulate cell, from the
+    simulate command's parsed arguments."""
+    group = data_group_for(we_n)
+    return (dataclasses.replace(parse_config_label(label), dim=args.dim,
+                                seed=seed),
+            group, train_config(args, group, seed, epochs=args.train_epochs))
 
 
 class TestSimulateReuse:
@@ -959,8 +1035,9 @@ class TestSimulateReuse:
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
-                we_n, cells = args[0]
-                submitted.append((we_n, [cell[:2] for cell in cells]))
+                cells = args[0]
+                submitted.append((cells[0].we_n, [
+                    (cell.model.label, cell.model.seed) for cell in cells]))
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(subtok.cli, "ProcessPoolExecutor", Pool)
@@ -972,7 +1049,7 @@ class TestSimulateReuse:
         # one job per WE point and segmentation, holding both seeds
         assert submitted == [(we, [(label, 1), (label, 2)])
                              for we in (2400, 1200)
-                             for label in ("w2v", "bpe1e1:w+:p-")]
+                             for label in ("word:w-:p-", "bpe1e1:w+:p-")]
         rows = (out_dir / "metrics.tsv").read_text("utf-8").splitlines()[1:]
         assert [r.split("\t")[0] for r in rows] == ["2400"] * 8 + ["1200"] * 8
 
@@ -1063,8 +1140,9 @@ class TestSimulateReuse:
                 super().__init__(workers, *args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
-                we_n, cells = args[0]
-                submitted.append((we_n, [cell[:2] for cell in cells]))
+                cells = args[0]
+                submitted.append((cells[0].we_n, [
+                    (cell.model.label, cell.model.seed) for cell in cells]))
                 return super().submit(fn, *args, **kwargs)
 
         argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
@@ -1077,7 +1155,8 @@ class TestSimulateReuse:
                             lambda pid: {0, 1})
         assert main(argv + ["--out", str(tmp_path / "two")]) == 0
         assert pools == [2]
-        assert submitted == [(2400, [("w2v", 1)]), (2400, [("w2v", 2)])]
+        assert submitted == [(2400, [("word:w-:p-", 1)]),
+                             (2400, [("word:w-:p-", 2)])]
         assert (tmp_path / "one" / "metrics.tsv").read_bytes() == \
             (tmp_path / "two" / "metrics.tsv").read_bytes()
 

@@ -21,6 +21,7 @@ from subtok.corpus import (
 )
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
+from subtok.segment import NS_SUBWORD
 from subtok.train import (
     TRACE_EVERY,
     NegativeSampler,
@@ -408,6 +409,44 @@ class TestPlannedKernel:
         assert loss.tobytes() == ref_loss.tobytes()
         assert _tables(m) == [getattr(reference, name).tobytes()
                               for name in ("subword", "position", "context")]
+
+
+class TestBackwardPass:
+    """A batch's steps into one row add up one center at a time, as
+    `oracles.subtract_reference` takes them: `cats` twice, `scats`
+    sharing `cats>` with it, every word sharing position row 0, and `ab`
+    with no subword row."""
+
+    @pytest.mark.parametrize("position", [False, True], ids=["p-", "p+"])
+    @pytest.mark.parametrize("word_token", [False, True], ids=["w-", "w+"])
+    def test_shared_rows_equal_the_reference(self, word_token, position):
+        _, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
+                          ngram_max=6, word_token=word_token,
+                          position=position)
+        rng = np.random.default_rng(7)
+        m.params.context[:] = rng.normal(
+            0, 0.5, m.params.context.shape).astype(np.float32)
+        csr = _WordCSR.of_model(m)
+        centers = np.array([m.vocab.word2id[w] for w in
+                            ("cats", "scats", "cats", "hats", "ab")])
+        shared = m.subword_vocab.entries[(NS_SUBWORD, "cats>")]
+        for w in centers[:2]:
+            assert shared in csr.flat_sub[csr.starts[w]:
+                                          csr.starts[w] + csr.lens[w]]
+        ctx_ids = rng.integers(0, len(m.vocab), size=(centers.size, 3))
+        valid = np.ones((centers.size, 2), dtype=bool)
+        lr = rng.uniform(0.1, 0.5, size=centers.size)
+        before, reference = m.params.copy(), m.params.copy()
+        loss = sgns_kernel(m.params, csr, centers, ctx_ids, valid, lr)
+        ref_loss = oracles.sgns_kernel_reference(reference, csr, centers,
+                                                 ctx_ids, valid, lr)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert _tables(m) == [getattr(reference, name).tobytes()
+                              for name in ("subword", "position", "context")]
+        assert not np.array_equal(m.params.subword[shared],
+                                  before.subword[shared])
+        assert np.array_equal(m.params.position[0], before.position[0]) \
+            != position
 
 
 def _recorded_training(corpus, models, configs, kernel):
