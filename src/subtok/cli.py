@@ -17,6 +17,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +60,7 @@ from subtok.probe import (
     train_mention_probe,  # noqa: F401 -- perfbench/tracer.py wraps it here
     write_metrics,
 )
-from subtok.segment import MORF_MAX_ITERS, segment_word
+from subtok.segment import segment_word
 from subtok.train import LOCKSTEP_ROWS, TrainConfig, train, train_lockstep
 
 SIMULATE_COLUMNS = [
@@ -88,20 +89,20 @@ def default_out(args, name: str) -> Path:
 
 
 def parse_config_label(label: str) -> ModelConfig:
-    """Parse `seg[:w+|w-][:p+|p-]` (seg in morf|charn|word|bpeN|bpe1eK) or
-    the aliases w2v / ft into a ModelConfig."""
+    """Parse `seg[:w+|w-][:p+|p-]` (seg in morf|charn|word|bpeN|bpe1eK, N
+    and K in ASCII digits) or the aliases w2v / ft into a ModelConfig: the
+    one parser of a config from user text."""
     label = CONFIG_ALIASES.get(label, label)
     seg, *flags = label.split(":")
     kwargs: dict = {"segmenter": seg}
     if seg.startswith("bpe"):
-        try:
-            merges = float(seg[3:])
-        except ValueError:
-            merges = math.nan
-        if not merges.is_integer():
+        # a count too large for a float is refused
+        count = re.fullmatch(r"([0-9]+)|1e([0-9]+)", seg[3:])
+        if count is None or math.isinf(float(seg[3:])):
             raise SubtokError(
                 f"bpe config label needs a whole merge count: {label!r}")
-        kwargs.update(segmenter="bpe", num_merges=int(merges))
+        kwargs.update(segmenter="bpe", num_merges=int(count[1]) if count[1]
+                      else 10 ** int(count[2]))
     elif seg not in SEGMENTER_KINDS:
         raise SubtokError(f"unknown config label {label!r}")
     for flag in flags:
@@ -110,19 +111,6 @@ def parse_config_label(label: str) -> ModelConfig:
         name, value = CONFIG_FLAGS[flag]
         kwargs[name] = value
     return ModelConfig(**kwargs)
-
-
-def model_config_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        segmenter=args.seg,
-        num_merges=args.merges,
-        ngram_min=args.ngram_min,
-        ngram_max=args.ngram_max,
-        word_token=args.word_token,
-        position=args.position,
-        dim=args.dim,
-        seed=args.seed,
-    )
 
 
 def train_config(args, group, seed: int, epochs=None, batch_size=None,
@@ -139,19 +127,13 @@ def train_config(args, group, seed: int, epochs=None, batch_size=None,
 
 
 def add_model_flags(p: argparse.ArgumentParser):
-    """The ModelConfig flags. Here and in the other flag helpers a default
-    is read from ModelConfig or TrainConfig, so it is written once."""
-    p.add_argument("--seg", choices=SEGMENTER_KINDS,
-                   default=ModelConfig.segmenter)
-    p.add_argument("--merges", type=int, default=ModelConfig.num_merges,
-                   help="BPE merge operations (bpe only)")
+    """The ModelConfig flags: a config label and the fields it does not
+    name. Here and in the other flag helpers a default is read from
+    ModelConfig or TrainConfig, so it is written once."""
+    p.add_argument("--config", default=ModelConfig().label,
+                   help="config label seg[:w+|w-][:p+|p-] (seg in "
+                   "morf|charn|word|bpeN|bpe1eK) or w2v / ft")
     add_ngram_flags(p)
-    p.add_argument("--word-token", action=argparse.BooleanOptionalAction,
-                   default=ModelConfig.word_token,
-                   help="append the word itself (w+/w-)")
-    p.add_argument("--position", action=argparse.BooleanOptionalAction,
-                   default=ModelConfig.position,
-                   help="additive position embeddings (p+/p-)")
     p.add_argument("--dim", type=int, default=ModelConfig.dim)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
@@ -205,8 +187,7 @@ def cmd_segment_learn(args) -> int:
     vocab = build_vocab(load_corpus(args.corpus), args.min_count)
     merges = args.merges if args.seg == "bpe" else ModelConfig.num_merges
     model = build_segmenter(ModelConfig(segmenter=args.seg,
-                                        num_merges=merges),
-                            vocab, max_iters=args.max_iters)
+                                        num_merges=merges), vocab)
     out = default_out(args, SEGMENTER_FILES[args.seg][0])
     write_files({out: model.save})
     if args.seg == "bpe":
@@ -238,13 +219,15 @@ def cmd_segment_apply(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = dataclasses.replace(
+        parse_config_label(args.config), ngram_min=args.ngram_min,
+        ngram_max=args.ngram_max, dim=args.dim, seed=args.seed)
     corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     group = data_group_for(corpus.token_count)
     tcfg = train_config(args, group, args.seed, epochs=args.epochs,
                         batch_size=args.batch_size, min_count=args.min_count)
 
     vocab = build_vocab(corpus, tcfg.min_count)
-    config = model_config_from_args(args)
     model = SubwordModel.build(config, vocab)
     result = train(corpus, model, tcfg)
     out = default_out(args, "checkpoint")
@@ -463,7 +446,8 @@ def cmd_simulate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     n_run = 0
-    state = (_shared_work(corpus, {job[0].we_n for job in jobs}), task_data)
+    state = (_shared_work(corpus, {job[0].we_n: job[0].train.min_count
+                                   for job in jobs}), task_data)
     with open(metrics_path, "a", encoding="utf-8") as fh:
         if new_file:
             # on disk before any job starts, so that a run killed during
@@ -500,56 +484,50 @@ def _split_seeds(jobs: list, workers: int) -> list:
     return jobs
 
 
-def _shared_work(corpus, we_points) -> dict:
-    """Per WE point, what all of its jobs read: the corpus prefix and its
-    vocab at the data group's min_count. A WE point whose vocab fails keeps
-    the SubtokError, which each of its cells reports as its failed row."""
+def _shared_work(corpus, min_counts: dict) -> dict:
+    """Per WE point of `min_counts` (a WE point -> the min count that its
+    cells record), what all of its jobs read: the corpus prefix and its
+    vocab at that min count. A WE point whose vocab fails keeps the
+    SubtokError, which each of its cells reports as its failed row."""
     shared: dict = {}
-    for we_n in we_points:
+    for we_n, min_count in min_counts.items():
         try:
             sample = sample_tokens(corpus, we_n)
-            shared[we_n] = sample, build_vocab(
-                sample, data_group_for(we_n).min_count)
+            shared[we_n] = sample, build_vocab(sample, min_count)
         except SubtokError as exc:
             shared[we_n] = exc
     return shared
 
 
+# _job_rows's state (the shared work and the task data) while its jobs run
+_job_state: tuple = ()
+
+
 @contextlib.contextmanager
 def _job_rows(state: tuple, jobs: list, workers: int):
-    """Yields an iterator over the rows of each job, in job order. One pool
-    of `workers` workers runs the jobs in the order given. Workers are
-    forked, so they inherit `state` (the shared work and the task data),
-    and only jobs and rows are pickled. With one worker the jobs run in
-    this process, each when its rows are asked for."""
-    if workers <= 1:
-        yield (_simulate_job(*state, job) for job in jobs)
-        return
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_state, initargs=(state,))
+    """Yields an iterator over the rows of each job, in job order, each job
+    run by `_run_job`. One pool of `workers` workers runs the jobs in the
+    order given; with one worker they run in this process, each when its
+    rows are asked for."""
+    global _job_state
+    # set before the pool forks: the workers inherit the state through
+    # fork, so only jobs and rows are pickled, never the state
+    _job_state = state
+    pool = None if workers <= 1 else ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    # a worker that dies raises BrokenProcessPool from pool.map's iterator
+    # instead of leaving the command waiting
+    run = map if pool is None else pool.map
     try:
-        futures = [pool.submit(_run_job, job) for job in jobs]
-        # a worker that dies raises BrokenProcessPool from result() instead
-        # of leaving the command waiting
-        yield (future.result() for future in futures)
+        yield run(_run_job, jobs)
     finally:
-        pool.shutdown(cancel_futures=True)
-
-
-# A worker's copy of _job_rows's state, set by the pool's initializer in
-# the worker only: with fork, initargs reach the worker without being
-# pickled.
-_worker_state: tuple = ()
-
-
-def _set_worker_state(state: tuple) -> None:
-    global _worker_state
-    _worker_state = state
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _job_state = ()
 
 
 def _run_job(job: list) -> list:
-    return _simulate_job(*_worker_state, job)
+    return _simulate_job(*_job_state, job)
 
 
 def _simulate_job(shared, task_data, cells) -> list:
@@ -693,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--seg", choices=tuple(SEGMENTER_FILES), required=True)
     p.add_argument("--merges", type=int, default=ModelConfig.num_merges)
-    p.add_argument("--max-iters", type=int, default=MORF_MAX_ITERS)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_segment_learn)
@@ -776,7 +753,3 @@ def main(argv=None) -> int:
         print(f"subtok: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,7 +26,6 @@ from subtok.errors import (
     write_files,
 )
 from subtok.segment import (
-    MORF_MAX_ITERS,
     NS_SUBWORD,
     NS_WORD_TOKEN,
     BpeModel,
@@ -47,6 +46,10 @@ SEGMENTER_FILES = {"bpe": ("bpe.txt", BpeModel.load),
 
 MATRIX_MAGIC = b"STM1"
 
+# rows of the position table: a subword at index MAX_POSITIONS - 1 or later
+# in its word's segmentation shares the last row
+MAX_POSITIONS = 20
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -61,14 +64,13 @@ class ModelConfig:
     word_token: bool = False
     position: bool = False
     dim: int = 100
-    max_positions: int = 20
     seed: int = 1
 
     def __post_init__(self):
         if self.segmenter not in SEGMENTER_KINDS:
             raise ConfigError(f"unknown segmenter {self.segmenter!r}")
-        if self.dim < 1 or self.max_positions < 1:
-            raise ConfigError("dim and max_positions must be >= 1")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
         if self.num_merges < 1:
             raise ConfigError("num_merges must be >= 1")
         if self.seed < 0:
@@ -81,11 +83,9 @@ class ModelConfig:
         """Config label like `bpe1e4:w+:p-`."""
         seg = self.segmenter
         if seg == "bpe":
-            exp = np.log10(self.num_merges)
-            if exp == int(exp):
-                seg = f"bpe1e{int(exp)}"
-            else:
-                seg = f"bpe{self.num_merges}"
+            digits = str(self.num_merges)
+            seg = (f"bpe1e{len(digits) - 1}" if digits.rstrip("0") == "1"
+                   else f"bpe{digits}")
         w = "w+" if self.word_token else "w-"
         p = "p+" if self.position else "p-"
         return f"{seg}:{w}:{p}"
@@ -94,7 +94,7 @@ class ModelConfig:
 @dataclass
 class ParamTables:
     """Subword embeddings (|S| x d), additive position table
-    (max_positions x d), and the word-level context matrix (|V| x d)."""
+    (MAX_POSITIONS x d), and the word-level context matrix (|V| x d)."""
 
     subword: np.ndarray
     position: np.ndarray
@@ -159,19 +159,18 @@ def init_params(config: ModelConfig, subword_vocab: SubwordVocab,
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / d
     sub = rng.uniform(-bound, bound, size=(len(subword_vocab), d))
-    pos = rng.uniform(-bound, bound, size=(config.max_positions, d))
+    pos = rng.uniform(-bound, bound, size=(MAX_POSITIONS, d))
     ctx = np.zeros((len(vocab), d))
     return ParamTables(subword=sub.astype(np.float32),
                        position=pos.astype(np.float32),
                        context=ctx.astype(np.float32))
 
 
-def build_segmenter(config: ModelConfig, vocab: Vocab | None,
-                    max_iters: int = MORF_MAX_ITERS):
+def build_segmenter(config: ModelConfig, vocab: Vocab | None):
     if config.segmenter == "bpe":
         return learn_bpe(vocab, config.num_merges)
     if config.segmenter == "morf":
-        return learn_morfessor_lite(vocab, max_iters=max_iters)
+        return learn_morfessor_lite(vocab)
     if config.segmenter == "charn":
         # building the subword vocab and resolving the model's rows both
         # read every vocab word's n-grams; with no vocab it keeps none
@@ -225,7 +224,7 @@ class _WordCSR:
         """The rows of `words` (default: the model's vocab) in `model`'s
         tables, in one pass. A subword that the vocab has gets its row and,
         as position, its index in the word's full segmentation (unknown
-        subwords count) clipped to max_positions - 1; an unknown subword
+        subwords count) clipped to MAX_POSITIONS - 1; an unknown subword
         gets no row, and a word with no word-token row gets -1. Every word
         is non-empty, as vocab words and the loaders' tokens are."""
         words = model.vocab.words if words is None else words
@@ -243,7 +242,7 @@ class _WordCSR:
         if model.config.word_token:
             wt_ids[:] = [get((NS_WORD_TOKEN, w), -1) for w in words]
         return cls(words, ids[known],
-                   np.minimum(offsets[known], model.config.max_positions - 1),
+                   np.minimum(offsets[known], MAX_POSITIONS - 1),
                    lens, wt_ids, model.config.position)
 
     def stacked(self, copies: int, sub_rows: int,
@@ -423,24 +422,19 @@ def _config_to_text(config: ModelConfig) -> str:
                    for f in fields(config))
 
 
-# config.txt spellings of a bool; _config_to_text writes True and False
-_BOOLS = {"True": True, "true": True, "1": True, "yes": True,
-          "False": False, "false": False, "0": False, "no": False}
-
-
 def _read_config(path: Path) -> ModelConfig:
-    """The ModelConfig of a `key=value` config.txt: every field must be
-    given, ints as non-negative numbers and bools spelled as in _BOOLS;
-    comment lines start with #. An out-of-range value is a FormatError."""
+    """The ModelConfig of a config.txt as `_config_to_text` writes it: one
+    `key=value` line per field, ints as non-negative numbers and bools as
+    True or False. A key that is not a field is ignored, so a file that
+    still carries `max_positions=20` loads. An out-of-range value is a
+    FormatError."""
     kv = {}
     for ln, line in enumerate(read_lines(path, "checkpoint config"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+        line = line.rstrip("\n")
         if "=" not in line:
             raise FormatError(f"bad config line {line!r}", ln)
         k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip(), ln
+        kv[k] = v, ln
     keys = fields(ModelConfig)
     missing = [f.name for f in keys if f.name not in kv]
     if missing:
@@ -449,10 +443,10 @@ def _read_config(path: Path) -> ModelConfig:
     for f in keys:
         value, ln = kv[f.name]
         if isinstance(f.default, bool):
-            if value not in _BOOLS:
-                raise FormatError(f"{f.name} must be one of "
-                                  f"{'/'.join(_BOOLS)}, got {value!r}", ln)
-            value = _BOOLS[value]
+            if value not in ("True", "False"):
+                raise FormatError(f"{f.name} must be True or False, "
+                                  f"got {value!r}", ln)
+            value = value == "True"
         elif isinstance(f.default, int):
             value = nonnegative_int(value, f.name, ln)
         values[f.name] = value
@@ -500,9 +494,9 @@ def load_checkpoint(ckpt_dir: str | Path) -> SubwordModel:
     params = ParamTables(subword=_read_matrix(ckpt / "subword.mat"),
                          position=_read_matrix(ckpt / "position.mat"),
                          context=_read_matrix(ckpt / "context.mat"))
-    # rows: subword vocab, config max_positions, word vocab; columns: dim
+    # rows: subword vocab, MAX_POSITIONS, word vocab; columns: dim
     for name, rows in (("subword", len(svocab)),
-                       ("position", config.max_positions),
+                       ("position", MAX_POSITIONS),
                        ("context", len(vocab))):
         shape = getattr(params, name).shape
         if shape != (rows, config.dim):

@@ -16,7 +16,6 @@ import numpy as np
 
 from subtok.corpus import Vocab
 from subtok.errors import (
-    ConfigError,
     FormatError,
     SubtokError,
     nonnegative_int,
@@ -380,24 +379,20 @@ class MorfModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MorfModel":
-        """The model that `save` wrote. A file without the header holds a
-        lexicon alone, as files did before analyses were kept, and every
-        word of such a model splits by Viterbi."""
+        """The model that `save` wrote; a file without its header is
+        refused."""
         lines = read_lines(path, "morph model")
-        header = next(lines, "")
-        n_morphs, first_line = math.inf, 2
-        if header.startswith("#morf v2 "):
-            n_morphs = nonnegative_int(header[len("#morf v2 "):].rstrip("\n"),
-                                       "lexicon size", 1)
-        else:
-            first_line = 1
-            lines = itertools.chain([header], lines)
+        header = next(lines, "").rstrip("\n")
+        if not header.startswith("#morf v2 "):
+            raise FormatError(f"bad morph model header {header!r}", 1)
+        n_morphs = nonnegative_int(header[len("#morf v2 "):], "lexicon size",
+                                   1)
         lexicon: dict[str, int] = {}
         analyses: dict[str, tuple[str, ...]] = {}
         for ln, (key, value) in read_fields(
                 lines, "morph model", "\t", 2,
                 "expected morph<TAB>count or word<TAB>morph morph ...",
-                first_line=first_line):
+                first_line=2):
             if not key:
                 raise FormatError("empty morph", ln)
             if len(lexicon) < n_morphs:
@@ -502,10 +497,8 @@ def learn_morfessor_lite(vocab: Vocab,
     """Iterative re-estimation of word analyses. Each pass re-segments every
     word type (optimal partition under the current morph statistics, with an
     amortized lexicon penalty for novel morphs); a pass that fails to lower
-    the total cost is reverted and training stops."""
-    if max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
-
+    the total cost is reverted and training stops, after at most
+    `max_iters` (>= 1) passes."""
     freqs = {w: int(c) for w, c in zip(vocab.words, vocab.counts)}
     analyses: dict[str, tuple[str, ...]] = {w: (w,) for w in vocab.words}
     counts: Counter = Counter({w: freqs[w] for w in vocab.words})

@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import subtok.model
 from subtok.model import (
     ParamTables,
     SubwordModel,
@@ -156,13 +157,13 @@ class Resolved(NamedTuple):
 def resolve_reference(model: SubwordModel, word: str) -> Resolved:
     """`word`'s rows, resolved one subword at a time: each known subword's
     row, and as its position its index in the segmentation (unknown pieces
-    count) clamped to max_positions - 1; under w+ the word-token row, or
+    count) clamped to MAX_POSITIONS - 1; under w+ the word-token row, or
     -1. `unknown` counts the pieces and the word token that the subword
     vocab lacks."""
     seg = segment_word(model.segmenter, word, model.config.word_token)
     sub_ids, pos_ids = [], []
     unknown = 0
-    maxpos = model.config.max_positions
+    maxpos = subtok.model.MAX_POSITIONS  # read per call: tests patch it
     for i, s in enumerate(seg.subwords):
         sid = model.subword_vocab.entries.get((NS_SUBWORD, s))
         if sid is None:
@@ -198,7 +199,7 @@ def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
     """float64 vector of `word`, added up one row at a time from its
     segmentation: each known subword's row, under p+ the position row of its
     index in the segmentation (unknown pieces count) clamped to
-    max_positions - 1, and under w+ the word-token row if the word has one.
+    MAX_POSITIONS - 1, and under w+ the word-token row if the word has one.
     Unknown pieces add nothing."""
     cfg, params = model.config, model.params
     seg = segment_word(model.segmenter, word, cfg.word_token)
@@ -208,7 +209,8 @@ def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
         if row is not None:
             vec += params.subword[row]
             if cfg.position:
-                vec += params.position[min(i, cfg.max_positions - 1)]
+                vec += params.position[min(i,
+                                           subtok.model.MAX_POSITIONS - 1)]
     if seg.includes_word_token:
         row = model.subword_vocab.entries.get((NS_WORD_TOKEN, word))
         if row is not None:

@@ -35,7 +35,6 @@ from subtok.model import (
     SEGMENTER_FILES,
     ModelConfig,
     SubwordModel,
-    build_segmenter,
 )
 from subtok.probe import (
     TAGGER_WINDOW,
@@ -133,6 +132,12 @@ class TestConfigLabels:
         assert parse_config_label("bpe1e3").num_merges == 1000
         assert parse_config_label("bpe500").num_merges == 500
         assert parse_config_label("bpe500").label == "bpe500:w-:p-"
+        # counts past a float's 53 bits and past int64 stay exact
+        for digits in ("9007199254740993", "9" * 25):
+            cfg = parse_config_label("bpe" + digits)
+            assert (cfg.num_merges, cfg.label) == (int(digits),
+                                                   f"bpe{digits}:w-:p-")
+        assert parse_config_label("bpe1e25").num_merges == 10 ** 25
 
     def test_flags(self):
         cfg = parse_config_label("morf:w+:p+")
@@ -152,7 +157,11 @@ class TestConfigLabels:
 
     @pytest.mark.parametrize("label,message", [
         ("bpe0", "num_merges must be >= 1"),
-        ("bpex", "bpe config label needs a whole merge count: 'bpex'")])
+        ("bpex", "bpe config label needs a whole merge count: 'bpex'"),
+        # spellings that float() reads but the label grammar does not have
+        *((label, f"bpe config label needs a whole merge count: {label!r}")
+          for label in ("bpe 1000", "bpe1_000", "bpe1000.0", "bpe10e2",
+                        "bpe\t1000"))])
     def test_bad_merge_count_exit_1_before_any_file(
             self, corpus_file, mentions_file, tmp_path, capsys, label,
             message):
@@ -245,6 +254,17 @@ class TestSegmentCommands:
         assert capsys.readouterr().out == "".join(
             f"{w}\t{' '.join(model.segment(w))}\n" for w in ("red", "blueish"))
 
+    def test_learned_morf_is_the_one_train_learns(self, corpus_file,
+                                                  tmp_path, capsys):
+        out = tmp_path / "morf.tsv"
+        assert main(["segment-learn", "--corpus", str(corpus_file), "--seg",
+                     "morf", "--min-count", "2", "--out", str(out)]) == 0
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--config",
+                     "morf", "--min-count", "2", "--dim", "8", "--epochs",
+                     "1", "--out", str(ckpt)]) == 0
+        assert out.read_bytes() == (ckpt / "morf.tsv").read_bytes()
+
     def test_charn_apply(self, capsys):
         rc = main(["segment-apply", "--seg", "charn", "cats"])
         assert rc == 0
@@ -269,8 +289,7 @@ class TestSegmentCommands:
     @pytest.mark.parametrize("seg,flag,message", [
         ("bpe", "--min-count", "min_count must be >= 1"),
         ("morf", "--min-count", "min_count must be >= 1"),
-        ("bpe", "--merges", "num_merges must be >= 1"),
-        ("morf", "--max-iters", "max_iters must be >= 1")])
+        ("bpe", "--merges", "num_merges must be >= 1")])
     def test_learn_count_0_exit_1(self, corpus_file, tmp_path, capsys, seg,
                                   flag, message):
         out = tmp_path / "model.txt"
@@ -318,11 +337,25 @@ class TestSegmentCommands:
 class TestTrainExportProbe:
     def _train(self, corpus_file, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
-        rc = main(["train", "--corpus", str(corpus_file), "--seg", "charn",
+        rc = main(["train", "--corpus", str(corpus_file), "--config", "charn",
                    "--dim", "16", "--epochs", "1", "--seed", "3",
                    "--out", str(ckpt)])
         assert rc == 0
         return ckpt
+
+    @pytest.mark.parametrize("label", ["w2v", "ft", "bpe1000:w+:p+",
+                                       "morf:w+"])
+    def test_config_label_is_the_checkpoint_config(self, corpus_file,
+                                                   tmp_path, capsys, label):
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--config", label,
+                     "--dim", "8", "--seed", "3", "--epochs", "1", "--out",
+                     str(ckpt)]) == 0
+        config = dataclasses.replace(parse_config_label(label), dim=8, seed=3)
+        assert (ckpt / "config.txt").read_text("utf-8") == "".join(
+            f"{f.name}={getattr(config, f.name)}\n"
+            for f in dataclasses.fields(config))
+        assert f"trained {config.label} " in capsys.readouterr().out
 
     def test_train_checkpoint_layout(self, corpus_file, tmp_path, capsys):
         ckpt = self._train(corpus_file, tmp_path, capsys)
@@ -1034,11 +1067,12 @@ class TestSimulateReuse:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-            def submit(self, fn, /, *args, **kwargs):
-                cells = args[0]
-                submitted.append((cells[0].we_n, [
-                    (cell.model.label, cell.model.seed) for cell in cells]))
-                return super().submit(fn, *args, **kwargs)
+            def map(self, fn, jobs, **kwargs):
+                jobs = list(jobs)
+                submitted.extend((cells[0].we_n, [
+                    (cell.model.label, cell.model.seed) for cell in cells])
+                    for cells in jobs)
+                return super().map(fn, jobs, **kwargs)
 
         monkeypatch.setattr(subtok.cli, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(subtok.cli.os, "sched_getaffinity",
@@ -1139,11 +1173,12 @@ class TestSimulateReuse:
                 pools.append(workers)
                 super().__init__(workers, *args, **kwargs)
 
-            def submit(self, fn, /, *args, **kwargs):
-                cells = args[0]
-                submitted.append((cells[0].we_n, [
-                    (cell.model.label, cell.model.seed) for cell in cells]))
-                return super().submit(fn, *args, **kwargs)
+            def map(self, fn, jobs, **kwargs):
+                jobs = list(jobs)
+                submitted.extend((cells[0].we_n, [
+                    (cell.model.label, cell.model.seed) for cell in cells])
+                    for cells in jobs)
+                return super().map(fn, jobs, **kwargs)
 
         argv = ["simulate", "--corpus", str(corpus_file), "--mentions",
                 str(mentions_file), "--we-tokens", "2400",
@@ -1378,9 +1413,9 @@ class TestReport:
 
 
 def _train_checkpoint(corpus_file, ckpt):
-    assert main(["train", "--corpus", str(corpus_file), "--seg", "charn",
-                 "--word-token", "--position", "--dim", "8", "--epochs",
-                 "1", "--seed", "3", "--out", str(ckpt)]) == 0
+    assert main(["train", "--corpus", str(corpus_file), "--config",
+                 "charn:w+:p+", "--dim", "8", "--epochs", "1", "--seed", "3",
+                 "--out", str(ckpt)]) == 0
     return ckpt
 
 
@@ -1394,8 +1429,8 @@ def _ner_file(tmp_path):
 
 
 class TestNoRowWords:
-    @pytest.mark.parametrize("flag", ["--no-word-token", "--word-token"])
-    def test_train_word_shorter_than_ngram_min(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("label", ["charn:w-", "charn:w+"])
+    def test_train_word_shorter_than_ngram_min(self, tmp_path, capsys, label):
         # `<ab>` has no 5-grams, so `ab` has no subword rows
         words = ["red", "blue", "green", "yellow", "pink", "ab"]
         corpus = tmp_path / "corpus.txt"
@@ -1403,8 +1438,8 @@ class TestNoRowWords:
             " ".join(words[(i + j) % 6] for j in range(6)) + "\n"
             for i in range(400)), encoding="utf-8")
         ckpt = tmp_path / "ckpt"
-        rc = main(["train", "--corpus", str(corpus), "--seg", "charn",
-                   "--ngram-min", "5", flag, "--dim", "8", "--epochs", "1",
+        rc = main(["train", "--corpus", str(corpus), "--config", label,
+                   "--ngram-min", "5", "--dim", "8", "--epochs", "1",
                    "--subsample-t", "0", "--out", str(ckpt)])
         assert rc == 0
         model = subtok.model.load_checkpoint(ckpt)
@@ -1552,8 +1587,10 @@ class TestBadNumbersExit1:
 
     @pytest.mark.parametrize("seg,text,message", [
         ("bpe", "#bpe v2 x\na b\n", "line 1: merge count"),
-        ("morf", "walk\t3\nab\tx\n", "line 2: morph count"),
-        ("morf", "walk\t3\nab\t-5\n", "line 2: morph count"),
+        ("morf", "#morf v2 2\nwalk\t3\nab\tx\n", "line 3: morph count"),
+        ("morf", "#morf v2 2\nwalk\t3\nab\t-5\n", "line 3: morph count"),
+        # a lexicon-only file, as `save` no longer writes
+        ("morf", "walk\t3\ned\t2\n", "line 1: bad morph model header"),
         ("morf", "#morf v2 x\nwalk\t3\n", "line 1: lexicon size")])
     def test_segment_apply_bad_model_numbers(self, tmp_path, capsys, seg,
                                              text, message):
@@ -1567,9 +1604,9 @@ class TestBadNumbersExit1:
 
     # lines that `save` never writes
     @pytest.mark.parametrize("seg,text,message", [
-        ("morf", "walk\t3\n\t400\n", "line 2: empty morph"),
-        ("morf", "walk\t3\ned\t2\nwalk\t4\n",
-         "line 3: repeated morph 'walk'"),
+        ("morf", "#morf v2 2\nwalk\t3\n\t400\n", "line 3: empty morph"),
+        ("morf", "#morf v2 3\nwalk\t3\ned\t2\nwalk\t4\n",
+         "line 4: repeated morph 'walk'"),
         ("morf", "#morf v2 2\nwalk\t3\ned\t2\nwalked\twalk e d x\n",
          "line 4: bad analysis of 'walked'"),
         ("morf", "#morf v2 1\nwalk\t3\nwalk\twalk\nwalk\twa lk\n",
@@ -1835,8 +1872,9 @@ class TestCheckpointErrorsNameTheFile:
         seg = {"bpe.txt": "bpe", "morf.tsv": "morf"}.get(name, "charn")
         sep = {"config.txt": "=", "bpe.txt": " "}.get(name, "\t")
         ckpt = tmp_path / "ckpt"
-        assert main(["train", "--corpus", str(corpus_file), "--seg", seg,
-                     "--merges", "10", "--dim", "8", "--epochs", "1",
+        label = "bpe10" if seg == "bpe" else seg
+        assert main(["train", "--corpus", str(corpus_file), "--config", label,
+                     "--dim", "8", "--epochs", "1",
                      "--out", str(ckpt)]) == 0
         if "=" in name:
             path = ckpt / "config.txt"
@@ -1994,7 +2032,7 @@ class TestUnreadableFilesExit1:
             return self._export_without(corpus_file, tmp_path, name)
         if name == "bpe.txt":
             return self._export_without(corpus_file, tmp_path, name,
-                                        "--seg", "bpe", "--merges", "10")
+                                        "--config", "bpe10")
         if name.startswith("apply-"):
             seg = name.split("-")[1]
             model = tmp_path / "model.txt"
@@ -2131,22 +2169,28 @@ class TestParserDefaults:
 
     def test_train_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["train", "--corpus", "c.txt"])
-        assert subtok.cli.model_config_from_args(args) == ModelConfig()
+        assert dataclasses.replace(
+            parse_config_label(args.config), ngram_min=args.ngram_min,
+            ngram_max=args.ngram_max, dim=args.dim, seed=args.seed) == \
+            ModelConfig()
         assert (args.window, args.negatives, args.lr, args.subsample_t) == (
             TrainConfig.window, TrainConfig.negatives, TrainConfig.lr_start,
             TrainConfig.subsample_t)
 
+    def test_train_help_names_one_config_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        out = capsys.readouterr().out
+        assert "--config" in out
+        assert [flag for flag in ("--seg", "--merges", "--word-token",
+                                  "--position") if flag in out] == []
+
     def test_morf_passes_and_probe_window_have_one_default(self):
-        parser = build_parser()
-        args = parser.parse_args(["segment-learn", "--corpus", "c.txt",
-                                  "--seg", "morf"])
-        assert args.max_iters == MORF_MAX_ITERS
-        args = parser.parse_args(["probe", "--checkpoint", "c",
-                                  "--task", "conll", "--data", "d"])
+        args = build_parser().parse_args(["probe", "--checkpoint", "c",
+                                          "--task", "conll", "--data", "d"])
         assert args.probe_window == TAGGER_WINDOW
         for fn, name, value in (
                 (learn_morfessor_lite, "max_iters", MORF_MAX_ITERS),
-                (build_segmenter, "max_iters", MORF_MAX_ITERS),
                 (run_probe, "window", TAGGER_WINDOW)):
             default = inspect.signature(fn).parameters[name].default
             assert default == value, fn.__name__

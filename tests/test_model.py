@@ -13,10 +13,12 @@ from oracles import (
     resolve_reference,
     scatter_reference,
 )
+import subtok.model
 import subtok.segment
 from subtok.corpus import Vocab, build_vocab, tokenize_corpus
 from subtok.errors import ConfigError, FormatError, SubtokError
 from subtok.model import (
+    MAX_POSITIONS,
     ModelConfig,
     SubwordModel,
     _WordCSR,
@@ -59,7 +61,7 @@ class TestInitParams:
         m = small_model(word_token=True)
         assert m.params.subword.shape == (len(m.subword_vocab), 8)
         assert m.params.context.shape == (len(m.vocab), 8)
-        assert m.params.position.shape == (m.config.max_positions, 8)
+        assert m.params.position.shape == (MAX_POSITIONS, 8)
 
 
 def compose_one(m, sub_ids, pos_ids, word_token_id=-1):
@@ -129,8 +131,9 @@ class TestCompose:
                  - compose_one(m, csr.flat_sub, csr.flat_pos))
         assert delta == pytest.approx(m.params.subword[wt])
 
-    def test_position_clamp_for_long_words(self):
-        m = small_model(max_positions=3, position=True)
+    def test_position_clamp_for_long_words(self, monkeypatch):
+        monkeypatch.setattr(subtok.model, "MAX_POSITIONS", 3)
+        m = small_model(position=True)
         pos_ids = _WordCSR.of_model(m, ["catalog"]).flat_pos
         assert pos_ids.max() == 2
         assert (pos_ids[3:] == 2).all()
@@ -149,11 +152,19 @@ class TestCompose:
         assert vec.any()
 
 
+@pytest.fixture(scope="class")
+def max_positions_3():
+    """MAX_POSITIONS 3, which clamps the positions of every word longer
+    than `<a>`; class-scoped, so that Hypothesis tests can use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subtok.model, "MAX_POSITIONS", 3)
+        yield
+
+
 @lru_cache(maxsize=None)
 def oracle_model(word_token, position):
-    # max_positions 3 clamps the positions of every word longer than `<a>`
-    return small_model(word_token=word_token, position=position,
-                       max_positions=3)
+    """A model built under max_positions_3, which its users must share."""
+    return small_model(word_token=word_token, position=position)
 
 
 def randomize_tables(m, seed):
@@ -163,7 +174,7 @@ def randomize_tables(m, seed):
 
 
 # `zzz` and `q` have no known n-gram (and no word-token row): they compose
-# to zero; `catalog` has positions past max_positions; `cat` is in vocab
+# to zero; `catalog` has positions past MAX_POSITIONS; `cat` is in vocab
 FIXED_WORDS = ["zzz", "q", "catalog", "cat"]
 
 
@@ -180,11 +191,11 @@ RESOLVE_SEGMENTERS = {
 
 @lru_cache(maxsize=None)
 def resolve_parts(kind, word_token):
-    """(config, vocab, segmenter, subword vocab) with max_positions 3. Under
-    w+ the word-token key of `cat`, a vocab word, is taken out of the
-    subword vocab."""
+    """(config, vocab, segmenter, subword vocab), to be resolved under
+    max_positions_3. Under w+ the word-token key of `cat`, a vocab word, is
+    taken out of the subword vocab."""
     cfg = ModelConfig(**RESOLVE_SEGMENTERS[kind], word_token=word_token,
-                      max_positions=3, dim=4)
+                      dim=4)
     vocab = build_vocab(tokenize_corpus(
         "cat hat bat mat\nrat cat hat\ncatalog\n"), 1)
     segmenter, svocab = build_segmentation(cfg, vocab)
@@ -193,6 +204,7 @@ def resolve_parts(kind, word_token):
     return cfg, vocab, segmenter, svocab
 
 
+@pytest.mark.usefixtures("max_positions_3")
 class TestBulkResolve:
     @given(kind=st.sampled_from(sorted(RESOLVE_SEGMENTERS)),
            word_token=st.booleans(),
@@ -253,6 +265,7 @@ class TestBulkResolve:
         assert sorted(calls) == sorted(vocab.words)
 
 
+@pytest.mark.usefixtures("max_positions_3")
 class TestComposeOracle:
     @given(word_token=st.booleans(), position=st.booleans(),
            seed=st.integers(0, 2**32 - 1),
@@ -495,33 +508,57 @@ class TestCheckpoint:
                                     position=True), tmp_path / "ckpt")
         assert (tmp_path / "ckpt" / "config.txt").read_text("utf-8") == (
             "segmenter=bpe\nnum_merges=10\nngram_min=3\nngram_max=6\n"
-            "word_token=False\nposition=True\ndim=8\nmax_positions=20\n"
-            "seed=5\n")
+            "word_token=False\nposition=True\ndim=8\nseed=5\n")
 
     @pytest.mark.parametrize("spelling", ["True", "true", "1", "yes",
                                           "False", "false", "0", "no"])
     def test_config_comments_and_bool_spellings(self, tmp_path, spelling):
+        """The spellings of a bool that config.txt once took: the two that
+        `save` writes load, the other six are refused."""
         word_token = spelling in ("True", "true", "1", "yes")
         m = small_model(word_token=word_token)
         save_checkpoint(m, tmp_path / "ckpt")
         config = tmp_path / "ckpt" / "config.txt"
-        config.write_text("# edited\n\n" + config.read_text("utf-8").replace(
+        config.write_text(config.read_text("utf-8").replace(
             f"word_token={word_token}", f"word_token={spelling}"),
             encoding="utf-8")
-        assert load_checkpoint(tmp_path / "ckpt").config == m.config
+        if spelling in ("True", "False"):
+            assert load_checkpoint(tmp_path / "ckpt").config == m.config
+            return
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 5: word_token must be True or False, got "
+                f"{spelling!r}")):
+            load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("spelling", ["ture", "TRUE", "2", ""])
+    # a comment line, which `save` never writes, is refused like a bad bool
+    @pytest.mark.parametrize("spelling", [
+        "ture", "TRUE", "2", "", pytest.param("True\n# edited",
+                                              id="comment")])
     def test_config_unknown_bool_is_a_format_error(self, tmp_path, spelling):
         save_checkpoint(small_model(word_token=True), tmp_path / "ckpt")
         config = tmp_path / "ckpt" / "config.txt"
         config.write_text(config.read_text("utf-8").replace(
             "word_token=True", f"word_token={spelling}"), encoding="utf-8")
+        ln = 6 if "#" in spelling else 5
+        message = ("bad config line '# edited'" if "#" in spelling else
+                   f"word_token must be True or False, got {spelling!r}")
         with pytest.raises(FormatError, match=re.escape(
-                f"line 5: word_token must be one of "
-                f"True/true/1/yes/False/false/0/no, got {spelling!r} in "
-                f"{config}")) as exc:
+                f"line {ln}: {message} in {config}")) as exc:
             load_checkpoint(tmp_path / "ckpt")
-        assert exc.value.line_number == 5
+        assert exc.value.line_number == ln
+
+    def test_config_with_max_positions_loads(self, tmp_path):
+        """A config.txt written while `max_positions` was a config field
+        carries it; a key that is not a field is ignored."""
+        m = small_model(position=True)
+        save_checkpoint(m, tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        config.write_text(config.read_text("utf-8").replace(
+            "dim=8\n", "dim=8\nmax_positions=20\n"), encoding="utf-8")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.config == m.config
+        assert loaded.params.position.tobytes() == \
+            m.params.position.tobytes()
 
     @pytest.mark.parametrize("key,value", [("dim", "abc"), ("seed", "-1"),
                                            ("num_merges", "1.5")])
@@ -542,11 +579,10 @@ class TestCheckpoint:
     def test_position_rows_must_equal_max_positions(self, tmp_path):
         m = small_model()
         save_checkpoint(m, tmp_path / "ckpt")
-        config = tmp_path / "ckpt" / "config.txt"
-        config.write_text(config.read_text().replace("max_positions=20",
-                                                     "max_positions=12"))
-        with pytest.raises(FormatError, match=r"position matrix is 20x8; "
-                                              r"config and vocab need 12x8"):
+        _write_matrix(tmp_path / "ckpt" / "position.mat",
+                      m.params.position[:12])
+        with pytest.raises(FormatError, match=r"position matrix is 12x8; "
+                                              r"config and vocab need 20x8"):
             load_checkpoint(tmp_path / "ckpt")
 
 

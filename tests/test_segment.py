@@ -507,10 +507,11 @@ class TestLoadersCheckNumbers:
     @pytest.mark.parametrize("count", ["x", "-5"])
     def test_morf_count(self, tmp_path, count):
         path = tmp_path / "morf.tsv"
-        path.write_text(f"walk\t3\nab\t{count}\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="line 2: morph count") as exc:
+        path.write_text(f"#morf v2 2\nwalk\t3\nab\t{count}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: morph count") as exc:
             MorfModel.load(path)
-        assert exc.value.line_number == 2
+        assert exc.value.line_number == 3
 
     def test_subword_vocab_id(self, tmp_path):
         path = tmp_path / "sv.tsv"

@@ -362,7 +362,7 @@ class TestNoRowCenter:
         for r in range(len(m.subword_vocab)):
             if r not in moved:
                 assert np.array_equal(m.params.subword[r], before.subword[r])
-        for r in range(m.config.max_positions):
+        for r in range(len(m.params.position)):
             if r not in cats.flat_pos:
                 assert np.array_equal(m.params.position[r],
                                       before.position[r])
