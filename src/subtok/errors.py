@@ -27,16 +27,17 @@ class FormatError(SubtokError):
 
 
 def nonnegative_int(text: str, what: str, line_number: int) -> int:
-    """`text` as a non-negative integer; FormatError naming `what` and the
-    line otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise FormatError(f"{what} must be a non-negative integer, "
-                          f"got {text!r}", line_number)
-    return value
+    """`text` as a non-negative integer, read as the writers spell one: in
+    ASCII digits only. Anything else raises FormatError naming `what` and
+    the line: signs, white space, underscores and other scripts' digits,
+    which `int` takes, and a number with more digits than `int` converts."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more than sys.get_int_max_str_digits()
+            pass
+    raise FormatError(f"{what} must be a non-negative integer, got {text!r}",
+                      line_number)
 
 
 def load_file(load, path, **kwargs):

@@ -8,6 +8,7 @@ pass `subtract` for training."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -26,7 +27,6 @@ from subtok.errors import (
     write_files,
 )
 from subtok.segment import (
-    NS_SUBWORD,
     NS_WORD_TOKEN,
     BpeModel,
     CharNgramSegmenter,
@@ -230,8 +230,8 @@ class _WordCSR:
         words = model.vocab.words if words is None else words
         segs = [model.segmenter.segment(w) for w in words]
         get = model.subword_vocab.entries.get
-        ids = np.array([get((NS_SUBWORD, s), -1) for seg in segs for s in seg],
-                       dtype=np.int64)
+        ids = np.fromiter(map(get, itertools.chain.from_iterable(segs),
+                              itertools.repeat(-1)), dtype=np.int64)
         seg_lens = np.array([len(seg) for seg in segs], dtype=np.int64)
         offsets = np.arange(ids.size) - np.repeat(np.cumsum(seg_lens)
                                                   - seg_lens, seg_lens)

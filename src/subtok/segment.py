@@ -4,11 +4,13 @@ whole-word segmenter used by the skip-gram baseline."""
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +33,8 @@ END_OF_WORD = "\U0010ffff"
 # Morfessor-lite stops after this many passes if the cost still falls
 MORF_MAX_ITERS = 10
 
-# namespaces for SubwordVocab keys
+# namespaces of the rows in a subwords.tsv file; in a SubwordVocab a
+# subword is keyed by its plain string, a word token by (NS_WORD_TOKEN, word)
 NS_SUBWORD = "sub"
 NS_WORD_TOKEN = "word"
 
@@ -47,11 +50,11 @@ class Segmentation:
     includes_word_token: bool
 
     def keys(self):
-        """(namespace, string) keys in sequence order."""
-        out = [(NS_SUBWORD, s) for s in self.subwords]
+        """SubwordVocab keys in sequence order: each subword's string, then
+        (NS_WORD_TOKEN, word) when the word token is included."""
         if self.includes_word_token:
-            out.append((NS_WORD_TOKEN, self.word))
-        return out
+            return [*self.subwords, (NS_WORD_TOKEN, self.word)]
+        return list(self.subwords)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +285,29 @@ def apply_bpe(model: BpeModel, word: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _ngram_cutter(length: int, n_min: int, n_max: int):
+    """A function that cuts every n-gram in [n_min, n_max] out of a string
+    of `length` and returns them as a tuple, in `char_ngrams` order: an
+    `itemgetter` of the table of slices, which slices in C and returns a
+    tuple when it holds two or more (a table of none or one is mapped). A
+    table holds about (n_max - n_min + 1) * length slices, so only the most
+    recent 64 are kept."""
+    slices = tuple(slice(i, i + n)
+                   for n in range(n_min, min(n_max, length) + 1)
+                   for i in range(length - n + 1))
+    if len(slices) > 1:
+        return operator.itemgetter(*slices)
+    return lambda text: tuple(map(text.__getitem__, slices))
+
+
 def char_ngrams(word: str, n_min: int, n_max: int) -> tuple[str, ...]:
     """All contiguous substrings of the '<'-word-'>' wrapped form with length
     in [n_min, n_max], shortest first, left to right within each length.
-    Duplicates are kept. 1 <= n_min <= n_max, as `ModelConfig` requires."""
+    Duplicates are kept. 1 <= n_min <= n_max, as `ModelConfig` requires.
+    The wrapped form is cut by the cached cutter of its length."""
     wrapped = f"<{word}>"
-    L = len(wrapped)
-    out = []
-    for n in range(n_min, min(n_max, L) + 1):
-        for i in range(L - n + 1):
-            out.append(wrapped[i:i + n])
-    return tuple(out)
+    return _ngram_cutter(len(wrapped), n_min, n_max)(wrapped)
 
 
 @dataclass(frozen=True)
@@ -424,14 +439,15 @@ def _total_cost_from_counts(counts: dict[str, int]) -> float:
 
 
 def _morph_counts(analyses: dict[str, tuple[str, ...]],
-                  freqs: dict[str, int]) -> Counter:
+                  freqs: dict[str, int]) -> dict[str, int]:
     """Each morph's token count: the frequency of every word whose analysis
-    holds it, once per occurrence."""
-    counts: Counter = Counter()
+    holds it, once per occurrence, keyed in order of first occurrence."""
+    counts: dict[str, int] = {}
+    get = counts.get
     for w, morphs in analyses.items():
         f = freqs[w]
         for m in morphs:
-            counts[m] += f
+            counts[m] = get(m, 0) + f
     return counts
 
 
@@ -501,7 +517,8 @@ def learn_morfessor_lite(vocab: Vocab,
     `max_iters` (>= 1) passes."""
     freqs = {w: int(c) for w, c in zip(vocab.words, vocab.counts)}
     analyses: dict[str, tuple[str, ...]] = {w: (w,) for w in vocab.words}
-    counts: Counter = Counter({w: freqs[w] for w in vocab.words})
+    counts = dict(freqs)
+    get = counts.get
     total = sum(counts.values())  # morph tokens, kept exact as counts change
     # every length a key of counts has had: grow-only, so a superset
     lengths = set(map(len, counts))
@@ -518,15 +535,17 @@ def learn_morfessor_lite(vocab: Vocab,
             # remove this word's current contribution
             old = analyses[w]
             for m in old:
-                counts[m] -= f
-                if counts[m] <= 0:
+                c = counts[m] - f
+                if c:
+                    counts[m] = c
+                else:  # 0: counts hold the analysis, so never below
                     del counts[m]
             total -= f * len(old)
             denom = total + len(counts) + 1  # +1: room for one novel morph
             _, seg = _best_split(w, counts, f, denom, lengths)
             analyses[w] = seg
             for m in seg:
-                counts[m] += f
+                counts[m] = get(m, 0) + f
             lengths.update(map(len, seg))
             total += f * len(seg)
 
@@ -540,7 +559,7 @@ def learn_morfessor_lite(vocab: Vocab,
         if cost >= cost_history[-2] - 1e-6:
             break
 
-    return MorfModel(morph_lexicon=dict(lexicon),
+    return MorfModel(morph_lexicon=lexicon,
                      corpus_cost=cost_history[-1],
                      cost_history=cost_history, analyses=analyses)
 
@@ -603,35 +622,44 @@ def segment_word(segmenter, word: str,
 
 @dataclass
 class SubwordVocab:
-    """Dense ids for (namespace, string) keys; word-token keys never collide
-    with identical subword strings."""
+    """Dense ids for subword keys: a subword's own string, or
+    (NS_WORD_TOKEN, word) for a word token. A str never equals a tuple, so
+    a word token never collides with an identical subword string."""
 
-    entries: dict[tuple[str, str], int]
+    entries: dict[str | tuple[str, str], int]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
+    def __contains__(self, key: str | tuple[str, str]) -> bool:
         return key in self.entries
 
     def save_tsv(self, path: str | Path) -> None:
+        """One `ns<TAB>string<TAB>id` line per key, in id order."""
         items = sorted(self.entries.items(), key=lambda kv: kv[1])
         with open(path, "w", encoding="utf-8") as fh:
-            for (ns, s), i in items:
-                fh.write(f"{ns}\t{s}\t{i}\n")
+            for key, i in items:
+                if isinstance(key, str):
+                    fh.write(f"{NS_SUBWORD}\t{key}\t{i}\n")
+                else:
+                    fh.write(f"{key[0]}\t{key[1]}\t{i}\n")
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "SubwordVocab":
-        entries: dict[tuple[str, str], int] = {}
+        entries: dict[str | tuple[str, str], int] = {}
         for ln, (ns, s, i) in read_fields(path, "subword vocab file", "\t", 3,
                                           "expected ns<TAB>key<TAB>id"):
-            if ns not in (NS_SUBWORD, NS_WORD_TOKEN):
+            if ns == NS_SUBWORD:
+                key = s
+            elif ns == NS_WORD_TOKEN:
+                key = (ns, s)
+            else:
                 raise FormatError(f"unknown namespace {ns!r}", ln)
             if nonnegative_int(i, "subword id", ln) != len(entries):
                 raise FormatError(f"non-contiguous id {i}", ln)
-            if (ns, s) in entries:
+            if key in entries:
                 raise FormatError(f"repeated key {ns} {s!r}", ln)
-            entries[(ns, s)] = len(entries)
+            entries[key] = len(entries)
         return cls(entries=entries)
 
 
@@ -640,8 +668,8 @@ def build_subword_vocab(vocab: Vocab, segmenter,
     """Union of subword keys over all vocab words (plus word-token keys when
     requested), ids assigned by first occurrence in vocab id order. A
     segmenter that yields no key for any vocab word raises SubtokError.
-    One pass: subwords stay plain `str` until `dict.fromkeys` dedupes them,
-    and a str never equals a word-token tuple, so namespaces stay apart."""
+    One pass: `dict.fromkeys` dedupes the segmenter's own strings and the
+    word-token tuples, which are already the vocab's keys."""
     def units(w):
         return (*segmenter.segment(w), (NS_WORD_TOKEN, w))
 
@@ -650,6 +678,4 @@ def build_subword_vocab(vocab: Vocab, segmenter,
     if not first:
         raise SubtokError(f"the segmenter yields no subword for any of the "
                           f"{len(vocab)} vocab words")
-    return SubwordVocab(entries={
-        (k if isinstance(k, tuple) else (NS_SUBWORD, k)): i
-        for i, k in enumerate(first)})
+    return SubwordVocab(entries=dict(zip(first, itertools.count())))

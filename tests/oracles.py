@@ -16,7 +16,6 @@ from subtok.model import (
 )
 from subtok.segment import (
     END_OF_WORD,
-    NS_SUBWORD,
     NS_WORD_TOKEN,
     segment_word,
 )
@@ -84,13 +83,16 @@ def ngram_enumeration(word: str, n_min: int, n_max: int):
 
 
 def subword_vocab_reference(vocab, segmenter, include_word_token: bool):
-    """`build_subword_vocab`'s entries as first written: one `Segmentation`
-    per vocab word, its keys inserted one at a time in first-occurrence
-    order. Returns the entries dict, empty when no word yields a key."""
-    entries: dict[tuple[str, str], int] = {}
+    """`build_subword_vocab`'s entries, inserted one key at a time in
+    first-occurrence order: each vocab word's subwords as plain strings,
+    then under w+ its (NS_WORD_TOKEN, word) key. Returns the entries dict,
+    empty when no word yields a key."""
+    entries: dict = {}
     for w in vocab.words:
-        seg = segment_word(segmenter, w, include_word_token)
-        for key in seg.keys():
+        keys = list(segmenter.segment(w))
+        if include_word_token:
+            keys.append((NS_WORD_TOKEN, w))
+        for key in keys:
             if key not in entries:
                 entries[key] = len(entries)
     return entries
@@ -165,7 +167,7 @@ def resolve_reference(model: SubwordModel, word: str) -> Resolved:
     unknown = 0
     maxpos = subtok.model.MAX_POSITIONS  # read per call: tests patch it
     for i, s in enumerate(seg.subwords):
-        sid = model.subword_vocab.entries.get((NS_SUBWORD, s))
+        sid = model.subword_vocab.entries.get(s)
         if sid is None:
             unknown += 1
         else:
@@ -205,7 +207,7 @@ def compose_reference(model: SubwordModel, word: str) -> np.ndarray:
     seg = segment_word(model.segmenter, word, cfg.word_token)
     vec = np.zeros(cfg.dim)
     for i, s in enumerate(seg.subwords):
-        row = model.subword_vocab.entries.get((NS_SUBWORD, s))
+        row = model.subword_vocab.entries.get(s)
         if row is not None:
             vec += params.subword[row]
             if cfg.position:

@@ -1627,15 +1627,22 @@ class TestBadNumbersExit1:
         assert out == ""
         assert f"{message} in {model}" in err
 
-    @pytest.mark.parametrize("table,column", [("vocab.tsv", 1),
-                                              ("vocab.tsv", 2),
-                                              ("subwords.tsv", 2)])
+    # line 2's id is 1: an Arabic-Indic one (U+0661) or a full-width one
+    # (U+FF11) would be read as 1 by `int`, and `0_8` as a count of 8
+    @pytest.mark.parametrize("table,column,value", [
+        pytest.param("vocab.tsv", 1, "x", id="vocab.tsv-1"),
+        pytest.param("vocab.tsv", 2, "x", id="vocab.tsv-2"),
+        pytest.param("subwords.tsv", 2, "x", id="subwords.tsv-2"),
+        pytest.param("vocab.tsv", 1, "\u0661", id="vocab.tsv-1-arabic-indic"),
+        pytest.param("vocab.tsv", 2, "0_8", id="vocab.tsv-2-underscore"),
+        pytest.param("subwords.tsv", 2, "\uff11",
+                     id="subwords.tsv-2-full-width")])
     def test_export_bad_checkpoint_numbers(self, corpus_file, tmp_path,
-                                           capsys, table, column):
+                                           capsys, table, column, value):
         ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
         lines = (ckpt / table).read_text("utf-8").splitlines(True)
         fields = lines[1].rstrip("\n").split("\t")
-        fields[column] = "x"
+        fields[column] = value
         lines[1] = "\t".join(fields) + "\n"
         (ckpt / table).write_text("".join(lines), encoding="utf-8")
         vec = tmp_path / "vec.txt"

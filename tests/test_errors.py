@@ -2,7 +2,31 @@ import re
 
 import pytest
 
-from subtok.errors import FormatError, SubtokError, read_fields, read_lines
+from subtok.errors import (
+    FormatError,
+    SubtokError,
+    nonnegative_int,
+    read_fields,
+    read_lines,
+)
+
+
+class TestNonnegativeInt:
+    @pytest.mark.parametrize("text,value", [("0", 0), ("0008", 8),
+                                            ("9" * 40, int("9" * 40))])
+    def test_ascii_digits(self, text, value):
+        assert nonnegative_int(text, "count", 3) == value
+
+    # `int` reads `0_8`, `+8`, the three with white space and the
+    # Arabic-Indic and full-width digits as 8 or 1; `\u00b2` is a
+    # digit to `str.isdigit` but not to `int`
+    @pytest.mark.parametrize("text", [
+        "", "x", "-1", "1.5", "0_8", "\u0661", "+8", " 8", "8 ", "8\n",
+        "\uff18", "\u00b2", "9" * 5000])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(FormatError, match="^line 3: count must be a "
+                                              "non-negative integer, got "):
+            nonnegative_int(text, "count", 3)
 
 
 class TestReadFields:

@@ -560,8 +560,12 @@ class TestCheckpoint:
         assert loaded.params.position.tobytes() == \
             m.params.position.tobytes()
 
-    @pytest.mark.parametrize("key,value", [("dim", "abc"), ("seed", "-1"),
-                                           ("num_merges", "1.5")])
+    # `int` reads each of the last five as 8 or 1; config.txt holds ints
+    # as ASCII digits, as its bools as True or False
+    @pytest.mark.parametrize("key,value", [
+        ("dim", "abc"), ("seed", "-1"), ("num_merges", "1.5"),
+        ("dim", "0_8"), ("seed", "\u0661"), ("dim", "+8"), ("dim", " 8"),
+        ("dim", "\uff18")])
     def test_config_int_not_a_number(self, tmp_path, key, value):
         save_checkpoint(small_model(), tmp_path / "ckpt")
         config = tmp_path / "ckpt" / "config.txt"

@@ -225,11 +225,19 @@ class TestCharNgrams:
     def test_single_window(self):
         assert char_ngrams("cat", 5, 5) == ("<cat>",)
 
+    # every n in 1-7, so one wrapped length is cut with several slice
+    # tables, and words whose wrapped form is shorter than n_min
     @given(st.text(st.characters(codec="utf-8", exclude_categories=("C",)),
-                   min_size=1, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_enumeration(self, word):
-        assert char_ngrams(word, 3, 6) == ngram_enumeration(word, 3, 6)
+                   min_size=1, max_size=12),
+           st.lists(st.integers(1, 7), min_size=2, max_size=2).map(sorted))
+    @example("ab", [5, 7])
+    @example("ab", [4, 4])
+    @example("abc", [1, 7])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, word, bounds):
+        n_min, n_max = bounds
+        assert char_ngrams(word, n_min, n_max) == ngram_enumeration(
+            word, n_min, n_max)
 
     @given(st.text("xyz<>", min_size=1, max_size=15),
            st.integers(1, 4), st.integers(0, 4))
@@ -415,7 +423,7 @@ class TestSegmentWord:
     def test_word_token_off(self):
         seg = segment_word(CharNgramSegmenter(), "cat", False)
         assert not seg.includes_word_token
-        assert all(ns == NS_SUBWORD for ns, _ in seg.keys())
+        assert seg.keys() == list(seg.subwords)
 
     def test_bpe_no_merges_with_word_token(self):
         model = BpeModel(merges=[], num_merges=1)
@@ -435,8 +443,7 @@ class TestBuildSubwordVocab:
     def test_charn_small(self):
         v = vocab_from_freqs({"aa": 2})
         sv = build_subword_vocab(v, CharNgramSegmenter(), False)
-        assert set(sv.entries) == {(NS_SUBWORD, "<aa"), (NS_SUBWORD, "aa>"),
-                                   (NS_SUBWORD, "<aa>")}
+        assert set(sv.entries) == {"<aa", "aa>", "<aa>"}
 
     def test_bpe_no_merges_char_symbols(self):
         v = vocab_from_freqs({"a": 1, "b": 1, "c": 1})
@@ -491,9 +498,37 @@ class TestBuildSubwordVocab:
         v = vocab_from_freqs({"ab": 3, "cd": 2})
         sv = build_subword_vocab(v, CharNgramSegmenter(), True)
         sv.save_tsv(tmp_path / "sv.tsv")
-        from subtok.segment import SubwordVocab
-
         assert SubwordVocab.load_tsv(tmp_path / "sv.tsv").entries == sv.entries
+
+    def test_a_subword_spelled_like_a_word_keeps_its_id(self, tmp_path):
+        """`ab` and `abc` are both vocab words and 2- or 3-grams of
+        `<abc>`: under w+ each is two keys with two ids, in the file and
+        back."""
+        v = vocab_from_freqs({"ab": 3, "abc": 2})
+        sv = build_subword_vocab(v, CharNgramSegmenter(2, 3), True)
+        for word in ("ab", "abc"):
+            assert {word, (NS_WORD_TOKEN, word)} <= set(sv.entries)
+        sv.save_tsv(tmp_path / "sv.tsv")
+        lines = (tmp_path / "sv.tsv").read_text("utf-8").splitlines()
+        assert f"{NS_SUBWORD}\tab\t{sv.entries['ab']}" in lines
+        assert f"{NS_WORD_TOKEN}\tab\t{sv.entries[NS_WORD_TOKEN, 'ab']}" \
+            in lines
+        loaded = SubwordVocab.load_tsv(tmp_path / "sv.tsv")
+        assert list(loaded.entries.items()) == list(sv.entries.items())
+
+    def test_loads_a_file_with_tuple_keys(self, tmp_path):
+        """A subwords.tsv written while every key was a (namespace, string)
+        tuple is the same format: it loads to the same ids and is written
+        back byte for byte."""
+        text = ("sub\t<ab\t0\nsub\tab>\t1\nword\tab\t2\nsub\tab\t3\n"
+                "sub\t<ab>\t4\n")
+        (tmp_path / "old.tsv").write_text(text, encoding="utf-8")
+        sv = SubwordVocab.load_tsv(tmp_path / "old.tsv")
+        assert list(sv.entries.items()) == [
+            ("<ab", 0), ("ab>", 1), (("word", "ab"), 2), ("ab", 3),
+            ("<ab>", 4)]
+        sv.save_tsv(tmp_path / "new.tsv")
+        assert (tmp_path / "new.tsv").read_text("utf-8") == text
 
 
 class TestLoadersCheckNumbers:
