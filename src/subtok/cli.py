@@ -174,9 +174,17 @@ def _corpus_prefix(corpus, we_tokens):
     return sample_tokens(corpus, we_tokens)
 
 
+def _vocab(corpus, min_count):
+    """The vocab of `corpus` at `min_count`; at its data group's min count,
+    as `train` builds it, for None."""
+    if min_count is None:
+        min_count = data_group_for(corpus.token_count).min_count
+    return build_vocab(corpus, min_count)
+
+
 def cmd_vocab(args) -> int:
     corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
-    vocab = build_vocab(corpus, args.min_count)
+    vocab = _vocab(corpus, args.min_count)
     out = default_out(args, "vocab.tsv")
     write_files({out: vocab.save_tsv})
     print(f"wrote {len(vocab)} entries to {out}")
@@ -184,7 +192,7 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_segment_learn(args) -> int:
-    vocab = build_vocab(load_corpus(args.corpus), args.min_count)
+    vocab = _vocab(load_corpus(args.corpus), args.min_count)
     merges = args.merges if args.seg == "bpe" else ModelConfig.num_merges
     model = build_segmenter(ModelConfig(segmenter=args.seg,
                                         num_merges=merges), vocab)
@@ -269,19 +277,23 @@ def run_probe(model, data, task_instances: list,
     once per task point of `task_instances`, its train split cut to the
     first that many items (None: all); returns one list of metric rows per
     point, each row named by the dataset's task. The features of the
-    largest point's train items and of dev and test are built once and
-    sliced per point."""
+    largest point's train items, then dev, then test are built once, and
+    each point slices its runs of them."""
     train_items = _train_items(
         data, None if None in task_instances else max(task_instances))
     feats = TaskFeatures.of(model, data, train_items + data.splits["dev"]
                             + data.splits["test"], window)
+    dev_end = len(train_items) + len(data.splits["dev"])
+    ends = {"dev": (len(train_items), dev_end),
+            "test": (dev_end, len(feats.bounds) - 1)}
     label = model.config.label
     out = []
     for n in task_instances:
-        probe = feats.probe(_train_items(data, n), data.splits["dev"])
+        probe = feats.probe(slice(0, len(_train_items(data, n))),
+                            slice(*ends["dev"]))
         out.append([(data.task, label, split, metric, value)
                     for split in ("dev", "test")
-                    for metric, value in feats.metrics(probe, data, split)])
+                    for metric, value in feats.metrics(probe, *ends[split])])
     return out
 
 
@@ -621,15 +633,17 @@ def cmd_report(args) -> int:
                 raise FormatError(f"value {vals['value']!r} in {path} is "
                                   "not a number", ln) from None
             groups.setdefault(key, []).append(value)
-        else:
-            fkey = key[:3] + ("-", "-", "-")
-            failed[fkey] = failed.get(fkey, 0) + 1
+        else:  # a failed row's task, split and metric are each `-`
+            failed[key] = failed.get(key, 0) + 1
     if not groups and not failed:
         raise SubtokError(f"metrics table {path} is empty")
     lines = ["we_tokens\ttask_instances\tconfig\ttask\tsplit\tmetric"
              "\tmean\tstdev\tn\tn_failed\n"]
+    # a failed count is given on the metric lines of its (WE point, task
+    # point, config), and on a `- - -` line only where it has no ok row;
     # WE and task points in numeric order, whatever the row order
-    all_keys = sorted(set(groups) | set(failed),
+    ok = {key[:3] for key in groups}
+    all_keys = sorted(set(groups) | {k for k in failed if k[:3] not in ok},
                       key=lambda k: (int(k[0]), int(k[1]), *k[2:]))
     for key in all_keys:
         vals = groups.get(key, [])
@@ -662,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vocab", help="build a vocabulary TSV from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=int, default=None,
+                   help="default: the corpus-size group's, as for train")
     p.add_argument("--we-tokens", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_vocab)
@@ -671,7 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--seg", choices=tuple(SEGMENTER_FILES), required=True)
     p.add_argument("--merges", type=int, default=ModelConfig.num_merges)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=int, default=None,
+                   help="default: the corpus-size group's, as for train")
     p.add_argument("--out")
     p.set_defaults(func=cmd_segment_learn)
 

@@ -5,6 +5,7 @@ NER (BIO span F1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,6 @@ class TagDataset:
     sentences: list[tuple[tuple[str, ...], tuple[str, ...]]]
     scheme: str
     splits: dict[str, list[int]] = field(default_factory=dict)
-
-    def split_sentences(self, split: str):
-        return [self.sentences[i] for i in self.splits[split]]
 
     @property
     def task(self) -> str:
@@ -294,88 +292,66 @@ def _train_probe(train_feats: np.ndarray, train_ids, dev_feats: np.ndarray,
     return best
 
 
-def _tagged(sentences, window: int) -> list[tuple[list, str]]:
-    """(window slots, label) of every token of (tokens, labels) pairs;
-    `window` >= 0, as `probe` requires of `--probe-window`."""
-    return [(_window_slots(toks, i, window), labs[i])
-            for toks, labs in sentences for i in range(len(toks))]
-
-
 @dataclass
 class TaskFeatures:
     """The slot features and label ids of the examples of some items of a
-    dataset, built in one `_features` call, so that probes on any of those
-    items slice them. An item is a mention, one example, or a sentence, one
-    example per token with the tokens `window` either side as slots.
-    Dataset item i, if built, is rows bounds[at[i]]:bounds[at[i] + 1]."""
+    dataset, laid out in the order the items are given and built in one
+    `_features` call, so that probes on runs of those items slice them. An
+    item is a mention, one example, or a sentence, one example per token
+    with the tokens `window` either side as slots. Items lo..hi-1 are rows
+    bounds[lo]:bounds[hi]."""
 
     feats: np.ndarray
     label_ids: np.ndarray
     bounds: np.ndarray
-    at: np.ndarray
     labels: list[str]
+    task: str
 
     @classmethod
     def of(cls, model: SubwordModel, data, items,
            window: int = TAGGER_WINDOW) -> "TaskFeatures":
         """The features of the dataset items `items` (indices into its
-        examples or sentences)."""
-        items = list(dict.fromkeys(items))
+        examples or sentences), in that order; `window` >= 0, as the `probe`
+        command requires of `--probe-window`."""
         if isinstance(data, MentionDataset):
-            examples = [([data.examples[i][0]], data.examples[i][1])
-                        for i in items]
-            lens = [1] * len(items)
-            n_items = len(data.examples)
+            per_item = [[([toks], label)] for toks, label in
+                        (data.examples[i] for i in items)]
         else:
-            sents = [data.sentences[i] for i in items]
-            examples = _tagged(sents, window)
-            lens = [len(toks) for toks, _ in sents]
-            n_items = len(data.sentences)
+            per_item = [[(_window_slots(toks, i, window), labs[i])
+                         for i in range(len(toks))]
+                        for toks, labs in (data.sentences[i] for i in items)]
+        examples = [ex for exs in per_item for ex in exs]
         lab2id = {l: i for i, l in enumerate(data.label_inventory)}
-        at = np.full(n_items, -1, dtype=np.int64)
-        at[items] = np.arange(len(items))
         return cls(_features(model, [slots for slots, _ in examples]),
                    np.array([lab2id[l] for _, l in examples], dtype=np.int64),
-                   np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
-                   at, data.label_inventory)
+                   np.cumsum([0] + [len(exs) for exs in per_item],
+                             dtype=np.int64),
+                   data.label_inventory, data.task)
 
-    def rows(self, items) -> np.ndarray:
-        """The feature rows of dataset items `items`, in order."""
-        at = self.at[np.asarray(items, dtype=np.int64)]
-        starts = self.bounds[at]
-        counts = self.bounds[at + 1] - starts
-        heads = np.cumsum(counts) - counts
-        return np.arange(counts.sum()) + np.repeat(starts - heads, counts)
-
-    def probe(self, train_items, dev_items) -> SoftmaxProbe:
-        """`_train_probe` on the examples of `train_items`, its λ chosen on
-        those of `dev_items`."""
-        train, dev = self.rows(train_items), self.rows(dev_items)
+    def probe(self, train: slice, dev: slice) -> SoftmaxProbe:
+        """`_train_probe` on the examples of items train.start..train.stop-1,
+        its λ chosen on those of the items of `dev`."""
+        train, dev = (self._rows(s.start, s.stop) for s in (train, dev))
         return _train_probe(self.feats[train], self.label_ids[train],
                             self.feats[dev], self.label_ids[dev], self.labels)
 
-    def predict(self, probe: SoftmaxProbe, items) -> list[int]:
-        """The label ids (in probe.labels) that `probe` predicts for the
-        examples of `items`, in order; a tie goes to the lowest id."""
-        rows = self.rows(items)
-        return probe.scores(self.feats[rows]).argmax(axis=1).tolist()
+    def _rows(self, lo: int, hi: int) -> slice:
+        return slice(self.bounds[lo], self.bounds[hi])
 
-    def metrics(self, probe: SoftmaxProbe, data, split: str):
-        """(metric, value) pairs of `probe` on the examples of `split`: span
-        precision, recall and F1 on BIO data, and otherwise accuracy, a
-        label counting only when it matches whole (0 for an empty split)."""
-        items = data.splits[split]
-        preds = self.predict(probe, items)
-        if isinstance(data, MentionDataset):
-            hits = sum(probe.labels[p] == data.examples[i][1]
-                       for p, i in zip(preds, items))
-            return [("accuracy", hits / len(items) if items else 0.0)]
-        sents = data.split_sentences(split)
-        gold = [labs for _, labs in sents]
-        preds = iter(preds)  # one per token, as one label tuple per sentence
-        pred = [tuple(probe.labels[next(preds)] for _ in toks)
-                for toks, _ in sents]
-        if data.scheme == SCHEME_BIO:
+    def metrics(self, probe: SoftmaxProbe, lo: int, hi: int):
+        """(metric, value) pairs of `probe` on the examples of items
+        lo..hi-1. Each item's gold labels and predicted labels (a tie going
+        to the lowest id) form one sequence, a mention's holding one label:
+        ner is scored by span precision, recall and F1, fget and mtag by
+        accuracy, a label counting only when it matches whole (0 for no
+        items)."""
+        rows = self._rows(lo, hi)
+        gold = [self.labels[i] for i in self.label_ids[rows].tolist()]
+        pred = [probe.labels[i] for i in
+                probe.scores(self.feats[rows]).argmax(axis=1).tolist()]
+        cuts = list(pairwise((self.bounds[lo:hi + 1] - rows.start).tolist()))
+        gold, pred = ([labs[a:b] for a, b in cuts] for labs in (gold, pred))
+        if self.task == "ner":
             return list(zip(("precision", "recall", "f1"),
                             span_f1(gold, pred)))
         return [("accuracy", per_label_accuracy(gold, pred))]
@@ -386,13 +362,15 @@ def train_mention_probe(model: SubwordModel, data: MentionDataset,
     """Softmax probe over mention-mean features. `seed` changes nothing:
     the probe is deterministic, and `data` already holds its seeded split."""
     train, dev = data.splits["train"], data.splits["dev"]
-    return TaskFeatures.of(model, data, train + dev).probe(train, dev)
+    return TaskFeatures.of(model, data, train + dev).probe(
+        slice(0, len(train)), slice(len(train), len(train) + len(dev)))
 
 
 def eval_mention_accuracy(probe: SoftmaxProbe, model: SubwordModel,
                           data: MentionDataset, split: str = "test") -> float:
-    (_, acc), = TaskFeatures.of(model, data, data.splits[split]).metrics(
-        probe, data, split)
+    items = data.splits[split]
+    (_, acc), = TaskFeatures.of(model, data, items).metrics(probe, 0,
+                                                             len(items))
     return acc
 
 

@@ -205,7 +205,7 @@ class TestVocabCommand:
     def test_we_tokens_reads_a_prefix(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "v.tsv"
         assert main(["vocab", "--corpus", str(corpus_file), "--we-tokens",
-                     "5", "--out", str(out)]) == 0
+                     "5", "--min-count", "1", "--out", str(out)]) == 0
         # the corpus's first line without its last word, `black`
         assert out.read_text("utf-8") == "".join(
             f"{w}\t{i}\t1\n"
@@ -265,6 +265,28 @@ class TestSegmentCommands:
                      "1", "--out", str(ckpt)]) == 0
         assert out.read_bytes() == (ckpt / "morf.tsv").read_bytes()
 
+    @pytest.mark.parametrize("seg,config", [("morf", "morf"),
+                                            ("bpe", "bpe200")])
+    def test_learned_at_the_default_min_count_is_what_train_learns(
+            self, tmp_path, capsys, seg, config):
+        """Without --min-count, `segment-learn` and `vocab` read the corpus
+        at its data group's min count, as `train` does: their files equal
+        the checkpoint's byte for byte."""
+        corpus = tmp_path / "corpus.txt"
+        bench = make_suffix_benchmark(0, n_tokens=12_000)
+        corpus.write_text(bench.corpus_text(), encoding="utf-8")
+        name = SEGMENTER_FILES[seg][0]
+        assert main(["segment-learn", "--corpus", str(corpus), "--seg", seg,
+                     "--merges", "200", "--out", str(tmp_path / name)]) == 0
+        assert main(["vocab", "--corpus", str(corpus), "--out",
+                     str(tmp_path / "vocab.tsv")]) == 0
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--corpus", str(corpus), "--config", config,
+                     "--dim", "8", "--epochs", "1", "--out", str(ckpt)]) == 0
+        for written in (name, "vocab.tsv"):
+            assert (tmp_path / written).read_bytes() == \
+                (ckpt / written).read_bytes()
+
     def test_charn_apply(self, capsys):
         rc = main(["segment-apply", "--seg", "charn", "cats"])
         assert rc == 0
@@ -305,7 +327,7 @@ class TestSegmentCommands:
         corpus.write_text(f"red red b{END_OF_WORD} blue\n", encoding="utf-8")
         out = tmp_path / "bpe.txt"
         rc = main(["segment-learn", "--corpus", str(corpus), "--seg", "bpe",
-                   "--out", str(out)])
+                   "--min-count", "1", "--out", str(out)])
         assert rc == 1
         assert "U+10FFFF" in capsys.readouterr().err
         assert not out.exists()
@@ -1255,14 +1277,15 @@ class TestRunProbeAllTaskPoints:
                      eval_mention_accuracy(probe, model, data, split))
                     for split in ("dev", "test")]
         train_items, dev = data.splits["train"], data.splits["dev"]
+        n_train = len(train_items)
         probe = TaskFeatures.of(model, data, train_items + dev).probe(
-            train_items, dev)
+            slice(0, n_train), slice(n_train, n_train + len(dev)))
         rows = []
         for split in ("dev", "test"):
             items = data.splits[split]
-            preds = iter(TaskFeatures.of(model, data, items).predict(probe,
-                                                                     items))
-            sents = data.split_sentences(split)
+            preds = iter(probe.scores(TaskFeatures.of(
+                model, data, items).feats).argmax(axis=1).tolist())
+            sents = [data.sentences[i] for i in items]
             gold = [labs for _, labs in sents]
             pred = [tuple(probe.labels[next(preds)] for _ in toks)
                     for toks, _ in sents]
@@ -1410,6 +1433,24 @@ class TestReport:
 
     def test_missing_metrics_exit_1(self, tmp_path, capsys):
         assert main(["report", "--metrics", str(tmp_path / "x.tsv")]) == 1
+
+    def test_a_failed_seed_is_counted_once(self, tmp_path, capsys):
+        """A (WE, task, config) with an ok seed and a failed seed gets one
+        summary line, its metric's, with n 1 and n_failed 1: no `- - -`
+        line counts the failure again."""
+        metrics = tmp_path / "metrics.tsv"
+        cell, group = ["2000", "10", "word:w-:p-"], ["G1", "32", "1", "2"]
+        metrics.write_text("".join("\t".join(line) + "\n" for line in [
+            subtok.cli.SIMULATE_COLUMNS,
+            [*cell, "1", *group, "fget", "test", "accuracy", "0.5", "ok"],
+            [*cell, "2", *group, "-", "-", "-", "0", "failed:boom"]]),
+            encoding="utf-8")
+        summary = tmp_path / "summary.tsv"
+        assert main(["report", "--metrics", str(metrics), "--out",
+                     str(summary)]) == 0
+        assert summary.read_text("utf-8").splitlines()[1:] == [
+            "\t".join(cell) + "\tfget\ttest\taccuracy\t0.500000\t0.000000"
+            "\t1\t1"]
 
 
 def _train_checkpoint(corpus_file, ckpt):

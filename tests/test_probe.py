@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -35,11 +36,15 @@ def window_features(model, tokens, i, window):
 
 
 def tagger_probe(model, data, window):
-    """Features of every sentence of `data` with `window` slots each side,
-    and a probe trained on its train split, its λ chosen on dev."""
-    feats = probe_mod.TaskFeatures.of(model, data, range(len(data.sentences)),
-                                      window)
-    return feats, feats.probe(data.splits["train"], data.splits["dev"])
+    """Features of the train, dev and test sentences of `data`, in that
+    order, with `window` slots each side; a probe trained on the train
+    split, its λ chosen on dev; and each split's (lo, hi) item range."""
+    names = ("train", "dev", "test")
+    ends = np.cumsum([0] + [len(data.splits[s]) for s in names]).tolist()
+    at = dict(zip(names, zip(ends, ends[1:])))
+    feats = probe_mod.TaskFeatures.of(
+        model, data, [i for s in names for i in data.splits[s]], window)
+    return feats, feats.probe(slice(*at["train"]), slice(*at["dev"])), at
 
 
 def charn_model(text, **cfg):
@@ -256,8 +261,8 @@ class TestTaggerProbe:
         model.params.subword[:] = rng.normal(
             0, 0.2, model.params.subword.shape).astype(np.float32)
         data = self._suffix_tag_data(model)
-        feats, probe = tagger_probe(model, data, 0)
-        (metric, acc), = feats.metrics(probe, data, "dev")
+        feats, probe, at = tagger_probe(model, data, 0)
+        (metric, acc), = feats.metrics(probe, *at["dev"])
         assert metric == "accuracy" and acc >= 0.95
 
     def test_frozen_contract(self):
@@ -270,9 +275,9 @@ class TestTaggerProbe:
     def test_accuracy_needs_full_tag_scheme(self):
         model = charn_model("aa bb\n" * 3)
         data = load_conll(["aa\tB-PER\n", "\n", "bb\tO\n"] * 4, seed=0)
-        feats, probe = tagger_probe(model, data, 0)
+        feats, probe, at = tagger_probe(model, data, 0)
         # BIO data is scored by span F1, accuracy only full-tag data
-        assert [m for m, _ in feats.metrics(probe, data, "test")] == \
+        assert [m for m, _ in feats.metrics(probe, *at["test"])] == \
             ["precision", "recall", "f1"]
 
 
@@ -360,7 +365,7 @@ def _oracle_train_split(model, data, labels, window=0):
         return ([oracles.mention_features(model, toks)
                  for toks, _ in examples],
                 [labels.index(label) for _, label in examples])
-    sents = data.split_sentences("train")
+    sents = [data.sentences[i] for i in data.splits["train"]]
     return ([oracles.window_features(model, toks, i, window)
              for toks, _ in sents for i in range(len(toks))],
             [labels.index(label) for _, labs in sents for label in labs])
@@ -390,9 +395,9 @@ def test_matches_reference_probes(label, task):
         data, window = mentions, 0
         probe = train_mention_probe(model, mentions)
         test = [mentions.examples[i] for i in mentions.splits["test"]]
-        items = mentions.splits["test"]
-        preds = probe_mod.TaskFeatures.of(model, mentions, items).predict(
-            probe, items)
+        feats = probe_mod.TaskFeatures.of(model, mentions,
+                                          mentions.splits["test"])
+        preds = probe.scores(feats.feats).argmax(axis=1).tolist()
         ref_preds = [oracles.predict_index(
             probe, oracles.mention_features(ref_model, t)) for t, _ in test]
         assert eval_mention_accuracy(probe, model, mentions) == \
@@ -401,11 +406,12 @@ def test_matches_reference_probes(label, task):
     else:
         data = bio if task.startswith("bio") else full
         window = int(task[-1])
-        feats, probe = tagger_probe(model, data, window)
-        preds = feats.predict(probe, data.splits["test"])
+        feats, probe, at = tagger_probe(model, data, window)
+        lo, hi = feats.bounds[list(at["test"])]
+        preds = probe.scores(feats.feats[lo:hi]).argmax(axis=1).tolist()
         ref_preds = [oracles.predict_index(
             probe, oracles.window_features(ref_model, toks, i, window))
-            for toks, _ in data.split_sentences("test")
+            for toks, _ in (data.sentences[i] for i in data.splits["test"])
             for i in range(len(toks))]
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
         ref_model, data, probe.labels, window))
@@ -460,7 +466,7 @@ def test_label_missing_from_train_split(task):
         data, missing = full, _SUFFIX_TAG["s"]
         data.splits["train"] = [i for i in data.splits["train"]
                                 if missing not in data.sentences[i][1]]
-        _, probe = tagger_probe(model, data, 1)
+        _, probe, _ = tagger_probe(model, data, 1)
     assert missing in probe.labels
     assert np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
@@ -480,6 +486,40 @@ def test_slot_features_match_reference_features():
                 assert np.array_equal(
                     window_features(model, toks, i, window),
                     oracles.window_features(model, toks, i, window))
+
+
+_stack_setup = functools.cache(lambda: _reference_setup("charn:w+:p+"))
+
+
+@given(task=st.sampled_from(["mentions", "bio", "full"]),
+       window=st.integers(0, 2), data=st.data())
+@example(task="mentions", window=0, data=None)
+@example(task="bio", window=2, data=None)
+@settings(max_examples=100, deadline=None)
+def test_features_of_joined_items_are_stacked(task, window, data):
+    """`TaskFeatures.of` on items a + b has the rows, label ids and bounds of
+    its build on a stacked on its build on b, bit for bit: an item's
+    examples do not depend on the items built with it. `cli.run_probe`
+    rests on this when it slices each split out of one build."""
+    model, mentions, bio, full = _stack_setup()
+    dataset = {"mentions": mentions, "bio": bio, "full": full}[task]
+    n = len(dataset.examples if task == "mentions" else dataset.sentences)
+    if data is None:  # the empty a and a one-item b
+        items, k = [3], 0
+    else:
+        items = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                   max_size=12))
+        k = data.draw(st.integers(0, len(items)))
+    a, b = items[:k], items[k:]
+    both, fa, fb = (probe_mod.TaskFeatures.of(model, dataset, x, window)
+                    for x in (a + b, a, b))
+    assert both.feats.dtype == np.float32
+    assert len(both.feats) == len(fa.feats) + len(fb.feats)
+    assert both.feats.tobytes() == fa.feats.tobytes() + fb.feats.tobytes()
+    assert both.label_ids.tolist() == \
+        fa.label_ids.tolist() + fb.label_ids.tolist()
+    assert both.bounds.tolist() == \
+        fa.bounds.tolist() + (fb.bounds[1:] + fa.bounds[-1]).tolist()
 
 
 class TestScores:
@@ -517,8 +557,9 @@ class TestScores:
         model = charn_model("aa bb\n" * 3)
         assert probe.scores(probe_mod._features(model, [])).shape == (0, 3)
         data = MentionDataset.from_examples([(("aa",), "0")])
-        assert probe_mod.TaskFeatures.of(model, data, []).predict(
-            probe, []) == []
+        feats = probe_mod.TaskFeatures.of(model, data, [])
+        assert feats.bounds.tolist() == [0]
+        assert feats.metrics(probe, 0, 0) == [("accuracy", 0.0)]
 
     def test_zero_rows_score_the_bias_and_tie_to_lowest_index(self):
         probe = self._probe(4, 6, 3)
