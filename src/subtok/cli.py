@@ -52,7 +52,6 @@ from subtok.model import (
     segmentation_key,
 )
 from subtok.probe import (
-    TAGGER_WINDOW,
     TaskFeatures,
     eval_mention_accuracy,  # noqa: F401 -- perfbench/tracer.py wraps it here
     load_conll,
@@ -133,14 +132,8 @@ def add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=ModelConfig().label,
                    help="config label seg[:w+|w-][:p+|p-] (seg in "
                    "morf|charn|word|bpeN|bpe1eK) or w2v / ft")
-    add_ngram_flags(p)
     p.add_argument("--dim", type=int, default=ModelConfig.dim)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
-
-
-def add_ngram_flags(p: argparse.ArgumentParser):
-    p.add_argument("--ngram-min", type=int, default=ModelConfig.ngram_min)
-    p.add_argument("--ngram-max", type=int, default=ModelConfig.ngram_max)
 
 
 def add_sgns_flags(p: argparse.ArgumentParser):
@@ -207,13 +200,9 @@ def cmd_segment_learn(args) -> int:
 
 
 def cmd_segment_apply(args) -> int:
-    learned = args.seg in SEGMENTER_FILES
-    if learned and not args.model:
+    if args.seg in SEGMENTER_FILES and not args.model:
         raise SubtokError(f"--model is required for --seg {args.seg}")
-    ngrams = {} if learned else dict(ngram_min=args.ngram_min,
-                                     ngram_max=args.ngram_max)
-    segmenter = load_segmenter(ModelConfig(segmenter=args.seg, **ngrams),
-                               args.model)
+    segmenter = load_segmenter(ModelConfig(segmenter=args.seg), args.model)
     words = args.words or [w for line in sys.stdin for w in line.split()]
     if not all(words):
         raise SubtokError("cannot segment an empty word")
@@ -227,9 +216,8 @@ def cmd_segment_apply(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = dataclasses.replace(
-        parse_config_label(args.config), ngram_min=args.ngram_min,
-        ngram_max=args.ngram_max, dim=args.dim, seed=args.seed)
+    config = dataclasses.replace(parse_config_label(args.config),
+                                 dim=args.dim, seed=args.seed)
     corpus = _corpus_prefix(load_corpus(args.corpus), args.we_tokens)
     group = data_group_for(corpus.token_count)
     tcfg = train_config(args, group, args.seed, epochs=args.epochs,
@@ -271,8 +259,7 @@ def load_task_data(task: str, data_path, seed: int):
     return load_file(load, data_path, seed=seed)
 
 
-def run_probe(model, data, task_instances: list,
-              window: int = TAGGER_WINDOW) -> list[list[tuple]]:
+def run_probe(model, data, task_instances: list) -> list[list[tuple]]:
     """Train and evaluate a probe on the dataset that load_task_data read,
     once per task point of `task_instances`, its train split cut to the
     first that many items (None: all); returns one list of metric rows per
@@ -282,7 +269,7 @@ def run_probe(model, data, task_instances: list,
     train_items = _train_items(
         data, None if None in task_instances else max(task_instances))
     feats = TaskFeatures.of(model, data, train_items + data.splits["dev"]
-                            + data.splits["test"], window)
+                            + data.splits["test"])
     dev_end = len(train_items) + len(data.splits["dev"])
     ends = {"dev": (len(train_items), dev_end),
             "test": (dev_end, len(feats.bounds) - 1)}
@@ -305,8 +292,6 @@ def _short_split(data, task_n) -> int | None:
 
 
 def cmd_probe(args) -> int:
-    if args.probe_window < 0:
-        raise SubtokError("--probe-window must be >= 0")
     model = load_checkpoint(args.checkpoint)
     data = load_task_data(args.task, args.data, args.seed)
     n_train = _short_split(data, args.task_instances)
@@ -314,8 +299,7 @@ def cmd_probe(args) -> int:
         print(f"probe: --task-instances {args.task_instances} exceeds the "
               f"train split of seed {args.seed} ({n_train} examples); the "
               f"probe trains on all {n_train}", file=sys.stderr)
-    rows, = run_probe(model, data, task_instances=[args.task_instances],
-                      window=args.probe_window)
+    rows, = run_probe(model, data, task_instances=[args.task_instances])
     out = default_out(args, "metrics.tsv")
     write_files({out: lambda p: write_metrics(p, rows)})
     for row in rows:
@@ -694,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment-apply", help="segment words to stdout")
     p.add_argument("--seg", choices=SEGMENTER_KINDS, required=True)
     p.add_argument("--model", help="segmenter model file (bpe/morf)")
-    add_ngram_flags(p)
     p.add_argument("--word-token", action=argparse.BooleanOptionalAction,
                    default=ModelConfig.word_token)
     p.add_argument("words", nargs="*")
@@ -719,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("mentions", "conll"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task-instances", type=int, default=None)
-    p.add_argument("--probe-window", type=int, default=TAGGER_WINDOW)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)

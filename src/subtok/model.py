@@ -27,6 +27,8 @@ from subtok.errors import (
     write_files,
 )
 from subtok.segment import (
+    NGRAM_MAX,
+    NGRAM_MIN,
     NS_WORD_TOKEN,
     BpeModel,
     CharNgramSegmenter,
@@ -50,17 +52,20 @@ MATRIX_MAGIC = b"STM1"
 # in its word's segmentation shares the last row
 MAX_POSITIONS = 20
 
+# config.txt key of a retired ModelConfig field -> the one value a model of
+# this code composes as; a checkpoint with another value is refused
+RETIRED_CONFIG_KEYS = {"ngram_min": NGRAM_MIN, "ngram_max": NGRAM_MAX}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Which segmenter, whether the word token (w+) and additive positions
     (p+) are used, and the table dimensions. Composition is always addition;
-    the context dimension equals d."""
+    the context dimension equals d. The label, `dim` and `seed` name the
+    whole model."""
 
     segmenter: str = "charn"  # morf | bpe | charn | word
     num_merges: int = 10_000  # bpe only
-    ngram_min: int = CharNgramSegmenter.n_min  # charn only
-    ngram_max: int = CharNgramSegmenter.n_max
     word_token: bool = False
     position: bool = False
     dim: int = 100
@@ -75,8 +80,6 @@ class ModelConfig:
             raise ConfigError("num_merges must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ConfigError("need 1 <= ngram_min <= ngram_max")
 
     @property
     def label(self) -> str:
@@ -175,8 +178,7 @@ def build_segmenter(config: ModelConfig, vocab: Vocab | None):
         # building the subword vocab and resolving the model's rows both
         # read every vocab word's n-grams; with no vocab it keeps none
         words = vocab.words if vocab is not None else ()
-        return CharNgramSegmenter.keeping(words, config.ngram_min,
-                                          config.ngram_max)
+        return CharNgramSegmenter.keeping(words)
     return WholeWordSegmenter()
 
 
@@ -191,8 +193,7 @@ def build_segmentation(config: ModelConfig, vocab: Vocab):
 
 def segmentation_key(config: ModelConfig) -> tuple:
     """The fields of `config` that `build_segmentation` reads."""
-    return (config.segmenter, config.num_merges, config.ngram_min,
-            config.ngram_max, config.word_token)
+    return config.segmenter, config.num_merges, config.word_token
 
 
 def load_segmenter(config: ModelConfig, path, vocab: Vocab | None = None):
@@ -425,16 +426,24 @@ def _config_to_text(config: ModelConfig) -> str:
 def _read_config(path: Path) -> ModelConfig:
     """The ModelConfig of a config.txt as `_config_to_text` writes it: one
     `key=value` line per field, ints as non-negative numbers and bools as
-    True or False. A key that is not a field is ignored, so a file that
-    still carries `max_positions=20` loads. An out-of-range value is a
-    FormatError."""
+    True or False. A key of `RETIRED_CONFIG_KEYS` must hold its one value;
+    any other key that is not a field is ignored, so a file that still
+    carries `max_positions=20` loads. A repeated key or an out-of-range
+    value is a FormatError."""
     kv = {}
     for ln, line in enumerate(read_lines(path, "checkpoint config"), start=1):
         line = line.rstrip("\n")
         if "=" not in line:
             raise FormatError(f"bad config line {line!r}", ln)
         k, v = line.split("=", 1)
+        if k in kv:
+            raise FormatError(f"repeated key {k!r}", ln)
         kv[k] = v, ln
+        if k in RETIRED_CONFIG_KEYS and \
+                nonnegative_int(v, k, ln) != RETIRED_CONFIG_KEYS[k]:
+            raise FormatError(f"{k} must be {RETIRED_CONFIG_KEYS[k]}, as "
+                              f"n-grams are {NGRAM_MIN}-{NGRAM_MAX}, got "
+                              f"{v!r}", ln)
     keys = fields(ModelConfig)
     missing = [f.name for f in keys if f.name not in kv]
     if missing:

@@ -158,14 +158,15 @@ def load_conll(source, seed: int = 0) -> TagDataset:
 
 # ---------------------------------------------------------------------------
 # Slot features: a probe example is a list of slots (token tuples). A mention
-# is one slot holding all its tokens; tagging token i is the 2*window+1 slots
-# at offsets -window..+window, empty past either end of the sentence.
+# is one slot holding all its tokens; tagging token i is the
+# 2*TAGGER_WINDOW+1 slots at offsets -TAGGER_WINDOW..+TAGGER_WINDOW, empty
+# past either end of the sentence.
 # ---------------------------------------------------------------------------
 
 
-def _window_slots(tokens, i: int, window: int) -> list[tuple]:
+def _window_slots(tokens, i: int) -> list[tuple]:
     return [(tokens[j],) if 0 <= j < len(tokens) else ()
-            for j in range(i - window, i + window + 1)]
+            for j in range(i - TAGGER_WINDOW, i + TAGGER_WINDOW + 1)]
 
 
 def _features(model: SubwordModel, items) -> np.ndarray:
@@ -298,8 +299,8 @@ class TaskFeatures:
     dataset, laid out in the order the items are given and built in one
     `_features` call, so that probes on runs of those items slice them. An
     item is a mention, one example, or a sentence, one example per token
-    with the tokens `window` either side as slots. Items lo..hi-1 are rows
-    bounds[lo]:bounds[hi]."""
+    with the tokens TAGGER_WINDOW either side as slots. Items lo..hi-1 are
+    rows bounds[lo]:bounds[hi]."""
 
     feats: np.ndarray
     label_ids: np.ndarray
@@ -308,16 +309,14 @@ class TaskFeatures:
     task: str
 
     @classmethod
-    def of(cls, model: SubwordModel, data, items,
-           window: int = TAGGER_WINDOW) -> "TaskFeatures":
+    def of(cls, model: SubwordModel, data, items) -> "TaskFeatures":
         """The features of the dataset items `items` (indices into its
-        examples or sentences), in that order; `window` >= 0, as the `probe`
-        command requires of `--probe-window`."""
+        examples or sentences), in that order."""
         if isinstance(data, MentionDataset):
             per_item = [[([toks], label)] for toks, label in
                         (data.examples[i] for i in items)]
         else:
-            per_item = [[(_window_slots(toks, i, window), labs[i])
+            per_item = [[(_window_slots(toks, i), labs[i])
                          for i in range(len(toks))]
                         for toks, labs in (data.sentences[i] for i in items)]
         examples = [ex for exs in per_item for ex in exs]

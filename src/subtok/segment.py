@@ -30,6 +30,10 @@ from subtok.errors import (
 # as the largest code point it sorts after every other symbol.
 END_OF_WORD = "\U0010ffff"
 
+# CharNgramSegmenter cuts the n-grams of these lengths, fastText's
+# (Bojanowski et al. 2017)
+NGRAM_MIN, NGRAM_MAX = 3, 6
+
 # Morfessor-lite stops after this many passes if the cost still falls
 MORF_MAX_ITERS = 10
 
@@ -97,14 +101,16 @@ class BpeModel:
             raise FormatError(f"bad BPE header {header!r}", 1)
         num_merges = nonnegative_int(header[len("#bpe v2 "):], "merge count",
                                      1)
-        merges = []
+        merges: dict[tuple[str, str], None] = {}  # a dict to find repeats
         for ln, (left, right) in read_fields(
                 lines, "BPE model", " ", 2, "expected `left<SPACE>right`",
                 first_line=2):
             if not (left and right):
                 raise FormatError("merge with an empty side", ln)
-            merges.append((left, right))
-        return cls(merges=merges, num_merges=num_merges)
+            if (left, right) in merges:
+                raise FormatError(f"repeated merge {left!r} {right!r}", ln)
+            merges[left, right] = None
+        return cls(merges=list(merges), num_merges=num_merges)
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
@@ -286,52 +292,49 @@ def apply_bpe(model: BpeModel, word: str) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _ngram_cutter(length: int, n_min: int, n_max: int):
-    """A function that cuts every n-gram in [n_min, n_max] out of a string
-    of `length` and returns them as a tuple, in `char_ngrams` order: an
-    `itemgetter` of the table of slices, which slices in C and returns a
+def _ngram_cutter(length: int):
+    """A function that cuts every n-gram in [NGRAM_MIN, NGRAM_MAX] out of a
+    string of `length` and returns them as a tuple, in `char_ngrams` order:
+    an `itemgetter` of the table of slices, which slices in C and returns a
     tuple when it holds two or more (a table of none or one is mapped). A
-    table holds about (n_max - n_min + 1) * length slices, so only the most
-    recent 64 are kept."""
+    table holds about (NGRAM_MAX - NGRAM_MIN + 1) * length slices, so only
+    the most recent 64 are kept."""
     slices = tuple(slice(i, i + n)
-                   for n in range(n_min, min(n_max, length) + 1)
+                   for n in range(NGRAM_MIN, min(NGRAM_MAX, length) + 1)
                    for i in range(length - n + 1))
     if len(slices) > 1:
         return operator.itemgetter(*slices)
     return lambda text: tuple(map(text.__getitem__, slices))
 
 
-def char_ngrams(word: str, n_min: int, n_max: int) -> tuple[str, ...]:
+def char_ngrams(word: str) -> tuple[str, ...]:
     """All contiguous substrings of the '<'-word-'>' wrapped form with length
-    in [n_min, n_max], shortest first, left to right within each length.
-    Duplicates are kept. 1 <= n_min <= n_max, as `ModelConfig` requires.
-    The wrapped form is cut by the cached cutter of its length."""
+    in [NGRAM_MIN, NGRAM_MAX], shortest first, left to right within each
+    length. Duplicates are kept. The wrapped form is cut by the cached
+    cutter of its length."""
     wrapped = f"<{word}>"
-    return _ngram_cutter(len(wrapped), n_min, n_max)(wrapped)
+    return _ngram_cutter(len(wrapped))(wrapped)
 
 
 @dataclass(frozen=True)
 class CharNgramSegmenter:
-    """`char_ngrams` in [n_min, n_max]. One made by `keeping` keeps the
-    n-grams of the words given, as the learned segmenters keep their
-    training words' segmentations, and computes any other word's anew."""
+    """`char_ngrams`. One made by `keeping` keeps the n-grams of the words
+    given, as the learned segmenters keep their training words'
+    segmentations, and computes any other word's anew."""
 
-    n_min: int = 3
-    n_max: int = 6
     _kept: dict[str, tuple[str, ...]] = field(
         init=False, default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def keeping(cls, words, n_min: int, n_max: int) -> "CharNgramSegmenter":
-        segmenter = cls(n_min, n_max)
-        segmenter._kept.update((w, char_ngrams(w, n_min, n_max))
-                               for w in words)
+    def keeping(cls, words) -> "CharNgramSegmenter":
+        segmenter = cls()
+        segmenter._kept.update((w, char_ngrams(w)) for w in words)
         return segmenter
 
     def segment(self, word: str) -> tuple[str, ...]:
         kept = self._kept.get(word)
         if kept is None:
-            return char_ngrams(word, self.n_min, self.n_max)
+            return char_ngrams(word)
         return kept
 
 
@@ -666,16 +669,12 @@ class SubwordVocab:
 def build_subword_vocab(vocab: Vocab, segmenter,
                         include_word_token: bool) -> SubwordVocab:
     """Union of subword keys over all vocab words (plus word-token keys when
-    requested), ids assigned by first occurrence in vocab id order. A
-    segmenter that yields no key for any vocab word raises SubtokError.
-    One pass: `dict.fromkeys` dedupes the segmenter's own strings and the
+    requested), ids assigned by first occurrence in vocab id order. One
+    pass: `dict.fromkeys` dedupes the segmenter's own strings and the
     word-token tuples, which are already the vocab's keys."""
     def units(w):
         return (*segmenter.segment(w), (NS_WORD_TOKEN, w))
 
     first = dict.fromkeys(itertools.chain.from_iterable(map(
         units if include_word_token else segmenter.segment, vocab.words)))
-    if not first:
-        raise SubtokError(f"the segmenter yields no subword for any of the "
-                          f"{len(vocab)} vocab words")
     return SubwordVocab(entries=dict(zip(first, itertools.count())))

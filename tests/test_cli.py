@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subtok.cli
 import subtok.corpus
@@ -33,11 +35,11 @@ from subtok.corpus import (
 from subtok.errors import SubtokError
 from subtok.model import (
     SEGMENTER_FILES,
+    SEGMENTER_KINDS,
     ModelConfig,
     SubwordModel,
 )
 from subtok.probe import (
-    TAGGER_WINDOW,
     TaskFeatures,
     eval_mention_accuracy,
     load_conll,
@@ -149,6 +151,23 @@ class TestConfigLabels:
             parse_config_label("wordpiece")
         with pytest.raises(SubtokError):
             parse_config_label("charn:x+")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_label_dim_and_seed_name_the_whole_config(self, data):
+        """A config as the commands build one, every field drawn and the
+        merge count set for bpe only, is its label parsed, with its dim
+        and seed."""
+        values = {f.name: data.draw(
+            st.sampled_from(SEGMENTER_KINDS) if f.name == "segmenter" else
+            st.booleans() if isinstance(f.default, bool) else
+            st.integers(1, 10 ** 25), label=f.name)
+            for f in dataclasses.fields(ModelConfig)}
+        if values["segmenter"] != "bpe":
+            values["num_merges"] = ModelConfig.num_merges
+        cfg = ModelConfig(**values)
+        assert dataclasses.replace(parse_config_label(cfg.label),
+                                   dim=cfg.dim, seed=cfg.seed) == cfg
 
     @pytest.mark.parametrize("label", ["bpex", "bpe", "bpe1.5", "bpe1e999"])
     def test_merge_count_not_a_whole_number(self, label):
@@ -1469,25 +1488,6 @@ def _ner_file(tmp_path):
     return conll
 
 
-class TestNoRowWords:
-    @pytest.mark.parametrize("label", ["charn:w-", "charn:w+"])
-    def test_train_word_shorter_than_ngram_min(self, tmp_path, capsys, label):
-        # `<ab>` has no 5-grams, so `ab` has no subword rows
-        words = ["red", "blue", "green", "yellow", "pink", "ab"]
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("".join(
-            " ".join(words[(i + j) % 6] for j in range(6)) + "\n"
-            for i in range(400)), encoding="utf-8")
-        ckpt = tmp_path / "ckpt"
-        rc = main(["train", "--corpus", str(corpus), "--config", label,
-                   "--ngram-min", "5", "--dim", "8", "--epochs", "1",
-                   "--subsample-t", "0", "--out", str(ckpt)])
-        assert rc == 0
-        model = subtok.model.load_checkpoint(ckpt)
-        assert subtok.model._WordCSR.of_model(model, ["ab"]).lens[0] == 0
-        assert model.params.all_finite()
-
-
 class TestRefusedInputExit1:
     """Input that no command can use exits 1 with one stderr line and
     writes nothing."""
@@ -1510,12 +1510,6 @@ class TestRefusedInputExit1:
         if name == "we-tokens-above-corpus":
             return (train + ["--we-tokens", "2401"],
                     "requested 2401 tokens but only 2400 are available")
-        if name == "ngram-range-without-subword":
-            # neither `<a>` nor `<b>` has an n-gram of 5 or 6 letters
-            corpus_file.write_text("a b " * 600 + "\n", encoding="utf-8")
-            return (train + ["--ngram-min", "5", "--ngram-max", "6"],
-                    "the segmenter yields no subword for any of the 2 "
-                    "vocab words")
         ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
         path = ckpt / "vocab.tsv"
         lines = path.read_text("utf-8").splitlines(True)
@@ -1548,7 +1542,7 @@ class TestRefusedInputExit1:
     @pytest.mark.parametrize("name", [
         "corpus-not-utf8", "corpus-empty", "corpus-whitespace-only",
         "min-count-no-type-reaches", "we-tokens-above-corpus",
-        "ngram-range-without-subword", "vocab-tsv-empty",
+        "vocab-tsv-empty",
         "vocab-tsv-empty-word", "vocab-tsv-skipped-id",
         "vocab-tsv-repeated-word", "vocab-tsv-whitespace-word",
         "vocab-tsv-whitespace-word-probe"])
@@ -1563,35 +1557,6 @@ class TestRefusedInputExit1:
 
 
 class TestBadNumbersExit1:
-    def test_negative_probe_window(self, corpus_file, tmp_path, capsys):
-        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-        out = tmp_path / "metrics.tsv"
-        rc = main(["probe", "--checkpoint", str(ckpt), "--task", "conll",
-                   "--data", str(_ner_file(tmp_path)), "--probe-window",
-                   "-1", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "window must be >= 0" in err and "internal error" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("task", ["mentions", "conll"])
-    def test_negative_probe_window_before_the_task_file(
-            self, corpus_file, mentions_file, tmp_path, capsys, task):
-        """The mentions probe reads no window, and a task file that cannot
-        be read is not reached: the flag is refused first, for each task."""
-        ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
-        for data in ((mentions_file if task == "mentions"
-                      else _ner_file(tmp_path)), tmp_path / "missing.tsv"):
-            before = _tree(tmp_path)
-            capsys.readouterr()
-            rc = main(["probe", "--checkpoint", str(ckpt), "--task", task,
-                       "--data", str(data), "--probe-window", "-3", "--out",
-                       str(tmp_path / "metrics.tsv")])
-            assert rc == 1
-            assert capsys.readouterr() == (
-                "", "subtok: --probe-window must be >= 0\n")
-            assert _tree(tmp_path) == before
-
     def test_negative_probe_seed(self, corpus_file, mentions_file, tmp_path,
                                  capsys):
         ckpt = _train_checkpoint(corpus_file, tmp_path / "ckpt")
@@ -1603,28 +1568,6 @@ class TestBadNumbersExit1:
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err and "internal error" not in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [["--ngram-min", "0"],
-                                       ["--ngram-min", "5", "--ngram-max",
-                                        "3"]])
-    def test_train_ngram_range(self, corpus_file, tmp_path, capsys, flags):
-        ckpt = tmp_path / "ckpt"
-        rc = main(["train", "--corpus", str(corpus_file), "--epochs", "1",
-                   *flags, "--out", str(ckpt)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "need 1 <= ngram_min <= ngram_max" in err
-        assert "internal error" not in err
-        assert not ckpt.exists()
-
-    def test_segment_apply_ngram_range(self, capsys):
-        rc = main(["segment-apply", "--seg", "charn", "--ngram-min", "5",
-                   "--ngram-max", "3", "walking"])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "need 1 <= ngram_min <= ngram_max" in err
-        assert "internal error" not in err
 
     @pytest.mark.parametrize("seg,text,message", [
         ("bpe", "#bpe v2 x\na b\n", "line 1: merge count"),
@@ -1654,6 +1597,9 @@ class TestBadNumbersExit1:
          "line 4: bad analysis of 'walk'"),
         ("bpe", "#bpe v2 2\na b\n x\n", "line 3: merge with an empty side"),
         ("bpe", "#bpe v2 2\nx \n", "line 2: merge with an empty side"),
+        # a replay in order splits `abc` as `ab c`; the ranks gave `a bc`
+        ("bpe", "#bpe v2 3\na b\nb c\na b\n",
+         "line 4: repeated merge 'a' 'b'"),
         # files from before the marker was U+10FFFF spell it '</w>'
         ("bpe", "#bpe v1 1\nd </w>\n",
          "line 1: bad BPE header '#bpe v1 1'")])
@@ -1929,7 +1875,7 @@ class TestCheckpointErrorsNameTheFile:
             key = name.split("=")[0]
             path.write_text(re.sub(rf"(?m)^{key}=.*$", name,
                                    path.read_text("utf-8")), encoding="utf-8")
-            prefix = "subtok: line 5: " if key == "word_token" else "subtok: "
+            prefix = "subtok: line 3: " if key == "word_token" else "subtok: "
         else:
             path = ckpt / name
             lines = path.read_text("utf-8").splitlines(True)
@@ -2217,9 +2163,8 @@ class TestParserDefaults:
 
     def test_train_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["train", "--corpus", "c.txt"])
-        assert dataclasses.replace(
-            parse_config_label(args.config), ngram_min=args.ngram_min,
-            ngram_max=args.ngram_max, dim=args.dim, seed=args.seed) == \
+        assert dataclasses.replace(parse_config_label(args.config),
+                                   dim=args.dim, seed=args.seed) == \
             ModelConfig()
         assert (args.window, args.negatives, args.lr, args.subsample_t) == (
             TrainConfig.window, TrainConfig.negatives, TrainConfig.lr_start,
@@ -2234,14 +2179,24 @@ class TestParserDefaults:
                                   "--position") if flag in out] == []
 
     def test_morf_passes_and_probe_window_have_one_default(self):
-        args = build_parser().parse_args(["probe", "--checkpoint", "c",
-                                          "--task", "conll", "--data", "d"])
-        assert args.probe_window == TAGGER_WINDOW
-        for fn, name, value in (
-                (learn_morfessor_lite, "max_iters", MORF_MAX_ITERS),
-                (run_probe, "window", TAGGER_WINDOW)):
-            default = inspect.signature(fn).parameters[name].default
-            assert default == value, fn.__name__
+        """The morph learner's passes default to MORF_MAX_ITERS, and the
+        tagger window is TAGGER_WINDOW, which no flag or parameter sets."""
+        default = inspect.signature(
+            learn_morfessor_lite).parameters["max_iters"].default
+        assert default == MORF_MAX_ITERS
+        for fn in (run_probe, TaskFeatures.of, probe_mod._window_slots):
+            assert "window" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("command", ["train", "segment-apply", "probe"])
+    def test_no_command_sets_the_ngram_range_or_tagger_window(
+            self, capsys, command):
+        """NGRAM_MIN, NGRAM_MAX and TAGGER_WINDOW are constants: no
+        command's help shows a flag for them."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert [flag for flag in ("--ngram-min", "--ngram-max",
+                                  "--probe-window") if flag in out] == []
 
     def test_simulate_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(

@@ -178,11 +178,9 @@ def randomize_tables(m, seed):
 FIXED_WORDS = ["zzz", "q", "catalog", "cat"]
 
 
-# segmenter settings for the bulk resolution test; charn5's n-grams are
-# longer than `<q>`, so a one-letter word has no subword at all
+# segmenter settings for the bulk resolution test
 RESOLVE_SEGMENTERS = {
     "charn": {"segmenter": "charn"},
-    "charn5": {"segmenter": "charn", "ngram_min": 5},
     "bpe": {"segmenter": "bpe", "num_merges": 10},
     "morf": {"segmenter": "morf"},
     "word": {"segmenter": "word"},
@@ -229,19 +227,16 @@ class TestBulkResolve:
 
     def test_edge_cases_occur(self):
         """The cases the reference test must meet: clipped positions, an
-        unknown subword beside known ones, a word with no subword, and a
-        vocab word without its word-token row."""
+        unknown subword beside known ones, a word with no known subword, and
+        a vocab word without its word-token row."""
         cfg, vocab, segmenter, svocab = resolve_parts("charn", True)
         m = SubwordModel(cfg, vocab, svocab, segmenter)
-        csr = _WordCSR.of_model(m, ["catalog", "cats", "cat", "hat"])
+        csr = _WordCSR.of_model(m, ["catalog", "cats", "cat", "hat", "q"])
         assert csr.flat_pos[csr.lens[0] - 1] == 2
         assert resolve_reference(m, "cats").unknown > 1
         assert csr.lens[1] > 0
         assert csr.wt_ids[2] == -1 and csr.wt_ids[3] >= 0
-        cfg, vocab, segmenter, svocab = resolve_parts("charn5", False)
-        m = SubwordModel(cfg, vocab, svocab, segmenter)
-        assert _WordCSR.of_model(m, ["q"]).lens.tolist() == [0]
-        assert resolve_reference(m, "q").unknown == 0
+        assert csr.lens[4] == 0 and csr.wt_ids[4] == -1
 
     @pytest.mark.parametrize("word_token", [False, True])
     def test_each_vocab_word_segmented_once(self, monkeypatch, word_token):
@@ -251,9 +246,9 @@ class TestBulkResolve:
         calls = []
         real = subtok.segment.char_ngrams
 
-        def counted(word, *args):
+        def counted(word):
             calls.append(word)
-            return real(word, *args)
+            return real(word)
 
         monkeypatch.setattr(subtok.segment, "char_ngrams", counted)
         vocab = build_vocab(tokenize_corpus(
@@ -477,9 +472,9 @@ class TestCheckpoint:
         calls = []
         real = subtok.segment.char_ngrams
 
-        def counted(word, *args):
+        def counted(word):
             calls.append(word)
-            return real(word, *args)
+            return real(word)
 
         monkeypatch.setattr(subtok.segment, "char_ngrams", counted)
         vecs = loaded.vectors(m.vocab.words)
@@ -507,8 +502,8 @@ class TestCheckpoint:
         save_checkpoint(small_model(segmenter="bpe", num_merges=10,
                                     position=True), tmp_path / "ckpt")
         assert (tmp_path / "ckpt" / "config.txt").read_text("utf-8") == (
-            "segmenter=bpe\nnum_merges=10\nngram_min=3\nngram_max=6\n"
-            "word_token=False\nposition=True\ndim=8\nseed=5\n")
+            "segmenter=bpe\nnum_merges=10\nword_token=False\nposition=True\n"
+            "dim=8\nseed=5\n")
 
     @pytest.mark.parametrize("spelling", ["True", "true", "1", "yes",
                                           "False", "false", "0", "no"])
@@ -526,7 +521,7 @@ class TestCheckpoint:
             assert load_checkpoint(tmp_path / "ckpt").config == m.config
             return
         with pytest.raises(FormatError, match=re.escape(
-                f"line 5: word_token must be True or False, got "
+                f"line 3: word_token must be True or False, got "
                 f"{spelling!r}")):
             load_checkpoint(tmp_path / "ckpt")
 
@@ -539,7 +534,7 @@ class TestCheckpoint:
         config = tmp_path / "ckpt" / "config.txt"
         config.write_text(config.read_text("utf-8").replace(
             "word_token=True", f"word_token={spelling}"), encoding="utf-8")
-        ln = 6 if "#" in spelling else 5
+        ln = 4 if "#" in spelling else 3
         message = ("bad config line '# edited'" if "#" in spelling else
                    f"word_token must be True or False, got {spelling!r}")
         with pytest.raises(FormatError, match=re.escape(
@@ -548,17 +543,47 @@ class TestCheckpoint:
         assert exc.value.line_number == ln
 
     def test_config_with_max_positions_loads(self, tmp_path):
-        """A config.txt written while `max_positions` was a config field
-        carries it; a key that is not a field is ignored."""
+        """A config.txt written while `max_positions`, `ngram_min` and
+        `ngram_max` were config fields carries them. `max_positions` is
+        ignored, and the n-gram range loads at 3-6, the range this version
+        cuts, to the same vectors; another range is refused on its line,
+        because its model composes from other n-grams."""
         m = small_model(position=True)
         save_checkpoint(m, tmp_path / "ckpt")
         config = tmp_path / "ckpt" / "config.txt"
-        config.write_text(config.read_text("utf-8").replace(
-            "dim=8\n", "dim=8\nmax_positions=20\n"), encoding="utf-8")
+        text = config.read_text("utf-8").replace(
+            "num_merges=10000\n",
+            "num_merges=10000\nngram_min=3\nngram_max=6\n").replace(
+            "dim=8\n", "dim=8\nmax_positions=20\n")
+        config.write_text(text, encoding="utf-8")
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.config == m.config
         assert loaded.params.position.tobytes() == \
             m.params.position.tobytes()
+        words = m.vocab.words + ["scatter", "q"]
+        assert loaded.vectors(words).tobytes() == m.vectors(words).tobytes()
+        for old, new, ln in (("ngram_min=3", "ngram_min=5", 3),
+                             ("ngram_max=6", "ngram_max=4", 4),
+                             ("ngram_min=3", "ngram_min=x", 3)):
+            config.write_text(text.replace(old, new), encoding="utf-8")
+            with pytest.raises(FormatError, match=re.escape(
+                    f"line {ln}: {new.split('=')[0]} must be ")) as exc:
+                load_checkpoint(tmp_path / "ckpt")
+            assert exc.value.line_number == ln
+
+    def test_config_repeated_key(self, tmp_path):
+        """A key given twice is refused on its second line; the last value
+        no longer wins."""
+        save_checkpoint(small_model(), tmp_path / "ckpt")
+        config = tmp_path / "ckpt" / "config.txt"
+        lines = config.read_text("utf-8").splitlines(True)
+        assert lines[-1] == "seed=5\n"
+        config.write_text("".join(lines) + "seed=6\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"line {len(lines) + 1}: repeated key 'seed' in "
+                f"{config}")) as exc:
+            load_checkpoint(tmp_path / "ckpt")
+        assert exc.value.line_number == len(lines) + 1
 
     # `int` reads each of the last five as 8 or 1; config.txt holds ints
     # as ASCII digits, as its bools as True or False

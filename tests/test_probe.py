@@ -29,21 +29,21 @@ from subtok.probe import (
 )
 
 
-def window_features(model, tokens, i, window):
-    """The probe's feature row of token i with `window` slots each side."""
+def window_features(model, tokens, i):
+    """The probe's feature row of token i."""
     return probe_mod._features(
-        model, [probe_mod._window_slots(tokens, i, window)])[0]
+        model, [probe_mod._window_slots(tokens, i)])[0]
 
 
-def tagger_probe(model, data, window):
+def tagger_probe(model, data):
     """Features of the train, dev and test sentences of `data`, in that
-    order, with `window` slots each side; a probe trained on the train
-    split, its λ chosen on dev; and each split's (lo, hi) item range."""
+    order; a probe trained on the train split, its λ chosen on dev; and
+    each split's (lo, hi) item range."""
     names = ("train", "dev", "test")
     ends = np.cumsum([0] + [len(data.splits[s]) for s in names]).tolist()
     at = dict(zip(names, zip(ends, ends[1:])))
     feats = probe_mod.TaskFeatures.of(
-        model, data, [i for s in names for i in data.splits[s]], window)
+        model, data, [i for s in names for i in data.splits[s]])
     return feats, feats.probe(slice(*at["train"]), slice(*at["dev"])), at
 
 
@@ -246,12 +246,12 @@ class TestTaggerProbe:
     def test_feature_dims(self):
         model = charn_model("aa bb cc\n" * 3)
         toks = ("aa", "bb", "cc")
-        assert window_features(model, toks, 1, 0).shape == (12,)
-        assert window_features(model, toks, 1, 1).shape == (36,)
+        # one slot each side of the tagged token
+        assert window_features(model, toks, 1).shape == (36,)
 
     def test_boundary_zero_padding(self):
         model = charn_model("aa bb\n" * 3)
-        f = window_features(model, ("aa",), 0, 1)
+        f = window_features(model, ("aa",), 0)
         assert not f[:12].any()  # left of sentence start
         assert not f[24:].any()  # right of sentence end
 
@@ -261,7 +261,7 @@ class TestTaggerProbe:
         model.params.subword[:] = rng.normal(
             0, 0.2, model.params.subword.shape).astype(np.float32)
         data = self._suffix_tag_data(model)
-        feats, probe, at = tagger_probe(model, data, 0)
+        feats, probe, at = tagger_probe(model, data)
         (metric, acc), = feats.metrics(probe, *at["dev"])
         assert metric == "accuracy" and acc >= 0.95
 
@@ -269,13 +269,13 @@ class TestTaggerProbe:
         model = charn_model("redaa bluaa\n" * 4)
         data = self._suffix_tag_data(model)
         sub = model.params.subword.copy()
-        tagger_probe(model, data, 1)
+        tagger_probe(model, data)
         assert np.array_equal(model.params.subword, sub)
 
     def test_accuracy_needs_full_tag_scheme(self):
         model = charn_model("aa bb\n" * 3)
         data = load_conll(["aa\tB-PER\n", "\n", "bb\tO\n"] * 4, seed=0)
-        feats, probe, at = tagger_probe(model, data, 0)
+        feats, probe, at = tagger_probe(model, data)
         # BIO data is scored by span F1, accuracy only full-tag data
         assert [m for m, _ in feats.metrics(probe, *at["test"])] == \
             ["precision", "recall", "f1"]
@@ -385,10 +385,11 @@ def _stationary_penalty(probe, feats, ids):
 
 @pytest.mark.parametrize("task", _TASKS, ids=[f"frozen-{t}" for t in _TASKS])
 @pytest.mark.parametrize("label", ["w2v", "charn:w+:p-", "charn:w+:p+"])
-def test_matches_reference_probes(label, task):
+def test_matches_reference_probes(monkeypatch, label, task):
     """The probe is a stationary point of the objective for one λ of the
     grid, and its batched predictions are the per-example predictions on
-    oracle features."""
+    oracle features. The tagger reads TAGGER_WINDOW, 1, at w1; w0 and w2
+    set it to 0 and 2, so the slot layout is checked beyond its value."""
     model, mentions, bio, full = _reference_setup(label)
     ref_model = copy.deepcopy(model)
     if task == "mentions":
@@ -406,7 +407,9 @@ def test_matches_reference_probes(label, task):
     else:
         data = bio if task.startswith("bio") else full
         window = int(task[-1])
-        feats, probe, at = tagger_probe(model, data, window)
+        if window != 1:
+            monkeypatch.setattr(probe_mod, "TAGGER_WINDOW", window)
+        feats, probe, at = tagger_probe(model, data)
         lo, hi = feats.bounds[list(at["test"])]
         preds = probe.scores(feats.feats[lo:hi]).argmax(axis=1).tolist()
         ref_preds = [oracles.predict_index(
@@ -466,7 +469,7 @@ def test_label_missing_from_train_split(task):
         data, missing = full, _SUFFIX_TAG["s"]
         data.splits["train"] = [i for i in data.splits["train"]
                                 if missing not in data.sentences[i][1]]
-        _, probe, _ = tagger_probe(model, data, 1)
+        _, probe, _ = tagger_probe(model, data)
     assert missing in probe.labels
     assert np.isfinite(probe.weights).all() and np.isfinite(probe.bias).all()
     _, grad = _stationary_penalty(probe, *_oracle_train_split(
@@ -482,21 +485,18 @@ def test_slot_features_match_reference_features():
         assert np.array_equal(got, oracles.mention_features(model, toks))
     for toks, _ in bio.sentences:
         for i in range(len(toks)):
-            for window in (0, 2):
-                assert np.array_equal(
-                    window_features(model, toks, i, window),
-                    oracles.window_features(model, toks, i, window))
+            assert np.array_equal(window_features(model, toks, i),
+                                  oracles.window_features(model, toks, i, 1))
 
 
 _stack_setup = functools.cache(lambda: _reference_setup("charn:w+:p+"))
 
 
-@given(task=st.sampled_from(["mentions", "bio", "full"]),
-       window=st.integers(0, 2), data=st.data())
-@example(task="mentions", window=0, data=None)
-@example(task="bio", window=2, data=None)
+@given(task=st.sampled_from(["mentions", "bio", "full"]), data=st.data())
+@example(task="mentions", data=None)
+@example(task="bio", data=None)
 @settings(max_examples=100, deadline=None)
-def test_features_of_joined_items_are_stacked(task, window, data):
+def test_features_of_joined_items_are_stacked(task, data):
     """`TaskFeatures.of` on items a + b has the rows, label ids and bounds of
     its build on a stacked on its build on b, bit for bit: an item's
     examples do not depend on the items built with it. `cli.run_probe`
@@ -511,7 +511,7 @@ def test_features_of_joined_items_are_stacked(task, window, data):
                                    max_size=12))
         k = data.draw(st.integers(0, len(items)))
     a, b = items[:k], items[k:]
-    both, fa, fb = (probe_mod.TaskFeatures.of(model, dataset, x, window)
+    both, fa, fb = (probe_mod.TaskFeatures.of(model, dataset, x)
                     for x in (a + b, a, b))
     assert both.feats.dtype == np.float32
     assert len(both.feats) == len(fa.feats) + len(fb.feats)

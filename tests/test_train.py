@@ -21,6 +21,7 @@ from subtok.corpus import (
 )
 from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
+from subtok.segment import SubwordVocab
 from subtok.train import (
     TRACE_EVERY,
     NegativeSampler,
@@ -44,6 +45,19 @@ def make_model(text, **cfg):
     corpus = tokenize_corpus(text)
     vocab = build_vocab(corpus, 1)
     return corpus, SubwordModel.build(ModelConfig(**defaults), vocab)
+
+
+def no_row_model(text, **cfg):
+    """`make_model`, with the n-grams of `ab` left out of a charn model's
+    subword vocab: `ab` composes from no subword row, and keeps its
+    word-token row under w+."""
+    corpus, m = make_model(text, **cfg)
+    if m.config.segmenter == "charn":
+        lost = set(m.segmenter.segment("ab"))
+        keys = [k for k in m.subword_vocab.entries if k not in lost]
+        m = SubwordModel(m.config, m.vocab, SubwordVocab(
+            {k: i for i, k in enumerate(keys)}), m.segmenter)
+    return corpus, m
 
 
 class TestSgnsLoss:
@@ -355,14 +369,13 @@ def test_every_scatter_passes_the_tables_dtype(monkeypatch, word_token,
 
 
 class TestNoRowCenter:
-    """`ab` has no subword rows: `<ab>` is shorter than the 5-grams."""
+    """`ab` has no subword rows: `no_row_model` leaves out its n-grams."""
 
     @pytest.mark.parametrize("word_token", [False, True])
     @pytest.mark.parametrize("first", [True, False])
     def test_composes_to_its_word_token_row_or_zero(self, word_token, first):
-        corpus, m = make_model("ab cats hats\n" * 5, segmenter="charn",
-                               ngram_min=5, ngram_max=6,
-                               word_token=word_token, position=True)
+        corpus, m = no_row_model("ab cats hats\n" * 5, segmenter="charn",
+                                 word_token=word_token, position=True)
         m.params.context[:] = np.random.default_rng(0).normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
         ids = m.vocab.word2id
@@ -399,7 +412,7 @@ class TestNoRowCenter:
                                       before.subword[ab.wt_ids[0]])
 
 
-# `ab` has no subword rows under 5- and 6-grams (see TestNoRowCenter);
+# `ab` has no subword rows in a `no_row_model` (see TestNoRowCenter);
 # `cats` and `scats` share the row of `cats>`
 NO_ROW_TEXT = ("ab cats scats hats\nhats ab ab cats\ncats cats cats ab\n"
                "scats hats ab cats\n") * 5
@@ -418,9 +431,8 @@ class TestPlannedKernel:
     @settings(max_examples=80, deadline=None)
     def test_equals_per_center_kernel(self, word_token, position, picks,
                                       seed):
-        _, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
-                          ngram_max=6, word_token=word_token,
-                          position=position)
+        _, m = no_row_model(NO_ROW_TEXT, segmenter="charn",
+                            word_token=word_token, position=position)
         rng = np.random.default_rng(seed)
         m.params.context[:] = rng.normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
@@ -448,9 +460,8 @@ class TestBackwardPass:
     @pytest.mark.parametrize("position", [False, True], ids=["p-", "p+"])
     @pytest.mark.parametrize("word_token", [False, True], ids=["w-", "w+"])
     def test_shared_rows_equal_the_reference(self, word_token, position):
-        _, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
-                          ngram_max=6, word_token=word_token,
-                          position=position)
+        _, m = no_row_model(NO_ROW_TEXT, segmenter="charn",
+                            word_token=word_token, position=position)
         rng = np.random.default_rng(7)
         m.params.context[:] = rng.normal(
             0, 0.5, m.params.context.shape).astype(np.float32)
@@ -565,9 +576,9 @@ class TestPlannedTraining:
     def test_equals_per_center_training(self, segmenter, word_token,
                                         position, seeds, batch_size, epochs,
                                         subsample_t):
-        corpus, base = make_model(NO_ROW_TEXT, segmenter=segmenter,
-                                  num_merges=10, ngram_min=5, ngram_max=6,
-                                  word_token=word_token, position=position)
+        corpus, base = no_row_model(NO_ROW_TEXT, segmenter=segmenter,
+                                    num_merges=10, word_token=word_token,
+                                    position=position)
         _check_planned_training(corpus, base, [
             TrainConfig(window=2, negatives=2, epochs=epochs,
                         batch_size=batch_size, min_count=1,
@@ -578,9 +589,8 @@ class TestPlannedTraining:
         """Batches of a few words repeated, the no-row word among them, a
         partial last batch, and lockstep models whose pairs end at
         different calls."""
-        corpus, base = make_model(NO_ROW_TEXT, segmenter="charn",
-                                  ngram_min=5, ngram_max=6, word_token=True,
-                                  position=True)
+        corpus, base = no_row_model(NO_ROW_TEXT, segmenter="charn",
+                                    word_token=True, position=True)
         configs = [TrainConfig(window=3, negatives=2, epochs=2, batch_size=8,
                                min_count=1, subsample_t=0.05, seed=seed)
                    for seed in (1, 2, 3)]
@@ -590,8 +600,8 @@ class TestPlannedTraining:
         assert any(len(set(epoch)) > 1 for epoch in zip(*calls))
 
     def test_threaded_calls_sum_their_distinct_centers(self):
-        corpus, m = make_model(NO_ROW_TEXT, segmenter="charn", ngram_min=5,
-                               ngram_max=6, word_token=True)
+        corpus, m = no_row_model(NO_ROW_TEXT, segmenter="charn",
+                                 word_token=True)
         config = TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
                              min_count=1, subsample_t=0, threads=2)
         _, pairs, calls, summed = _recorded_training(
@@ -841,7 +851,7 @@ class TestLockstep:
                                   subsample_t):
         corpus, base = make_model(LOCKSTEP_TEXT, segmenter=segmenter,
                                   num_merges=20, word_token=word_token,
-                                  position=position, ngram_max=4)
+                                  position=position)
         configs = [TrainConfig(window=window, negatives=2, epochs=epochs,
                                batch_size=batch_size, min_count=1,
                                subsample_t=subsample_t, seed=seed)
