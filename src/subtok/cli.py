@@ -118,7 +118,7 @@ def train_config(args, group, seed: int, epochs=None, batch_size=None,
     size or min count of None falls back to the data group's; any other
     value, 0 included, is used as given and checked by TrainConfig."""
     return TrainConfig(
-        window=args.window, negatives=args.negatives, lr_start=args.lr,
+        lr_start=args.lr,
         epochs=group.epochs if epochs is None else epochs,
         batch_size=group.batch_size if batch_size is None else batch_size,
         min_count=group.min_count if min_count is None else min_count,
@@ -138,8 +138,6 @@ def add_model_flags(p: argparse.ArgumentParser):
 
 def add_sgns_flags(p: argparse.ArgumentParser):
     """The SGNS settings that train and simulate share."""
-    p.add_argument("--window", type=int, default=TrainConfig.window)
-    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
     p.add_argument("--lr", type=float, default=TrainConfig.lr_start)
     p.add_argument("--subsample-t", type=float,
                    default=TrainConfig.subsample_t)

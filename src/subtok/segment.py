@@ -102,6 +102,7 @@ class BpeModel:
         num_merges = nonnegative_int(header[len("#bpe v2 "):], "merge count",
                                      1)
         merges: dict[tuple[str, str], None] = {}  # a dict to find repeats
+        made: set[str] = set()  # the symbols that the merges so far make
         for ln, (left, right) in read_fields(
                 lines, "BPE model", " ", 2, "expected `left<SPACE>right`",
                 first_line=2):
@@ -109,7 +110,16 @@ class BpeModel:
                 raise FormatError("merge with an empty side", ln)
             if (left, right) in merges:
                 raise FormatError(f"repeated merge {left!r} {right!r}", ln)
+            # each side is one code point or an earlier merge's result, as
+            # in every file `save` writes; apply_bpe's ranks would join a
+            # later merge's result, which a replay in order never makes
+            for side in (left, right):
+                if len(side) > 1 and side not in made:
+                    raise FormatError(f"merge {left!r} {right!r} uses "
+                                      f"{side!r}, which no earlier merge "
+                                      "makes", ln)
             merges[left, right] = None
+            made.add(left + right)
         return cls(merges=list(merges), num_merges=num_merges)
 
 

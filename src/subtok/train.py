@@ -59,12 +59,15 @@ EMA_ALPHA = 0.99
 # as the taller arrays leave the cache. G2's gain is small against
 # holding five seeds' pairs at once, so a call stays at G1's five seeds.
 LOCKSTEP_ROWS = 160
+# The context window radius and the negatives per pair: word2vec's defaults
+# (Mikolov et al. 2013), which fastText keeps (Bojanowski et al. 2017).
+# Every model of the grid trains with both.
+WINDOW = 5
+NEGATIVES = 5
 
 
 @dataclass
 class TrainConfig:
-    window: int = 5
-    negatives: int = 5
     lr_start: float = 0.025
     epochs: int = 5
     batch_size: int = 32
@@ -74,8 +77,6 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.window < 1 or self.negatives < 1:
-            raise ConfigError("window and negatives must be >= 1")
         if not 0 < self.lr_start < np.inf:  # false for nan too
             raise ConfigError("lr_start must be a finite number > 0")
         if not 0 <= self.subsample_t < np.inf:
@@ -139,7 +140,9 @@ class NegativeSampler:
 
     def draw_matrix(self, rng: np.random.Generator, positives: np.ndarray,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(negatives (n,k), valid mask) for a batch of positive ids."""
+        """(ctx_ids (n, 1 + k), valid (n, k)) for a batch of positive ids:
+        row i holds positives[i], then its k negatives, and `valid` masks
+        the negatives that still collide with it."""
         n = positives.shape[0]
         negs = self.draw(rng, n * k).reshape(n, k)
         for _ in range(10):
@@ -148,7 +151,8 @@ class NegativeSampler:
             if nbad == 0:
                 break
             negs[bad] = self.draw(rng, nbad)
-        return negs, negs != positives[:, None]
+        return (np.concatenate((positives[:, None], negs), axis=1),
+                negs != positives[:, None])
 
 
 def sgns_kernel(params: ParamTables, csr: _WordCSR, centers: np.ndarray,
@@ -206,11 +210,9 @@ def sgns_step(model: SubwordModel, center_word: str, context_word: str,
     if center_word not in vocab.word2id or ctx_id is None:
         raise SubtokError(
             f"both words must be in vocab: {center_word!r}, {context_word!r}")
-    ctx = np.array([ctx_id])
-    negs, valid = sampler.draw_matrix(rng, ctx, k)
+    ctx_ids, valid = sampler.draw_matrix(rng, np.array([ctx_id]), k)
     loss = sgns_kernel(model.params, _WordCSR.of_model(model, [center_word]),
-                       np.zeros(1, dtype=np.int64),
-                       np.concatenate((ctx[:, None], negs), axis=1), valid, lr)
+                       np.zeros(1, dtype=np.int64), ctx_ids, valid, lr)
     return float(loss[0])
 
 
@@ -306,24 +308,20 @@ class _Lane:
 
 class _Span:
     """A lane's pairs of one epoch, or of a part of it (threads > 1), in
-    batch order: centers, positive and negative context rows and the
-    negatives' valid mask, in batches of `size` pairs, and the lane's
-    update count at the span's next pair. The positives and negatives are
-    joined per batch: joining a whole epoch's would hold the parts and the
-    joined copy at once."""
+    batch order: centers, context ids (`NegativeSampler.draw_matrix`'s rows,
+    the kernel's layout) and the negatives' valid mask, in batches of
+    `size` pairs, and the lane's update count at the span's next pair."""
 
     def __init__(self, lane: _Lane, processed: int, centers: np.ndarray,
-                 ctxs: np.ndarray, negs: np.ndarray, valid: np.ndarray,
-                 size: int):
+                 ctx_ids: np.ndarray, valid: np.ndarray, size: int):
         self.lane, self.processed, self.size = lane, processed, size
-        self.centers, self.ctxs = centers, ctxs
-        self.negs, self.valid = negs, valid
+        self.centers, self.ctx_ids, self.valid = centers, ctx_ids, valid
         self.batches = -(-centers.size // size)
 
     def batch(self, j: int):
-        """Batch j: (centers, positives, negatives, valid)."""
+        """Batch j: (centers, ctx_ids, valid)."""
         b = slice(j * self.size, (j + 1) * self.size)
-        return self.centers[b], self.ctxs[b], self.negs[b], self.valid[b]
+        return self.centers[b], self.ctx_ids[b], self.valid[b]
 
 
 def _check_siblings(models, configs) -> None:
@@ -393,7 +391,7 @@ class Trainer:
         cfg = self.config
         # each linear LR schedule runs over its model's pairs of every
         # epoch, counted from the same seeded draws that make them below
-        stream = (self.stream_ids, self.sent_of, self.keep_probs, cfg.window)
+        stream = (self.stream_ids, self.sent_of, self.keep_probs, WINDOW)
         subsampled = cfg.subsample_t > 0
         for lane in self.lanes:
             lane.total = sum(
@@ -431,21 +429,19 @@ class Trainer:
             self._run_span(spans)
 
     def _lane_pairs(self, m: int, epoch: int):
-        """Model m's pairs of `epoch` as (centers, positives, negatives,
-        valid), its ids shifted to its rows of the stacked tables."""
-        cfg, lane = self.config, self.lanes[m]
-        seed = lane.config.seed
+        """Model m's pairs of `epoch` as (centers, ctx_ids, valid), its ids
+        shifted to its rows of the stacked tables."""
+        seed = self.lanes[m].config.seed
         centers, ctxs = _epoch_pairs(
-            self.stream_ids, self.sent_of, self.keep_probs, cfg.window,
-            self._pair_rng(seed, epoch), cfg.subsample_t > 0)
-        negs, valid = self.sampler.draw_matrix(self._neg_rng(seed, epoch),
-                                               ctxs, cfg.negatives)
+            self.stream_ids, self.sent_of, self.keep_probs, WINDOW,
+            self._pair_rng(seed, epoch), self.config.subsample_t > 0)
+        ctx_ids, valid = self.sampler.draw_matrix(self._neg_rng(seed, epoch),
+                                                  ctxs, NEGATIVES)
         if m:  # model m's words and context rows follow m models'
             words = len(self.models[0].vocab)
             centers += m * words
-            ctxs += m * words
-            negs += m * words
-        return centers, ctxs, negs, valid
+            ctx_ids += m * words
+        return centers, ctx_ids, valid
 
     def _run_threaded(self, lane: _Lane, pairs) -> None:
         """One span per thread, each a contiguous part of the epoch's pairs
@@ -473,14 +469,12 @@ class Trainer:
     def _step(self, spans: list[_Span], j: int) -> None:
         """One kernel call on batch j of each span, each row at its model's
         LR; an error names the update of the first span's model."""
-        centers, ctxs, negs, valid = zip(*(s.batch(j) for s in spans))
-        sizes = [c.size for c in ctxs]
+        centers, ctx_ids, valid = zip(*(s.batch(j) for s in spans))
+        sizes = [c.size for c in centers]
         lrs = [s.lane.lr(s.processed) for s in spans]
-        centers, ctxs, negs, valid = (np.concatenate(col)
-                                      for col in (centers, ctxs, negs, valid))
-        loss = sgns_kernel(self.params, self.csr, centers,
-                           np.concatenate((ctxs[:, None], negs), axis=1),
-                           valid, np.repeat(lrs, sizes), spans[0].processed)
+        loss = sgns_kernel(self.params, self.csr, np.concatenate(centers),
+                           np.concatenate(ctx_ids), np.concatenate(valid),
+                           np.repeat(lrs, sizes), spans[0].processed)
         start = 0
         for span, size, lr in zip(spans, sizes, lrs):
             span.processed += size

@@ -56,8 +56,7 @@ def _report(number: int, name: str, failures: list):
 
 
 def _mention_train_config(seed):
-    return TrainConfig(window=5, negatives=5, epochs=3, batch_size=32,
-                       subsample_t=1e-3, seed=seed)
+    return TrainConfig(epochs=3, batch_size=32, subsample_t=1e-3, seed=seed)
 
 
 def _train_charn_mentions(bench, corpus, seed, word_token=True,
@@ -318,8 +317,7 @@ def test_criterion_9_determinism_serialization(tmp_path):
     vocab = build_vocab(corpus, 1)
     cfg = ModelConfig(segmenter="charn", word_token=True, position=True,
                       dim=12, seed=6)
-    tcfg = TrainConfig(window=3, negatives=3, epochs=2, batch_size=16,
-                       subsample_t=0, seed=6)
+    tcfg = TrainConfig(epochs=2, batch_size=16, subsample_t=0, seed=6)
     from subtok.train import train
     m1 = SubwordModel.build(cfg, vocab)
     train(corpus, m1, tcfg)

@@ -405,8 +405,7 @@ class TestTrainExportProbe:
             assert (ckpt / name).exists()
 
     # a batch size or min count of 0 is checked, not replaced by the group's
-    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim",
-                                      "--batch-size", "--min-count"])
+    @pytest.mark.parametrize("flag", ["--dim", "--batch-size", "--min-count"])
     def test_out_of_range_flag_exit_1(self, corpus_file, tmp_path, capsys,
                                       flag):
         ckpt = tmp_path / "ckpt"
@@ -568,7 +567,7 @@ class TestSimulate:
         row = dict(zip(srows[0].split("\t"), srows[1].split("\t")))
         assert row["n_failed"] == "1"
 
-    @pytest.mark.parametrize("flag", ["--window", "--negatives", "--dim"])
+    @pytest.mark.parametrize("flag", ["--dim"])
     def test_out_of_range_flag_exit_1_before_any_row(
             self, corpus_file, mentions_file, tmp_path, capsys, flag):
         out_dir = tmp_path / "sim"
@@ -1600,6 +1599,9 @@ class TestBadNumbersExit1:
         # a replay in order splits `abc` as `ab c`; the ranks gave `a bc`
         ("bpe", "#bpe v2 3\na b\nb c\na b\n",
          "line 4: repeated merge 'a' 'b'"),
+        # a replay in order splits `abc` as `ab c`; the ranks gave `abc`
+        ("bpe", "#bpe v2 2\nab c\na b\n",
+         "line 2: merge 'ab' 'c' uses 'ab', which no earlier merge makes"),
         # files from before the marker was U+10FFFF spell it '</w>'
         ("bpe", "#bpe v1 1\nd </w>\n",
          "line 1: bad BPE header '#bpe v1 1'")])
@@ -2166,9 +2168,8 @@ class TestParserDefaults:
         assert dataclasses.replace(parse_config_label(args.config),
                                    dim=args.dim, seed=args.seed) == \
             ModelConfig()
-        assert (args.window, args.negatives, args.lr, args.subsample_t) == (
-            TrainConfig.window, TrainConfig.negatives, TrainConfig.lr_start,
-            TrainConfig.subsample_t)
+        assert (args.lr, args.subsample_t) == (TrainConfig.lr_start,
+                                               TrainConfig.subsample_t)
 
     def test_train_help_names_one_config_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -2202,7 +2203,19 @@ class TestParserDefaults:
         args = build_parser().parse_args(
             ["simulate", "--corpus", "c.txt", "--we-tokens", "1",
              "--task-instances", "1", "--configs", "w2v"])
-        assert (args.dim, args.window, args.negatives, args.lr,
-                args.subsample_t) == (
-            ModelConfig.dim, TrainConfig.window, TrainConfig.negatives,
-            TrainConfig.lr_start, TrainConfig.subsample_t)
+        assert (args.dim, args.lr, args.subsample_t) == (
+            ModelConfig.dim, TrainConfig.lr_start, TrainConfig.subsample_t)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "c.txt", "--window", "3"],
+        ["simulate", "--corpus", "c.txt", "--we-tokens", "1",
+         "--task-instances", "1", "--configs", "w2v", "--negatives", "2"]],
+        ids=["train", "simulate"])
+    def test_window_and_negatives_are_not_flags(self, capsys, argv):
+        """train.WINDOW and train.NEGATIVES are constants: a flag for
+        either is an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {argv[-2]} {argv[-1]}"
+                in capsys.readouterr().err)

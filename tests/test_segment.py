@@ -1,4 +1,6 @@
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,19 @@ class TestLearnBpe:
         assert loaded.merges == model.merges
         assert loaded.num_merges == model.num_merges
         assert loaded.segment("lowest") == model.segment("lowest")
+
+    # `load` refuses a merge that uses a symbol no earlier merge makes;
+    # learn_bpe merges only characters and symbols that it has made
+    @given(freqs=st.dictionaries(st.text("ab</w>é\U0001f600", min_size=1,
+                                         max_size=8),
+                                 st.integers(1, 4), min_size=1, max_size=10),
+           num_merges=st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_every_saved_model_loads(self, freqs, num_merges):
+        model = learn_bpe(vocab_from_freqs(freqs), num_merges)
+        with tempfile.TemporaryDirectory() as tmp:
+            model.save(Path(tmp) / "bpe.txt")
+            assert BpeModel.load(Path(tmp) / "bpe.txt").merges == model.merges
 
 
 class TestApplyBpe:

@@ -23,7 +23,9 @@ from subtok.errors import SubtokError
 from subtok.model import ModelConfig, SubwordModel
 from subtok.segment import SubwordVocab
 from subtok.train import (
+    NEGATIVES,
     TRACE_EVERY,
+    WINDOW,
     NegativeSampler,
     TrainConfig,
     _epoch_pair_count,
@@ -319,8 +321,7 @@ def test_training_matches_2d_subtract_at(monkeypatch, dim):
         corpus, m = make_model(text, segmenter="charn", dim=dim,
                                word_token=True, position=True)
         before = m.params.copy()
-        res = train(corpus, m, TrainConfig(window=2, negatives=3, epochs=2,
-                                           batch_size=4, min_count=1,
+        res = train(corpus, m, TrainConfig(epochs=2, batch_size=4, min_count=1,
                                            subsample_t=0))
         return before, m.params, np.asarray(res.loss_trace)
 
@@ -360,8 +361,8 @@ def test_every_scatter_passes_the_tables_dtype(monkeypatch, word_token,
     corpus, m = make_model("cats hats cat hat mats bats rat\nhat cat rats\n"
                            * 4, segmenter="charn", word_token=word_token,
                            position=position)
-    train(corpus, m, TrainConfig(window=2, negatives=3, epochs=1,
-                                 batch_size=4, min_count=1, subsample_t=0))
+    train(corpus, m, TrainConfig(epochs=1, batch_size=4, min_count=1,
+                                 subsample_t=0))
     names = ["subword", "context"] + ["position"] * position
     assert {id(table) for table, _ in calls} == {
         id(getattr(m.params, name)) for name in names}
@@ -580,8 +581,7 @@ class TestPlannedTraining:
                                     num_merges=10, word_token=word_token,
                                     position=position)
         _check_planned_training(corpus, base, [
-            TrainConfig(window=2, negatives=2, epochs=epochs,
-                        batch_size=batch_size, min_count=1,
+            TrainConfig(epochs=epochs, batch_size=batch_size, min_count=1,
                         subsample_t=subsample_t, seed=seed)
             for seed in seeds])
 
@@ -591,8 +591,8 @@ class TestPlannedTraining:
         different calls."""
         corpus, base = no_row_model(NO_ROW_TEXT, segmenter="charn",
                                     word_token=True, position=True)
-        configs = [TrainConfig(window=3, negatives=2, epochs=2, batch_size=8,
-                               min_count=1, subsample_t=0.05, seed=seed)
+        configs = [TrainConfig(epochs=2, batch_size=8, min_count=1,
+                               subsample_t=0.05, seed=seed)
                    for seed in (1, 2, 3)]
         counts = _check_planned_training(corpus, base, configs)
         assert any(n % 8 for lane in counts for n in lane)
@@ -602,8 +602,8 @@ class TestPlannedTraining:
     def test_threaded_calls_sum_their_distinct_centers(self):
         corpus, m = no_row_model(NO_ROW_TEXT, segmenter="charn",
                                  word_token=True)
-        config = TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
-                             min_count=1, subsample_t=0, threads=2)
+        config = TrainConfig(epochs=2, batch_size=8, min_count=1,
+                             subsample_t=0, threads=2)
         _, pairs, calls, summed = _recorded_training(
             corpus, [m], [config], sgns_kernel)
         assert m.params.all_finite()
@@ -654,8 +654,7 @@ class TestEpochPairs:
                                                             monkeypatch):
         corpus, m = make_model("u v w x y z\n" * 600)
         init = m.params.copy()
-        cfg = TrainConfig(window=4, negatives=2, epochs=3, batch_size=16,
-                          subsample_t=0.05, seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, subsample_t=0.05, seed=4)
         calls = []
         real_pairs = train_module._epoch_pairs
 
@@ -687,8 +686,7 @@ class TestEpochPairs:
 class TestTrain:
     def test_bit_reproducible(self):
         corpus, m1 = make_model("red blue green\n" * 100, segmenter="charn")
-        cfg = TrainConfig(window=2, negatives=3, epochs=2, batch_size=8,
-                          subsample_t=0, seed=11)
+        cfg = TrainConfig(epochs=2, batch_size=8, subsample_t=0, seed=11)
         train(corpus, m1, cfg)
         _, m2 = make_model("red blue green\n" * 100, segmenter="charn")
         train(corpus, m2, cfg)
@@ -698,11 +696,35 @@ class TestTrain:
     def test_zero_epochs_identity(self):
         corpus, m = make_model("a b c\n" * 10)
         init = m.params.copy()
-        cfg = TrainConfig(window=2, negatives=2, epochs=0, seed=1)
+        cfg = TrainConfig(epochs=0, seed=1)
         res = train(corpus, m, cfg)
         assert res.processed_pairs == 0
         assert np.array_equal(m.params.subword, init.subword)
         assert np.array_equal(m.params.context, init.context)
+
+    def test_trains_at_the_window_and_negative_count_constants(
+            self, monkeypatch):
+        """No TrainConfig field sets the window or the negatives per pair:
+        every epoch's pairs are made at WINDOW and drawn NEGATIVES
+        negatives, word2vec's defaults."""
+        assert (WINDOW, NEGATIVES) == (5, 5)
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "lr_start", "epochs", "batch_size", "min_count", "subsample_t",
+            "threads", "seed"]
+        windows, ks = [], []
+        pairs = train_module._epoch_pairs
+        count = train_module._epoch_pair_count
+        draw = NegativeSampler.draw_matrix
+        monkeypatch.setattr(train_module, "_epoch_pairs",
+                            lambda *a: windows.append(a[3]) or pairs(*a))
+        monkeypatch.setattr(train_module, "_epoch_pair_count",
+                            lambda *a: windows.append(a[3]) or count(*a))
+        monkeypatch.setattr(NegativeSampler, "draw_matrix",
+                            lambda self, rng, positives, k: ks.append(k)
+                            or draw(self, rng, positives, k))
+        corpus, m = make_model("u v w x y z\n" * 20)
+        train(corpus, m, TrainConfig(epochs=2, subsample_t=0))
+        assert windows == [WINDOW] * 4 and ks == [NEGATIVES] * 2
 
     def test_negative_seed(self):
         with pytest.raises(SubtokError, match="seed must be >= 0"):
@@ -720,8 +742,8 @@ class TestTrain:
         vocab = build_vocab(corpus, 1)
         m = SubwordModel.build(ModelConfig(segmenter="word", dim=16, seed=3),
                                vocab)
-        train(corpus, m, TrainConfig(window=3, negatives=5, epochs=2,
-                                     batch_size=32, subsample_t=0, seed=7))
+        train(corpus, m, TrainConfig(epochs=2, batch_size=32, subsample_t=0,
+                                     seed=7))
         vecs = np.stack([m.word_vector(w) for w in wa + wb])
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         sim = vecs @ vecs.T
@@ -731,8 +753,8 @@ class TestTrain:
 
     def test_loss_trace_and_lr_decay(self):
         corpus, m = make_model("u v w x y z\n" * 400)
-        cfg = TrainConfig(window=3, negatives=3, epochs=3, batch_size=16,
-                          subsample_t=0, seed=5, lr_start=0.03)
+        cfg = TrainConfig(epochs=3, batch_size=16, subsample_t=0, seed=5,
+                          lr_start=0.03)
         res = train(corpus, m, cfg)
         assert res.processed_pairs > 10_000
         assert len(res.loss_trace) >= 1
@@ -744,9 +766,8 @@ class TestTrain:
 
     def test_trace_tsv(self, tmp_path):
         corpus, m = make_model("u v w x\n" * 2000)
-        res = train(corpus, m, TrainConfig(window=2, negatives=2, epochs=2,
-                                           batch_size=32, subsample_t=0,
-                                           seed=5))
+        res = train(corpus, m, TrainConfig(epochs=2, batch_size=32,
+                                           subsample_t=0, seed=5))
         assert res.processed_pairs > TRACE_EVERY  # so the trace has a row
         res.save_trace(tmp_path / "trace.tsv")
         lines = (tmp_path / "trace.tsv").read_text().splitlines()
@@ -759,8 +780,7 @@ class TestTrain:
         text = " ".join(["the"] * 2000 + ["rare%d" % i for i in range(50)])
         corpus = tokenize_corpus(text)
         vocab = build_vocab(corpus, 1)
-        cfg_args = dict(window=2, negatives=2, epochs=1, batch_size=32,
-                        seed=3)
+        cfg_args = dict(epochs=1, batch_size=32, seed=3)
         m1 = SubwordModel.build(ModelConfig(segmenter="word", dim=4), vocab)
         full = train(corpus, m1, TrainConfig(subsample_t=0, **cfg_args))
         m2 = SubwordModel.build(ModelConfig(segmenter="word", dim=4), vocab)
@@ -772,8 +792,7 @@ class TestTrain:
         m.params.context[m.vocab.word2id["aa"]] = np.inf
         before = m.params.copy()
         # one batch holds every pair, and each pair scores against aa's row
-        cfg = TrainConfig(window=1, negatives=2, epochs=1, batch_size=64,
-                          subsample_t=0, seed=1)
+        cfg = TrainConfig(epochs=1, batch_size=64, subsample_t=0, seed=1)
         with pytest.raises(SubtokError, match=r"non-finite score at update 0 "
                                               r"\(center word '(aa|bb)'\)"):
             train(corpus, m, cfg)
@@ -783,8 +802,8 @@ class TestTrain:
 
     def test_threaded_mode_runs(self):
         corpus, m = make_model("p q r s t\n" * 200, segmenter="charn")
-        cfg = TrainConfig(window=2, negatives=2, epochs=2, batch_size=16,
-                          subsample_t=0, seed=2, threads=3)
+        cfg = TrainConfig(epochs=2, batch_size=16, subsample_t=0, seed=2,
+                          threads=3)
         res = train(corpus, m, cfg)
         assert res.processed_pairs > 0
         assert m.params.all_finite()
@@ -804,17 +823,19 @@ class TestNegativeSampler:
         sampler = NegativeSampler(m.vocab)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            negs, valid = sampler.draw_matrix(rng, np.zeros(1, np.int64), 5)
-            negs = negs[valid]
-            assert (negs != 0).all()
+            ctx_ids, valid = sampler.draw_matrix(rng, np.zeros(1, np.int64),
+                                                 5)
+            assert ctx_ids.shape == (1, 6) and ctx_ids[0, 0] == 0
+            assert (ctx_ids[:, 1:][valid] != 0).all()
 
     def test_matrix_valid_mask(self):
         corpus, m = make_model("a b c d e f g h\n" * 3)
         sampler = NegativeSampler(m.vocab)
         positives = np.array([0, 1, 2, 3] * 10)
-        negs, valid = sampler.draw_matrix(np.random.default_rng(1),
-                                          positives, 4)
-        assert ((negs != positives[:, None]) == valid).all()
+        ctx_ids, valid = sampler.draw_matrix(np.random.default_rng(1),
+                                             positives, 4)
+        assert np.array_equal(ctx_ids[:, 0], positives)
+        assert ((ctx_ids[:, 1:] != positives[:, None]) == valid).all()
 
     def test_distribution_follows_power_law(self):
         corpus, m = make_model(" ".join(["a"] * 810 + ["b"] * 10))
@@ -843,18 +864,17 @@ class TestLockstep:
            seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3,
                           unique=True),
            batch_size=st.sampled_from([1, 3, 7, 32]),
-           epochs=st.integers(1, 2), window=st.integers(1, 3),
+           epochs=st.integers(1, 2),
            subsample_t=st.sampled_from([0.0, 0.05]))
     @settings(max_examples=40, deadline=None)
     def test_equals_solo_training(self, segmenter, word_token, position,
-                                  seeds, batch_size, epochs, window,
-                                  subsample_t):
+                                  seeds, batch_size, epochs, subsample_t):
         corpus, base = make_model(LOCKSTEP_TEXT, segmenter=segmenter,
                                   num_merges=20, word_token=word_token,
                                   position=position)
-        configs = [TrainConfig(window=window, negatives=2, epochs=epochs,
-                               batch_size=batch_size, min_count=1,
-                               subsample_t=subsample_t, seed=seed)
+        configs = [TrainConfig(epochs=epochs, batch_size=batch_size,
+                               min_count=1, subsample_t=subsample_t,
+                               seed=seed)
                    for seed in seeds]
         models = [base.with_seed(seed) for seed in seeds]
         with mock.patch.object(train_module, "TRACE_EVERY", 40):
@@ -871,8 +891,8 @@ class TestLockstep:
     def test_seeds_differ_in_pair_count_and_last_batch(self):
         corpus, base = make_model(LOCKSTEP_TEXT)
         seeds = [1, 2, 3]
-        configs = [TrainConfig(window=3, negatives=2, epochs=1, batch_size=7,
-                               min_count=1, subsample_t=0.05, seed=seed)
+        configs = [TrainConfig(epochs=1, batch_size=7, min_count=1,
+                               subsample_t=0.05, seed=seed)
                    for seed in seeds]
         results = train_lockstep(corpus, [base.with_seed(s) for s in seeds],
                                  configs)
@@ -887,8 +907,8 @@ class TestLockstep:
         text = LOCKSTEP_TEXT + "the zz sat\n"
         corpus, base = make_model(text)
         seeds = [4, 5, 6]
-        configs = [TrainConfig(window=2, negatives=2, epochs=2, batch_size=8,
-                               min_count=1, subsample_t=0, seed=seed)
+        configs = [TrainConfig(epochs=2, batch_size=8, min_count=1,
+                               subsample_t=0, seed=seed)
                    for seed in seeds]
         for table, row, message in (
                 ("context", base.vocab.word2id["zz"],
@@ -917,8 +937,8 @@ class TestLockstep:
         models = [base.with_seed(1), base.with_seed(2)]
         one = TrainConfig(min_count=1, epochs=1, seed=1)
         with pytest.raises(ValueError, match="only in seed"):
-            train_lockstep(corpus, models,
-                           [one, dataclasses.replace(one, seed=2, window=2)])
+            train_lockstep(corpus, models, [
+                one, dataclasses.replace(one, seed=2, lr_start=0.01)])
         with pytest.raises(ValueError, match="one model"):
             threaded = dataclasses.replace(one, threads=2)
             train_lockstep(corpus, models,
